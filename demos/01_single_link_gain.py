@@ -10,9 +10,10 @@ along the mirror surface to see how slowly the gain changes.
 import numpy as np
 
 from oirsvlc import (
+    ExperimentConfig,
     LinkGeometry,
-    aperture_gain,
     alignment_normal,
+    build_csi_tensor,
     plane_basis_from,
     point_gain,
 )
@@ -34,9 +35,12 @@ print(f"\npoint-source gain (unit constant): {g_point:.6f}")
 print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
       f"{point_gain(link, 'lambertian', reflectivity=0.9, pd_side=0.05):.3e}")
 
+# the default config's single-link scene is this geometry, with a one-element
+# grid of 5 cm elements spanning the mirror surface
+scene, _ = ExperimentConfig().build_single_link()
 u, v = plane_basis_from(mirror)
 for order in (1, 2, 4, 8, 16):
-    g = aperture_gain(link, u, v, size=0.05, order=order)
+    g = build_csi_tensor(scene, "quadrature", order).gains[0, 0]
     print(f"aperture average, {order}x{order} sub-points: {g:.8f} "
           f"(vs point {abs(g - g_point) / g_point:.2e} relative)")
 

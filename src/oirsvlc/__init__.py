@@ -11,14 +11,13 @@ from .channel import (
     AssociationPattern,
     CsiTensor,
     LinkGeometry,
-    PilotBlock,
     SceneConfig,
-    aperture_gain,
+    aperture_points,
     assemble_H,
     build_csi_tensor,
     generate_pilots,
     pair_column,
-    patch_gain_quadrature,
+    pair_gains,
     point_gain,
     simulate_rx,
     vec_H_blkdiag,
@@ -37,7 +36,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     IdentifiabilityError,
-    IncompleteEstimationError,
     InfiniteCoherenceError,
     LayoutError,
     OirsVlcError,
@@ -50,13 +48,12 @@ from .errors import (
 from .estimator import (
     EstimationResult,
     SubarrayLayout,
-    design_dense_pattern,
+    block_schedule,
     design_layout,
-    design_pattern,
     flops_estimate,
-    gather_samples,
     interpolate_full,
     mmse_estimate,
+    nmse,
     run_algorithm1,
 )
 from .experiments import (
@@ -64,7 +61,6 @@ from .experiments import (
     load_config,
     loads,
     dumps,
-    nmse,
     nmse_db,
     run_coherence,
     run_fig4,

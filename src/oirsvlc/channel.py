@@ -28,7 +28,6 @@ from .geometry import (
     OirsGrid,
     _frozen,
     as_vec3,
-    element_position,
     element_positions,
     is_unit,
 )
@@ -97,55 +96,53 @@ class LinkGeometry:
         return replace(self, element=self.element + as_vec3(delta))
 
 
+def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
+               c: float) -> np.ndarray:
+    """Point gains of every (LED, PD) pair via each element point.
+
+    Maps (..., 3) element points to (..., Nr, Nt) gains for LED positions
+    `leds` (Nt, 3) and PD positions `pds` (Nr, 3). A pair's gain is 0 when
+    the LED faces away from the point or the arrival direction falls
+    outside the PD field of view (cos phi < cos fov). `c` is the gain
+    constant.
+    """
+    pts = np.asarray(points, dtype=float)
+    to_led = pts[..., None, :] - leds                         # (..., Nt, 3)
+    to_pd = pts[..., None, :] - pds                           # (..., Nr, 3)
+    d1 = np.linalg.norm(to_led, axis=-1)
+    d2 = np.linalg.norm(to_pd, axis=-1)
+    ct = (to_led @ led_normal) / d1
+    cp = (to_pd @ pd_normal) / d2
+    ok_t = ct > 0.0
+    ok_p = cp >= math.cos(fov)
+    num = np.where(ok_t, ct, 0.0) ** m
+    num = num[..., None, :] * np.where(ok_p, cp, 0.0)[..., :, None]
+    num *= (ok_t[..., None, :] & ok_p[..., :, None])
+    return c * num / (d1[..., None, :] + d2[..., :, None]) ** 2
+
+
 def point_gain(link: LinkGeometry, mode: str = "unit", *,
                reflectivity: float = 1.0, pd_side: float = 1.0) -> float:
-    """Reflected channel gain of a single link under the point-source model.
-
-    Returns 0 when the LED faces away from the element or the arrival
-    direction falls outside the PD field of view (cos phi < cos fov).
-    """
-    ct = link.cos_theta
-    cp = link.cos_phi
-    if ct <= 0.0 or cp < math.cos(link.fov_semi_angle):
-        return 0.0
+    """Reflected channel gain of a single link under the point-source model."""
     c = gain_constant(mode, link.lambertian_order, reflectivity, pd_side)
-    return c * ct**link.lambertian_order * cp / (link.d1 + link.d2) ** 2
+    return float(pair_gains(link.element, link.led[None], link.led_normal, link.pd[None],
+                            link.pd_normal, link.lambertian_order,
+                            link.fov_semi_angle, c)[0, 0])
 
 
-def aperture_gain(link: LinkGeometry, axis_u, axis_v, size: float, order: int,
-                  mode: str = "unit", *, reflectivity: float = 1.0,
-                  pd_side: float = 1.0) -> float:
-    """Mean point gain over a square aperture centered on the link's element.
+def aperture_points(grid: OirsGrid, centers, order: int) -> np.ndarray:
+    """Midpoint-rule sub-points of square apertures: (..., 3) -> (..., order^2, 3).
 
-    Midpoint rule with `order` x `order` sub-points spanning `size` along the
-    two in-plane axes. order=1 degenerates to the point gain at the center.
-    Serves as the finite-aperture stand-in for a full physical-optics model.
+    `order` x `order` sub-points span the grid's element_size along its two
+    in-plane axes around each center. order=1 gives the centers themselves.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
-    offs = ((np.arange(order) + 0.5) / order - 0.5) * size
-    u = as_vec3(axis_u)
-    v = as_vec3(axis_v)
-    total = 0.0
-    for a in offs:
-        for b in offs:
-            total += point_gain(link.shifted(a * u + b * v), mode,
-                                reflectivity=reflectivity, pd_side=pd_side)
-    return total / order**2
-
-
-def patch_gain_quadrature(grid: OirsGrid, i: int, j: int, link: LinkGeometry,
-                          order: int, mode: str = "unit") -> float:
-    """Aperture-averaged gain of grid element (i, j) for the given link.
-
-    The link's element position is replaced by the grid element's center;
-    sub-points span element_size along the grid's in-plane axes. The grid's
-    reflectivity feeds the lambertian constant.
-    """
-    center = element_position(grid, i, j)
-    return aperture_gain(replace(link, element=center), grid.axis_u, grid.axis_v,
-                         grid.element_size, order, mode,
-                         reflectivity=grid.reflectivity)
+    offs = ((np.arange(order) + 0.5) / order - 0.5) * grid.element_size
+    du, dv = np.meshgrid(offs, offs)
+    return np.asarray(centers, dtype=float)[..., None, :] \
+        + du.ravel()[:, None] * grid.axis_u \
+        + dv.ravel()[:, None] * grid.axis_v
 
 
 @dataclass(frozen=True)
@@ -194,6 +191,13 @@ class SceneConfig:
     def n_pds(self) -> int:
         return self.pd_positions.shape[0]
 
+    def gains(self, points) -> np.ndarray:
+        """pair_gains of this scene's LEDs and PDs: (..., 3) -> (..., Nr, Nt)."""
+        c = gain_constant(self.gain_mode, self.lambertian_order,
+                          self.grid.reflectivity, self.pd_side)
+        return pair_gains(points, self.led_positions, self.led_normal, self.pd_positions,
+                          self.pd_normal, self.lambertian_order, self.fov_semi_angle, c)
+
     def link(self, led_index: int, element_point, pd_index: int) -> LinkGeometry:
         return LinkGeometry(self.led_positions[led_index], element_point,
                             self.pd_positions[pd_index], self.led_normal,
@@ -232,28 +236,6 @@ class CsiTensor:
     def n_elements(self) -> int:
         return self.gains.shape[0]
 
-    def column(self, nr: int, nt: int) -> np.ndarray:
-        return self.gains[:, pair_column(nr, nt, self.n_pds)]
-
-
-def _pair_gains(points, scene: SceneConfig) -> np.ndarray:
-    """Vectorized point gains: (..., 3) points -> (..., Nr, Nt)."""
-    pts = np.asarray(points, dtype=float)
-    to_led = pts[..., None, :] - scene.led_positions          # (..., Nt, 3)
-    to_pd = pts[..., None, :] - scene.pd_positions            # (..., Nr, 3)
-    d1 = np.linalg.norm(to_led, axis=-1)
-    d2 = np.linalg.norm(to_pd, axis=-1)
-    ct = (to_led @ scene.led_normal) / d1
-    cp = (to_pd @ scene.pd_normal) / d2
-    m = scene.lambertian_order
-    ok_t = ct > 0.0
-    ok_p = cp >= math.cos(scene.fov_semi_angle)
-    num = np.where(ok_t, ct, 0.0) ** m
-    num = num[..., None, :] * np.where(ok_p, cp, 0.0)[..., :, None]
-    num *= (ok_t[..., None, :] & ok_p[..., :, None])
-    c = gain_constant(scene.gain_mode, m, scene.grid.reflectivity, scene.pd_side)
-    return c * num / (d1[..., None, :] + d2[..., :, None]) ** 2
-
 
 def build_csi_tensor(scene: SceneConfig, model: str = "point",
                      quadrature_order: int = 8) -> CsiTensor:
@@ -265,22 +247,11 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
     normal set by the reflection law for the link being evaluated), which
     the point-source bound leaves implicit.
     """
-    grid = scene.grid
-    centers = element_positions(grid)
-    if model == "point":
-        g = _pair_gains(centers, scene)
-    elif model == "quadrature":
-        k = int(quadrature_order)
-        if k < 1:
-            raise ValueError("quadrature order must be >= 1")
-        offs = ((np.arange(k) + 0.5) / k - 0.5) * grid.element_size
-        du, dv = np.meshgrid(offs, offs)
-        sub = centers[:, None, :] \
-            + du.ravel()[None, :, None] * grid.axis_u \
-            + dv.ravel()[None, :, None] * grid.axis_v
-        g = _pair_gains(sub, scene).mean(axis=1)
-    else:
+    if model not in ("point", "quadrature"):
         raise ValueError(f"unknown truth model {model!r}")
+    grid = scene.grid
+    order = 1 if model == "point" else int(quadrature_order)
+    g = scene.gains(aperture_points(grid, element_positions(grid), order)).mean(axis=1)
     # column k = nt * Nr + nr
     gains = g.transpose(0, 2, 1).reshape(grid.n_elements, scene.n_leds * scene.n_pds)
     return CsiTensor(gains, scene.n_leds, scene.n_pds)
@@ -356,35 +327,14 @@ def vec_H_blkdiag(csi: CsiTensor, pattern: AssociationPattern) -> np.ndarray:
     return blk.T @ csi.gains.reshape(-1, order="F")
 
 
-@dataclass(frozen=True)
-class PilotBlock:
-    """One estimation block: intensity pilots, received samples, noise level."""
-
-    X: np.ndarray       # (Nt, P), nonnegative
-    Y: np.ndarray       # (Nr, P)
-    sigma: float
-    seed: int
-
-    def __post_init__(self):
-        x = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.Y, dtype=float)
-        if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
-            raise ShapeError("X and Y must be 2-D with a common slot count")
-        if np.any(x < 0.0):
-            raise ValueError("intensity pilots must be nonnegative")
-        if x.shape[1] < x.shape[0]:
-            raise IdentifiabilityError("need at least as many pilot slots as LEDs")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
-        object.__setattr__(self, "X", _frozen(x))
-        object.__setattr__(self, "Y", _frozen(y))
-
-
-def generate_pilots(n_leds: int, n_slots: int, power: float, seed) -> np.ndarray:
-    """Nonnegative pilot matrix, i.i.d. uniform on [0, 2*power] (mean `power`).
+def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
+                    batch: tuple = ()) -> np.ndarray:
+    """Nonnegative (*batch, n_leds, n_slots) pilots, i.i.d. uniform on
+    [0, 2*power] (mean `power`).
 
     Uniform nonnegative entries keep X X^T well conditioned with high
-    probability under the intensity-modulation constraint.
+    probability under the intensity-modulation constraint. `seed` may be a
+    Generator, which is drawn from in place.
     """
     if n_slots < n_leds:
         raise IdentifiabilityError(
@@ -392,17 +342,19 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed) -> np.ndarray
     if power <= 0.0:
         raise ValueError("pilot power must be positive")
     rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 2.0 * power, size=(n_leds, n_slots))
+    return rng.uniform(0.0, 2.0 * power, size=(*batch, n_leds, n_slots))
 
 
 def simulate_rx(H: np.ndarray, X: np.ndarray, sigma: float, seed) -> np.ndarray:
-    """Received block Y = H X + Z with i.i.d. zero-mean Gaussian noise.
+    """Received blocks Y = H X + Z with i.i.d. zero-mean Gaussian noise.
 
-    Deterministic for a fixed seed; sigma = 0 gives Y = H X exactly.
+    H is (..., Nr, Nt) and X (..., Nt, P). Deterministic for a fixed seed,
+    which may be a Generator; sigma = 0 gives Y = H X exactly and draws no
+    noise.
     """
     H = np.asarray(H, dtype=float)
     X = np.asarray(X, dtype=float)
-    if H.ndim != 2 or X.ndim != 2 or H.shape[1] != X.shape[0]:
+    if H.ndim < 2 or X.ndim < 2 or H.shape[-1] != X.shape[-2]:
         raise ShapeError(f"H {H.shape} and X {X.shape} are not conformable")
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")

@@ -36,10 +36,6 @@ class LayoutError(OirsVlcError):
     """Grid too small, or spacing incompatible with the aligned block."""
 
 
-class IncompleteEstimationError(OirsVlcError):
-    """Sample gathering requested before every block was estimated."""
-
-
 class IdentifiabilityError(OirsVlcError):
     """Fewer pilot slots than LEDs: the per-block estimate is underdetermined."""
 

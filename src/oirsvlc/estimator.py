@@ -20,15 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline, interp1d
 
-from .channel import AssociationPattern, CsiTensor, SceneConfig, build_csi_tensor
-from .coherence import CoherenceReport
-from .errors import (
-    IdentifiabilityError,
-    IncompleteEstimationError,
-    LayoutError,
-    ShapeError,
-    SingularSystemError,
-)
+from .channel import CsiTensor, SceneConfig, build_csi_tensor, generate_pilots, simulate_rx
+from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
 from .geometry import OirsGrid
 
 
@@ -64,15 +57,6 @@ class SubarrayLayout:
     def n_blocks(self) -> int:
         return self.q_v * self.q_h
 
-    def sample_element(self, nr: int, nt: int, qv: int, qh: int) -> int:
-        """Flat index of the (nr, nt)-aligned element of subarray (qv, qh)."""
-        return (qv * self.spacing + nr) * self.cols + (qh * self.spacing + nt)
-
-    def omega(self, nr: int, nt: int) -> np.ndarray:
-        """Aligned-element indices of pair (nr, nt) over all blocks, in block order."""
-        qv, qh = np.divmod(np.arange(self.n_blocks), self.q_h)
-        return (qv * self.spacing + nr) * self.cols + (qh * self.spacing + nt)
-
     def sample_row_indices(self, nr: int) -> np.ndarray:
         return nr + self.spacing * np.arange(self.q_v)
 
@@ -96,83 +80,57 @@ def design_layout(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int) -> Suba
                           grid.element_pitch)
 
 
-def design_pattern(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int,
-                   coherence: CoherenceReport | None = None):
-    """Phase-I association design.
+def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
+    """Phase-I block schedule: (index, layout).
 
-    Returns (pattern, block_patterns, layout): the full sampling association,
-    the per-block associations (equal to the full pattern on each block's
-    rows, zero elsewhere), and the layout. When a coherence report is given,
-    the sample lattice pitch must not exceed its coherence distance.
+    index[q, nr, nt] is the flat element that block q aligns with the
+    (nr, nt) pair, shaped (Q, Nr, Nt). With spacing > 1, or a single LED and
+    PD, block q is subarray q of the layout. Otherwise it is the dense
+    baseline, with layout None: one block per element, block q aligning
+    element (q + k) mod N with pair column k = nt * Nr + nr, so each element
+    serves every pair in exactly one block while every block stays angle
+    selective.
     """
+    if spacing == 1 and max(n_leds, n_pds) > 1:
+        n = grid.n_elements
+        if n < n_leds * n_pds:
+            raise LayoutError("fewer elements than (LED, PD) pairs")
+        assignment = (np.arange(n)[:, None] + np.arange(n_leds * n_pds)) % n
+        return assignment.reshape(n, n_leds, n_pds).transpose(0, 2, 1), None
     layout = design_layout(grid, n_leds, n_pds, spacing)
-    if coherence is not None and spacing * grid.element_pitch > coherence.d_c:
-        raise LayoutError(
-            f"sample pitch {spacing * grid.element_pitch:.3f} m exceeds the "
-            f"coherence distance {coherence.d_c:.3f} m")
-    n = grid.n_elements
-    g_full = np.zeros((n, n_leds), dtype=np.int8)
-    f_full = np.zeros((n, n_pds), dtype=np.int8)
-    blocks = []
-    for qv in range(layout.q_v):
-        for qh in range(layout.q_h):
-            g_blk = np.zeros_like(g_full)
-            f_blk = np.zeros_like(f_full)
-            for nr in range(n_pds):
-                for nt in range(n_leds):
-                    e = layout.sample_element(nr, nt, qv, qh)
-                    g_blk[e, nt] = f_blk[e, nr] = 1
-            g_full |= g_blk
-            f_full |= f_blk
-            blocks.append(AssociationPattern(g_blk, f_blk))
-    return AssociationPattern(g_full, f_full), blocks, layout
-
-
-def design_dense_pattern(grid: OirsGrid, n_leds: int, n_pds: int):
-    """Baseline association schedule covering every (element, pair) once.
-
-    One block per element: block q aligns element (q + k) mod N with pair
-    column k, so each element serves every pair in exactly one block while
-    every block stays angle selective. Returns (block_patterns, assignment)
-    with assignment[q, k] the element sampling pair k in block q.
-    """
-    n = grid.n_elements
-    k = n_leds * n_pds
-    if n < k:
-        raise LayoutError("fewer elements than (LED, PD) pairs")
-    assignment = (np.arange(n)[:, None] + np.arange(k)[None, :]) % n
-    blocks = []
-    for q in range(n):
-        g_blk = np.zeros((n, n_leds), dtype=np.int8)
-        f_blk = np.zeros((n, n_pds), dtype=np.int8)
-        for col in range(k):
-            nt, nr = divmod(col, n_pds)
-            g_blk[assignment[q, col], nt] = 1
-            f_blk[assignment[q, col], nr] = 1
-        blocks.append(AssociationPattern(g_blk, f_blk))
-    return blocks, assignment
+    qv, qh = np.divmod(np.arange(layout.n_blocks), layout.q_h)
+    rows = qv[:, None, None] * spacing + np.arange(n_pds)[:, None]
+    cols = qh[:, None, None] * spacing + np.arange(n_leds)
+    return rows * grid.cols + cols, layout
 
 
 def mmse_estimate(Y: np.ndarray, X: np.ndarray, sigma: float) -> np.ndarray:
-    """Per-block ridge estimate Y X^T (X X^T + sigma^2 I)^-1 via a linear solve."""
+    """Per-block ridge estimate Y X^T (X X^T + sigma^2 I)^-1 via a linear solve.
+
+    Y is (..., Nr, P) and X (..., Nt, P) with the same leading block axes;
+    the result is (..., Nr, Nt).
+    """
     Y = np.asarray(Y, dtype=float)
     X = np.asarray(X, dtype=float)
-    if Y.ndim != 2 or X.ndim != 2 or Y.shape[1] != X.shape[1]:
+    if Y.ndim < 2 or Y.shape[:-2] != X.shape[:-2] or Y.shape[-1] != X.shape[-1]:
         raise ShapeError(f"Y {Y.shape} and X {X.shape} are not conformable")
-    gram = X @ X.T + sigma**2 * np.eye(X.shape[0])
+    gram = X @ np.swapaxes(X, -1, -2) + sigma**2 * np.eye(X.shape[-2])
     try:
-        return np.linalg.solve(gram, X @ Y.T).T
+        return np.swapaxes(np.linalg.solve(gram, X @ np.swapaxes(Y, -1, -2)), -1, -2)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("pilot Gram matrix is singular") from exc
 
 
-def gather_samples(block_estimates, layout: SubarrayLayout, nr: int, nt: int) -> np.ndarray:
-    """(q_v, q_h) sample grid of pair (nr, nt) from the per-block estimates."""
-    if len(block_estimates) != layout.n_blocks or any(b is None for b in block_estimates):
-        raise IncompleteEstimationError(
-            f"need {layout.n_blocks} block estimates, got {len(block_estimates)}")
-    vals = np.array([np.asarray(b)[nr, nt] for b in block_estimates])
-    return vals.reshape(layout.q_v, layout.q_h)
+def nmse(estimate, truth) -> float:
+    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2."""
+    est = np.asarray(getattr(estimate, "gains", estimate), dtype=float)
+    ref = np.asarray(getattr(truth, "gains", truth), dtype=float)
+    if est.shape != ref.shape:
+        raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
+    denom = float(np.sum(ref**2))
+    if denom == 0.0:
+        raise ZeroReferenceError("reference tensor is identically zero")
+    return float(np.sum((est - ref) ** 2) / denom)
 
 
 def _interp_axis(sample_pos, values, target_pos, axis):
@@ -247,16 +205,6 @@ class EstimationResult:
         return CsiTensor(np.maximum(self.gains, 0.0), self.n_leds, self.n_pds)
 
 
-def _batched_mmse(Y: np.ndarray, X: np.ndarray, sigma: float) -> np.ndarray:
-    """mmse_estimate over a stack of blocks: (Q,Nr,P), (Q,Nt,P) -> (Q,Nr,Nt)."""
-    gram = X @ X.transpose(0, 2, 1) + sigma**2 * np.eye(X.shape[1])
-    rhs = X @ Y.transpose(0, 2, 1)
-    try:
-        return np.linalg.solve(gram, rhs).transpose(0, 2, 1)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("pilot Gram matrix is singular") from exc
-
-
 def run_algorithm1(scene: SceneConfig, spacing: int, pilot_slots: int = 100,
                    sigma: float = 0.0, pilot_power: float = 1.0, seed=0,
                    truth_model: str = "quadrature", quadrature_order: int = 8,
@@ -270,52 +218,31 @@ def run_algorithm1(scene: SceneConfig, spacing: int, pilot_slots: int = 100,
     per-call ground-truth build, which dominates repeated-trial sweeps.
     """
     nt, nr = scene.n_leds, scene.n_pds
-    n_pair = nt * nr
-    if pilot_slots < nt:
-        raise IdentifiabilityError(
-            f"{pilot_slots} pilot slots cannot identify {nt} LED gains")
     if truth is None:
         truth = build_csi_tensor(scene, truth_model, quadrature_order)
-    n = truth.n_elements
-    dense = spacing == 1 and max(nt, nr) > 1
-    if dense:
-        layout = None
-        q_blocks = n
-        assignment = (np.arange(n)[:, None] + np.arange(n_pair)[None, :]) % n
-        h_blocks = truth.gains[assignment, np.arange(n_pair)[None, :]]
-        h_blocks = h_blocks.reshape(q_blocks, nt, nr).transpose(0, 2, 1)
-    else:
-        layout = design_layout(scene.grid, nt, nr, spacing)
-        q_blocks = layout.n_blocks
-        h_blocks = np.empty((q_blocks, nr, nt))
-        for pr in range(nr):
-            for pt in range(nt):
-                h_blocks[:, pr, pt] = truth.gains[layout.omega(pr, pt), pt * nr + pr]
+    index, layout = block_schedule(scene.grid, nt, nr, spacing)
+    q_blocks = index.shape[0]
+    pairs = np.arange(nt) * nr + np.arange(nr)[:, None]      # (Nr, Nt) pair columns
+    h_blocks = truth.gains[index, pairs]
 
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 2.0 * pilot_power, size=(q_blocks, nt, pilot_slots))
-    y = h_blocks @ x
-    if sigma > 0.0:
-        y = y + sigma * rng.standard_normal(y.shape)
-    h_est = _batched_mmse(y, x, sigma)
+    x = generate_pilots(nt, pilot_slots, pilot_power, rng, (q_blocks,))
+    y = simulate_rx(h_blocks, x, sigma, rng)
+    h_est = mmse_estimate(y, x, sigma)
 
     est = np.zeros_like(truth.gains)
-    if dense:
-        est[assignment, np.arange(n_pair)[None, :]] = \
-            h_est.transpose(0, 2, 1).reshape(q_blocks, n_pair)
+    if layout is None:
+        est[index, pairs] = h_est
     else:
-        for pr in range(nr):
-            for pt in range(nt):
-                samples = h_est[:, pr, pt].reshape(layout.q_v, layout.q_h)
-                field = interpolate_full(samples, layout, scene.grid, pr, pt)
-                est[:, pt * nr + pr] = field.reshape(-1)
+        for (pr, pt), k in np.ndenumerate(pairs):
+            samples = h_est[:, pr, pt].reshape(layout.q_v, layout.q_h)
+            est[:, k] = interpolate_full(samples, layout, scene.grid, pr, pt).reshape(-1)
 
-    err = float(np.sum((est - truth.gains) ** 2) / np.sum(truth.gains**2))
     return EstimationResult(
         gains=est,
         block_estimates=h_est,
-        nmse=err,
-        csi_parameter_count=q_blocks * n_pair,
+        nmse=nmse(est, truth),
+        csi_parameter_count=q_blocks * nt * nr,
         flops_estimate=flops_estimate(nt, nr, pilot_slots, q_blocks),
         block_count=q_blocks,
         pilot_slots_per_block=pilot_slots,

@@ -21,26 +21,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import SceneConfig, aperture_gain, build_csi_tensor, point_gain
+from .channel import SceneConfig, aperture_points, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
-from .errors import ConfigError, ShapeError, ZeroReferenceError
-from .estimator import design_layout, flops_estimate, run_algorithm1
+from .errors import ConfigError, LayoutError, OirsVlcError
+from .estimator import block_schedule, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
 NMSE_DB_FLOOR = -300.0
 _FIG4_STEP = 0.01        # meters; sweep covers [-1, 1]
-
-
-def nmse(estimate, truth) -> float:
-    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2."""
-    est = np.asarray(getattr(estimate, "gains", estimate), dtype=float)
-    ref = np.asarray(getattr(truth, "gains", truth), dtype=float)
-    if est.shape != ref.shape:
-        raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
-    denom = float(np.sum(ref**2))
-    if denom == 0.0:
-        raise ZeroReferenceError("reference tensor is identically zero")
-    return float(np.sum((est - ref) ** 2) / denom)
 
 
 def nmse_db(value: float) -> float:
@@ -197,8 +185,6 @@ def _fmt_value(value) -> str:
         if all(isinstance(x, int) for x in value):
             return ", ".join(str(int(x)) for x in value)
         return ", ".join(str(float(x)) for x in value)
-    if isinstance(value, float):
-        return str(value)
     return str(value)
 
 
@@ -242,14 +228,16 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     def bad(key, msg):
         raise ConfigError(f"{key}: {msg}")
 
+    for key, (name, _) in _SCHEMA.items():
+        value = getattr(config, name)
+        if not isinstance(value, str) and not np.all(np.isfinite(value)):
+            bad(key, "values must be finite")
     if config.trials < 1:
         bad("sweep.trials", "must be >= 1")
     if any(s < 0 for s in config.sigmas):
         bad("sweep.sigmas", "noise levels must be >= 0")
-    if any(s < 1 for s in config.spacings):
-        bad("sweep.spacings", "spacings must be >= 1")
-    if config.pilot_slots < 1:
-        bad("pilots.slots", "must be >= 1")
+    if config.pilot_slots < len(config.led_positions):
+        bad("pilots.slots", f"must be >= the number of LEDs ({len(config.led_positions)})")
     if config.pilot_power <= 0:
         bad("pilots.power", "must be positive")
     if config.xi_c <= 0:
@@ -264,6 +252,19 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("scene.gain_mode", "must be 'unit' or 'lambertian'")
     if config.grid_rows < 1 or config.grid_cols < 1:
         bad("scene.grid.rows", "grid must have positive dimensions")
+    if config.grid_pitch <= 0:
+        bad("scene.grid.pitch_m", "must be positive")
+    if not 0 < config.grid_element_size <= config.grid_pitch:
+        bad("scene.grid.element_size_m", "must lie in (0, scene.grid.pitch_m]")
+    try:
+        scene = config.build_scene()
+    except (ValueError, OirsVlcError) as exc:
+        bad("scene", str(exc))
+    for spacing in sweep_schemes(config):
+        try:
+            block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)
+        except LayoutError as exc:
+            bad("sweep.spacings", f"spacing {spacing}: {exc}")
     return config
 
 
@@ -352,23 +353,14 @@ def run_fig4(config: ExperimentConfig):
     steps = int(round(1.0 / _FIG4_STEP))
     shifts = np.arange(-steps, steps + 1) * _FIG4_STEP
     direction = grid.axis_u
-
-    def quad(shifted_link):
-        return aperture_gain(shifted_link, grid.axis_u, grid.axis_v,
-                             grid.element_size, config.quadrature_order,
-                             scene.gain_mode, reflectivity=grid.reflectivity,
-                             pd_side=scene.pd_side)
-
-    p0 = point_gain(link, scene.gain_mode, reflectivity=grid.reflectivity,
-                    pd_side=scene.pd_side)
-    q0 = quad(link)
-    rows = []
-    for t in shifts:
-        moved = link.shifted(t * direction)
-        p = point_gain(moved, scene.gain_mode, reflectivity=grid.reflectivity,
-                       pd_side=scene.pd_side)
-        rows.append((float(t), p / p0, quad(moved) / q0,
-                     1.0 + growth_rate_taylor(coeffs, t * direction)))
+    centers = link.element + shifts[:, None] * direction
+    point = scene.gains(centers)[:, 0, 0]
+    sub = aperture_points(grid, centers, config.quadrature_order)
+    quad = scene.gains(sub).mean(axis=1)[:, 0, 0]
+    # shift 0 leaves the element exactly in place, so that row normalizes to 1
+    rows = [(float(t), p / point[steps], q / quad[steps],
+             1.0 + growth_rate_taylor(coeffs, t * direction))
+            for t, p, q in zip(shifts, point, quad)]
     report = run_coherence(config)
     return rows, float(report.d_c)
 
@@ -419,10 +411,7 @@ def run_overhead_report(config: ExperimentConfig):
     nt, nr = scene.n_leds, scene.n_pds
     rows = []
     for spacing in sweep_schemes(config):
-        if spacing == 1 and max(nt, nr) > 1:
-            blocks = scene.grid.n_elements
-        else:
-            blocks = design_layout(scene.grid, nt, nr, spacing).n_blocks
+        blocks = len(block_schedule(scene.grid, nt, nr, spacing)[0])
         rows.append((int(spacing), blocks * nt * nr,
                      flops_estimate(nt, nr, config.pilot_slots, blocks)))
     return rows

@@ -10,15 +10,12 @@ from oirsvlc import (
     IdentifiabilityError,
     LinkGeometry,
     OirsGrid,
-    PilotBlock,
     SceneConfig,
     ShapeError,
-    aperture_gain,
     assemble_H,
     build_csi_tensor,
     generate_pilots,
     pair_column,
-    patch_gain_quadrature,
     point_gain,
     simulate_rx,
     vec_H_blkdiag,
@@ -75,48 +72,46 @@ def test_point_gain_lambertian_constant():
     assert lamb == pytest.approx(unit * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
 
 
-def study_grid(rows=1, cols=1):
+def study_grid(element_size=0.05):
     # single-element surface oriented to the aligned mirror normal
     from oirsvlc import alignment_normal, plane_basis_from
     n = alignment_normal(STUDY_LED, STUDY_ELEM, STUDY_PD)
     u, v = plane_basis_from(n)
-    return OirsGrid(center=STUDY_ELEM, axis_u=u, axis_v=v, normal=n,
-                    rows=rows, cols=cols, element_size=0.05, element_pitch=0.1)
+    return OirsGrid(center=STUDY_ELEM, axis_u=u, axis_v=v, normal=n, rows=1, cols=1,
+                    element_size=element_size, element_pitch=0.1)
+
+
+def element_gain(grid, order, led=STUDY_LED, pd=STUDY_PD, fov=math.pi / 2):
+    """Quadrature gain of the one element of `grid` for one LED and one PD."""
+    scene = _scene([led], [pd], grid, fov)
+    return build_csi_tensor(scene, "quadrature", order).gains[0, 0]
 
 
 def test_patch_gain_order_one_is_point_gain():
-    grid = study_grid()
-    link = study_link()
-    assert patch_gain_quadrature(grid, 0, 0, link, 1) == \
-        pytest.approx(point_gain(link, reflectivity=grid.reflectivity), rel=0, abs=0)
+    assert element_gain(study_grid(), 1) == \
+        pytest.approx(point_gain(study_link()), rel=0, abs=0)
 
 
 def test_patch_gain_constant_integrand():
     # identically-zero field over the aperture: exact for every order
-    dead = LinkGeometry([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP,
-                        fov_semi_angle=math.radians(10))
     grid = OirsGrid(center=(0, 0, 1), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     normal=(0, 0, 1), rows=1, cols=1, element_size=0.05,
                     element_pitch=0.1, reflectivity=1.0)
-    vals = [patch_gain_quadrature(grid, 0, 0, dead, k) for k in (1, 2, 5)]
+    vals = [element_gain(grid, k, led=(0, 0, 2), pd=(1, 0, 0), fov=math.radians(10))
+            for k in (1, 2, 5)]
     assert vals == [0.0, 0.0, 0.0]
 
 
 def test_patch_gain_quadrature_self_convergence():
-    grid = study_grid()
-    link = study_link()
-    g8 = patch_gain_quadrature(grid, 0, 0, link, 8)
-    g16 = patch_gain_quadrature(grid, 0, 0, link, 16)
+    g8 = element_gain(study_grid(), 8)
+    g16 = element_gain(study_grid(), 16)
     assert abs(g8 - g16) / g16 <= 1e-4
 
 
 def test_aperture_gain_approaches_point_gain():
     # averaging error shrinks at least linearly as the aperture shrinks
-    link = study_link()
-    grid = study_grid()
-    p = point_gain(link)
-    errs = [abs(aperture_gain(link, grid.axis_u, grid.axis_v, s, 6) - p)
-            for s in (0.08, 0.04, 0.02)]
+    p = point_gain(study_link())
+    errs = [abs(element_gain(study_grid(s), 6) - p) for s in (0.08, 0.04, 0.02)]
     assert errs[0] >= 2 * errs[1] and errs[1] >= 2 * errs[2]
 
 
@@ -164,11 +159,10 @@ def test_build_csi_tensor_against_per_link_loop(model, order):
             for i in range(2):
                 for j in range(2):
                     link = scene.link(nt, element_position(grid, i, j), nr)
-                    if model == "point":
-                        want = point_gain(link)
-                    else:
-                        want = aperture_gain(link, grid.axis_u, grid.axis_v,
-                                             grid.element_size, order)
+                    # literal midpoint rule over the aperture, one link at a time
+                    offs = ((np.arange(order) + 0.5) / order - 0.5) * grid.element_size
+                    want = np.mean([point_gain(link.shifted(a * grid.axis_u + b * grid.axis_v))
+                                    for a in offs for b in offs])
                     got = tensor.gains[i * 2 + j, pair_column(nr, nt, 2)]
                     assert got == pytest.approx(want, rel=1e-12)
 
@@ -262,6 +256,14 @@ def test_simulate_rx_noiseless_and_deterministic():
     y2 = simulate_rx(H, X, 0.3, seed=42)
     assert np.array_equal(y1, y2)
     assert not np.array_equal(y1, simulate_rx(H, X, 0.3, seed=43))
+    # stacked blocks: each block is its own product
+    Hs = np.stack([H, 2 * H, -H])
+    Xs = np.stack([X, X + 1, 2 * X])
+    ys = simulate_rx(Hs, Xs, 0.0, seed=1)
+    for q in range(3):
+        assert_allclose(ys[q], Hs[q] @ Xs[q])
+    with pytest.raises(ShapeError):
+        simulate_rx(Hs, np.ones((3, 3, 4)), 0.0, seed=1)
 
 
 def test_simulate_rx_noise_variance():
@@ -288,13 +290,16 @@ def test_generate_pilots_identifiability():
         generate_pilots(3, 2, 1.0, seed=0)
 
 
-def test_pilot_block_validation():
-    with pytest.raises(ValueError):
-        PilotBlock(X=-np.ones((1, 2)), Y=np.ones((1, 2)), sigma=0.1, seed=0)
-    with pytest.raises(IdentifiabilityError):
-        PilotBlock(X=np.ones((3, 2)), Y=np.ones((1, 2)), sigma=0.1, seed=0)
-    blk = PilotBlock(X=np.ones((2, 4)), Y=np.zeros((1, 4)), sigma=0.0, seed=3)
-    assert blk.X.shape == (2, 4)
+def test_pilots_and_noise_share_one_generator_stream():
+    # a Generator seed is drawn from in place: pilots first, then noise
+    H = np.array([[0.5, 0.25]])
+    rng = np.random.default_rng((3, 1))
+    x = generate_pilots(2, 6, 1.0, rng, (4,))
+    y = simulate_rx(H, x, 0.1, rng)
+    ref = np.random.default_rng((3, 1))
+    x_ref = ref.uniform(0.0, 2.0, size=(4, 2, 6))
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(y, H @ x_ref + 0.1 * ref.standard_normal((4, 1, 6)))
 
 
 def test_scene_rejects_positions_outside_room():

@@ -3,22 +3,18 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oirsvlc import (
-    CoherenceReport,
+    AssociationPattern,
     IdentifiabilityError,
-    IncompleteEstimationError,
     LayoutError,
     OirsGrid,
     SceneConfig,
     ShapeError,
     SingularSystemError,
-    TaylorCoeffs,
     assemble_H,
+    block_schedule,
     build_csi_tensor,
-    design_dense_pattern,
     design_layout,
-    design_pattern,
     flops_estimate,
-    gather_samples,
     interpolate_full,
     mmse_estimate,
     pair_column,
@@ -42,55 +38,65 @@ def desk_scene(rows=24, cols=24):
                        fov_semi_angle=np.pi / 2, grid=wall_grid(rows, cols))
 
 
+def block_patterns(index, n_elements):
+    """Association pattern of every block of a (Q, Nr, Nt) schedule; the
+    AssociationPattern constructor rejects a block that is not angle selective."""
+    _, nr, nt = index.shape
+    patterns = []
+    for blk in index:
+        g = np.zeros((n_elements, nt), dtype=int)
+        f = np.zeros((n_elements, nr), dtype=int)
+        for r in range(nr):
+            for t in range(nt):
+                g[blk[r, t], t] = f[blk[r, t], r] = 1
+        patterns.append(AssociationPattern(g, f))
+    return patterns
+
+
 @pytest.mark.parametrize("spacing,expected_q", [(2, 144), (3, 64), (4, 36)])
 def test_design_pattern_subarray_counts(spacing, expected_q):
-    pattern, blocks, layout = design_pattern(wall_grid(), 2, 2, spacing)
+    index, layout = block_schedule(wall_grid(), 2, 2, spacing)
     assert (layout.q_v, layout.q_h) == (24 // spacing, 24 // spacing)
     assert layout.n_blocks == expected_q
-    assert len(blocks) == expected_q
+    assert index.shape == (expected_q, 2, 2)
 
 
 def test_design_pattern_degenerate_full_sampling():
     # one LED, one PD, spacing 1: every element is its own sample
     grid = wall_grid(4, 4)
-    pattern, blocks, layout = design_pattern(grid, 1, 1, 1)
+    index, layout = block_schedule(grid, 1, 1, 1)
     assert layout.n_blocks == 16
-    assert_allclose(np.sort(layout.omega(0, 0)), np.arange(16))
-    assert pattern.V.sum() == 16
+    assert_allclose(np.sort(index[:, 0, 0]), np.arange(16))
 
 
 def test_design_pattern_layout_errors():
     with pytest.raises(LayoutError):
-        design_pattern(wall_grid(), 2, 2, 1)       # block larger than subarray
+        design_layout(wall_grid(), 2, 2, 1)        # block larger than subarray
     with pytest.raises(LayoutError):
-        design_pattern(wall_grid(3, 3), 2, 2, 4)   # grid smaller than one subarray
+        block_schedule(wall_grid(3, 3), 2, 2, 4)   # grid smaller than one subarray
     with pytest.raises(LayoutError):
-        design_pattern(wall_grid(), 2, 2, 0)
-
-
-def test_design_pattern_respects_coherence_distance():
-    report = CoherenceReport(d_c=0.25, argmin_direction=[1, 0, 0], xi_c=0.04,
-                             coeffs=TaylorCoeffs([1, 0, 0], np.zeros((3, 3))),
-                             per_direction_lengths=((0.0, 0.25),))
-    design_pattern(wall_grid(), 2, 2, 2, coherence=report)   # 0.2 m <= 0.25 m
+        block_schedule(wall_grid(), 2, 2, 0)
     with pytest.raises(LayoutError):
-        design_pattern(wall_grid(), 2, 2, 3, coherence=report)
+        block_schedule(wall_grid(1, 3), 2, 2, 1)   # dense baseline: 3 elements, 4 pairs
 
 
 def test_design_pattern_angle_selective_and_blockdiag_identity():
-    pattern, blocks, layout = design_pattern(wall_grid(6, 6), 2, 2, 3)
-    assert np.all(pattern.G.sum(axis=1) <= 1) and np.all(pattern.F.sum(axis=1) <= 1)
     scene = desk_scene(6, 6)
     tensor = build_csi_tensor(scene, "point")
-    for blk in blocks:
-        direct = assemble_H(tensor, blk)
-        stacked = vec_H_blkdiag(tensor, blk)
-        assert_allclose(stacked, direct.reshape(-1, order="F"), rtol=1e-12)
+    pairs = np.array([[pair_column(nr, nt, 2) for nt in range(2)] for nr in range(2)])
+    for spacing in (1, 3):
+        index, _ = block_schedule(scene.grid, 2, 2, spacing)
+        for blk, idx in zip(block_patterns(index, 36), index):
+            direct = assemble_H(tensor, blk)
+            stacked = vec_H_blkdiag(tensor, blk)
+            assert_allclose(stacked, direct.reshape(-1, order="F"), rtol=1e-12)
+            # the gather run_algorithm1 makes is the block's effective channel
+            assert_allclose(tensor.gains[idx, pairs], direct, rtol=1e-12)
 
 
 def test_design_pattern_sample_lattice():
-    _, _, layout = design_pattern(wall_grid(), 2, 2, 2)
-    omega = layout.omega(1, 0)            # PD row 1, LED column 0
+    index, _ = block_schedule(wall_grid(), 2, 2, 2)
+    omega = index[:, 1, 0]                # PD row 1, LED column 0
     assert len(omega) == 144 and len(set(omega.tolist())) == 144
     rows, cols = np.divmod(omega, 24)
     assert set(rows.tolist()) == set(range(1, 24, 2))
@@ -99,12 +105,13 @@ def test_design_pattern_sample_lattice():
 
 def test_design_dense_pattern_covers_every_pair_once():
     grid = wall_grid(3, 3)
-    blocks, assignment = design_dense_pattern(grid, 2, 2)
-    assert assignment.shape == (9, 4)
-    for k in range(4):
-        assert sorted(assignment[:, k].tolist()) == list(range(9))
-    for blk in blocks:
-        assert np.all(blk.G.sum(axis=1) <= 1) and np.all(blk.F.sum(axis=1) <= 1)
+    index, layout = block_schedule(grid, 2, 2, 1)
+    assert layout is None
+    assert index.shape == (9, 2, 2)
+    for nr in range(2):
+        for nt in range(2):
+            assert sorted(index[:, nr, nt].tolist()) == list(range(9))
+    for blk in block_patterns(index, 9):
         assert blk.V.sum() == 4
 
 
@@ -113,6 +120,10 @@ def test_mmse_noiseless_orthogonal_pilots():
     H = np.array([[0.5, -0.2], [0.1, 0.9]])
     est = mmse_estimate(H @ X, X, 0.0)
     assert_allclose(est, H, rtol=1e-12)
+    # a stack of blocks is solved block by block
+    Hs = np.stack([H, -2 * H, H.T])
+    Xs = np.stack([X, X[::-1], 2 * X])
+    assert_allclose(mmse_estimate(Hs @ Xs, Xs, 0.0), Hs, rtol=1e-12)
 
 
 def test_mmse_scalar_shrinkage():
@@ -138,29 +149,20 @@ def test_mmse_singular_system():
 def test_mmse_shape_mismatch():
     with pytest.raises(ShapeError):
         mmse_estimate(np.ones((1, 4)), np.ones((2, 5)), 0.1)
-
-
-def test_gather_samples_trivial_and_incomplete():
-    _, _, layout = design_pattern(wall_grid(2, 2), 2, 2, 2)
-    assert layout.n_blocks == 1
-    grid_vals = gather_samples([np.array([[1.0, 2], [3, 4]])], layout, 1, 0)
-    assert_allclose(grid_vals, [[3.0]])
-    with pytest.raises(IncompleteEstimationError):
-        gather_samples([], layout, 0, 0)
-    with pytest.raises(IncompleteEstimationError):
-        gather_samples([None], layout, 0, 0)
+    with pytest.raises(ShapeError):
+        mmse_estimate(np.ones((3, 1, 4)), np.ones((2, 2, 4)), 0.1)
 
 
 def test_gather_samples_noiseless_equals_truth():
     scene = desk_scene(8, 8)
-    _, _, layout = design_pattern(scene.grid, 2, 2, 2)
+    index, layout = block_schedule(scene.grid, 2, 2, 2)
     tensor = build_csi_tensor(scene, "point")
     result = run_algorithm1(scene, 2, pilot_slots=16, sigma=0.0, seed=4,
                             truth_model="point")
     for nr in range(2):
         for nt in range(2):
-            grid_vals = gather_samples(list(result.block_estimates), layout, nr, nt)
-            truth_vals = tensor.gains[layout.omega(nr, nt),
+            grid_vals = result.block_estimates[:, nr, nt].reshape(layout.q_v, layout.q_h)
+            truth_vals = tensor.gains[index[:, nr, nt],
                                       pair_column(nr, nt, 2)].reshape(4, 4)
             assert_allclose(grid_vals, truth_vals, atol=1e-9)
 
@@ -234,11 +236,11 @@ def test_run_algorithm1_noiseless_sampling_hits_samples():
     result = run_algorithm1(scene, 2, pilot_slots=16, sigma=0.0, seed=9,
                             truth_model="point")
     tensor = build_csi_tensor(scene, "point")
-    layout = design_layout(scene.grid, 2, 2, 2)
+    index, _ = block_schedule(scene.grid, 2, 2, 2)
     for nr in range(2):
         for nt in range(2):
             k = pair_column(nr, nt, 2)
-            idx = layout.omega(nr, nt)
+            idx = index[:, nr, nt]
             assert_allclose(result.gains[idx, k], tensor.gains[idx, k], atol=1e-9)
     assert result.csi_parameter_count == 16 * 4
 

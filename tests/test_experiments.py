@@ -1,5 +1,7 @@
 import os
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +82,21 @@ def test_config_rejects_unknown_and_invalid_keys():
         loads("seed = 1\nseed = 2")
     with pytest.raises(ConfigError, match="key = value"):
         loads("just some words")
+    # each of these used to pass loads() and fail only mid-run
+    for text, key in [
+        ("sweep.sigmas = 0, nan", "sweep.sigmas"),
+        ("pilots.power = inf", "pilots.power"),
+        ("scene.room = 4, inf, 3", "scene.room"),
+        ("scene.grid.pitch_m = -1", "scene.grid.pitch_m"),
+        ("scene.grid.element_size_m = 0.2", "scene.grid.element_size_m"),
+        ("pilots.slots = 1", "pilots.slots"),
+        ("sweep.spacings = 30", "sweep.spacings"),
+        ("sweep.spacings = 0", "sweep.spacings"),
+        ("scene.grid.rows = 1\nscene.grid.cols = 3", "sweep.spacings"),
+        ("scene.led_positions = 1, 2, 3.5", "scene"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            loads(text)
 
 
 def test_config_round_trip():
@@ -230,6 +247,41 @@ def test_cli_seed_changes_noise_sweep(tmp_path):
     cli_main(["noise-sweep", "--config", cfg, "--seed", "2", "--out", str(out_b)])
     assert (out_a / "noise_sweep.csv").read_bytes() != \
         (out_b / "noise_sweep.csv").read_bytes()
+
+
+def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path):
+    # every element lies outside the 0.05 rad field of view: NMSE is undefined
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
+                   + "scene.fov_semi_angle_rad = 0.05\n")
+    with pytest.raises(ZeroReferenceError):
+        cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cli_outputs_match_smoke_reference(tmp_path):
+    # bench/check.py is run from source so that nothing is written under bench/
+    check = runpy.run_path(str(ROOT / "bench" / "check.py"))
+    reference = ROOT / "bench" / "reference" / "smoke"
+    for command, filename in [("coherence", "coherence.csv"), ("fig4", "fig4.csv"),
+                              ("noise-sweep", "noise_sweep.csv"),
+                              ("overhead", "overhead.csv")]:
+        assert cli_main([command, "--config", str(ROOT / "bench" / "configs" / "smoke.cfg"),
+                         "--seed", str(check["RECORDED_SEED"]),
+                         "--out", str(tmp_path)]) == 0
+        problems = check["compare"]((tmp_path / filename).read_text(),
+                                    (reference / filename).read_text(),
+                                    check["RECORDED_SEED"])
+        assert problems == [], (filename, problems)
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)         # demo 04 writes ./out
+    runpy.run_path(str(demo), run_name="__main__")
 
 
 def test_cli_env_output_dir(tmp_path, monkeypatch):
