@@ -54,7 +54,9 @@ from .estimator import (
     interpolate_full,
     mmse_estimate,
     nmse,
+    recovery_operators,
     run_algorithm1,
+    spline_weights,
 )
 from .experiments import (
     ExperimentConfig,

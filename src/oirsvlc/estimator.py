@@ -5,8 +5,14 @@ one element per (LED, PD) pair inside each tile, so same-pair samples form a
 regular lattice with pitch `spacing` elements. Phase II activates the tiles
 one time block at a time and ridge-estimates each block's effective channel
 from its pilot observations. Phase III gathers the per-pair samples and
-recovers every element's gain by separable natural-cubic-spline
-interpolation over the sample lattice.
+recovers every element's gain by separable interpolation over the sample
+lattice: natural cubic spline with 4 or more samples along an axis,
+straight line (extrapolating) with 2 or 3, constant with 1.
+
+On a fixed lattice each of these interpolants is linear in the samples, so
+Phase III applies cached cardinal-spline operators: a (targets, q) weight
+matrix per axis and pair offset, built once per `SubarrayLayout`, and the
+field of pair (nr, nt) is R[nr] @ samples @ C[nt].T.
 
 spacing = 1 with more than one LED or PD is the dense baseline: no spatial
 sampling, every element's gain for every pair estimated directly, one block
@@ -16,9 +22,9 @@ per element with a rotating pair assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline, interp1d
 
 from .channel import CsiTensor, SceneConfig, build_csi_tensor, generate_pilots, simulate_rx
 from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
@@ -133,22 +139,58 @@ def nmse(estimate, truth) -> float:
     return float(np.sum((est - ref) ** 2) / denom)
 
 
-def _interp_axis(sample_pos, values, target_pos, axis):
-    """1-D interpolation along one lattice axis, method chosen by sample count.
+def spline_weights(sample_pos, target_pos) -> np.ndarray:
+    """Cardinal weights W, (targets, q), of 1-D interpolation on q sorted samples.
 
-    Natural cubic spline with >= 4 samples, straight-line (extrapolating)
-    with 2 or 3, constant extension with 1.
+    W @ f is the interpolant of sample values f evaluated at `target_pos`:
+    the natural cubic spline with q >= 4 samples, the straight line with 2
+    or 3, the constant with 1. Targets beyond either end take the end
+    piece's polynomial.
     """
-    n = len(sample_pos)
-    if n >= 4:
-        return CubicSpline(sample_pos, values, axis=axis, bc_type="natural")(target_pos)
-    if n >= 2:
-        f = interp1d(sample_pos, values, axis=axis, kind="linear",
-                     fill_value="extrapolate")
-        return f(target_pos)
-    reps = [1, 1]
-    reps[axis] = len(target_pos)
-    return np.repeat(values, reps[axis], axis=axis)
+    x = np.asarray(sample_pos, dtype=float)
+    t = np.asarray(target_pos, dtype=float)
+    q = len(x)
+    if q == 1:
+        return np.ones((len(t), 1))
+    h = np.diff(x)
+    # knot second derivatives m @ f; zero at the natural ends and for lines
+    m = np.zeros((q, q))
+    if q >= 4:
+        i = np.arange(q - 2)
+        rhs = np.zeros((q - 2, q))
+        rhs[i, i] = 6.0 / h[:-1]
+        rhs[i, i + 1] = -6.0 / h[:-1] - 6.0 / h[1:]
+        rhs[i, i + 2] = 6.0 / h[1:]
+        tri = (np.diag(2.0 * (h[:-1] + h[1:]))
+               + np.diag(h[1:-1], 1) + np.diag(h[1:-1], -1))
+        m[1:-1] = np.linalg.solve(tri, rhs)
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, q - 2)
+    b = (t - x[k]) / h[k]
+    a = 1.0 - b
+    w = (((a**3 - a) * h[k] ** 2 / 6.0)[:, None] * m[k]
+         + ((b**3 - b) * h[k] ** 2 / 6.0)[:, None] * m[k + 1])
+    w[np.arange(len(t)), k] += a
+    w[np.arange(len(t)), k + 1] += b
+    return w
+
+
+@lru_cache(maxsize=32)
+def recovery_operators(layout: SubarrayLayout):
+    """Phase-III operators of a layout: R (Nr, rows, q_v) and C (Nt, cols, q_h).
+
+    R[nr] maps the sample rows of PD offset nr to every grid row and C[nt]
+    the sample columns of LED offset nt to every grid column. Cached per
+    layout and read-only.
+    """
+    rows_t = layout.row_coord(np.arange(layout.rows))
+    cols_t = layout.col_coord(np.arange(layout.cols))
+    r = np.stack([spline_weights(layout.row_coord(layout.sample_row_indices(nr)), rows_t)
+                  for nr in range(layout.n_pds)])
+    c = np.stack([spline_weights(layout.col_coord(layout.sample_col_indices(nt)), cols_t)
+                  for nt in range(layout.n_leds)])
+    r.flags.writeable = False
+    c.flags.writeable = False
+    return r, c
 
 
 def interpolate_full(sample_grid: np.ndarray, layout: SubarrayLayout,
@@ -156,18 +198,15 @@ def interpolate_full(sample_grid: np.ndarray, layout: SubarrayLayout,
     """Recover the full (rows, cols) gain field of one pair from its samples.
 
     Separable interpolation on the regular sample lattice, evaluated at every
-    element's plane coordinates; exact at the sample points.
+    element's plane coordinates with the layout's cached operators,
+    R[nr] @ samples @ C[nt].T; exact at the sample points.
     """
     sample_grid = np.asarray(sample_grid, dtype=float)
     if sample_grid.shape != (layout.q_v, layout.q_h):
         raise ShapeError(f"sample grid must be {(layout.q_v, layout.q_h)}, "
                          f"got {sample_grid.shape}")
-    rows_t = layout.row_coord(np.arange(layout.rows))
-    cols_t = layout.col_coord(np.arange(layout.cols))
-    part = _interp_axis(layout.row_coord(layout.sample_row_indices(nr)),
-                        sample_grid, rows_t, axis=0)
-    return _interp_axis(layout.col_coord(layout.sample_col_indices(nt)),
-                        part, cols_t, axis=1)
+    r, c = recovery_operators(layout)
+    return r[nr] @ sample_grid @ c[nt].T
 
 
 def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import SceneConfig, aperture_points, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
-from .errors import ConfigError, LayoutError, OirsVlcError
+from .errors import ConfigError, LayoutError, OirsVlcError, ZeroReferenceError
 from .estimator import block_schedule, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
@@ -250,12 +250,23 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("truth.quadrature_order", "must be >= 1")
     if config.gain_mode not in ("unit", "lambertian"):
         bad("scene.gain_mode", "must be 'unit' or 'lambertian'")
-    if config.grid_rows < 1 or config.grid_cols < 1:
-        bad("scene.grid.rows", "grid must have positive dimensions")
+    if config.grid_rows < 1:
+        bad("scene.grid.rows", "must be >= 1")
+    if config.grid_cols < 1:
+        bad("scene.grid.cols", "must be >= 1")
     if config.grid_pitch <= 0:
         bad("scene.grid.pitch_m", "must be positive")
     if not 0 < config.grid_element_size <= config.grid_pitch:
         bad("scene.grid.element_size_m", "must lie in (0, scene.grid.pitch_m]")
+    room = np.asarray(config.room)
+    if np.any(room <= 0):
+        bad("scene.room", "extents must be positive")
+    for key, points in (("scene.led_positions", config.led_positions),
+                        ("scene.pd_positions", config.pd_positions),
+                        ("scene.grid.center", (config.grid_center,))):
+        pts = np.asarray(points)
+        if np.any((pts < -1e-9) | (pts > room + 1e-9)):
+            bad(key, f"must lie inside scene.room {_fmt_value(config.room)}")
     try:
         scene = config.build_scene()
     except (ValueError, OirsVlcError) as exc:
@@ -384,6 +395,9 @@ def run_noise_sweep(config: ExperimentConfig):
     """
     scene = config.build_scene()
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
+    if not np.any(truth.gains):
+        raise ZeroReferenceError("truth tensor is identically zero: every element "
+                                 "lies outside a LED beam or the PD field of view")
     rows = []
     for i_sigma, sigma in enumerate(config.sigmas):
         for spacing in sweep_schemes(config):

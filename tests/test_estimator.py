@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oirsvlc import (
     AssociationPattern,
@@ -10,6 +12,7 @@ from oirsvlc import (
     SceneConfig,
     ShapeError,
     SingularSystemError,
+    SubarrayLayout,
     assemble_H,
     block_schedule,
     build_csi_tensor,
@@ -18,7 +21,9 @@ from oirsvlc import (
     interpolate_full,
     mmse_estimate,
     pair_column,
+    recovery_operators,
     run_algorithm1,
+    spline_weights,
     vec_H_blkdiag,
 )
 
@@ -212,6 +217,62 @@ def test_interpolate_shape_check():
     layout = _layout()
     with pytest.raises(ShapeError):
         interpolate_full(np.zeros((3, 3)), layout, wall_grid(), 0, 0)
+
+
+# sample counts per axis: 1 (constant), 2 and 3 (straight line), >= 4 (natural cubic)
+Q_CLASSES = {1: st.just(1), 2: st.just(2), 3: st.just(3), 4: st.integers(4, 24)}
+
+
+@pytest.mark.parametrize("q_class", sorted(Q_CLASSES))
+@pytest.mark.parametrize("spacing", range(2, 7))
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_recovery_operator_properties(spacing, q_class, data):
+    # n_leds = n_pds = spacing, so every pair offset 0..spacing-1 has an operator
+    q_v = data.draw(Q_CLASSES[q_class], label="q_v")
+    q_h = data.draw(Q_CLASSES[q_class], label="q_h")
+    rows = q_v * spacing + data.draw(st.integers(0, spacing - 1), label="extra rows")
+    cols = q_h * spacing + data.draw(st.integers(0, spacing - 1), label="extra cols")
+    pitch = data.draw(st.floats(0.01, 0.5), label="pitch")
+    a, b, c = data.draw(st.tuples(*[st.floats(-10, 10)] * 3), label="a, b, c")
+    layout = SubarrayLayout(rows, cols, spacing, spacing, spacing, q_v, q_h, pitch)
+    r_ops, c_ops = recovery_operators(layout)
+    assert r_ops.shape == (spacing, rows, q_v) and c_ops.shape == (spacing, cols, q_h)
+    a = a if q_v > 1 else 0.0          # one sample along an axis: constants only
+    b = b if q_h > 1 else 0.0
+    rr = layout.row_coord(np.arange(rows))[:, None]
+    cc = layout.col_coord(np.arange(cols))[None, :]
+    for off in range(spacing):
+        for w, idx in ((r_ops[off], layout.sample_row_indices(off)),
+                       (c_ops[off], layout.sample_col_indices(off))):
+            assert_array_equal(w[idx], np.eye(len(idx)))
+            assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        samples = (a * layout.row_coord(layout.sample_row_indices(off))[:, None]
+                   + b * layout.col_coord(layout.sample_col_indices(off))[None, :] + c)
+        field = interpolate_full(samples, layout, None, off, off)
+        expected = a * rr + b * cc + c
+        assert_allclose(field, expected, rtol=0,
+                        atol=1e-12 * (1.0 + np.max(np.abs(expected))))
+
+
+def test_spline_weights_match_scipy_interpolants():
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(11)
+    for spacing in range(2, 7):
+        for q in range(1, 25):
+            n = q * spacing + spacing - 1
+            targets = (np.arange(n) - (n - 1) / 2) * 0.1
+            for off in range(spacing):
+                pos = targets[off + spacing * np.arange(q)]
+                f = rng.normal(size=q)
+                if q >= 4:
+                    ref = interpolate.CubicSpline(pos, f, bc_type="natural")(targets)
+                elif q >= 2:
+                    ref = interpolate.interp1d(pos, f, fill_value="extrapolate")(targets)
+                else:
+                    ref = np.full(n, f[0])
+                assert_allclose(spline_weights(pos, targets) @ f, ref, rtol=0,
+                                atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_flops_estimate_values():

@@ -1,5 +1,8 @@
 import os
+import re
 import runpy
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from oirsvlc import (
     run_noise_sweep,
     run_overhead_report,
 )
+from oirsvlc import experiments
 from oirsvlc.cli import main as cli_main
 from oirsvlc.experiments import (
     config_hash,
@@ -93,9 +97,14 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("sweep.spacings = 30", "sweep.spacings"),
         ("sweep.spacings = 0", "sweep.spacings"),
         ("scene.grid.rows = 1\nscene.grid.cols = 3", "sweep.spacings"),
-        ("scene.led_positions = 1, 2, 3.5", "scene"),
+        ("scene.grid.rows = 0", "scene.grid.rows"),
+        ("scene.grid.cols = 0", "scene.grid.cols"),
+        ("scene.room = 4, -4, 3", "scene.room"),
+        ("scene.led_positions = 1, 2, 3.5", "scene.led_positions"),
+        ("scene.pd_positions = 1.8, 2, 0; 2.2, 4.5, 0", "scene.pd_positions"),
+        ("scene.grid.center = 2, -0.5, 1.5", "scene.grid.center"),
     ]:
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             loads(text)
 
 
@@ -249,17 +258,33 @@ def test_cli_seed_changes_noise_sweep(tmp_path):
         (out_b / "noise_sweep.csv").read_bytes()
 
 
-def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path):
-    # every element lies outside the 0.05 rad field of view: NMSE is undefined
+def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
+    # every element lies outside the 0.05 rad field of view: NMSE is undefined,
+    # and the sweep stops before its first estimation pass
+    calls = []
+    real = experiments.run_algorithm1
+    monkeypatch.setattr(experiments, "run_algorithm1",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = tmp_path / "dark.cfg"
     cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
                    + "scene.fov_semi_angle_rad = 0.05\n")
     with pytest.raises(ZeroReferenceError):
         cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert calls == []
     assert not (tmp_path / "out" / "noise_sweep.csv").exists()
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, oirsvlc.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_outputs_match_smoke_reference(tmp_path):
