@@ -9,10 +9,11 @@ natural cubic splines, cutting blocks and pilots by spacing^2.
 
 import numpy as np
 
-from oirsvlc import ExperimentConfig, nmse_db, run_algorithm1
+from oirsvlc import ExperimentConfig, build_csi_tensor, nmse_db, run_algorithm1
 
 config = ExperimentConfig()
 scene = config.build_scene()
+truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
 sigma = 1e-4
 trials = 20
 
@@ -24,7 +25,7 @@ print(f"{'scheme':>12} {'blocks':>7} {'params':>7} {'flops':>9} {'NMSE [dB]':>10
 for spacing in (1, 2, 3, 4):
     errs = []
     for trial in range(trials):
-        result = run_algorithm1(scene, spacing, config.pilot_slots, sigma,
+        result = run_algorithm1(scene, truth, spacing, config.pilot_slots, sigma,
                                 config.pilot_power, seed=(1234, spacing, trial))
         errs.append(result.nmse)
     label = "baseline" if spacing == 1 else f"spacing {spacing}"

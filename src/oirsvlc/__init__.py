@@ -72,7 +72,6 @@ from .experiments import (
 from .geometry import (
     OirsGrid,
     alignment_normal,
-    element_position,
     element_positions,
     normalize,
     plane_basis_from,

@@ -44,6 +44,13 @@ def gain_constant(mode: str, m: float, reflectivity: float = 1.0, pd_side: float
     raise ValueError(f"unknown gain mode {mode!r}")
 
 
+def _check_beam(lambertian_order: float, fov_semi_angle: float):
+    if lambertian_order < 1.0:
+        raise ValueError("lambertian_order must be >= 1")
+    if not 0.0 < fov_semi_angle <= math.pi / 2:
+        raise ValueError("fov_semi_angle must lie in (0, pi/2]")
+
+
 @dataclass(frozen=True)
 class LinkGeometry:
     """One LED -> reflecting element -> PD optical link."""
@@ -68,10 +75,7 @@ class LinkGeometry:
             raise DegenerateGeometryError("LED coincides with the element")
         if np.linalg.norm(self.element - self.pd) <= 0.0:
             raise DegenerateGeometryError("PD coincides with the element")
-        if self.lambertian_order < 1.0:
-            raise ValueError("lambertian_order must be >= 1")
-        if not 0.0 < self.fov_semi_angle <= math.pi / 2:
-            raise ValueError("fov_semi_angle must lie in (0, pi/2]")
+        _check_beam(self.lambertian_order, self.fov_semi_angle)
 
     @property
     def d1(self) -> float:
@@ -179,6 +183,7 @@ class SceneConfig:
             raise ValueError(f"gain_mode must be one of {GAIN_MODES}")
         if self.pd_side <= 0.0:
             raise ValueError("pd_side must be positive")
+        _check_beam(self.lambertian_order, self.fov_semi_angle)
         for tag, pts in (("led", leds), ("pd", pds), ("grid element", element_positions(self.grid))):
             if np.any(pts < -1e-9) or np.any(pts > self.room + 1e-9):
                 raise ValueError(f"{tag} positions fall outside the room extents")

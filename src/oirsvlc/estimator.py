@@ -4,15 +4,13 @@ Phase I tiles the reflecting grid into spacing x spacing subarrays and aligns
 one element per (LED, PD) pair inside each tile, so same-pair samples form a
 regular lattice with pitch `spacing` elements. Phase II activates the tiles
 one time block at a time and ridge-estimates each block's effective channel
-from its pilot observations. Phase III gathers the per-pair samples and
-recovers every element's gain by separable interpolation over the sample
-lattice: natural cubic spline with 4 or more samples along an axis,
-straight line (extrapolating) with 2 or 3, constant with 1.
-
-On a fixed lattice each of these interpolants is linear in the samples, so
-Phase III applies cached cardinal-spline operators: a (targets, q) weight
-matrix per axis and pair offset, built once per `SubarrayLayout`, and the
-field of pair (nr, nt) is R[nr] @ samples @ C[nt].T.
+from its pilot observations. Phase III recovers every element's gain for
+every pair by separable interpolation over the sample lattice: natural cubic
+spline with 4 or more samples along an axis, straight line (extrapolating)
+with 2 or 3, constant with 1. Each is linear in the samples, so with cached
+cardinal-spline operators R (Nr, rows, q_v) and C (Nt, cols, q_h), built on
+row and column indices once per `SubarrayLayout`, and S[nr, nt] the sample
+grid of pair (nr, nt), all fields are one batched product R[:, None] @ S @ C^T.
 
 spacing = 1 with more than one LED or PD is the dense baseline: no spatial
 sampling, every element's gain for every pair estimated directly, one block
@@ -26,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import CsiTensor, SceneConfig, build_csi_tensor, generate_pilots, simulate_rx
+from .channel import CsiTensor, SceneConfig, generate_pilots, pair_column, simulate_rx
 from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
 from .geometry import OirsGrid
 
@@ -45,9 +43,6 @@ class SubarrayLayout:
     n_leds: int
     n_pds: int
     spacing: int
-    q_v: int
-    q_h: int
-    element_pitch: float
 
     def __post_init__(self):
         if self.spacing < max(self.n_leds, self.n_pds):
@@ -56,8 +51,14 @@ class SubarrayLayout:
                 f"{self.n_pds}x{self.n_leds} aligned block")
         if self.q_v < 1 or self.q_h < 1:
             raise LayoutError("grid too small for a single subarray")
-        if self.q_v * self.spacing > self.rows or self.q_h * self.spacing > self.cols:
-            raise LayoutError("subarrays overrun the grid")
+
+    @property
+    def q_v(self) -> int:
+        return self.rows // self.spacing
+
+    @property
+    def q_h(self) -> int:
+        return self.cols // self.spacing
 
     @property
     def n_blocks(self) -> int:
@@ -69,21 +70,10 @@ class SubarrayLayout:
     def sample_col_indices(self, nt: int) -> np.ndarray:
         return nt + self.spacing * np.arange(self.q_h)
 
-    def row_coord(self, i) -> np.ndarray:
-        """Plane coordinate along the grid's v axis of row index i, meters."""
-        return (np.asarray(i, dtype=float) - (self.rows - 1) / 2.0) * self.element_pitch
-
-    def col_coord(self, j) -> np.ndarray:
-        return (np.asarray(j, dtype=float) - (self.cols - 1) / 2.0) * self.element_pitch
-
 
 def design_layout(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int) -> SubarrayLayout:
     """Subarray tiling of a grid for the given array sizes and spacing."""
-    if spacing < 1:
-        raise LayoutError("spacing must be >= 1")
-    return SubarrayLayout(grid.rows, grid.cols, n_leds, n_pds, spacing,
-                          grid.rows // spacing, grid.cols // spacing,
-                          grid.element_pitch)
+    return SubarrayLayout(grid.rows, grid.cols, n_leds, n_pds, spacing)
 
 
 def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
@@ -179,34 +169,33 @@ def recovery_operators(layout: SubarrayLayout):
     """Phase-III operators of a layout: R (Nr, rows, q_v) and C (Nt, cols, q_h).
 
     R[nr] maps the sample rows of PD offset nr to every grid row and C[nt]
-    the sample columns of LED offset nt to every grid column. Cached per
-    layout and read-only.
+    the sample columns of LED offset nt to every grid column. Built on row
+    and column indices: the weights do not change under the affine map to
+    plane coordinates. Cached per layout and read-only.
     """
-    rows_t = layout.row_coord(np.arange(layout.rows))
-    cols_t = layout.col_coord(np.arange(layout.cols))
-    r = np.stack([spline_weights(layout.row_coord(layout.sample_row_indices(nr)), rows_t)
+    r = np.stack([spline_weights(layout.sample_row_indices(nr), np.arange(layout.rows))
                   for nr in range(layout.n_pds)])
-    c = np.stack([spline_weights(layout.col_coord(layout.sample_col_indices(nt)), cols_t)
+    c = np.stack([spline_weights(layout.sample_col_indices(nt), np.arange(layout.cols))
                   for nt in range(layout.n_leds)])
     r.flags.writeable = False
     c.flags.writeable = False
     return r, c
 
 
-def interpolate_full(sample_grid: np.ndarray, layout: SubarrayLayout,
-                     grid: OirsGrid, nr: int, nt: int) -> np.ndarray:
-    """Recover the full (rows, cols) gain field of one pair from its samples.
+def interpolate_full(block_estimates: np.ndarray, layout: SubarrayLayout) -> np.ndarray:
+    """Recover the (N, Nt*Nr) CSI estimate of every pair from (Q, Nr, Nt) block estimates.
 
-    Separable interpolation on the regular sample lattice, evaluated at every
-    element's plane coordinates with the layout's cached operators,
-    R[nr] @ samples @ C[nt].T; exact at the sample points.
+    Pair (nr, nt)'s field R[nr] @ S[nr, nt] @ C[nt].T, exact at its samples
+    S[nr, nt] (blocks q = qv * q_h + qh), fills column pair_column(nr, nt, Nr).
     """
-    sample_grid = np.asarray(sample_grid, dtype=float)
-    if sample_grid.shape != (layout.q_v, layout.q_h):
-        raise ShapeError(f"sample grid must be {(layout.q_v, layout.q_h)}, "
-                         f"got {sample_grid.shape}")
+    est = np.asarray(block_estimates, dtype=float)
+    if est.shape != (layout.n_blocks, layout.n_pds, layout.n_leds):
+        raise ShapeError(f"block estimates must be (Q, Nr, Nt) = "
+                         f"{(layout.n_blocks, layout.n_pds, layout.n_leds)}, got {est.shape}")
     r, c = recovery_operators(layout)
-    return r[nr] @ sample_grid @ c[nt].T
+    s = est.reshape(layout.q_v, layout.q_h, layout.n_pds, layout.n_leds).transpose(2, 3, 0, 1)
+    fields = r[:, None] @ s @ np.swapaxes(c, -1, -2)         # (Nr, Nt, rows, cols)
+    return fields.transpose(2, 3, 1, 0).reshape(layout.rows * layout.cols, -1)
 
 
 def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> int:
@@ -226,42 +215,33 @@ class EstimationResult:
 
     `gains` has the ground-truth tensor's shape; entries may be slightly
     negative under noise (estimates are not clamped before the NMSE, which
-    would bias the comparison). `clamped_tensor()` projects onto the
-    nonnegative orthant for downstream use.
+    would bias the comparison).
     """
 
     gains: np.ndarray
-    block_estimates: np.ndarray     # (Q, Nr, Nt)
     nmse: float
     csi_parameter_count: int
     flops_estimate: int
     block_count: int
-    pilot_slots_per_block: int
-    n_leds: int
-    n_pds: int
-
-    def clamped_tensor(self) -> CsiTensor:
-        return CsiTensor(np.maximum(self.gains, 0.0), self.n_leds, self.n_pds)
 
 
-def run_algorithm1(scene: SceneConfig, spacing: int, pilot_slots: int = 100,
-                   sigma: float = 0.0, pilot_power: float = 1.0, seed=0,
-                   truth_model: str = "quadrature", quadrature_order: int = 8,
-                   truth: CsiTensor | None = None) -> EstimationResult:
-    """Full estimation pass: design, per-block estimation, recovery, NMSE.
+def run_algorithm1(scene: SceneConfig, truth: CsiTensor, spacing: int,
+                   pilot_slots: int = 100, sigma: float = 0.0,
+                   pilot_power: float = 1.0, seed=0) -> EstimationResult:
+    """Full estimation pass: design, per-block estimation, recovery, NMSE vs `truth`.
 
     Deterministic for a fixed seed; pilots and per-block noise are drawn
     from a seed-keyed stream, block q consuming slice q. sigma = 0 with
     spacing 1 and the point-model truth recovers the tensor exactly up to
-    round-off. A precomputed `truth` tensor (matching the scene) skips the
-    per-call ground-truth build, which dominates repeated-trial sweeps.
+    round-off.
     """
     nt, nr = scene.n_leds, scene.n_pds
-    if truth is None:
-        truth = build_csi_tensor(scene, truth_model, quadrature_order)
+    if (truth.n_elements, truth.n_leds, truth.n_pds) != (scene.grid.n_elements, nt, nr):
+        raise ShapeError(f"truth is {truth.n_elements} elements x {truth.n_leds} LEDs x "
+                         f"{truth.n_pds} PDs, not {scene.grid.n_elements} x {nt} x {nr}")
     index, layout = block_schedule(scene.grid, nt, nr, spacing)
     q_blocks = index.shape[0]
-    pairs = np.arange(nt) * nr + np.arange(nr)[:, None]      # (Nr, Nt) pair columns
+    pairs = pair_column(np.arange(nr)[:, None], np.arange(nt), nr)    # (Nr, Nt)
     h_blocks = truth.gains[index, pairs]
 
     rng = np.random.default_rng(seed)
@@ -269,22 +249,16 @@ def run_algorithm1(scene: SceneConfig, spacing: int, pilot_slots: int = 100,
     y = simulate_rx(h_blocks, x, sigma, rng)
     h_est = mmse_estimate(y, x, sigma)
 
-    est = np.zeros_like(truth.gains)
     if layout is None:
+        est = np.zeros_like(truth.gains)
         est[index, pairs] = h_est
     else:
-        for (pr, pt), k in np.ndenumerate(pairs):
-            samples = h_est[:, pr, pt].reshape(layout.q_v, layout.q_h)
-            est[:, k] = interpolate_full(samples, layout, scene.grid, pr, pt).reshape(-1)
+        est = interpolate_full(h_est, layout)
 
     return EstimationResult(
         gains=est,
-        block_estimates=h_est,
         nmse=nmse(est, truth),
         csi_parameter_count=q_blocks * nt * nr,
         flops_estimate=flops_estimate(nt, nr, pilot_slots, q_blocks),
         block_count=q_blocks,
-        pilot_slots_per_block=pilot_slots,
-        n_leds=nt,
-        n_pds=nr,
     )

@@ -250,6 +250,10 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("truth.quadrature_order", "must be >= 1")
     if config.gain_mode not in ("unit", "lambertian"):
         bad("scene.gain_mode", "must be 'unit' or 'lambertian'")
+    if config.lambertian_order < 1:
+        bad("scene.lambertian_order", "must be >= 1")
+    if not 0 < config.fov_semi_angle <= math.pi / 2:
+        bad("scene.fov_semi_angle_rad", "must lie in (0, pi/2]")
     if config.grid_rows < 1:
         bad("scene.grid.rows", "must be >= 1")
     if config.grid_cols < 1:
@@ -263,7 +267,10 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("scene.room", "extents must be positive")
     for key, points in (("scene.led_positions", config.led_positions),
                         ("scene.pd_positions", config.pd_positions),
-                        ("scene.grid.center", (config.grid_center,))):
+                        ("scene.grid.center", (config.grid_center,)),
+                        ("coherence.led", (config.coherence_led,)),
+                        ("coherence.pd", (config.coherence_pd,)),
+                        ("coherence.element", (config.coherence_element,))):
         pts = np.asarray(points)
         if np.any((pts < -1e-9) | (pts > room + 1e-9)):
             bad(key, f"must lie inside scene.room {_fmt_value(config.room)}")
@@ -271,6 +278,10 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         scene = config.build_scene()
     except (ValueError, OirsVlcError) as exc:
         bad("scene", str(exc))
+    try:
+        taylor_coeffs(config.build_single_link()[1])
+    except (ValueError, OirsVlcError) as exc:
+        bad("coherence", str(exc))
     for spacing in sweep_schemes(config):
         try:
             block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)
@@ -404,10 +415,9 @@ def run_noise_sweep(config: ExperimentConfig):
             total = 0.0
             for trial in range(config.trials):
                 result = run_algorithm1(
-                    scene, spacing, config.pilot_slots, sigma,
+                    scene, truth, spacing, config.pilot_slots, sigma,
                     config.pilot_power,
-                    seed=(config.master_seed, spacing, i_sigma, trial),
-                    truth=truth)
+                    seed=(config.master_seed, spacing, i_sigma, trial))
                 total += result.nmse
             rows.append((float(sigma), int(spacing),
                          nmse_db(total / config.trials), int(config.trials)))

@@ -106,15 +106,6 @@ class OirsGrid:
         return self.rows * self.cols
 
 
-def element_position(grid: OirsGrid, i: int, j: int) -> np.ndarray:
-    """Center of element (i, j); i indexes rows along axis_v, j columns along axis_u."""
-    if not (0 <= i < grid.rows and 0 <= j < grid.cols):
-        raise IndexError(f"element index ({i}, {j}) outside {grid.rows}x{grid.cols} grid")
-    ou = (j - (grid.cols - 1) / 2.0) * grid.element_pitch
-    ov = (i - (grid.rows - 1) / 2.0) * grid.element_pitch
-    return grid.center + ou * grid.axis_u + ov * grid.axis_v
-
-
 def element_positions(grid: OirsGrid) -> np.ndarray:
     """All element centers as an (N, 3) array in row-major order (n = i*cols + j)."""
     jj, ii = np.meshgrid(np.arange(grid.cols), np.arange(grid.rows))

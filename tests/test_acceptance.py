@@ -19,12 +19,15 @@ import numpy as np
 from oirsvlc import (
     ExperimentConfig,
     LinkGeometry,
+    block_schedule,
+    build_csi_tensor,
     coherence_length_1d,
     design_layout,
     growth_rate_exact,
     growth_rate_taylor,
     interpolate_full,
     normalize,
+    pair_column,
     point_gain,
     run_algorithm1,
     run_coherence,
@@ -231,8 +234,8 @@ def test_criterion_4_model_identity():
 def test_criterion_5_exact_recovery():
     t0 = time.monotonic()
     scene = ExperimentConfig().build_scene()
-    result = run_algorithm1(scene, spacing=1, pilot_slots=100, sigma=0.0,
-                            seed=1, truth_model="point")
+    result = run_algorithm1(scene, build_csi_tensor(scene, "point"), spacing=1,
+                            pilot_slots=100, sigma=0.0, seed=1)
     elapsed = time.monotonic() - t0
     ok = result.nmse <= 1e-18 and elapsed < 5.0
     assert _report(5, ok, f"spacing 1, sigma 0, point truth: NMSE = "
@@ -280,23 +283,21 @@ def test_criterion_7_noise_sweep_behavior():
 
 def test_criterion_8_interpolation_properties():
     grid = ExperimentConfig().build_scene().grid
-    layout = design_layout(grid, 2, 2, 2)
+    index, layout = block_schedule(grid, 2, 2, 2)
+    rows, cols = np.divmod(index, 24)          # sampled element of each block and pair
     rng = np.random.default_rng(2)
 
-    const = interpolate_full(np.full((12, 12), 0.8), layout, grid, 0, 0)
+    const = interpolate_full(np.full((144, 2, 2), 0.8), layout)
     const_err = float(np.max(np.abs(const - 0.8)))
 
-    samples = rng.uniform(0, 1, (12, 12))
-    field = interpolate_full(samples, layout, grid, 1, 0)
-    sample_err = float(np.max(np.abs(field[1::2, 0::2] - samples)))
+    samples = rng.uniform(0, 1, (144, 2, 2))
+    field = interpolate_full(samples, layout)
+    sample_err = float(np.max(np.abs(field[index, pair_column(
+        np.arange(2)[:, None], np.arange(2), 2)] - samples)))
 
-    rows = layout.row_coord(layout.sample_row_indices(0))
-    cols = layout.col_coord(layout.sample_col_indices(1))
-    affine = 0.2 + 1.3 * rows[:, None] - 0.7 * cols[None, :]
-    recovered = interpolate_full(affine, layout, grid, 0, 1)
-    rr = layout.row_coord(np.arange(24))[:, None]
-    cc = layout.col_coord(np.arange(24))[None, :]
-    affine_err = float(np.max(np.abs(recovered - (0.2 + 1.3 * rr - 0.7 * cc))))
+    recovered = interpolate_full(0.2 + 1.3 * rows - 0.7 * cols, layout)
+    rr, cc = np.divmod(np.arange(576), 24)
+    affine_err = float(np.max(np.abs(recovered - (0.2 + 1.3 * rr - 0.7 * cc)[:, None])))
 
     # "exact" means exact up to float round-off (observed <= 1 ulp)
     ok = const_err <= 1e-15 and sample_err <= 1e-12 and affine_err <= 1e-10

@@ -14,6 +14,7 @@ from oirsvlc import (
     ShapeError,
     assemble_H,
     build_csi_tensor,
+    element_positions,
     generate_pilots,
     pair_column,
     point_gain,
@@ -153,12 +154,11 @@ def test_build_csi_tensor_against_per_link_loop(model, order):
     grid = wall_grid(2, 2)
     scene = _scene([(1.9, 2, 3), (2.1, 2, 3)], [(1.8, 2, 0), (2.2, 2, 0)], grid)
     tensor = build_csi_tensor(scene, model, quadrature_order=order)
-    from oirsvlc import element_position
     for nt in range(2):
         for nr in range(2):
             for i in range(2):
                 for j in range(2):
-                    link = scene.link(nt, element_position(grid, i, j), nr)
+                    link = scene.link(nt, element_positions(grid)[i * 2 + j], nr)
                     # literal midpoint rule over the aperture, one link at a time
                     offs = ((np.arange(order) + 0.5) / order - 0.5) * grid.element_size
                     want = np.mean([point_gain(link.shifted(a * grid.axis_u + b * grid.axis_v))
@@ -306,3 +306,14 @@ def test_scene_rejects_positions_outside_room():
     grid = wall_grid(2, 2)
     with pytest.raises(ValueError):
         _scene([(1, 2, 3.5)], [(2, 2, 0)], grid)
+
+
+@pytest.mark.parametrize("m,fov", [(0.5, math.pi / 2), (1.0, 0.0), (1.0, 3.0)])
+def test_scene_rejects_beam_outside_link_domain(m, fov):
+    # the same Lambertian order and field-of-view domain as LinkGeometry
+    with pytest.raises(ValueError):
+        SceneConfig(room=(4, 4, 3), led_positions=[(1, 2, 3)], led_normal=DOWN,
+                    lambertian_order=m, pd_positions=[(2, 2, 0)], pd_normal=UP,
+                    pd_side=0.05, fov_semi_angle=fov, grid=wall_grid(2, 2))
+    with pytest.raises(ValueError):
+        LinkGeometry(STUDY_LED, STUDY_ELEM, STUDY_PD, DOWN, UP, m, fov)

@@ -1,28 +1,30 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oirsvlc import (
     AssociationPattern,
+    CsiTensor,
     IdentifiabilityError,
     LayoutError,
     OirsGrid,
     SceneConfig,
     ShapeError,
     SingularSystemError,
-    SubarrayLayout,
     assemble_H,
     block_schedule,
     build_csi_tensor,
     design_layout,
     flops_estimate,
+    generate_pilots,
     interpolate_full,
     mmse_estimate,
     pair_column,
     recovery_operators,
     run_algorithm1,
+    simulate_rx,
     spline_weights,
     vec_H_blkdiag,
 )
@@ -41,6 +43,18 @@ def desk_scene(rows=24, cols=24):
                        pd_positions=[(1.8, 2, 0), (2.2, 2, 0)],
                        pd_normal=(0, 0, 1), pd_side=0.05,
                        fov_semi_angle=np.pi / 2, grid=wall_grid(rows, cols))
+
+
+def sampled_lattice(rows, cols, n_leds, n_pds, spacing):
+    """Layout of a wall grid and the grid row and column, each (Q, Nr, Nt), of
+    the element that block q aligns with pair (nr, nt)."""
+    index, layout = block_schedule(wall_grid(rows, cols), n_leds, n_pds, spacing)
+    return (layout, *np.divmod(index, cols))
+
+
+def pair_field(estimate, layout, nr, nt):
+    """(rows, cols) field of pair (nr, nt) in an (N, Nt*Nr) estimate."""
+    return estimate[:, pair_column(nr, nt, layout.n_pds)].reshape(layout.rows, layout.cols)
 
 
 def block_patterns(index, n_elements):
@@ -158,65 +172,82 @@ def test_mmse_shape_mismatch():
         mmse_estimate(np.ones((3, 1, 4)), np.ones((2, 2, 4)), 0.1)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mmse_noiseless_exact_for_full_rank_pilots(data):
+    # sigma = 0 inverts any well-conditioned X, block by block
+    batch = data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch")
+    nt = data.draw(st.integers(1, 4), label="Nt")
+    nr = data.draw(st.integers(1, 4), label="Nr")
+    p = data.draw(st.integers(nt, nt + 6), label="P")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 2, (*batch, nt, p))
+    H = rng.normal(size=(*batch, nr, nt))
+    assume(np.all(np.linalg.cond(X @ np.swapaxes(X, -1, -2)) <= 1e6))
+    est = mmse_estimate(H @ X, X, 0.0)
+    assert est.shape == H.shape
+    assert_allclose(est, H, rtol=1e-9, atol=1e-9 * np.max(np.abs(H)))
+
+
 def test_gather_samples_noiseless_equals_truth():
+    # the schedule's gather of pair (nr, nt), reshaped (q_v, q_h), is the
+    # truth on that pair's sample lattice, and noiseless Phase II returns it
     scene = desk_scene(8, 8)
     index, layout = block_schedule(scene.grid, 2, 2, 2)
     tensor = build_csi_tensor(scene, "point")
-    result = run_algorithm1(scene, 2, pilot_slots=16, sigma=0.0, seed=4,
-                            truth_model="point")
+    pairs = pair_column(np.arange(2)[:, None], np.arange(2), 2)
+    x = generate_pilots(2, 16, 1.0, 4, (layout.n_blocks,))
+    est = mmse_estimate(simulate_rx(tensor.gains[index, pairs], x, 0.0, 4), x, 0.0)
     for nr in range(2):
         for nt in range(2):
-            grid_vals = result.block_estimates[:, nr, nt].reshape(layout.q_v, layout.q_h)
-            truth_vals = tensor.gains[index[:, nr, nt],
-                                      pair_column(nr, nt, 2)].reshape(4, 4)
-            assert_allclose(grid_vals, truth_vals, atol=1e-9)
-
-
-def _layout(rows=24, cols=24, spacing=2):
-    return design_layout(wall_grid(rows, cols), 2, 2, spacing)
+            grid_vals = est[:, nr, nt].reshape(layout.q_v, layout.q_h)
+            truth_vals = tensor.gains[:, pair_column(nr, nt, 2)].reshape(8, 8)
+            assert_allclose(grid_vals, truth_vals[nr::2, nt::2], atol=1e-9)
 
 
 def test_interpolate_constant_field():
-    layout = _layout()
-    field = interpolate_full(np.full((12, 12), 3.7), layout, wall_grid(), 0, 1)
-    assert_allclose(field, np.full((24, 24), 3.7), atol=1e-12)
+    layout = design_layout(wall_grid(), 2, 2, 2)
+    field = interpolate_full(np.full((144, 2, 2), 3.7), layout)
+    assert_allclose(field, np.full((576, 4), 3.7), atol=1e-12)
 
 
 def test_interpolate_exact_at_sample_points():
     rng = np.random.default_rng(8)
-    layout = _layout()
-    samples = rng.uniform(0, 1, (12, 12))
-    field = interpolate_full(samples, layout, wall_grid(), 1, 1)
-    assert_allclose(field[1::2, 1::2], samples, atol=1e-12)
+    layout, rows, cols = sampled_lattice(24, 24, 2, 2, 2)
+    blocks = rng.uniform(0, 1, (144, 2, 2))
+    field = interpolate_full(blocks, layout)
+    r_ops, c_ops = recovery_operators(layout)
+    for nr in range(2):
+        for nt in range(2):
+            pair = pair_field(field, layout, nr, nt)
+            assert_allclose(pair[rows[:, nr, nt], cols[:, nr, nt]], blocks[:, nr, nt], atol=1e-12)
+            # the batched product equals the per-pair one
+            per_pair = r_ops[nr] @ blocks[:, nr, nt].reshape(12, 12) @ c_ops[nt].T
+            assert_allclose(pair, per_pair, rtol=1e-14, atol=1e-15)
 
 
 def test_interpolate_reproduces_affine_fields():
-    layout = _layout()
-    rows = layout.row_coord(layout.sample_row_indices(0))
-    cols = layout.col_coord(layout.sample_col_indices(1))
-    samples = 0.3 + 1.7 * rows[:, None] - 0.6 * cols[None, :]
-    field = interpolate_full(samples, layout, wall_grid(), 0, 1)
-    rr = layout.row_coord(np.arange(24))[:, None]
-    cc = layout.col_coord(np.arange(24))[None, :]
-    assert_allclose(field, 0.3 + 1.7 * rr - 0.6 * cc, atol=1e-10)
+    layout, rows, cols = sampled_lattice(24, 24, 2, 2, 2)
+    field = interpolate_full(0.3 + 1.7 * rows - 0.6 * cols, layout)
+    rr, cc = np.divmod(np.arange(576), 24)
+    assert_allclose(field, np.tile((0.3 + 1.7 * rr - 0.6 * cc)[:, None], 4), atol=1e-10)
 
 
 def test_interpolate_linear_fallback_few_samples():
     # 3 samples per axis: straight-line interpolation, still exact on affine data
-    layout = _layout(rows=6, cols=6, spacing=2)
-    rows = layout.row_coord(layout.sample_row_indices(0))
-    cols = layout.col_coord(layout.sample_col_indices(0))
-    samples = 1.0 + 2.0 * rows[:, None] + 0.5 * cols[None, :]
-    field = interpolate_full(samples, layout, wall_grid(6, 6), 0, 0)
-    rr = layout.row_coord(np.arange(6))[:, None]
-    cc = layout.col_coord(np.arange(6))[None, :]
-    assert_allclose(field, 1.0 + 2.0 * rr + 0.5 * cc, atol=1e-10)
+    layout, rows, cols = sampled_lattice(6, 6, 2, 2, 2)
+    field = interpolate_full(1.0 + 2.0 * rows + 0.5 * cols, layout)
+    rr, cc = np.divmod(np.arange(36), 6)
+    assert_allclose(field, np.tile((1.0 + 2.0 * rr + 0.5 * cc)[:, None], 4), atol=1e-10)
 
 
 def test_interpolate_shape_check():
-    layout = _layout()
+    layout = design_layout(wall_grid(), 2, 2, 2)
     with pytest.raises(ShapeError):
-        interpolate_full(np.zeros((3, 3)), layout, wall_grid(), 0, 0)
+        interpolate_full(np.zeros((12, 12)), layout)
+    with pytest.raises(ShapeError):
+        interpolate_full(np.zeros((144, 2, 1)), layout)
 
 
 # sample counts per axis: 1 (constant), 2 and 3 (straight line), >= 4 (natural cubic)
@@ -233,26 +264,46 @@ def test_recovery_operator_properties(spacing, q_class, data):
     q_h = data.draw(Q_CLASSES[q_class], label="q_h")
     rows = q_v * spacing + data.draw(st.integers(0, spacing - 1), label="extra rows")
     cols = q_h * spacing + data.draw(st.integers(0, spacing - 1), label="extra cols")
-    pitch = data.draw(st.floats(0.01, 0.5), label="pitch")
     a, b, c = data.draw(st.tuples(*[st.floats(-10, 10)] * 3), label="a, b, c")
-    layout = SubarrayLayout(rows, cols, spacing, spacing, spacing, q_v, q_h, pitch)
+    layout, s_rows, s_cols = sampled_lattice(rows, cols, spacing, spacing, spacing)
+    assert (layout.q_v, layout.q_h) == (q_v, q_h)
     r_ops, c_ops = recovery_operators(layout)
     assert r_ops.shape == (spacing, rows, q_v) and c_ops.shape == (spacing, cols, q_h)
-    a = a if q_v > 1 else 0.0          # one sample along an axis: constants only
-    b = b if q_h > 1 else 0.0
-    rr = layout.row_coord(np.arange(rows))[:, None]
-    cc = layout.col_coord(np.arange(cols))[None, :]
     for off in range(spacing):
         for w, idx in ((r_ops[off], layout.sample_row_indices(off)),
                        (c_ops[off], layout.sample_col_indices(off))):
             assert_array_equal(w[idx], np.eye(len(idx)))
             assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        samples = (a * layout.row_coord(layout.sample_row_indices(off))[:, None]
-                   + b * layout.col_coord(layout.sample_col_indices(off))[None, :] + c)
-        field = interpolate_full(samples, layout, None, off, off)
-        expected = a * rr + b * cc + c
-        assert_allclose(field, expected, rtol=0,
-                        atol=1e-12 * (1.0 + np.max(np.abs(expected))))
+    a = a if q_v > 1 else 0.0          # one sample along an axis: constants only
+    b = b if q_h > 1 else 0.0
+    field = interpolate_full(a * s_rows + b * s_cols + c, layout)
+    rr, cc = np.divmod(np.arange(rows * cols), cols)
+    expected = np.tile((a * rr + b * cc + c)[:, None], spacing * spacing)
+    assert_allclose(field, expected, rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(expected))))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_interpolate_full_puts_each_pair_in_its_column(data):
+    # a distinct affine field per pair, with Nr != Nt allowed, must land in
+    # column pair_column(nr, nt, Nr) of the all-pairs estimate
+    spacing = data.draw(st.integers(2, 5), label="spacing")
+    n_pds = data.draw(st.integers(1, spacing), label="Nr")
+    n_leds = data.draw(st.integers(1, spacing), label="Nt")
+    rows = data.draw(st.integers(2 * spacing, 6 * spacing), label="rows")
+    cols = data.draw(st.integers(2 * spacing, 6 * spacing), label="cols")
+    coef = np.array(data.draw(st.lists(st.floats(-10, 10), min_size=3 * n_pds * n_leds,
+                                       max_size=3 * n_pds * n_leds), label="coefficients"))
+    a, b, c = coef.reshape(3, n_pds, n_leds)
+    layout, s_rows, s_cols = sampled_lattice(rows, cols, n_leds, n_pds, spacing)
+    field = interpolate_full(a * s_rows + b * s_cols + c, layout)
+    assert field.shape == (rows * cols, n_leds * n_pds)
+    rr, cc = np.divmod(np.arange(rows * cols), cols)
+    for nr in range(n_pds):
+        for nt in range(n_leds):
+            expected = a[nr, nt] * rr + b[nr, nt] * cc + c[nr, nt]
+            assert_allclose(field[:, pair_column(nr, nt, n_pds)], expected, rtol=0,
+                            atol=1e-12 * (1.0 + np.max(np.abs(expected))))
 
 
 def test_spline_weights_match_scipy_interpolants():
@@ -285,8 +336,8 @@ def test_flops_estimate_values():
 
 def test_run_algorithm1_exact_recovery_dense():
     scene = desk_scene(8, 8)
-    result = run_algorithm1(scene, 1, pilot_slots=20, sigma=0.0, seed=3,
-                            truth_model="point")
+    result = run_algorithm1(scene, build_csi_tensor(scene, "point"), 1, pilot_slots=20,
+                            sigma=0.0, seed=3)
     assert result.nmse <= 1e-18
     assert result.block_count == 64
     assert result.csi_parameter_count == 64 * 4
@@ -294,9 +345,8 @@ def test_run_algorithm1_exact_recovery_dense():
 
 def test_run_algorithm1_noiseless_sampling_hits_samples():
     scene = desk_scene(8, 8)
-    result = run_algorithm1(scene, 2, pilot_slots=16, sigma=0.0, seed=9,
-                            truth_model="point")
     tensor = build_csi_tensor(scene, "point")
+    result = run_algorithm1(scene, tensor, 2, pilot_slots=16, sigma=0.0, seed=9)
     index, _ = block_schedule(scene.grid, 2, 2, 2)
     for nr in range(2):
         for nt in range(2):
@@ -308,32 +358,45 @@ def test_run_algorithm1_noiseless_sampling_hits_samples():
 
 def test_run_algorithm1_deterministic():
     scene = desk_scene(8, 8)
-    a = run_algorithm1(scene, 2, pilot_slots=16, sigma=1e-4, seed=(5, 1))
-    b = run_algorithm1(scene, 2, pilot_slots=16, sigma=1e-4, seed=(5, 1))
+    truth = build_csi_tensor(scene, "quadrature")
+    a = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=(5, 1))
+    b = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=(5, 1))
     assert np.array_equal(a.gains, b.gains)
     assert a.nmse == b.nmse
-    c = run_algorithm1(scene, 2, pilot_slots=16, sigma=1e-4, seed=(5, 2))
+    c = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=(5, 2))
     assert not np.array_equal(a.gains, c.gains)
 
 
 def test_run_algorithm1_identifiability():
-    with pytest.raises(IdentifiabilityError):
-        run_algorithm1(desk_scene(8, 8), 2, pilot_slots=1, sigma=0.0, seed=0)
-
-
-def test_run_algorithm1_clamped_tensor():
     scene = desk_scene(8, 8)
-    result = run_algorithm1(scene, 2, pilot_slots=16, sigma=3e-3, seed=12)
-    clamped = result.clamped_tensor()
-    assert np.all(clamped.gains >= 0.0)
+    with pytest.raises(IdentifiabilityError):
+        run_algorithm1(scene, build_csi_tensor(scene), 2, pilot_slots=1, sigma=0.0, seed=0)
+
+
+def test_run_algorithm1_rejects_truth_of_another_scene(monkeypatch):
+    scene = desk_scene(8, 8)
+    one_pd = SceneConfig(room=(4, 4, 3), led_positions=scene.led_positions,
+                         led_normal=(0, 0, -1), lambertian_order=1.0,
+                         pd_positions=[(2, 2, 0)], pd_normal=(0, 0, 1), pd_side=0.05,
+                         fov_semi_angle=np.pi / 2, grid=wall_grid(8, 8))
+    wrong = [build_csi_tensor(desk_scene(24, 24)),      # element count
+             build_csi_tensor(one_pd),                  # PD count
+             CsiTensor(np.ones((64, 4)), 4, 1)]         # LED and PD counts, same columns
+    draws = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
+    for truth in wrong:
+        with pytest.raises(ShapeError):
+            run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=0)
+    assert draws == []        # rejected before any random draw
 
 
 def test_noise_monotonicity_smoke():
     # averaged NMSE grows with sigma (30 trials, two well-separated levels)
     scene = desk_scene()
+    truth = build_csi_tensor(scene, "quadrature")
     levels = []
     for sigma in (1e-4, 1e-3):
-        vals = [run_algorithm1(scene, 2, pilot_slots=100, sigma=sigma,
+        vals = [run_algorithm1(scene, truth, 2, pilot_slots=100, sigma=sigma,
                                seed=(77, trial)).nmse for trial in range(30)]
         levels.append(np.mean(vals))
     assert levels[0] < levels[1]

@@ -103,6 +103,14 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("scene.led_positions = 1, 2, 3.5", "scene.led_positions"),
         ("scene.pd_positions = 1.8, 2, 0; 2.2, 4.5, 0", "scene.pd_positions"),
         ("scene.grid.center = 2, -0.5, 1.5", "scene.grid.center"),
+        ("scene.lambertian_order = 0.5", "scene.lambertian_order"),
+        ("scene.fov_semi_angle_rad = 3", "scene.fov_semi_angle_rad"),
+        ("scene.fov_semi_angle_rad = 0", "scene.fov_semi_angle_rad"),
+        ("coherence.led = 1, 5, 3", "coherence.led"),
+        ("coherence.pd = 2, 2, -1", "coherence.pd"),
+        ("coherence.element = 9, 9, 9", "coherence.element"),
+        ("coherence.element = 1, 2, 3", "coherence"),        # on the LED
+        ("coherence.pd = 1, 2, 1.5", "coherence"),            # on the element
     ]:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             loads(text)

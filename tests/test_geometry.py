@@ -6,7 +6,6 @@ from oirsvlc import (
     DegenerateGeometryError,
     OirsGrid,
     alignment_normal,
-    element_position,
     element_positions,
     normalize,
     plane_basis_from,
@@ -70,29 +69,21 @@ def _wall_grid(rows=24, cols=24, pitch=0.1):
 def test_element_position_corner():
     # hand evaluation of the centering formula for the 24x24 wall grid
     grid = _wall_grid()
-    assert_allclose(element_position(grid, 0, 0), [0.85, 0.0, 0.35], atol=1e-12)
+    assert_allclose(element_positions(grid)[0], [0.85, 0.0, 0.35], atol=1e-12)
 
 
 def test_element_position_single_element_grid():
     grid = OirsGrid(center=(1, 2, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
                     normal=(0, -1, 0), rows=1, cols=1,
                     element_size=0.05, element_pitch=0.1)
-    assert_allclose(element_position(grid, 0, 0), [1, 2, 1.5])
+    assert_allclose(element_positions(grid), [[1, 2, 1.5]])
 
 
 def test_element_position_middle_of_3x3():
     grid = OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     normal=(0, 0, 1), rows=3, cols=3,
                     element_size=0.1, element_pitch=0.1)
-    assert_allclose(element_position(grid, 1, 1), [0, 0, 0], atol=1e-15)
-
-
-def test_element_position_out_of_range():
-    grid = _wall_grid()
-    with pytest.raises(IndexError):
-        element_position(grid, 24, 0)
-    with pytest.raises(IndexError):
-        element_position(grid, 0, -1)
+    assert_allclose(element_positions(grid)[1 * 3 + 1], [0, 0, 0], atol=1e-15)
 
 
 def test_element_positions_lattice_spacing():
@@ -101,8 +92,8 @@ def test_element_positions_lattice_spacing():
     assert pts.shape == (64, 3)
     dists = np.linalg.norm(pts[:, None] - pts[None], axis=-1)[np.triu_indices(len(pts), 1)]
     assert abs(dists.min() - grid.element_pitch) <= 1e-12
-    # matches the scalar accessor
-    assert_allclose(pts[2 * 8 + 5], element_position(grid, 2, 5), atol=1e-15)
+    # row-major: element (2, 5) by hand from the centering formula
+    assert_allclose(pts[2 * 8 + 5], [2.0 + 1.5 * 0.1, 0.0, 1.5 - 1.5 * 0.1], atol=1e-15)
 
 
 def test_grid_rejects_bad_frames():
