@@ -19,7 +19,7 @@ from .channel import (
     pair_column,
     pair_gains,
     point_gain,
-    simulate_rx,
+    rx_statistics,
     vec_H_blkdiag,
 )
 from .coherence import (

@@ -33,6 +33,7 @@ from .geometry import (
 )
 
 GAIN_MODES = ("unit", "lambertian")
+NOISE_CHUNK_BLOCKS = 128    # blocks of receiver noise drawn at a time
 
 
 def gain_constant(mode: str, m: float, reflectivity: float = 1.0, pd_side: float = 1.0) -> float:
@@ -333,13 +334,15 @@ def vec_H_blkdiag(csi: CsiTensor, pattern: AssociationPattern) -> np.ndarray:
 
 
 def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
-                    batch: tuple = ()) -> np.ndarray:
+                    batch: tuple = (), out: np.ndarray | None = None) -> np.ndarray:
     """Nonnegative (*batch, n_leds, n_slots) pilots, i.i.d. uniform on
     [0, 2*power] (mean `power`).
 
     Uniform nonnegative entries keep X X^T well conditioned with high
     probability under the intensity-modulation constraint. `seed` may be a
-    Generator, which is drawn from in place.
+    Generator, which is drawn from in place. Given `out`, a float64 array
+    of that shape, the pilots are drawn into it; the bits equal
+    `uniform(0, 2*power)` either way.
     """
     if n_slots < n_leds:
         raise IdentifiabilityError(
@@ -347,23 +350,37 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
     if power <= 0.0:
         raise ValueError("pilot power must be positive")
     rng = np.random.default_rng(seed)
-    return rng.uniform(0.0, 2.0 * power, size=(*batch, n_leds, n_slots))
+    x = rng.random((*batch, n_leds, n_slots), out=out)
+    x *= 2.0 * power
+    return x
 
 
-def simulate_rx(H: np.ndarray, X: np.ndarray, sigma: float, seed) -> np.ndarray:
-    """Received blocks Y = H X + Z with i.i.d. zero-mean Gaussian noise.
+def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
+    """What the ridge solve reads of the received blocks Y = H X + sigma Z.
 
-    H is (..., Nr, Nt) and X (..., Nt, P). Deterministic for a fixed seed,
-    which may be a Generator; sigma = 0 gives Y = H X exactly and draws no
-    noise.
+    H is (..., Nr, Nt) and X (..., Nt, P) with the same leading block axes.
+    Returns the Gram matrices G = X X^T, (..., Nt, Nt), and the cross terms
+    X Y^T = G H^T + sigma X Z^T, (..., Nt, Nr); Y itself is never formed.
+    Z, (..., Nr, P), is i.i.d. standard normal in C order from `seed` (a
+    Generator is drawn from in place), only when sigma > 0, so sigma = 0
+    draws nothing. It is drawn NOISE_CHUNK_BLOCKS blocks at a time, so Z is
+    never held whole.
     """
     H = np.asarray(H, dtype=float)
     X = np.asarray(X, dtype=float)
-    if H.ndim < 2 or X.ndim < 2 or H.shape[-1] != X.shape[-2]:
+    if H.ndim < 2 or H.shape[:-2] != X.shape[:-2] or H.shape[-1] != X.shape[-2]:
         raise ShapeError(f"H {H.shape} and X {X.shape} are not conformable")
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
-    y = H @ X
+    gram = X @ np.swapaxes(X, -1, -2)
+    cross = gram @ np.swapaxes(H, -1, -2)
     if sigma > 0.0:
-        y = y + sigma * np.random.default_rng(seed).standard_normal(y.shape)
-    return y
+        rng = np.random.default_rng(seed)
+        n_rx, n_tx, slots = H.shape[-2], H.shape[-1], X.shape[-1]
+        xs = X.reshape(-1, n_tx, slots)
+        cs = cross.reshape(-1, n_tx, n_rx)
+        noise = np.empty((min(len(xs), NOISE_CHUNK_BLOCKS), n_rx, slots))
+        for lo in range(0, len(xs), len(noise)):
+            z = rng.standard_normal(out=noise[:len(xs) - lo])
+            cs[lo:lo + len(z)] += sigma * (xs[lo:lo + len(z)] @ np.swapaxes(z, -1, -2))
+    return gram, cross

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import experiments as xp
 
@@ -18,7 +17,7 @@ from . import experiments as xp
 def _load(args) -> xp.ExperimentConfig:
     config = xp.load_config(args.config) if args.config else xp.ExperimentConfig()
     if args.seed is not None:
-        config = replace(config, master_seed=args.seed)
+        config = xp.with_overrides(config, master_seed=args.seed)
     return config
 
 

@@ -15,16 +15,23 @@ grid of pair (nr, nt), all fields are one batched product R[:, None] @ S @ C^T.
 spacing = 1 with more than one LED or PD is the dense baseline: no spatial
 sampling, every element's gain for every pair estimated directly, one block
 per element with a rotating pair assignment.
+
+`run_algorithm1` runs a batch of Monte-Carlo trials, one seed stream each.
+Phase II reads the received blocks Y = H X + sigma Z only through X X^T and
+X Y^T, so Y is never formed, and the trials' draws and solves are spread
+over the process's CPUs.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import CsiTensor, SceneConfig, generate_pilots, pair_column, simulate_rx
+from .channel import CsiTensor, SceneConfig, generate_pilots, pair_column, rx_statistics
 from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
 from .geometry import OirsGrid
 
@@ -100,33 +107,43 @@ def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
     return rows * grid.cols + cols, layout
 
 
-def mmse_estimate(Y: np.ndarray, X: np.ndarray, sigma: float) -> np.ndarray:
+def mmse_estimate(gram: np.ndarray, cross: np.ndarray, sigma: float) -> np.ndarray:
     """Per-block ridge estimate Y X^T (X X^T + sigma^2 I)^-1 via a linear solve.
 
-    Y is (..., Nr, P) and X (..., Nt, P) with the same leading block axes;
-    the result is (..., Nr, Nt).
+    Reads the received blocks only through the Gram matrices G = X X^T,
+    (..., Nt, Nt), and the cross terms X Y^T, (..., Nt, Nr), with the same
+    leading block axes; the result is (..., Nr, Nt).
     """
-    Y = np.asarray(Y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if Y.ndim < 2 or Y.shape[:-2] != X.shape[:-2] or Y.shape[-1] != X.shape[-1]:
-        raise ShapeError(f"Y {Y.shape} and X {X.shape} are not conformable")
-    gram = X @ np.swapaxes(X, -1, -2) + sigma**2 * np.eye(X.shape[-2])
+    gram = np.asarray(gram, dtype=float)
+    cross = np.asarray(cross, dtype=float)
+    if (gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]
+            or cross.shape[:-1] != gram.shape[:-1]):
+        raise ShapeError(f"Gram {gram.shape} and cross {cross.shape} are not conformable")
     try:
-        return np.swapaxes(np.linalg.solve(gram, X @ np.swapaxes(Y, -1, -2)), -1, -2)
+        est = np.linalg.solve(gram + sigma**2 * np.eye(gram.shape[-1]), cross)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("pilot Gram matrix is singular") from exc
+    return np.swapaxes(est, -1, -2)
 
 
-def nmse(estimate, truth) -> float:
-    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2."""
+def nmse(estimate, truth):
+    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2.
+
+    `estimate` may carry leading trial axes before the truth's shape; the
+    result then has those axes, one NMSE per trial, and is a float otherwise.
+    """
     est = np.asarray(getattr(estimate, "gains", estimate), dtype=float)
     ref = np.asarray(getattr(truth, "gains", truth), dtype=float)
-    if est.shape != ref.shape:
+    lead = est.ndim - ref.ndim
+    if lead < 0 or est.shape[lead:] != ref.shape:
         raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
     denom = float(np.sum(ref**2))
     if denom == 0.0:
         raise ZeroReferenceError("reference tensor is identically zero")
-    return float(np.sum((est - ref) ** 2) / denom)
+    err = est - ref
+    np.square(err, out=err)
+    err = np.sum(err, axis=tuple(range(lead, est.ndim))) / denom
+    return err if lead else float(err)
 
 
 def spline_weights(sample_pos, target_pos) -> np.ndarray:
@@ -183,19 +200,24 @@ def recovery_operators(layout: SubarrayLayout):
 
 
 def interpolate_full(block_estimates: np.ndarray, layout: SubarrayLayout) -> np.ndarray:
-    """Recover the (N, Nt*Nr) CSI estimate of every pair from (Q, Nr, Nt) block estimates.
+    """Recover the (..., N, Nt*Nr) CSI estimate of every pair from (..., Q, Nr, Nt)
+    block estimates; leading (trial) axes are kept.
 
     Pair (nr, nt)'s field R[nr] @ S[nr, nt] @ C[nt].T, exact at its samples
     S[nr, nt] (blocks q = qv * q_h + qh), fills column pair_column(nr, nt, Nr).
     """
     est = np.asarray(block_estimates, dtype=float)
-    if est.shape != (layout.n_blocks, layout.n_pds, layout.n_leds):
-        raise ShapeError(f"block estimates must be (Q, Nr, Nt) = "
-                         f"{(layout.n_blocks, layout.n_pds, layout.n_leds)}, got {est.shape}")
+    shape = (layout.n_blocks, layout.n_pds, layout.n_leds)
+    if est.shape[-3:] != shape:
+        raise ShapeError(f"block estimates must be (..., Q, Nr, Nt) = "
+                         f"(..., {', '.join(map(str, shape))}), got {est.shape}")
+    lead = est.shape[:-3]
     r, c = recovery_operators(layout)
-    s = est.reshape(layout.q_v, layout.q_h, layout.n_pds, layout.n_leds).transpose(2, 3, 0, 1)
-    fields = r[:, None] @ s @ np.swapaxes(c, -1, -2)         # (Nr, Nt, rows, cols)
-    return fields.transpose(2, 3, 1, 0).reshape(layout.rows * layout.cols, -1)
+    s = est.reshape(*lead, layout.q_v, layout.q_h, layout.n_pds, layout.n_leds)
+    s = np.moveaxis(s, (-4, -3), (-2, -1))                     # (..., Nr, Nt, q_v, q_h)
+    fields = r[:, None] @ s @ np.swapaxes(c, -1, -2)         # (..., Nr, Nt, rows, cols)
+    fields = np.moveaxis(fields, (-4, -3), (-1, -2))         # (..., rows, cols, Nt, Nr)
+    return fields.reshape(*lead, layout.rows * layout.cols, -1)
 
 
 def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> int:
@@ -211,54 +233,110 @@ def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> in
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Output of one estimation run.
+    """Output of one estimation call over T trials.
 
-    `gains` has the ground-truth tensor's shape; entries may be slightly
-    negative under noise (estimates are not clamped before the NMSE, which
-    would bias the comparison).
+    `gains` is (T, *truth shape) and `nmse` the (T,) per-trial NMSE, in seed
+    order; entries may be slightly negative under noise (estimates are not
+    clamped before the NMSE, which would bias the comparison).
+    `csi_parameter_count` and `block_count` are per trial, `flops_estimate`
+    covers all T trials.
     """
 
     gains: np.ndarray
-    nmse: float
+    nmse: np.ndarray
     csi_parameter_count: int
     flops_estimate: int
     block_count: int
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on: the number of trial chunks per call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_chunks(task, n_items: int):
+    """Run task(lo, hi) over contiguous chunks of range(n_items), one per
+    worker: the calling thread runs the first chunk, plain threads the rest.
+    All threads are joined before the first error, in chunk order, is
+    re-raised."""
+    n = max(1, min(_worker_count(), n_items))
+    bounds = [n_items * i // n for i in range(n + 1)]
+    errors = [None] * n
+
+    def run(i):
+        try:
+            task(bounds[i], bounds[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, n):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def run_algorithm1(scene: SceneConfig, truth: CsiTensor, spacing: int,
                    pilot_slots: int = 100, sigma: float = 0.0,
-                   pilot_power: float = 1.0, seed=0) -> EstimationResult:
-    """Full estimation pass: design, per-block estimation, recovery, NMSE vs `truth`.
+                   pilot_power: float = 1.0, seeds=(0,)) -> EstimationResult:
+    """Estimation passes, one per seed: design, per-block estimation, recovery,
+    NMSE vs `truth`.
 
-    Deterministic for a fixed seed; pilots and per-block noise are drawn
-    from a seed-keyed stream, block q consuming slice q. sigma = 0 with
-    spacing 1 and the point-model truth recovers the tensor exactly up to
-    round-off.
+    Trial t draws from its own stream `default_rng(seeds[t])`: the pilots of
+    every block, then the noise only when sigma > 0, block q consuming slice
+    q. The trials are split into contiguous chunks, one per CPU the process
+    may run on; the calling thread solves one chunk and plain threads the
+    rest, while Phase III and the NMSE run once over the trial axis on the
+    calling thread. So a trial's result depends on its seed alone, not on
+    the other seeds or on the CPU count.
+    sigma = 0 with spacing 1 and the point-model truth recovers the tensor
+    exactly up to round-off.
     """
     nt, nr = scene.n_leds, scene.n_pds
     if (truth.n_elements, truth.n_leds, truth.n_pds) != (scene.grid.n_elements, nt, nr):
         raise ShapeError(f"truth is {truth.n_elements} elements x {truth.n_leds} LEDs x "
                          f"{truth.n_pds} PDs, not {scene.grid.n_elements} x {nt} x {nr}")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one trial")
     index, layout = block_schedule(scene.grid, nt, nr, spacing)
     q_blocks = index.shape[0]
     pairs = pair_column(np.arange(nr)[:, None], np.arange(nt), nr)    # (Nr, Nt)
     h_blocks = truth.gains[index, pairs]
+    h_est = np.empty((len(seeds), q_blocks, nr, nt))
 
-    rng = np.random.default_rng(seed)
-    x = generate_pilots(nt, pilot_slots, pilot_power, rng, (q_blocks,))
-    y = simulate_rx(h_blocks, x, sigma, rng)
-    h_est = mmse_estimate(y, x, sigma)
+    def solve(lo, hi):
+        x = np.empty((q_blocks, nt, pilot_slots))
+        for t in range(lo, hi):
+            rng = np.random.default_rng(seeds[t])
+            generate_pilots(nt, pilot_slots, pilot_power, rng, (q_blocks,), out=x)
+            h_est[t] = mmse_estimate(*rx_statistics(h_blocks, x, sigma, rng), sigma)
 
+    _in_chunks(solve, len(seeds))
     if layout is None:
-        est = np.zeros_like(truth.gains)
-        est[index, pairs] = h_est
+        # the dense schedule holds every (element, pair) entry exactly once
+        errors = nmse(h_est, h_blocks)
+        est = np.zeros((len(seeds), *truth.gains.shape))
+        est[:, index, pairs] = h_est
     else:
         est = interpolate_full(h_est, layout)
+        errors = nmse(est, truth)
 
     return EstimationResult(
         gains=est,
-        nmse=nmse(est, truth),
+        nmse=errors,
         csi_parameter_count=q_blocks * nt * nr,
-        flops_estimate=flops_estimate(nt, nr, pilot_slots, q_blocks),
+        flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * q_blocks),
         block_count=q_blocks,
     )

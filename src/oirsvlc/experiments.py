@@ -232,6 +232,8 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         value = getattr(config, name)
         if not isinstance(value, str) and not np.all(np.isfinite(value)):
             bad(key, "values must be finite")
+    if config.master_seed < 0:
+        bad("seed", "must be >= 0")
     if config.trials < 1:
         bad("sweep.trials", "must be >= 1")
     if any(s < 0 for s in config.sigmas):
@@ -310,7 +312,12 @@ def loads(text: str) -> ExperimentConfig:
         seen.add(key)
         field_name, parser = _SCHEMA[key]
         values[field_name] = parser(key, val)
-    return _validate(replace(ExperimentConfig(), **values))
+    return with_overrides(ExperimentConfig(), **values)
+
+
+def with_overrides(config: ExperimentConfig, **changes) -> ExperimentConfig:
+    """`config` with the named fields replaced, checked as a loaded file is."""
+    return _validate(replace(config, **changes))
 
 
 def dumps(config: ExperimentConfig) -> str:
@@ -401,8 +408,9 @@ def sweep_schemes(config: ExperimentConfig):
 def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
-    Returns rows (sigma, spacing, nmse_db, trials); per-run seeds derive
-    from the master seed, the scheme, the sigma index, and the trial index.
+    Returns rows (sigma, spacing, nmse_db, trials). Each (sigma, scheme) cell
+    is one `run_algorithm1` call over all its trials; trial seeds derive from
+    the master seed, the scheme, the sigma index, and the trial index.
     """
     scene = config.build_scene()
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
@@ -412,13 +420,13 @@ def run_noise_sweep(config: ExperimentConfig):
     rows = []
     for i_sigma, sigma in enumerate(config.sigmas):
         for spacing in sweep_schemes(config):
+            errors = run_algorithm1(
+                scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
+                seeds=[(config.master_seed, spacing, i_sigma, trial)
+                       for trial in range(config.trials)]).nmse
             total = 0.0
-            for trial in range(config.trials):
-                result = run_algorithm1(
-                    scene, truth, spacing, config.pilot_slots, sigma,
-                    config.pilot_power,
-                    seed=(config.master_seed, spacing, i_sigma, trial))
-                total += result.nmse
+            for value in errors.tolist():      # in trial order
+                total += value
             rows.append((float(sigma), int(spacing),
                          nmse_db(total / config.trials), int(config.trials)))
     return rows

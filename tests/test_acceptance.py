@@ -235,11 +235,11 @@ def test_criterion_5_exact_recovery():
     t0 = time.monotonic()
     scene = ExperimentConfig().build_scene()
     result = run_algorithm1(scene, build_csi_tensor(scene, "point"), spacing=1,
-                            pilot_slots=100, sigma=0.0, seed=1)
+                            pilot_slots=100, sigma=0.0, seeds=[1])
     elapsed = time.monotonic() - t0
-    ok = result.nmse <= 1e-18 and elapsed < 5.0
+    ok = result.nmse[0] <= 1e-18 and elapsed < 5.0
     assert _report(5, ok, f"spacing 1, sigma 0, point truth: NMSE = "
-                          f"{result.nmse:.2e} (<=1e-18), {elapsed:.1f}s")
+                          f"{result.nmse[0]:.2e} (<=1e-18), {elapsed:.1f}s")
 
 
 def test_criterion_6_overhead_accounting():

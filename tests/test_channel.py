@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oirsvlc import channel
 from oirsvlc import (
     AssociationPattern,
     CsiTensor,
@@ -18,7 +19,7 @@ from oirsvlc import (
     generate_pilots,
     pair_column,
     point_gain,
-    simulate_rx,
+    rx_statistics,
     vec_H_blkdiag,
 )
 
@@ -248,27 +249,38 @@ def test_blockdiag_shape_mismatch():
         assemble_H(tensor, pat)
 
 
-def test_simulate_rx_noiseless_and_deterministic():
-    H = np.array([[1.0, 2.0], [3.0, 4.0]])
+def test_rx_statistics_noiseless_and_deterministic():
+    H = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
     X = np.arange(8.0).reshape(2, 4)
-    assert_allclose(simulate_rx(H, X, 0.0, seed=1), H @ X)
-    y1 = simulate_rx(H, X, 0.3, seed=42)
-    y2 = simulate_rx(H, X, 0.3, seed=42)
-    assert np.array_equal(y1, y2)
-    assert not np.array_equal(y1, simulate_rx(H, X, 0.3, seed=43))
+    gram, cross = rx_statistics(H, X, 0.0, seed=1)
+    assert_allclose(gram, X @ X.T)
+    assert_allclose(cross, X @ (H @ X).T)
+    _, c1 = rx_statistics(H, X, 0.3, seed=42)
+    _, c2 = rx_statistics(H, X, 0.3, seed=42)
+    assert np.array_equal(c1, c2)
+    assert not np.array_equal(c1, rx_statistics(H, X, 0.3, seed=43)[1])
     # stacked blocks: each block is its own product
     Hs = np.stack([H, 2 * H, -H])
     Xs = np.stack([X, X + 1, 2 * X])
-    ys = simulate_rx(Hs, Xs, 0.0, seed=1)
+    grams, crosses = rx_statistics(Hs, Xs, 0.0, seed=1)
+    assert grams.shape == (3, 2, 2) and crosses.shape == (3, 2, 3)
     for q in range(3):
-        assert_allclose(ys[q], Hs[q] @ Xs[q])
+        assert_allclose(grams[q], Xs[q] @ Xs[q].T)
+        assert_allclose(crosses[q], Xs[q] @ (Hs[q] @ Xs[q]).T)
     with pytest.raises(ShapeError):
-        simulate_rx(Hs, np.ones((3, 3, 4)), 0.0, seed=1)
+        rx_statistics(Hs, np.ones((3, 3, 4)), 0.0, seed=1)
+    with pytest.raises(ShapeError):
+        rx_statistics(Hs, np.ones((2, 2, 4)), 0.0, seed=1)
 
 
-def test_simulate_rx_noise_variance():
-    y = simulate_rx(np.zeros((1, 2)), np.ones((2, 100000)), 0.7, seed=123)
-    assert abs(y.var() - 0.49) / 0.49 <= 0.02
+def test_rx_statistics_noise_variance():
+    # with H = 0 each cross term is sigma * sum_p x_p z_p ~ N(0, sigma^2 G)
+    blocks, slots = 100000, 4
+    X = np.ones((blocks, 1, slots))
+    gram, cross = rx_statistics(np.zeros((blocks, 1, 1)), X, 0.7, seed=123)
+    assert np.all(gram == slots)
+    assert abs(cross.var() - 0.49 * slots) / (0.49 * slots) <= 0.02
+    assert abs(cross.mean()) <= 0.02
 
 
 def test_generate_pilots_range_and_mean():
@@ -290,16 +302,27 @@ def test_generate_pilots_identifiability():
         generate_pilots(3, 2, 1.0, seed=0)
 
 
-def test_pilots_and_noise_share_one_generator_stream():
-    # a Generator seed is drawn from in place: pilots first, then noise
-    H = np.array([[0.5, 0.25]])
-    rng = np.random.default_rng((3, 1))
-    x = generate_pilots(2, 6, 1.0, rng, (4,))
-    y = simulate_rx(H, x, 0.1, rng)
-    ref = np.random.default_rng((3, 1))
-    x_ref = ref.uniform(0.0, 2.0, size=(4, 2, 6))
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(y, H @ x_ref + 0.1 * ref.standard_normal((4, 1, 6)))
+def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
+    # a Generator seed is drawn from in place: pilots first, then the noise of
+    # every block in C order, however many blocks are drawn at a time
+    blocks = 300
+    H = np.random.default_rng(0).uniform(0, 1, (blocks, 3, 2))
+    for chunk in (3, channel.NOISE_CHUNK_BLOCKS):
+        monkeypatch.setattr(channel, "NOISE_CHUNK_BLOCKS", chunk)
+        rng = np.random.default_rng((3, 1))
+        x = generate_pilots(2, 6, 1.0, rng, (blocks,))
+        gram, cross = rx_statistics(H, x, 0.1, rng)
+        ref = np.random.default_rng((3, 1))
+        x_ref = ref.uniform(0.0, 2.0, size=(blocks, 2, 6))
+        assert np.array_equal(x, x_ref)
+        y_ref = H @ x_ref + 0.1 * ref.standard_normal((blocks, 3, 6))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert_allclose(gram, x_ref @ np.swapaxes(x_ref, -1, -2), rtol=1e-14)
+        assert_allclose(cross, x_ref @ np.swapaxes(y_ref, -1, -2), rtol=1e-12)
+    # drawn into a buffer, the pilots keep their bits
+    out = np.empty((blocks, 2, 6))
+    assert generate_pilots(2, 6, 1.0, (3, 1), (blocks,), out=out) is out
+    assert np.array_equal(out, x_ref)
 
 
 def test_scene_rejects_positions_outside_room():

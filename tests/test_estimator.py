@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oirsvlc import (
     AssociationPattern,
     CsiTensor,
+    ExperimentConfig,
     IdentifiabilityError,
     LayoutError,
     OirsGrid,
@@ -24,7 +28,7 @@ from oirsvlc import (
     pair_column,
     recovery_operators,
     run_algorithm1,
-    simulate_rx,
+    rx_statistics,
     spline_weights,
     vec_H_blkdiag,
 )
@@ -134,20 +138,25 @@ def test_design_dense_pattern_covers_every_pair_once():
         assert blk.V.sum() == 4
 
 
+def statistics(H, X):
+    """Gram matrices and noiseless cross terms of received blocks H X."""
+    return X @ np.swapaxes(X, -1, -2), X @ np.swapaxes(H @ X, -1, -2)
+
+
 def test_mmse_noiseless_orthogonal_pilots():
     X = np.array([[1.0, 1, 0, 0], [0, 0, 1, 1.0]])
     H = np.array([[0.5, -0.2], [0.1, 0.9]])
-    est = mmse_estimate(H @ X, X, 0.0)
+    est = mmse_estimate(X @ X.T, X @ (H @ X).T, 0.0)
     assert_allclose(est, H, rtol=1e-12)
     # a stack of blocks is solved block by block
     Hs = np.stack([H, -2 * H, H.T])
     Xs = np.stack([X, X[::-1], 2 * X])
-    assert_allclose(mmse_estimate(Hs @ Xs, Xs, 0.0), Hs, rtol=1e-12)
+    assert_allclose(mmse_estimate(*statistics(Hs, Xs), 0.0), Hs, rtol=1e-12)
 
 
 def test_mmse_scalar_shrinkage():
     # Y X^T (X X^T + sigma^2)^-1 = 8 / (4 + 1)
-    est = mmse_estimate(np.array([[2.0, 2, 2, 2]]), np.array([[1.0, 1, 1, 1]]), 1.0)
+    est = mmse_estimate(np.array([[4.0]]), np.array([[8.0]]), 1.0)
     assert est[0, 0] == pytest.approx(1.6, rel=1e-14)
 
 
@@ -155,21 +164,23 @@ def test_mmse_large_noise_shrinks_to_zero():
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 2, (2, 50))
     Y = rng.uniform(0, 1, (2, 50))
-    est = mmse_estimate(Y, X, 1e6)
+    est = mmse_estimate(X @ X.T, X @ Y.T, 1e6)
     assert np.max(np.abs(est)) < 1e-9
 
 
 def test_mmse_singular_system():
     X = np.ones((2, 4))          # duplicated pilot rows, sigma = 0
     with pytest.raises(SingularSystemError):
-        mmse_estimate(np.ones((1, 4)), X, 0.0)
+        mmse_estimate(X @ X.T, X @ np.ones((1, 4)).T, 0.0)
 
 
 def test_mmse_shape_mismatch():
     with pytest.raises(ShapeError):
-        mmse_estimate(np.ones((1, 4)), np.ones((2, 5)), 0.1)
+        mmse_estimate(np.ones((2, 2)), np.ones((3, 1)), 0.1)      # cross rows
     with pytest.raises(ShapeError):
-        mmse_estimate(np.ones((3, 1, 4)), np.ones((2, 2, 4)), 0.1)
+        mmse_estimate(np.ones((2, 3)), np.ones((2, 1)), 0.1)      # Gram not square
+    with pytest.raises(ShapeError):
+        mmse_estimate(np.ones((3, 2, 2)), np.ones((2, 2, 1)), 0.1)  # block axes
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -185,7 +196,7 @@ def test_mmse_noiseless_exact_for_full_rank_pilots(data):
     X = rng.uniform(-1, 2, (*batch, nt, p))
     H = rng.normal(size=(*batch, nr, nt))
     assume(np.all(np.linalg.cond(X @ np.swapaxes(X, -1, -2)) <= 1e6))
-    est = mmse_estimate(H @ X, X, 0.0)
+    est = mmse_estimate(*statistics(H, X), 0.0)
     assert est.shape == H.shape
     assert_allclose(est, H, rtol=1e-9, atol=1e-9 * np.max(np.abs(H)))
 
@@ -198,7 +209,7 @@ def test_gather_samples_noiseless_equals_truth():
     tensor = build_csi_tensor(scene, "point")
     pairs = pair_column(np.arange(2)[:, None], np.arange(2), 2)
     x = generate_pilots(2, 16, 1.0, 4, (layout.n_blocks,))
-    est = mmse_estimate(simulate_rx(tensor.gains[index, pairs], x, 0.0, 4), x, 0.0)
+    est = mmse_estimate(*rx_statistics(tensor.gains[index, pairs], x, 0.0, 4), 0.0)
     for nr in range(2):
         for nt in range(2):
             grid_vals = est[:, nr, nt].reshape(layout.q_v, layout.q_h)
@@ -337,8 +348,8 @@ def test_flops_estimate_values():
 def test_run_algorithm1_exact_recovery_dense():
     scene = desk_scene(8, 8)
     result = run_algorithm1(scene, build_csi_tensor(scene, "point"), 1, pilot_slots=20,
-                            sigma=0.0, seed=3)
-    assert result.nmse <= 1e-18
+                            sigma=0.0, seeds=[3])
+    assert result.nmse.shape == (1,) and result.nmse[0] <= 1e-18
     assert result.block_count == 64
     assert result.csi_parameter_count == 64 * 4
 
@@ -346,31 +357,33 @@ def test_run_algorithm1_exact_recovery_dense():
 def test_run_algorithm1_noiseless_sampling_hits_samples():
     scene = desk_scene(8, 8)
     tensor = build_csi_tensor(scene, "point")
-    result = run_algorithm1(scene, tensor, 2, pilot_slots=16, sigma=0.0, seed=9)
+    result = run_algorithm1(scene, tensor, 2, pilot_slots=16, sigma=0.0, seeds=[9, 10])
+    assert result.gains.shape == (2, *tensor.gains.shape)
     index, _ = block_schedule(scene.grid, 2, 2, 2)
     for nr in range(2):
         for nt in range(2):
             k = pair_column(nr, nt, 2)
             idx = index[:, nr, nt]
-            assert_allclose(result.gains[idx, k], tensor.gains[idx, k], atol=1e-9)
+            for gains in result.gains:
+                assert_allclose(gains[idx, k], tensor.gains[idx, k], atol=1e-9)
     assert result.csi_parameter_count == 16 * 4
 
 
 def test_run_algorithm1_deterministic():
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene, "quadrature")
-    a = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=(5, 1))
-    b = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=(5, 1))
+    a = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[(5, 1)])
+    b = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[(5, 1)])
     assert np.array_equal(a.gains, b.gains)
-    assert a.nmse == b.nmse
-    c = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=(5, 2))
+    assert np.array_equal(a.nmse, b.nmse)
+    c = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[(5, 2)])
     assert not np.array_equal(a.gains, c.gains)
 
 
 def test_run_algorithm1_identifiability():
     scene = desk_scene(8, 8)
     with pytest.raises(IdentifiabilityError):
-        run_algorithm1(scene, build_csi_tensor(scene), 2, pilot_slots=1, sigma=0.0, seed=0)
+        run_algorithm1(scene, build_csi_tensor(scene), 2, pilot_slots=1, sigma=0.0)
 
 
 def test_run_algorithm1_rejects_truth_of_another_scene(monkeypatch):
@@ -386,7 +399,7 @@ def test_run_algorithm1_rejects_truth_of_another_scene(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
     for truth in wrong:
         with pytest.raises(ShapeError):
-            run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seed=0)
+            run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4)
     assert draws == []        # rejected before any random draw
 
 
@@ -396,7 +409,58 @@ def test_noise_monotonicity_smoke():
     truth = build_csi_tensor(scene, "quadrature")
     levels = []
     for sigma in (1e-4, 1e-3):
-        vals = [run_algorithm1(scene, truth, 2, pilot_slots=100, sigma=sigma,
-                               seed=(77, trial)).nmse for trial in range(30)]
+        vals = run_algorithm1(scene, truth, 2, pilot_slots=100, sigma=sigma,
+                              seeds=[(77, trial) for trial in range(30)]).nmse
         levels.append(np.mean(vals))
     assert levels[0] < levels[1]
+
+
+@pytest.mark.parametrize("spacing", [1, 2, 3])
+def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
+    # trials split over two CPUs still give each seed's one-trial result
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scene = desk_scene(12, 12)
+    truth = build_csi_tensor(scene, "quadrature")
+    seeds = [(8, spacing, trial) for trial in range(5)]
+    batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=seeds)
+    singles = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=[s])
+               for s in seeds]
+    assert np.array_equal(batch.gains, np.concatenate([r.gains for r in singles]))
+    assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
+    assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
+    assert batch.block_count == singles[0].block_count
+
+
+def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
+    # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
+    # last trial gets them, so the error is raised in a worker thread, not the
+    # calling one; it surfaces in the caller and no thread outlives the call
+    bad = np.random.default_rng(99).bit_generator.state
+
+    def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
+        if seed.bit_generator.state == bad:
+            out[...] = 0.0
+            return out
+        return generate_pilots(n_leds, n_slots, power, seed, batch, out)
+
+    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    scene = desk_scene(8, 8)
+    truth = build_csi_tensor(scene)
+    before = threading.active_count()
+    with pytest.raises(SingularSystemError):
+        run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=[*range(7), 99])
+    assert threading.active_count() == before
+    run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=range(8))
+
+
+def test_dense_noiseless_nmse_stays_below_the_csv_floor():
+    # the sweep writes -300 dB for these cells; a round-off change in the
+    # ridge solve shows here first
+    config = ExperimentConfig()
+    scene = config.build_scene()
+    truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
+    result = run_algorithm1(scene, truth, 1, config.pilot_slots, 0.0, config.pilot_power,
+                            seeds=[(config.master_seed, 1, 0, trial) for trial in range(5)])
+    assert 10 * np.log10(np.mean(result.nmse)) <= -303.0

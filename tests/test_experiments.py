@@ -46,6 +46,9 @@ def test_nmse_identities():
     assert nmse(truth, truth) == 0.0
     assert nmse(np.zeros_like(truth), truth) == pytest.approx(1.0, rel=1e-15)
     assert nmse(2 * truth, truth) == pytest.approx(1.0, rel=1e-15)
+    # leading trial axes give one NMSE per trial
+    assert_allclose(nmse(np.stack([truth, 2 * truth, 0 * truth]), truth), [0, 1, 1],
+                    rtol=1e-15)
 
 
 def test_nmse_errors():
@@ -53,6 +56,8 @@ def test_nmse_errors():
         nmse(np.ones((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         nmse(np.ones((2, 2)), np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        nmse(np.ones(4), np.ones((2, 2)))
 
 
 def test_nmse_db_floor():
@@ -111,6 +116,7 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("coherence.element = 9, 9, 9", "coherence.element"),
         ("coherence.element = 1, 2, 3", "coherence"),        # on the LED
         ("coherence.pd = 1, 2, 1.5", "coherence"),            # on the element
+        ("seed = -1", "seed"),
     ]:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             loads(text)
@@ -191,6 +197,17 @@ def test_run_noise_sweep_schema_and_exact_recovery_row():
     by = {(r[0], r[1]): r[2] for r in rows}
     assert by[(0.0, 1)] <= -180.0
     assert all(r[3] == FAST.trials for r in rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_run_noise_sweep_rows_do_not_depend_on_cpu_count(cpus, monkeypatch):
+    # each trial draws from its own seed stream, however the trials are split
+    config = replace(FAST, trials=5, sigmas=(0.0, 1e-4, 1e-3))
+    reference = run_noise_sweep(config)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run_noise_sweep(config) == reference
 
 
 def test_csv_files_footer_and_summary(tmp_path):
@@ -282,15 +299,30 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     assert not (tmp_path / "out" / "noise_sweep.csv").exists()
 
 
+def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
+    # --seed is checked like a config key, before the truth build and any pass
+    calls = []
+    real = experiments.run_algorithm1
+    monkeypatch.setattr(experiments, "run_algorithm1",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    with pytest.raises(ConfigError, match="^seed: "):
+        cli_main(["noise-sweep", "--config", _cfg_file(tmp_path), "--seed", "-1",
+                  "--out", str(tmp_path / "out")])
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_cli_import_loads_no_scipy():
+    # nor concurrent.futures or logging, which cost about 10 ms of set-up
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, oirsvlc.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.startswith(('scipy', 'concurrent', 'logging'))))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 
