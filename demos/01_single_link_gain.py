@@ -7,6 +7,8 @@ gain, compare it with the aperture-averaged gain, and sweep the element
 along the mirror surface to see how slowly the gain changes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from oirsvlc import (
@@ -32,12 +34,13 @@ print(f"mirror normal from the reflection law: "
 
 g_point = point_gain(link)
 print(f"\npoint-source gain (unit constant): {g_point:.6f}")
-print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
-      f"{point_gain(link, 'lambertian', reflectivity=0.9, pd_side=0.05):.3e}")
 
 # the default config's single-link scene is this geometry, with a one-element
 # grid of 5 cm elements spanning the mirror surface
 scene, _ = ExperimentConfig().build_single_link()
+absolute, _ = replace(ExperimentConfig(), gain_mode="lambertian").build_single_link()
+print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
+      f"{absolute.gains(ELEMENT)[0, 0]:.3e}")
 u, v = plane_basis_from(mirror)
 for order in (1, 2, 4, 8, 16):
     g = build_csi_tensor(scene, "quadrature", order).gains[0, 0]

@@ -9,7 +9,7 @@ natural cubic splines, cutting blocks and pilots by spacing^2.
 
 import numpy as np
 
-from oirsvlc import ExperimentConfig, build_csi_tensor, nmse_db, run_algorithm1
+from oirsvlc import ExperimentConfig, block_schedule, build_csi_tensor, nmse_db, run_algorithm1
 
 config = ExperimentConfig()
 scene = config.build_scene()
@@ -27,8 +27,9 @@ for spacing in (1, 2, 3, 4):
     result = run_algorithm1(scene, truth, spacing, config.pilot_slots, sigma,
                             config.pilot_power,
                             seeds=[(1234, spacing, trial) for trial in range(trials)])
+    blocks = len(block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)[0])
     label = "baseline" if spacing == 1 else f"spacing {spacing}"
-    print(f"{label:>12} {result.block_count:>7} {result.csi_parameter_count:>7} "
+    print(f"{label:>12} {blocks:>7} {blocks * scene.n_leds * scene.n_pds:>7} "
           f"{result.flops_estimate // trials:>9} "
           f"{nmse_db(float(np.mean(result.nmse))):>10.2f}")
 

@@ -8,19 +8,16 @@ Layers, bottom up: `geometry` (points, grids, reflection-law normals),
 """
 
 from .channel import (
-    AssociationPattern,
     CsiTensor,
     LinkGeometry,
     SceneConfig,
     aperture_points,
-    assemble_H,
     build_csi_tensor,
     generate_pilots,
     pair_column,
     pair_gains,
     point_gain,
     rx_statistics,
-    vec_H_blkdiag,
 )
 from .coherence import (
     CoherenceReport,
@@ -49,7 +46,6 @@ from .estimator import (
     EstimationResult,
     SubarrayLayout,
     block_schedule,
-    design_layout,
     flops_estimate,
     interpolate_full,
     mmse_estimate,

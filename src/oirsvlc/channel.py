@@ -8,8 +8,10 @@ incidence angle at the PD, and d1, d2 the two leg lengths. The directed
 unit vectors point from the LED/PD toward the element, which makes both
 cosines positive in the downlink geometry.
 
-C = 1 in "unit" mode (coherence and NMSE results are scale invariant);
-"lambertian" mode uses rho * (m + 1) * A_pd / (2 pi) for absolute gains.
+C = 1 in "unit" mode; "lambertian" mode uses rho * (m + 1) * A_pd / (2 pi)
+for absolute gains. Growth rates, coherence distances and noiseless NMSE do
+not depend on C. NMSE under noise does: the noise sigma is absolute in gain
+units, so the same sigma buries the far smaller "lambertian" gains.
 """
 
 from __future__ import annotations
@@ -34,15 +36,6 @@ from .geometry import (
 
 GAIN_MODES = ("unit", "lambertian")
 NOISE_CHUNK_BLOCKS = 128    # blocks of receiver noise drawn at a time
-
-
-def gain_constant(mode: str, m: float, reflectivity: float = 1.0, pd_side: float = 1.0) -> float:
-    """Proportionality constant of the reflected-gain model."""
-    if mode == "unit":
-        return 1.0
-    if mode == "lambertian":
-        return reflectivity * (m + 1.0) * pd_side**2 / (2.0 * math.pi)
-    raise ValueError(f"unknown gain mode {mode!r}")
 
 
 def _check_beam(lambertian_order: float, fov_semi_angle: float):
@@ -126,13 +119,11 @@ def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
     return c * num / (d1[..., None, :] + d2[..., :, None]) ** 2
 
 
-def point_gain(link: LinkGeometry, mode: str = "unit", *,
-               reflectivity: float = 1.0, pd_side: float = 1.0) -> float:
-    """Reflected channel gain of a single link under the point-source model."""
-    c = gain_constant(mode, link.lambertian_order, reflectivity, pd_side)
+def point_gain(link: LinkGeometry) -> float:
+    """Unit-constant reflected gain of a single link under the point-source model."""
     return float(pair_gains(link.element, link.led[None], link.led_normal, link.pd[None],
                             link.pd_normal, link.lambertian_order,
-                            link.fov_semi_angle, c)[0, 0])
+                            link.fov_semi_angle, 1.0)[0, 0])
 
 
 def aperture_points(grid: OirsGrid, centers, order: int) -> np.ndarray:
@@ -199,8 +190,10 @@ class SceneConfig:
 
     def gains(self, points) -> np.ndarray:
         """pair_gains of this scene's LEDs and PDs: (..., 3) -> (..., Nr, Nt)."""
-        c = gain_constant(self.gain_mode, self.lambertian_order,
-                          self.grid.reflectivity, self.pd_side)
+        c = 1.0
+        if self.gain_mode == "lambertian":
+            c = self.grid.reflectivity * (self.lambertian_order + 1.0) \
+                * self.pd_side**2 / (2.0 * math.pi)
         return pair_gains(points, self.led_positions, self.led_normal, self.pd_positions,
                           self.pd_normal, self.lambertian_order, self.fov_semi_angle, c)
 
@@ -261,76 +254,6 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
     # column k = nt * Nr + nr
     gains = g.transpose(0, 2, 1).reshape(grid.n_elements, scene.n_leds * scene.n_pds)
     return CsiTensor(gains, scene.n_leds, scene.n_pds)
-
-
-@dataclass(frozen=True)
-class AssociationPattern:
-    """Binary LED/PD association of each element, and their composite.
-
-    G[n, nt] = 1 when element n is aligned with LED nt, F[n, nr] likewise
-    for PDs. Angle selectivity: every element serves at most one LED and at
-    most one PD. The composite V[n, k] = F[n, nr] * G[n, nt] for
-    k = pair_column(nr, nt, Nr).
-    """
-
-    G: np.ndarray
-    F: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.G)
-        f = np.asarray(self.F)
-        if g.ndim != 2 or f.ndim != 2 or g.shape[0] != f.shape[0]:
-            raise ShapeError("G and F must be 2-D with a common element count")
-        for name, arr in (("G", g), ("F", f)):
-            if not np.all((arr == 0) | (arr == 1)):
-                raise ValueError(f"{name} must be binary")
-        if np.any(g.sum(axis=1) > 1) or np.any(f.sum(axis=1) > 1):
-            raise ValueError("angle selectivity violated: an element serves multiple LEDs or PDs")
-        object.__setattr__(self, "G", _frozen(g.astype(float)))
-        object.__setattr__(self, "F", _frozen(f.astype(float)))
-        # column k = pair_column(nr, nt, Nr) = nt * Nr + nr: PDs run fastest
-        v = (g[:, :, None] * f[:, None, :]).reshape(g.shape[0], -1).astype(float)
-        object.__setattr__(self, "V", _frozen(v))
-
-    @property
-    def n_elements(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def n_leds(self) -> int:
-        return self.G.shape[1]
-
-    @property
-    def n_pds(self) -> int:
-        return self.F.shape[1]
-
-
-def assemble_H(csi: CsiTensor, pattern: AssociationPattern) -> np.ndarray:
-    """Effective (Nr, Nt) channel: H[nr, nt] = (f_nr * g_nt)^T h_{nr,nt}."""
-    if pattern.n_elements != csi.n_elements or pattern.n_leds != csi.n_leds \
-            or pattern.n_pds != csi.n_pds:
-        raise ShapeError("pattern dimensions do not match the CSI tensor")
-    summed = (pattern.V * csi.gains).sum(axis=0)          # (Nt*Nr,)
-    return summed.reshape(csi.n_leds, csi.n_pds).T
-
-
-def vec_H_blkdiag(csi: CsiTensor, pattern: AssociationPattern) -> np.ndarray:
-    """Column-stacked H via the block-diagonal composite-association route.
-
-    Builds the (N*K, K) block-diagonal matrix whose k-th diagonal block is
-    the k-th column of V, then applies its transpose to the column-stacked
-    CSI tensor. Kept deliberately literal: this is the independent route
-    against which assemble_H is cross-checked.
-    """
-    if pattern.n_elements != csi.n_elements or pattern.n_leds != csi.n_leds \
-            or pattern.n_pds != csi.n_pds:
-        raise ShapeError("pattern dimensions do not match the CSI tensor")
-    n = csi.n_elements
-    k = csi.n_leds * csi.n_pds
-    blk = np.zeros((n * k, k))
-    for col in range(k):
-        blk[col * n:(col + 1) * n, col] = pattern.V[:, col]
-    return blk.T @ csi.gains.reshape(-1, order="F")
 
 
 def generate_pilots(n_leds: int, n_slots: int, power: float, seed,

@@ -56,17 +56,17 @@ class TaylorCoeffs:
         object.__setattr__(self, "S2", _frozen(0.5 * (s2 + s2.T)))
 
 
-def growth_rate_exact(link: LinkGeometry, shift, mode: str = "unit") -> float:
+def growth_rate_exact(link: LinkGeometry, shift) -> float:
     """Exact relative gain change under an element shift.
 
     Both gains are evaluated for the same fixed link configuration (the
     element's mirror orientation is not re-aligned under the shift); the
-    result is independent of the gain-constant mode.
+    gain constant cancels in the ratio, so no gain mode enters.
     """
-    h0 = point_gain(link, mode)
+    h0 = point_gain(link)
     if h0 <= 0.0:
         raise ZeroGainError("growth rate undefined where the gain is zero")
-    return (point_gain(link.shifted(shift), mode) - h0) / h0
+    return (point_gain(link.shifted(shift)) - h0) / h0
 
 
 def taylor_coeffs(link: LinkGeometry) -> TaylorCoeffs:

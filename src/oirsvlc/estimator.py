@@ -78,11 +78,6 @@ class SubarrayLayout:
         return nt + self.spacing * np.arange(self.q_h)
 
 
-def design_layout(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int) -> SubarrayLayout:
-    """Subarray tiling of a grid for the given array sizes and spacing."""
-    return SubarrayLayout(grid.rows, grid.cols, n_leds, n_pds, spacing)
-
-
 def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
     """Phase-I block schedule: (index, layout).
 
@@ -100,7 +95,7 @@ def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
             raise LayoutError("fewer elements than (LED, PD) pairs")
         assignment = (np.arange(n)[:, None] + np.arange(n_leds * n_pds)) % n
         return assignment.reshape(n, n_leds, n_pds).transpose(0, 2, 1), None
-    layout = design_layout(grid, n_leds, n_pds, spacing)
+    layout = SubarrayLayout(grid.rows, grid.cols, n_leds, n_pds, spacing)
     qv, qh = np.divmod(np.arange(layout.n_blocks), layout.q_h)
     rows = qv[:, None, None] * spacing + np.arange(n_pds)[:, None]
     cols = qh[:, None, None] * spacing + np.arange(n_leds)
@@ -238,15 +233,12 @@ class EstimationResult:
     `gains` is (T, *truth shape) and `nmse` the (T,) per-trial NMSE, in seed
     order; entries may be slightly negative under noise (estimates are not
     clamped before the NMSE, which would bias the comparison).
-    `csi_parameter_count` and `block_count` are per trial, `flops_estimate`
-    covers all T trials.
+    `flops_estimate` covers all T trials.
     """
 
     gains: np.ndarray
     nmse: np.ndarray
-    csi_parameter_count: int
     flops_estimate: int
-    block_count: int
 
 
 def _worker_count() -> int:
@@ -336,7 +328,5 @@ def run_algorithm1(scene: SceneConfig, truth: CsiTensor, spacing: int,
     return EstimationResult(
         gains=est,
         nmse=errors,
-        csi_parameter_count=q_blocks * nt * nr,
         flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * q_blocks),
-        block_count=q_blocks,
     )

@@ -1,0 +1,55 @@
+"""Phase I's block-diagonal association model, kept as a test oracle.
+
+Block q of the schedule aligns element index[q, nr, nt] with pair (nr, nt).
+Its composite association V_q (N, K) holds V_q[n, k] = 1 when element n
+serves pair column k, and its effective channel is the association-weighted
+sum of the per-element CSI: vec(H_q) = blkdiag(v_q)^T vec(h). The helpers
+here build that product literally and record the channel blocks that
+`run_algorithm1` actually estimates, so the two can be compared.
+"""
+
+import numpy as np
+
+from oirsvlc import estimator, pair_column, run_algorithm1
+
+
+def association(block, n_elements):
+    """Composite association V (N, K) of one (Nr, Nt) schedule block."""
+    n_pds, n_leds = block.shape
+    v = np.zeros((n_elements, n_leds * n_pds))
+    for nr in range(n_pds):
+        for nt in range(n_leds):
+            v[block[nr, nt], pair_column(nr, nt, n_pds)] = 1.0
+    return v
+
+
+def blockdiag_channel(gains, block):
+    """(Nr, Nt) channel of one schedule block as vec(H) = blkdiag(v)^T vec(h).
+
+    blkdiag(v) is the (N*K, K) matrix whose k-th diagonal block is column k
+    of the block's association; vec stacks columns, so vec(h) runs through
+    every element of pair column 0 first and vec(H) through the PDs first.
+    """
+    n, k = gains.shape
+    v = association(block, n)
+    blk = np.zeros((n * k, k))
+    for col in range(k):
+        blk[col * n:(col + 1) * n, col] = v[:, col]
+    return (blk.T @ gains.reshape(-1, order="F")).reshape(block.shape, order="F")
+
+
+def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
+    """The (Q, Nr, Nt) channel blocks that one single-seed `run_algorithm1`
+    call passes to `rx_statistics`; one seed keeps the call on this thread."""
+    seen = []
+    original = estimator.rx_statistics
+
+    def record(H, X, sigma, seed):
+        seen.append(np.array(H))
+        return original(H, X, sigma, seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "rx_statistics", record)
+        run_algorithm1(scene, truth, spacing, pilot_slots=10, seeds=[0])
+    assert len(seen) == 1
+    return seen[0]

@@ -2,26 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oirsvlc import channel
 from oirsvlc import (
-    AssociationPattern,
     CsiTensor,
     IdentifiabilityError,
     LinkGeometry,
     OirsGrid,
     SceneConfig,
     ShapeError,
-    assemble_H,
+    block_schedule,
     build_csi_tensor,
     element_positions,
     generate_pilots,
     pair_column,
     point_gain,
     rx_statistics,
-    vec_H_blkdiag,
 )
+
+from channel_oracle import blockdiag_channel, recorded_channel_blocks
 
 STUDY_LED = np.array([1.0, 2.0, 3.0])
 STUDY_ELEM = np.array([1.0, 2.0, 1.5])
@@ -67,13 +69,6 @@ def test_point_gain_decreases_with_pd_distance():
     assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
-def test_point_gain_lambertian_constant():
-    link = study_link()
-    unit = point_gain(link, "unit")
-    lamb = point_gain(link, "lambertian", reflectivity=0.9, pd_side=0.05)
-    assert lamb == pytest.approx(unit * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
-
-
 def study_grid(element_size=0.05):
     # single-element surface oriented to the aligned mirror normal
     from oirsvlc import alignment_normal, plane_basis_from
@@ -87,6 +82,16 @@ def element_gain(grid, order, led=STUDY_LED, pd=STUDY_PD, fov=math.pi / 2):
     """Quadrature gain of the one element of `grid` for one LED and one PD."""
     scene = _scene([led], [pd], grid, fov)
     return build_csi_tensor(scene, "quadrature", order).gains[0, 0]
+
+
+def test_point_gain_lambertian_constant():
+    # a "lambertian" scene scales the unit point gain by rho (m + 1) A_pd / (2 pi)
+    scene = _scene([STUDY_LED], [STUDY_PD], study_grid(), mode="lambertian")
+    assert scene.gains(STUDY_ELEM)[0, 0] == pytest.approx(
+        point_gain(study_link()) * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
+    unit = build_csi_tensor(_scene([STUDY_LED], [STUDY_PD], study_grid()), "quadrature", 3)
+    lamb = build_csi_tensor(scene, "quadrature", 3)
+    assert_allclose(lamb.gains, unit.gains * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rtol=1e-12)
 
 
 def test_patch_gain_order_one_is_point_gain():
@@ -168,85 +173,41 @@ def test_build_csi_tensor_against_per_link_loop(model, order):
                     assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("model", ["point", "quadrature"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(led_order=st.permutations(range(3)), pd_order=st.permutations(range(2)))
+def test_relabelling_leds_and_pds_permutes_csi_columns(model, led_order, pd_order):
+    leds = np.array([(1.7, 2, 3), (2.0, 1.6, 3), (2.3, 2.2, 3)])
+    pds = np.array([(1.8, 2, 0), (2.4, 1.9, 0)])
+    grid = wall_grid(3, 4)
+    base = build_csi_tensor(_scene(leds, pds, grid), model, 3).gains
+    moved = build_csi_tensor(_scene(leds[led_order], pds[pd_order], grid), model, 3).gains
+    cols = [pair_column(pd_order[nr], led_order[nt], 2) for nt in range(3) for nr in range(2)]
+    assert np.array_equal(moved, base[:, cols])
+
+
+def test_direct_assembly_matches_blockdiag_route(monkeypatch):
+    # the channel blocks run_algorithm1 gathers equal the block-diagonal
+    # association model on random truths, array sizes, grids and spacings
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        nt, nr = (int(v) for v in rng.integers(1, 4, 2))
+        spacing = int(rng.choice([1, *range(max(nt, nr), 5)]))
+        rows, cols = (int(v) for v in rng.integers(max(spacing, 3), 9, 2))
+        scene = _scene(rng.uniform([1, 1, 3], [3, 3, 3], (nt, 3)),
+                       rng.uniform([1, 1, 0], [3, 3, 0], (nr, 3)), wall_grid(rows, cols))
+        truth = CsiTensor(rng.uniform(0, 1, (rows * cols, nt * nr)), nt, nr)
+        ran = recorded_channel_blocks(monkeypatch, scene, truth, spacing)
+        index, _ = block_schedule(scene.grid, nt, nr, spacing)
+        oracle = np.stack([blockdiag_channel(truth.gains, blk) for blk in index])
+        assert_allclose(ran, oracle, rtol=1e-12, atol=0)
+
+
 def test_csi_tensor_rejects_negative_and_bad_shape():
     with pytest.raises(ValueError):
         CsiTensor(np.array([[-1.0]]), 1, 1)
     with pytest.raises(ShapeError):
         CsiTensor(np.zeros((4, 3)), 2, 2)
-
-
-def test_association_pattern_angle_selectivity():
-    with pytest.raises(ValueError):
-        AssociationPattern(G=np.array([[1, 1]]), F=np.array([[1]]))
-    pat = AssociationPattern(G=np.array([[1, 0], [0, 1]]),
-                             F=np.array([[0, 1], [1, 0]]))
-    # composite consistency with the elementwise product
-    for n in range(2):
-        for nr in range(2):
-            for nt in range(2):
-                assert pat.V[n, pair_column(nr, nt, 2)] == pat.F[n, nr] * pat.G[n, nt]
-
-
-def _random_instance(rng, n, nt, nr):
-    gains = rng.uniform(0, 1, size=(n, nt * nr))
-    tensor = CsiTensor(gains, nt, nr)
-    g = np.zeros((n, nt), dtype=int)
-    f = np.zeros((n, nr), dtype=int)
-    for e in range(n):
-        if rng.random() < 0.8:
-            g[e, rng.integers(nt)] = 1
-        if rng.random() < 0.8:
-            f[e, rng.integers(nr)] = 1
-    return tensor, AssociationPattern(g, f)
-
-
-def test_assemble_zero_pattern():
-    tensor = CsiTensor(np.ones((3, 4)), 2, 2)
-    pat = AssociationPattern(np.zeros((3, 2), int), np.zeros((3, 2), int))
-    assert_allclose(assemble_H(tensor, pat), np.zeros((2, 2)))
-
-
-def test_assemble_single_aligned_element():
-    tensor = CsiTensor(np.arange(1.0, 5.0).reshape(1, 4), 2, 2)
-    pat = AssociationPattern(np.array([[1, 0]]), np.array([[1, 0]]))
-    h = assemble_H(tensor, pat)
-    expected = np.zeros((2, 2))
-    expected[0, 0] = tensor.gains[0, pair_column(0, 0, 2)]
-    assert_allclose(h, expected)
-
-
-def test_assemble_matches_bruteforce_loop():
-    rng = np.random.default_rng(5)
-    tensor, pat = _random_instance(rng, 8, 2, 3)
-    h = assemble_H(tensor, pat)
-    assert h.shape == (3, 2)
-    for nr in range(3):
-        for nt in range(2):
-            want = sum(pat.F[n, nr] * pat.G[n, nt]
-                       * tensor.gains[n, pair_column(nr, nt, 3)] for n in range(8))
-            assert h[nr, nt] == pytest.approx(want, rel=1e-13, abs=1e-300)
-
-
-def test_direct_assembly_matches_blockdiag_route():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(1, 17))
-        nt = int(rng.integers(1, 4))
-        nr = int(rng.integers(1, 4))
-        tensor, pat = _random_instance(rng, n, nt, nr)
-        direct = assemble_H(tensor, pat)
-        stacked = vec_H_blkdiag(tensor, pat)
-        assert_allclose(stacked, direct.reshape(-1, order="F"),
-                        rtol=1e-12, atol=1e-300)
-
-
-def test_blockdiag_shape_mismatch():
-    tensor = CsiTensor(np.ones((3, 4)), 2, 2)
-    pat = AssociationPattern(np.zeros((4, 2), int), np.zeros((4, 2), int))
-    with pytest.raises(ShapeError):
-        vec_H_blkdiag(tensor, pat)
-    with pytest.raises(ShapeError):
-        assemble_H(tensor, pat)
 
 
 def test_rx_statistics_noiseless_and_deterministic():

@@ -1,22 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oirsvlc import (
     CoherenceReport,
+    ExperimentConfig,
     InfiniteCoherenceError,
     LinkGeometry,
     SingularGeometryError,
     TaylorCoeffs,
     ZeroGainError,
+    alignment_normal,
     coherence_distance,
     coherence_length_1d,
     coherence_profile,
     growth_rate_exact,
     growth_rate_taylor,
     normalize,
+    plane_basis_from,
     point_gain,
     taylor_coeffs,
 )
@@ -66,11 +72,13 @@ def test_growth_rate_odd_leading_term():
 
 
 def test_growth_rate_scale_invariant():
-    link = study_link()
+    # the gain constant cancels in the ratio: the study scene's gains give
+    # growth_rate_exact's value in either gain mode
     d = np.array([0.03, -0.02, 0.04])
-    a = growth_rate_exact(link, d, "unit")
-    b = growth_rate_exact(link, d, "lambertian")
-    assert a == pytest.approx(b, rel=1e-12)
+    for mode in ("unit", "lambertian"):
+        scene, link = replace(ExperimentConfig(), gain_mode=mode).build_single_link()
+        h0, h1 = (float(scene.gains(p)[0, 0]) for p in (link.element, link.element + d))
+        assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(link, d), rel=1e-12)
 
 
 def test_growth_rate_zero_gain():
@@ -231,7 +239,6 @@ def test_coherence_distance_study_geometry():
     # direction is the in-plane axis orthogonal to the mirror normal's
     # vertical plane (the room y axis)
     link = study_link()
-    from oirsvlc import alignment_normal, plane_basis_from
     axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
     report = coherence_distance(link, axes, 0.04, 360)
     assert report.d_c == pytest.approx(0.4631576655, abs=1e-9)
@@ -241,7 +248,6 @@ def test_coherence_distance_study_geometry():
 def test_coherence_distance_certificate():
     # the growth rate stays within the band across the certified interval
     link = study_link()
-    from oirsvlc import alignment_normal, plane_basis_from
     axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
     xi_c = 0.04
     report = coherence_distance(link, axes, xi_c, 360)
@@ -260,11 +266,25 @@ def test_coherence_distance_certificate():
 
 def test_coherence_distance_angular_convergence():
     link = study_link()
-    from oirsvlc import alignment_normal, plane_basis_from
     axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
     d64 = coherence_distance(link, axes, 0.04, 64).d_c
     d512 = coherence_distance(link, axes, 0.04, 512).d_c
     assert abs(d64 - d512) / d512 <= 0.01
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       shift=st.tuples(*[st.floats(-5, 5)] * 3))
+def test_coherence_distance_rigid_translation(seed, shift):
+    # moving LED, element and PD together changes no distance or angle
+    rng = np.random.default_rng(seed)
+    link = random_link(rng)
+    assume(usable(link))
+    axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
+    moved = LinkGeometry(link.led + shift, link.element + shift, link.pd + shift,
+                         link.led_normal, link.pd_normal, link.lambertian_order)
+    d_c = coherence_distance(link, axes, 0.04, 64).d_c
+    assert coherence_distance(moved, axes, 0.04, 64).d_c == pytest.approx(d_c, rel=1e-9)
 
 
 def test_coherence_distance_validates_inputs():

@@ -1,5 +1,6 @@
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oirsvlc import (
-    AssociationPattern,
     CsiTensor,
     ExperimentConfig,
     IdentifiabilityError,
@@ -17,10 +17,9 @@ from oirsvlc import (
     SceneConfig,
     ShapeError,
     SingularSystemError,
-    assemble_H,
+    SubarrayLayout,
     block_schedule,
     build_csi_tensor,
-    design_layout,
     flops_estimate,
     generate_pilots,
     interpolate_full,
@@ -30,8 +29,9 @@ from oirsvlc import (
     run_algorithm1,
     rx_statistics,
     spline_weights,
-    vec_H_blkdiag,
 )
+
+from channel_oracle import blockdiag_channel, recorded_channel_blocks
 
 
 def wall_grid(rows=24, cols=24):
@@ -61,21 +61,6 @@ def pair_field(estimate, layout, nr, nt):
     return estimate[:, pair_column(nr, nt, layout.n_pds)].reshape(layout.rows, layout.cols)
 
 
-def block_patterns(index, n_elements):
-    """Association pattern of every block of a (Q, Nr, Nt) schedule; the
-    AssociationPattern constructor rejects a block that is not angle selective."""
-    _, nr, nt = index.shape
-    patterns = []
-    for blk in index:
-        g = np.zeros((n_elements, nt), dtype=int)
-        f = np.zeros((n_elements, nr), dtype=int)
-        for r in range(nr):
-            for t in range(nt):
-                g[blk[r, t], t] = f[blk[r, t], r] = 1
-        patterns.append(AssociationPattern(g, f))
-    return patterns
-
-
 @pytest.mark.parametrize("spacing,expected_q", [(2, 144), (3, 64), (4, 36)])
 def test_design_pattern_subarray_counts(spacing, expected_q):
     index, layout = block_schedule(wall_grid(), 2, 2, spacing)
@@ -94,7 +79,7 @@ def test_design_pattern_degenerate_full_sampling():
 
 def test_design_pattern_layout_errors():
     with pytest.raises(LayoutError):
-        design_layout(wall_grid(), 2, 2, 1)        # block larger than subarray
+        SubarrayLayout(24, 24, 2, 2, 1)            # block larger than subarray
     with pytest.raises(LayoutError):
         block_schedule(wall_grid(3, 3), 2, 2, 4)   # grid smaller than one subarray
     with pytest.raises(LayoutError):
@@ -103,18 +88,21 @@ def test_design_pattern_layout_errors():
         block_schedule(wall_grid(1, 3), 2, 2, 1)   # dense baseline: 3 elements, 4 pairs
 
 
-def test_design_pattern_angle_selective_and_blockdiag_identity():
-    scene = desk_scene(6, 6)
+def test_design_pattern_angle_selective_and_blockdiag_identity(monkeypatch):
+    # three LEDs and two PDs, so a transposed (LED, PD) gather cannot hide
+    scene = SceneConfig(room=(4, 4, 3),
+                        led_positions=[(1.8, 2, 3), (2, 2, 3), (2.2, 2, 3)],
+                        led_normal=(0, 0, -1), lambertian_order=1.0,
+                        pd_positions=[(1.8, 2, 0), (2.2, 2, 0)],
+                        pd_normal=(0, 0, 1), pd_side=0.05,
+                        fov_semi_angle=np.pi / 2, grid=wall_grid(6, 6))
     tensor = build_csi_tensor(scene, "point")
-    pairs = np.array([[pair_column(nr, nt, 2) for nt in range(2)] for nr in range(2)])
     for spacing in (1, 3):
-        index, _ = block_schedule(scene.grid, 2, 2, spacing)
-        for blk, idx in zip(block_patterns(index, 36), index):
-            direct = assemble_H(tensor, blk)
-            stacked = vec_H_blkdiag(tensor, blk)
-            assert_allclose(stacked, direct.reshape(-1, order="F"), rtol=1e-12)
-            # the gather run_algorithm1 makes is the block's effective channel
-            assert_allclose(tensor.gains[idx, pairs], direct, rtol=1e-12)
+        index, _ = block_schedule(scene.grid, 3, 2, spacing)
+        assert all(len(set(blk.ravel().tolist())) == 6 for blk in index)
+        ran = recorded_channel_blocks(monkeypatch, scene, tensor, spacing)
+        oracle = np.stack([blockdiag_channel(tensor.gains, blk) for blk in index])
+        assert_allclose(ran, oracle, rtol=1e-12, atol=0)
 
 
 def test_design_pattern_sample_lattice():
@@ -134,8 +122,33 @@ def test_design_dense_pattern_covers_every_pair_once():
     for nr in range(2):
         for nt in range(2):
             assert sorted(index[:, nr, nt].tolist()) == list(range(9))
-    for blk in block_patterns(index, 9):
-        assert blk.V.sum() == 4
+    assert all(len(set(blk.ravel().tolist())) == 4 for blk in index)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_block_schedule_is_angle_selective(data):
+    # every block serves each pair from its own element; a subarray block
+    # stays inside its tile; the dense schedule covers each entry once
+    nt = data.draw(st.integers(1, 3), label="Nt")
+    nr = data.draw(st.integers(1, 3), label="Nr")
+    dense = data.draw(st.booleans(), label="dense") and max(nt, nr) > 1
+    spacing = 1 if dense else data.draw(st.integers(max(nt, nr), 6), label="spacing")
+    rows = data.draw(st.integers(1 if dense else spacing, 20), label="rows")
+    cols = data.draw(st.integers(max(spacing, -(-nt * nr // rows)), 20), label="cols")
+    index, layout = block_schedule(wall_grid(rows, cols), nt, nr, spacing)
+    assert (layout is None) == dense and index.shape[1:] == (nr, nt)
+    flat = np.sort(index.reshape(len(index), -1), axis=1)
+    assert np.all(np.diff(flat, axis=1) > 0)
+    assert flat.min() >= 0 and flat.max() < rows * cols
+    if layout is None:
+        for k in range(nt * nr):
+            assert_array_equal(np.sort(index[:, k % nr, k // nr]), np.arange(rows * cols))
+        return
+    q = data.draw(st.integers(0, layout.n_blocks - 1), label="block")
+    qv, qh = divmod(q, layout.q_h)
+    r, c = np.divmod(index[q], cols)
+    assert np.all((r // spacing == qv) & (c // spacing == qh))
 
 
 def statistics(H, X):
@@ -218,7 +231,7 @@ def test_gather_samples_noiseless_equals_truth():
 
 
 def test_interpolate_constant_field():
-    layout = design_layout(wall_grid(), 2, 2, 2)
+    layout = SubarrayLayout(24, 24, 2, 2, 2)
     field = interpolate_full(np.full((144, 2, 2), 3.7), layout)
     assert_allclose(field, np.full((576, 4), 3.7), atol=1e-12)
 
@@ -254,7 +267,7 @@ def test_interpolate_linear_fallback_few_samples():
 
 
 def test_interpolate_shape_check():
-    layout = design_layout(wall_grid(), 2, 2, 2)
+    layout = SubarrayLayout(24, 24, 2, 2, 2)
     with pytest.raises(ShapeError):
         interpolate_full(np.zeros((12, 12)), layout)
     with pytest.raises(ShapeError):
@@ -350,8 +363,7 @@ def test_run_algorithm1_exact_recovery_dense():
     result = run_algorithm1(scene, build_csi_tensor(scene, "point"), 1, pilot_slots=20,
                             sigma=0.0, seeds=[3])
     assert result.nmse.shape == (1,) and result.nmse[0] <= 1e-18
-    assert result.block_count == 64
-    assert result.csi_parameter_count == 64 * 4
+    assert result.flops_estimate == flops_estimate(2, 2, 20, 64)     # one block per element
 
 
 def test_run_algorithm1_noiseless_sampling_hits_samples():
@@ -366,7 +378,7 @@ def test_run_algorithm1_noiseless_sampling_hits_samples():
             idx = index[:, nr, nt]
             for gains in result.gains:
                 assert_allclose(gains[idx, k], tensor.gains[idx, k], atol=1e-9)
-    assert result.csi_parameter_count == 16 * 4
+    assert result.flops_estimate == flops_estimate(2, 2, 16, 2 * 16)  # 16 blocks per trial
 
 
 def test_run_algorithm1_deterministic():
@@ -415,6 +427,22 @@ def test_noise_monotonicity_smoke():
     assert levels[0] < levels[1]
 
 
+def test_gain_mode_changes_nmse_only_under_noise():
+    # sigma is absolute in gain units: the modes agree at sigma = 0, while at
+    # sigma = 1e-4 the far smaller "lambertian" gains drown in the noise
+    mean_nmse = {}
+    for mode in ("unit", "lambertian"):
+        config = replace(ExperimentConfig(), gain_mode=mode)
+        scene = config.build_scene()
+        truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
+        for sigma in (0.0, 1e-4):
+            result = run_algorithm1(scene, truth, 2, config.pilot_slots, sigma,
+                                    config.pilot_power, seeds=range(5))
+            mean_nmse[mode, sigma] = np.mean(result.nmse)
+    assert mean_nmse["lambertian", 0.0] == pytest.approx(mean_nmse["unit", 0.0], rel=1e-9)
+    assert 10 * np.log10(mean_nmse["lambertian", 1e-4] / mean_nmse["unit", 1e-4]) > 20.0
+
+
 @pytest.mark.parametrize("spacing", [1, 2, 3])
 def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
     # trials split over two CPUs still give each seed's one-trial result
@@ -428,7 +456,6 @@ def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
     assert np.array_equal(batch.gains, np.concatenate([r.gains for r in singles]))
     assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
     assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
-    assert batch.block_count == singles[0].block_count
 
 
 def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
