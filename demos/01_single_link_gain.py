@@ -43,7 +43,7 @@ print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
       f"{absolute.gains(ELEMENT)[0, 0]:.3e}")
 u, v = plane_basis_from(mirror)
 for order in (1, 2, 4, 8, 16):
-    g = build_csi_tensor(scene, "quadrature", order).gains[0, 0]
+    g = build_csi_tensor(scene, "quadrature", order)[0, 0, 0]
     print(f"aperture average, {order}x{order} sub-points: {g:.8f} "
           f"(vs point {abs(g - g_point) / g_point:.2e} relative)")
 

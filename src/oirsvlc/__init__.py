@@ -8,13 +8,11 @@ Layers, bottom up: `geometry` (points, grids, reflection-law normals),
 """
 
 from .channel import (
-    CsiTensor,
     LinkGeometry,
     SceneConfig,
     aperture_points,
     build_csi_tensor,
     generate_pilots,
-    pair_column,
     pair_gains,
     point_gain,
     rx_statistics,
@@ -33,7 +31,6 @@ from .errors import (
     ConfigError,
     DegenerateGeometryError,
     IdentifiabilityError,
-    InfiniteCoherenceError,
     LayoutError,
     OirsVlcError,
     ShapeError,

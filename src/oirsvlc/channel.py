@@ -204,41 +204,10 @@ class SceneConfig:
                             self.fov_semi_angle)
 
 
-def pair_column(nr: int, nt: int, n_pds: int) -> int:
-    """Column of PD `nr` / LED `nt` (0-based) in the stacked CSI tensor."""
-    return nt * n_pds + nr
-
-
-@dataclass(frozen=True)
-class CsiTensor:
-    """Per-element channel gains for every (LED, PD) pair.
-
-    gains[n, k] is the gain via element n for pair column
-    k = pair_column(nr, nt, n_pds); columns run through PDs fastest.
-    """
-
-    gains: np.ndarray
-    n_leds: int
-    n_pds: int
-
-    def __post_init__(self):
-        g = np.asarray(self.gains, dtype=float)
-        if g.ndim != 2 or g.shape[1] != self.n_leds * self.n_pds:
-            raise ShapeError(f"gains must be (N, {self.n_leds * self.n_pds}), got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
-        if np.any(g < 0.0):
-            raise ValueError("gains must be nonnegative")
-        object.__setattr__(self, "gains", _frozen(g))
-
-    @property
-    def n_elements(self) -> int:
-        return self.gains.shape[0]
-
-
 def build_csi_tensor(scene: SceneConfig, model: str = "point",
-                     quadrature_order: int = 8) -> CsiTensor:
-    """Ground-truth CSI tensor for every element and (LED, PD) pair.
+                     quadrature_order: int = 8) -> np.ndarray:
+    """Ground-truth CSI: the read-only (N, Nr, Nt) gains of every element for
+    every (PD, LED) pair.
 
     model="point" evaluates each link at the element center; "quadrature"
     averages the point model over each element's square aperture with the
@@ -250,10 +219,9 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
         raise ValueError(f"unknown truth model {model!r}")
     grid = scene.grid
     order = 1 if model == "point" else int(quadrature_order)
-    g = scene.gains(aperture_points(grid, element_positions(grid), order)).mean(axis=1)
-    # column k = nt * Nr + nr
-    gains = g.transpose(0, 2, 1).reshape(grid.n_elements, scene.n_leds * scene.n_pds)
-    return CsiTensor(gains, scene.n_leds, scene.n_pds)
+    gains = scene.gains(aperture_points(grid, element_positions(grid), order)).mean(axis=1)
+    gains.flags.writeable = False
+    return gains
 
 
 def generate_pilots(n_leds: int, n_slots: int, power: float, seed,

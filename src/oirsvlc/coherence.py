@@ -25,11 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkGeometry, point_gain
-from .errors import (
-    InfiniteCoherenceError,
-    SingularGeometryError,
-    ZeroGainError,
-)
+from .errors import SingularGeometryError, ZeroGainError
 from .geometry import _frozen, as_vec3, is_unit
 
 _COS_EPS = 1e-9
@@ -115,13 +111,12 @@ def coherence_length_1d(A: float, B: float, xi_c: float) -> float:
     Quadratic branch while the parabola's extremum stays within the band
     (B^2 <= 4 |A| xi_c); tangent-line bound 2 xi_c / |B| otherwise. A near-
     zero quadratic coefficient bypasses the quadratic branch to avoid
-    dividing by A. A flat profile (A = B = 0) has no finite length and
-    raises InfiniteCoherenceError.
+    dividing by A. A flat profile (A = B = 0) has no finite length: +inf.
     """
     if xi_c <= 0.0:
         raise ValueError("xi_c must be positive")
     if A == 0.0 and B == 0.0:
-        raise InfiniteCoherenceError("flat gain profile along this direction")
+        return math.inf
     eps_a = 1e-12 * max(1.0, B * B / xi_c)
     if abs(A) <= eps_a:
         if B == 0.0:
@@ -161,10 +156,7 @@ def _direction_length(coeffs: TaylorCoeffs, direction, xi_c: float) -> float:
     e = direction
     a = 0.5 * float(e @ coeffs.S2 @ e)
     b = float(coeffs.s1 @ e)
-    try:
-        return coherence_length_1d(a, b, xi_c)
-    except InfiniteCoherenceError:
-        return math.inf
+    return coherence_length_1d(a, b, xi_c)
 
 
 def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float,

@@ -21,13 +21,6 @@ class SingularGeometryError(OirsVlcError):
     """Taylor coefficients diverge (incidence cosine at or below zero)."""
 
 
-class InfiniteCoherenceError(OirsVlcError):
-    """Flat gain profile: the coherence length is unbounded.
-
-    Callers that minimize over directions treat this as +inf.
-    """
-
-
 class SingularSystemError(OirsVlcError):
     """Ridge system not invertible (rank-deficient pilots at sigma = 0)."""
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import CsiTensor, SceneConfig, generate_pilots, pair_column, rx_statistics
+from .channel import SceneConfig, generate_pilots, rx_statistics
 from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
 from .geometry import OirsGrid
 
@@ -85,7 +85,7 @@ def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
     (nr, nt) pair, shaped (Q, Nr, Nt). With spacing > 1, or a single LED and
     PD, block q is subarray q of the layout. Otherwise it is the dense
     baseline, with layout None: one block per element, block q aligning
-    element (q + k) mod N with pair column k = nt * Nr + nr, so each element
+    element (q + k) mod N with pair k = nt * Nr + nr, so each element
     serves every pair in exactly one block while every block stays angle
     selective.
     """
@@ -127,8 +127,8 @@ def nmse(estimate, truth):
     `estimate` may carry leading trial axes before the truth's shape; the
     result then has those axes, one NMSE per trial, and is a float otherwise.
     """
-    est = np.asarray(getattr(estimate, "gains", estimate), dtype=float)
-    ref = np.asarray(getattr(truth, "gains", truth), dtype=float)
+    est = np.asarray(estimate, dtype=float)
+    ref = np.asarray(truth, dtype=float)
     lead = est.ndim - ref.ndim
     if lead < 0 or est.shape[lead:] != ref.shape:
         raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
@@ -195,11 +195,11 @@ def recovery_operators(layout: SubarrayLayout):
 
 
 def interpolate_full(block_estimates: np.ndarray, layout: SubarrayLayout) -> np.ndarray:
-    """Recover the (..., N, Nt*Nr) CSI estimate of every pair from (..., Q, Nr, Nt)
+    """Recover the (..., N, Nr, Nt) CSI estimate of every pair from (..., Q, Nr, Nt)
     block estimates; leading (trial) axes are kept.
 
     Pair (nr, nt)'s field R[nr] @ S[nr, nt] @ C[nt].T, exact at its samples
-    S[nr, nt] (blocks q = qv * q_h + qh), fills column pair_column(nr, nt, Nr).
+    S[nr, nt] (blocks q = qv * q_h + qh), fills [..., nr, nt] of the result.
     """
     est = np.asarray(block_estimates, dtype=float)
     shape = (layout.n_blocks, layout.n_pds, layout.n_leds)
@@ -211,8 +211,8 @@ def interpolate_full(block_estimates: np.ndarray, layout: SubarrayLayout) -> np.
     s = est.reshape(*lead, layout.q_v, layout.q_h, layout.n_pds, layout.n_leds)
     s = np.moveaxis(s, (-4, -3), (-2, -1))                     # (..., Nr, Nt, q_v, q_h)
     fields = r[:, None] @ s @ np.swapaxes(c, -1, -2)         # (..., Nr, Nt, rows, cols)
-    fields = np.moveaxis(fields, (-4, -3), (-1, -2))         # (..., rows, cols, Nt, Nr)
-    return fields.reshape(*lead, layout.rows * layout.cols, -1)
+    fields = np.moveaxis(fields, (-4, -3), (-2, -1))         # (..., rows, cols, Nr, Nt)
+    return fields.reshape(*lead, layout.rows * layout.cols, layout.n_pds, layout.n_leds)
 
 
 def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> int:
@@ -279,11 +279,11 @@ def _in_chunks(task, n_items: int):
             raise exc
 
 
-def run_algorithm1(scene: SceneConfig, truth: CsiTensor, spacing: int,
+def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
                    pilot_slots: int = 100, sigma: float = 0.0,
                    pilot_power: float = 1.0, seeds=(0,)) -> EstimationResult:
     """Estimation passes, one per seed: design, per-block estimation, recovery,
-    NMSE vs `truth`.
+    NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see `build_csi_tensor`).
 
     Trial t draws from its own stream `default_rng(seeds[t])`: the pilots of
     every block, then the noise only when sigma > 0, block q consuming slice
@@ -296,16 +296,21 @@ def run_algorithm1(scene: SceneConfig, truth: CsiTensor, spacing: int,
     exactly up to round-off.
     """
     nt, nr = scene.n_leds, scene.n_pds
-    if (truth.n_elements, truth.n_leds, truth.n_pds) != (scene.grid.n_elements, nt, nr):
-        raise ShapeError(f"truth is {truth.n_elements} elements x {truth.n_leds} LEDs x "
-                         f"{truth.n_pds} PDs, not {scene.grid.n_elements} x {nt} x {nr}")
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (scene.grid.n_elements, nr, nt):
+        raise ShapeError(f"truth must be (N, Nr, Nt) = ({scene.grid.n_elements}, {nr}, {nt}), "
+                         f"got {truth.shape}")
+    if not np.all(np.isfinite(truth)):
+        raise ValueError("truth gains must be finite")
+    if np.any(truth < 0.0):
+        raise ValueError("truth gains must be nonnegative")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must name at least one trial")
     index, layout = block_schedule(scene.grid, nt, nr, spacing)
     q_blocks = index.shape[0]
-    pairs = pair_column(np.arange(nr)[:, None], np.arange(nt), nr)    # (Nr, Nt)
-    h_blocks = truth.gains[index, pairs]
+    pd_index, led_index = np.ix_(range(nr), range(nt))
+    h_blocks = truth[index, pd_index, led_index]                      # (Q, Nr, Nt)
     h_est = np.empty((len(seeds), q_blocks, nr, nt))
 
     def solve(lo, hi):
@@ -319,8 +324,8 @@ def run_algorithm1(scene: SceneConfig, truth: CsiTensor, spacing: int,
     if layout is None:
         # the dense schedule holds every (element, pair) entry exactly once
         errors = nmse(h_est, h_blocks)
-        est = np.zeros((len(seeds), *truth.gains.shape))
-        est[:, index, pairs] = h_est
+        est = np.zeros((len(seeds), *truth.shape))
+        est[:, index, pd_index, led_index] = h_est
     else:
         est = interpolate_full(h_est, layout)
         errors = nmse(est, truth)

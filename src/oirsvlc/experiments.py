@@ -78,29 +78,9 @@ class ExperimentConfig:
 
     def build_scene(self) -> SceneConfig:
         """Desk-scale MIMO scene with the grid on the y = 0 wall."""
-        grid = OirsGrid(
-            center=self.grid_center,
-            axis_u=(1.0, 0.0, 0.0),
-            axis_v=(0.0, 0.0, 1.0),
-            normal=(0.0, -1.0, 0.0),
-            rows=self.grid_rows,
-            cols=self.grid_cols,
-            element_size=self.grid_element_size,
-            element_pitch=self.grid_pitch,
-            reflectivity=self.grid_reflectivity,
-        )
-        return SceneConfig(
-            room=self.room,
-            led_positions=self.led_positions,
-            led_normal=self.led_normal,
-            lambertian_order=self.lambertian_order,
-            pd_positions=self.pd_positions,
-            pd_normal=self.pd_normal,
-            pd_side=self.pd_side,
-            fov_semi_angle=self.fov_semi_angle,
-            grid=grid,
-            gain_mode=self.gain_mode,
-        )
+        return self._scene(self.led_positions, self.pd_positions, self.grid_center,
+                           ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), (0.0, -1.0, 0.0),
+                           self.grid_rows, self.grid_cols)
 
     def build_single_link(self):
         """Single LED/element/PD study geometry for the gain and coherence runs.
@@ -111,32 +91,37 @@ class ExperimentConfig:
         """
         normal = alignment_normal(self.coherence_led, self.coherence_element,
                                   self.coherence_pd)
-        axis_u, axis_v = plane_basis_from(normal)
+        scene = self._scene((self.coherence_led,), (self.coherence_pd,),
+                            self.coherence_element, plane_basis_from(normal), normal, 1, 1)
+        link = scene.link(0, scene.grid.center, 0)
+        return scene, link
+
+    def _scene(self, leds, pds, center, axes, normal, rows, cols) -> SceneConfig:
+        """Scene with these LEDs, PDs and grid placement; the room, beams,
+        element size, pitch, reflectivity and gain mode come from the config."""
         grid = OirsGrid(
-            center=self.coherence_element,
-            axis_u=axis_u,
-            axis_v=axis_v,
+            center=center,
+            axis_u=axes[0],
+            axis_v=axes[1],
             normal=normal,
-            rows=1,
-            cols=1,
+            rows=rows,
+            cols=cols,
             element_size=self.grid_element_size,
             element_pitch=self.grid_pitch,
             reflectivity=self.grid_reflectivity,
         )
-        scene = SceneConfig(
+        return SceneConfig(
             room=self.room,
-            led_positions=(self.coherence_led,),
+            led_positions=leds,
             led_normal=self.led_normal,
             lambertian_order=self.lambertian_order,
-            pd_positions=(self.coherence_pd,),
+            pd_positions=pds,
             pd_normal=self.pd_normal,
             pd_side=self.pd_side,
             fov_semi_angle=self.fov_semi_angle,
             grid=grid,
             gain_mode=self.gain_mode,
         )
-        link = scene.link(0, grid.center, 0)
-        return scene, link
 
 
 def _parse_float(key, text):
@@ -414,7 +399,7 @@ def run_noise_sweep(config: ExperimentConfig):
     """
     scene = config.build_scene()
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
-    if not np.any(truth.gains):
+    if not np.any(truth):
         raise ZeroReferenceError("truth tensor is identically zero: every element "
                                  "lies outside a LED beam or the PD field of view")
     rows = []

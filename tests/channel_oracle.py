@@ -3,14 +3,31 @@
 Block q of the schedule aligns element index[q, nr, nt] with pair (nr, nt).
 Its composite association V_q (N, K) holds V_q[n, k] = 1 when element n
 serves pair column k, and its effective channel is the association-weighted
-sum of the per-element CSI: vec(H_q) = blkdiag(v_q)^T vec(h). The helpers
-here build that product literally and record the channel blocks that
+sum of the per-element CSI: vec(H_q) = blkdiag(v_q)^T vec(h), where h (N, K)
+holds the (N, Nr, Nt) CSI in the columns of vec(H) order. The helpers here
+build that product literally and record the channel blocks that
 `run_algorithm1` actually estimates, so the two can be compared.
 """
 
 import numpy as np
 
-from oirsvlc import estimator, pair_column, run_algorithm1
+from oirsvlc import estimator, run_algorithm1
+
+
+def pair_column(nr, nt, n_pds):
+    """Column k of pair (PD nr, LED nt) in vec(H) order: PDs run fastest."""
+    return nt * n_pds + nr
+
+
+def csi_columns(truth):
+    """(N, K) matrix h of an (N, Nr, Nt) CSI array: column pair_column(nr, nt, Nr)
+    holds pair (nr, nt) over every element."""
+    n, n_pds, n_leds = truth.shape
+    h = np.zeros((n, n_pds * n_leds))
+    for nr in range(n_pds):
+        for nt in range(n_leds):
+            h[:, pair_column(nr, nt, n_pds)] = truth[:, nr, nt]
+    return h
 
 
 def association(block, n_elements):
@@ -23,13 +40,15 @@ def association(block, n_elements):
     return v
 
 
-def blockdiag_channel(gains, block):
-    """(Nr, Nt) channel of one schedule block as vec(H) = blkdiag(v)^T vec(h).
+def blockdiag_channel(truth, block):
+    """(Nr, Nt) channel of one schedule block of an (N, Nr, Nt) CSI array as
+    vec(H) = blkdiag(v)^T vec(h).
 
     blkdiag(v) is the (N*K, K) matrix whose k-th diagonal block is column k
     of the block's association; vec stacks columns, so vec(h) runs through
     every element of pair column 0 first and vec(H) through the PDs first.
     """
+    gains = csi_columns(truth)
     n, k = gains.shape
     v = association(block, n)
     blk = np.zeros((n * k, k))

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from oirsvlc import (
     CoherenceReport,
     ExperimentConfig,
-    InfiniteCoherenceError,
     LinkGeometry,
     SingularGeometryError,
     TaylorCoeffs,
@@ -159,8 +158,7 @@ def test_coherence_length_mixed_case_with_root_scan():
 
 
 def test_coherence_length_flat_profile():
-    with pytest.raises(InfiniteCoherenceError):
-        coherence_length_1d(0.0, 0.0, 0.04)
+    assert coherence_length_1d(0.0, 0.0, 0.04) == math.inf
     with pytest.raises(ValueError):
         coherence_length_1d(1.0, 1.0, 0.0)
 

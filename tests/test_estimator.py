@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oirsvlc import (
-    CsiTensor,
     ExperimentConfig,
     IdentifiabilityError,
     LayoutError,
@@ -24,7 +23,6 @@ from oirsvlc import (
     generate_pilots,
     interpolate_full,
     mmse_estimate,
-    pair_column,
     recovery_operators,
     run_algorithm1,
     rx_statistics,
@@ -57,8 +55,8 @@ def sampled_lattice(rows, cols, n_leds, n_pds, spacing):
 
 
 def pair_field(estimate, layout, nr, nt):
-    """(rows, cols) field of pair (nr, nt) in an (N, Nt*Nr) estimate."""
-    return estimate[:, pair_column(nr, nt, layout.n_pds)].reshape(layout.rows, layout.cols)
+    """(rows, cols) field of pair (nr, nt) in an (N, Nr, Nt) estimate."""
+    return estimate[:, nr, nt].reshape(layout.rows, layout.cols)
 
 
 @pytest.mark.parametrize("spacing,expected_q", [(2, 144), (3, 64), (4, 36)])
@@ -101,7 +99,7 @@ def test_design_pattern_angle_selective_and_blockdiag_identity(monkeypatch):
         index, _ = block_schedule(scene.grid, 3, 2, spacing)
         assert all(len(set(blk.ravel().tolist())) == 6 for blk in index)
         ran = recorded_channel_blocks(monkeypatch, scene, tensor, spacing)
-        oracle = np.stack([blockdiag_channel(tensor.gains, blk) for blk in index])
+        oracle = np.stack([blockdiag_channel(tensor, blk) for blk in index])
         assert_allclose(ran, oracle, rtol=1e-12, atol=0)
 
 
@@ -214,26 +212,26 @@ def test_mmse_noiseless_exact_for_full_rank_pilots(data):
     assert_allclose(est, H, rtol=1e-9, atol=1e-9 * np.max(np.abs(H)))
 
 
-def test_gather_samples_noiseless_equals_truth():
+def test_noiseless_ridge_returns_truth_on_sample_lattice():
     # the schedule's gather of pair (nr, nt), reshaped (q_v, q_h), is the
     # truth on that pair's sample lattice, and noiseless Phase II returns it
     scene = desk_scene(8, 8)
     index, layout = block_schedule(scene.grid, 2, 2, 2)
     tensor = build_csi_tensor(scene, "point")
-    pairs = pair_column(np.arange(2)[:, None], np.arange(2), 2)
     x = generate_pilots(2, 16, 1.0, 4, (layout.n_blocks,))
-    est = mmse_estimate(*rx_statistics(tensor.gains[index, pairs], x, 0.0, 4), 0.0)
+    blocks = tensor[index, np.arange(2)[:, None], np.arange(2)]
+    est = mmse_estimate(*rx_statistics(blocks, x, 0.0, 4), 0.0)
     for nr in range(2):
         for nt in range(2):
             grid_vals = est[:, nr, nt].reshape(layout.q_v, layout.q_h)
-            truth_vals = tensor.gains[:, pair_column(nr, nt, 2)].reshape(8, 8)
+            truth_vals = tensor[:, nr, nt].reshape(8, 8)
             assert_allclose(grid_vals, truth_vals[nr::2, nt::2], atol=1e-9)
 
 
 def test_interpolate_constant_field():
     layout = SubarrayLayout(24, 24, 2, 2, 2)
     field = interpolate_full(np.full((144, 2, 2), 3.7), layout)
-    assert_allclose(field, np.full((576, 4), 3.7), atol=1e-12)
+    assert_allclose(field, np.full((576, 2, 2), 3.7), atol=1e-12)
 
 
 def test_interpolate_exact_at_sample_points():
@@ -255,7 +253,8 @@ def test_interpolate_reproduces_affine_fields():
     layout, rows, cols = sampled_lattice(24, 24, 2, 2, 2)
     field = interpolate_full(0.3 + 1.7 * rows - 0.6 * cols, layout)
     rr, cc = np.divmod(np.arange(576), 24)
-    assert_allclose(field, np.tile((0.3 + 1.7 * rr - 0.6 * cc)[:, None], 4), atol=1e-10)
+    assert_allclose(field, np.tile((0.3 + 1.7 * rr - 0.6 * cc)[:, None, None], (2, 2)),
+                    atol=1e-10)
 
 
 def test_interpolate_linear_fallback_few_samples():
@@ -263,7 +262,8 @@ def test_interpolate_linear_fallback_few_samples():
     layout, rows, cols = sampled_lattice(6, 6, 2, 2, 2)
     field = interpolate_full(1.0 + 2.0 * rows + 0.5 * cols, layout)
     rr, cc = np.divmod(np.arange(36), 6)
-    assert_allclose(field, np.tile((1.0 + 2.0 * rr + 0.5 * cc)[:, None], 4), atol=1e-10)
+    assert_allclose(field, np.tile((1.0 + 2.0 * rr + 0.5 * cc)[:, None, None], (2, 2)),
+                    atol=1e-10)
 
 
 def test_interpolate_shape_check():
@@ -302,7 +302,7 @@ def test_recovery_operator_properties(spacing, q_class, data):
     b = b if q_h > 1 else 0.0
     field = interpolate_full(a * s_rows + b * s_cols + c, layout)
     rr, cc = np.divmod(np.arange(rows * cols), cols)
-    expected = np.tile((a * rr + b * cc + c)[:, None], spacing * spacing)
+    expected = np.tile((a * rr + b * cc + c)[:, None, None], (spacing, spacing))
     assert_allclose(field, expected, rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(expected))))
 
 
@@ -310,7 +310,7 @@ def test_recovery_operator_properties(spacing, q_class, data):
 @given(data=st.data())
 def test_interpolate_full_puts_each_pair_in_its_column(data):
     # a distinct affine field per pair, with Nr != Nt allowed, must land in
-    # column pair_column(nr, nt, Nr) of the all-pairs estimate
+    # [:, nr, nt] of the all-pairs estimate
     spacing = data.draw(st.integers(2, 5), label="spacing")
     n_pds = data.draw(st.integers(1, spacing), label="Nr")
     n_leds = data.draw(st.integers(1, spacing), label="Nt")
@@ -321,12 +321,12 @@ def test_interpolate_full_puts_each_pair_in_its_column(data):
     a, b, c = coef.reshape(3, n_pds, n_leds)
     layout, s_rows, s_cols = sampled_lattice(rows, cols, n_leds, n_pds, spacing)
     field = interpolate_full(a * s_rows + b * s_cols + c, layout)
-    assert field.shape == (rows * cols, n_leds * n_pds)
+    assert field.shape == (rows * cols, n_pds, n_leds)
     rr, cc = np.divmod(np.arange(rows * cols), cols)
     for nr in range(n_pds):
         for nt in range(n_leds):
             expected = a[nr, nt] * rr + b[nr, nt] * cc + c[nr, nt]
-            assert_allclose(field[:, pair_column(nr, nt, n_pds)], expected, rtol=0,
+            assert_allclose(field[:, nr, nt], expected, rtol=0,
                             atol=1e-12 * (1.0 + np.max(np.abs(expected))))
 
 
@@ -370,14 +370,13 @@ def test_run_algorithm1_noiseless_sampling_hits_samples():
     scene = desk_scene(8, 8)
     tensor = build_csi_tensor(scene, "point")
     result = run_algorithm1(scene, tensor, 2, pilot_slots=16, sigma=0.0, seeds=[9, 10])
-    assert result.gains.shape == (2, *tensor.gains.shape)
+    assert result.gains.shape == (2, *tensor.shape)
     index, _ = block_schedule(scene.grid, 2, 2, 2)
     for nr in range(2):
         for nt in range(2):
-            k = pair_column(nr, nt, 2)
             idx = index[:, nr, nt]
             for gains in result.gains:
-                assert_allclose(gains[idx, k], tensor.gains[idx, k], atol=1e-9)
+                assert_allclose(gains[idx, nr, nt], tensor[idx, nr, nt], atol=1e-9)
     assert result.flops_estimate == flops_estimate(2, 2, 16, 2 * 16)  # 16 blocks per trial
 
 
@@ -406,13 +405,37 @@ def test_run_algorithm1_rejects_truth_of_another_scene(monkeypatch):
                          fov_semi_angle=np.pi / 2, grid=wall_grid(8, 8))
     wrong = [build_csi_tensor(desk_scene(24, 24)),      # element count
              build_csi_tensor(one_pd),                  # PD count
-             CsiTensor(np.ones((64, 4)), 4, 1)]         # LED and PD counts, same columns
+             np.ones((64, 1, 4))]                       # 4 LEDs x 1 PD, same entry count
     draws = []
     monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
     for truth in wrong:
         with pytest.raises(ShapeError):
             run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4)
     assert draws == []        # rejected before any random draw
+
+
+def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
+    # a truth with a NaN, a negative gain or the flat (N, Nt*Nr) layout fails
+    # before any pilot is drawn; a valid one draws once
+    scene = desk_scene(8, 8)
+    good = build_csi_tensor(scene)
+    with_nan, negative = good.copy(), good.copy()
+    with_nan[5, 1, 0] = np.nan
+    negative[7, 0, 1] = -1e-9
+    draws = []
+
+    def pilots(*args, **kwargs):
+        draws.append(args)
+        return generate_pilots(*args, **kwargs)
+
+    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    for truth, error in ((with_nan, ValueError), (negative, ValueError),
+                         (good.transpose(0, 2, 1).reshape(64, 4), ShapeError)):
+        with pytest.raises(error):
+            run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4)
+    assert draws == []
+    run_algorithm1(scene, good, 2, pilot_slots=16, sigma=1e-4)
+    assert len(draws) == 1
 
 
 def test_noise_monotonicity_smoke():
