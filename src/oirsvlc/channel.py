@@ -35,7 +35,7 @@ from .geometry import (
 )
 
 GAIN_MODES = ("unit", "lambertian")
-NOISE_CHUNK_BLOCKS = 128    # blocks of receiver noise drawn at a time
+APERTURE_CHUNK_POINTS = 1 << 14    # aperture sub-points evaluated at a time
 
 
 def _check_beam(lambertian_order: float, fov_semi_angle: float):
@@ -204,6 +204,24 @@ class SceneConfig:
                             self.fov_semi_angle)
 
 
+def aperture_gain(scene: SceneConfig, centers, order: int) -> np.ndarray:
+    """Aperture-averaged gains of `scene`: (M, 3) element centers -> (M, Nr, Nt).
+
+    The midpoint rule of `aperture_points` with the given order, evaluated
+    for as many centers at a time as fit in APERTURE_CHUNK_POINTS sub-points,
+    so memory stays bounded on any grid. Each center's average does not
+    depend on the chunk it falls in.
+    """
+    centers = np.asarray(centers, dtype=float)
+    gains = np.empty((len(centers), scene.n_pds, scene.n_leds))
+    # centers per chunk; aperture_points refuses order < 1
+    step = max(1, APERTURE_CHUNK_POINTS // max(1, order) ** 2)
+    for lo in range(0, len(centers), step):
+        sub = aperture_points(scene.grid, centers[lo:lo + step], order)
+        gains[lo:lo + step] = scene.gains(sub).mean(axis=1)
+    return gains
+
+
 def build_csi_tensor(scene: SceneConfig, model: str = "point",
                      quadrature_order: int = 8) -> np.ndarray:
     """Ground-truth CSI: the read-only (N, Nr, Nt) gains of every element for
@@ -213,13 +231,13 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
     averages the point model over each element's square aperture with the
     given midpoint order. Each element is taken as aligned (its mirror
     normal set by the reflection law for the link being evaluated), which
-    the point-source bound leaves implicit.
+    the point-source bound leaves implicit. Both fill the result one chunk
+    of elements at a time through `aperture_gain`.
     """
     if model not in ("point", "quadrature"):
         raise ValueError(f"unknown truth model {model!r}")
-    grid = scene.grid
     order = 1 if model == "point" else int(quadrature_order)
-    gains = scene.gains(aperture_points(grid, element_positions(grid), order)).mean(axis=1)
+    gains = aperture_gain(scene, element_positions(scene.grid), order)
     gains.flags.writeable = False
     return gains
 
@@ -231,9 +249,10 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
 
     Uniform nonnegative entries keep X X^T well conditioned with high
     probability under the intensity-modulation constraint. `seed` may be a
-    Generator, which is drawn from in place. Given `out`, a float64 array
-    of that shape, the pilots are drawn into it; the bits equal
-    `uniform(0, 2*power)` either way.
+    Generator, which is drawn from in place, one stream word per pilot
+    value (see `trial_streams`). Given `out`, a float64 array of that shape,
+    the pilots are drawn into it; the bits equal `uniform(0, 2*power)`
+    either way.
     """
     if n_slots < n_leds:
         raise IdentifiabilityError(
@@ -246,6 +265,20 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
     return x
 
 
+def trial_streams(seed, n_pilot_values: int):
+    """Two cursors (pilots, noise) on the one stream `default_rng(seed)`.
+
+    The pilot cursor starts at the seed. `Generator.random` takes exactly one
+    64-bit PCG64 word per float64, so the noise cursor, advanced by
+    `n_pilot_values` words in O(log n), starts where that many pilot values
+    end. Drawing pilots and noise in alternating chunks through the two
+    cursors thus gives the bits of drawing every pilot and then every noise
+    sample from one generator. `seed` is anything PCG64 accepts.
+    """
+    return (np.random.Generator(np.random.PCG64(seed)),
+            np.random.Generator(np.random.PCG64(seed).advance(n_pilot_values)))
+
+
 def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     """What the ridge solve reads of the received blocks Y = H X + sigma Z.
 
@@ -253,9 +286,9 @@ def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     Returns the Gram matrices G = X X^T, (..., Nt, Nt), and the cross terms
     X Y^T = G H^T + sigma X Z^T, (..., Nt, Nr); Y itself is never formed.
     Z, (..., Nr, P), is i.i.d. standard normal in C order from `seed` (a
-    Generator is drawn from in place), only when sigma > 0, so sigma = 0
-    draws nothing. It is drawn NOISE_CHUNK_BLOCKS blocks at a time, so Z is
-    never held whole.
+    Generator, such as the noise cursor of `trial_streams`, is drawn from
+    in place), only when sigma > 0, so sigma = 0 draws nothing. Callers
+    bound its memory by passing one chunk of blocks at a time.
     """
     H = np.asarray(H, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -266,12 +299,6 @@ def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     gram = X @ np.swapaxes(X, -1, -2)
     cross = gram @ np.swapaxes(H, -1, -2)
     if sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        n_rx, n_tx, slots = H.shape[-2], H.shape[-1], X.shape[-1]
-        xs = X.reshape(-1, n_tx, slots)
-        cs = cross.reshape(-1, n_tx, n_rx)
-        noise = np.empty((min(len(xs), NOISE_CHUNK_BLOCKS), n_rx, slots))
-        for lo in range(0, len(xs), len(noise)):
-            z = rng.standard_normal(out=noise[:len(xs) - lo])
-            cs[lo:lo + len(z)] += sigma * (xs[lo:lo + len(z)] @ np.swapaxes(z, -1, -2))
+        z = np.random.default_rng(seed).standard_normal((*H.shape[:-1], X.shape[-1]))
+        cross += sigma * (X @ np.swapaxes(z, -1, -2))
     return gram, cross

@@ -18,8 +18,10 @@ per element with a rotating pair assignment.
 
 `run_algorithm1` runs a batch of Monte-Carlo trials, one seed stream each.
 Phase II reads the received blocks Y = H X + sigma Z only through X X^T and
-X Y^T, so Y is never formed, and the trials' draws and solves are spread
-over the process's CPUs.
+X Y^T, so Y is never formed. It draws, reads and solves CHUNK_BLOCKS blocks
+at a time, the pilots and the noise through two cursors on the trial's one
+stream (`trial_streams`), so no trial holds all its pilots or noise at once.
+The trials' draws and solves are spread over the process's CPUs.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import SceneConfig, generate_pilots, rx_statistics
+from .channel import SceneConfig, generate_pilots, rx_statistics, trial_streams
 from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
 from .geometry import OirsGrid
+
+CHUNK_BLOCKS = 576    # Phase II blocks drawn and solved at a time: a 24 x 24 dense schedule
 
 
 @dataclass(frozen=True)
@@ -285,13 +289,17 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     """Estimation passes, one per seed: design, per-block estimation, recovery,
     NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see `build_csi_tensor`).
 
-    Trial t draws from its own stream `default_rng(seeds[t])`: the pilots of
-    every block, then the noise only when sigma > 0, block q consuming slice
-    q. The trials are split into contiguous chunks, one per CPU the process
-    may run on; the calling thread solves one chunk and plain threads the
-    rest, while Phase III and the NMSE run once over the trial axis on the
-    calling thread. So a trial's result depends on its seed alone, not on
-    the other seeds or on the CPU count.
+    Trial t reads its own stream `default_rng(seeds[t])`: the pilots of
+    every block, then the noise only when sigma > 0, block q consuming
+    slice q. It reads them through the two cursors of `trial_streams`, one
+    chunk of CHUNK_BLOCKS blocks at a time: the chunk's pilots, its noise,
+    its Gram and cross terms and its ridge solve. So a trial holds one
+    chunk of pilots and noise, never all of them, and its bits do not
+    depend on the chunk size. The trials are split into contiguous groups,
+    one per CPU the process may run on; the calling thread solves one group
+    and plain threads the rest, while Phase III and the NMSE run once over
+    the trial axis on the calling thread. So a trial's result depends on
+    its seed alone, not on the other seeds or on the CPU count.
     sigma = 0 with spacing 1 and the point-model truth recovers the tensor
     exactly up to round-off.
     """
@@ -314,11 +322,14 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     h_est = np.empty((len(seeds), q_blocks, nr, nt))
 
     def solve(lo, hi):
-        x = np.empty((q_blocks, nt, pilot_slots))
+        x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
         for t in range(lo, hi):
-            rng = np.random.default_rng(seeds[t])
-            generate_pilots(nt, pilot_slots, pilot_power, rng, (q_blocks,), out=x)
-            h_est[t] = mmse_estimate(*rx_statistics(h_blocks, x, sigma, rng), sigma)
+            pilots, noise = trial_streams(seeds[t], q_blocks * nt * pilot_slots)
+            for b in range(0, q_blocks, len(x)):
+                xb = x[:q_blocks - b]
+                generate_pilots(nt, pilot_slots, pilot_power, pilots, (len(xb),), out=xb)
+                stats = rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise)
+                h_est[t, b:b + len(xb)] = mmse_estimate(*stats, sigma)
 
     _in_chunks(solve, len(seeds))
     if layout is None:

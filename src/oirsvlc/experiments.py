@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .channel import SceneConfig, aperture_points, build_csi_tensor
+from .channel import SceneConfig, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
 from .errors import ConfigError, LayoutError, OirsVlcError, ZeroReferenceError
 from .estimator import block_schedule, flops_estimate, run_algorithm1
@@ -362,15 +362,13 @@ def run_fig4(config: ExperimentConfig):
     the coherence distance at the configured threshold.
     """
     scene, link = config.build_single_link()
-    grid = scene.grid
     coeffs = taylor_coeffs(link)
     steps = int(round(1.0 / _FIG4_STEP))
     shifts = np.arange(-steps, steps + 1) * _FIG4_STEP
-    direction = grid.axis_u
+    direction = scene.grid.axis_u
     centers = link.element + shifts[:, None] * direction
     point = scene.gains(centers)[:, 0, 0]
-    sub = aperture_points(grid, centers, config.quadrature_order)
-    quad = scene.gains(sub).mean(axis=1)[:, 0, 0]
+    quad = aperture_gain(scene, centers, config.quadrature_order)[:, 0, 0]
     # shift 0 leaves the element exactly in place, so that row normalizes to 1
     rows = [(float(t), p / point[steps], q / quad[steps],
              1.0 + growth_rate_taylor(coeffs, t * direction))

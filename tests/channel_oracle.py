@@ -59,7 +59,8 @@ def blockdiag_channel(truth, block):
 
 def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
     """The (Q, Nr, Nt) channel blocks that one single-seed `run_algorithm1`
-    call passes to `rx_statistics`; one seed keeps the call on this thread."""
+    call passes to `rx_statistics`, chunk after chunk; one seed keeps the
+    call on this thread."""
     seen = []
     original = estimator.rx_statistics
 
@@ -70,5 +71,4 @@ def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
     with monkeypatch.context() as patch:
         patch.setattr(estimator, "rx_statistics", record)
         run_algorithm1(scene, truth, spacing, pilot_slots=10, seeds=[0])
-    assert len(seen) == 1
-    return seen[0]
+    return np.concatenate(seen)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oirsvlc import channel
+from oirsvlc import channel, estimator
 from oirsvlc import (
     IdentifiabilityError,
     LinkGeometry,
@@ -18,7 +18,9 @@ from oirsvlc import (
     element_positions,
     generate_pilots,
     point_gain,
+    run_algorithm1,
     rx_statistics,
+    trial_streams,
 )
 
 from channel_oracle import blockdiag_channel, recorded_channel_blocks
@@ -92,12 +94,12 @@ def test_point_gain_lambertian_constant():
     assert_allclose(lamb, unit * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rtol=1e-12)
 
 
-def test_patch_gain_order_one_is_point_gain():
+def test_quadrature_gain_order_one_is_point_gain():
     assert element_gain(study_grid(), 1) == \
         pytest.approx(point_gain(study_link()), rel=0, abs=0)
 
 
-def test_patch_gain_constant_integrand():
+def test_quadrature_gain_constant_integrand():
     # identically-zero field over the aperture: exact for every order
     grid = OirsGrid(center=(0, 0, 1), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     normal=(0, 0, 1), rows=1, cols=1, element_size=0.05,
@@ -107,7 +109,7 @@ def test_patch_gain_constant_integrand():
     assert vals == [0.0, 0.0, 0.0]
 
 
-def test_patch_gain_quadrature_self_convergence():
+def test_quadrature_gain_self_convergence():
     g8 = element_gain(study_grid(), 8)
     g16 = element_gain(study_grid(), 16)
     assert abs(g8 - g16) / g16 <= 1e-4
@@ -186,6 +188,20 @@ def test_relabelling_leds_and_pds_permutes_csi_columns(model, led_order, pd_orde
     assert np.array_equal(moved, base[:, pd_order][:, :, led_order])
 
 
+@pytest.mark.parametrize("model,order", [("point", 1), ("quadrature", 3)])
+def test_build_csi_tensor_does_not_depend_on_the_chunk_size(model, order, monkeypatch):
+    # one element per chunk, an odd number (5) of the 63 elements, and all of them
+    scene = _scene([(1.7, 2, 3), (2.0, 1.6, 3), (2.3, 2.2, 3)],
+                   [(1.8, 2, 0), (2.4, 1.9, 0)], wall_grid(7, 9))
+    results = []
+    for elements in (1, 5, 63):
+        monkeypatch.setattr(channel, "APERTURE_CHUNK_POINTS", elements * order**2)
+        results.append(build_csi_tensor(scene, model, order))
+        assert not results[-1].flags.writeable
+    assert results[0].shape == (63, 2, 3)
+    assert all(np.array_equal(r, results[0]) for r in results[1:])
+
+
 def test_run_algorithm1_gather_matches_blockdiag_oracle(monkeypatch):
     # the channel blocks run_algorithm1 gathers equal the block-diagonal
     # association model on random truths, array sizes, grids and spacings
@@ -256,26 +272,52 @@ def test_generate_pilots_identifiability():
         generate_pilots(3, 2, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [7, (3, 1)], ids=["int", "tuple"])
+def test_advanced_cursor_continues_the_uniform_stream(seed):
+    # one PCG64 word per float64 uniform: advancing by n words lands where n
+    # uniforms of default_rng(seed) end, and the normals from there agree
+    for n in (0, 1, 7, 1000):
+        ref = np.random.default_rng(seed)
+        ref.random(n)
+        jumped = np.random.Generator(np.random.PCG64(seed).advance(n))
+        assert np.array_equal(jumped.standard_normal(50), ref.standard_normal(50))
+        pilots, noise = trial_streams(seed, n)
+        assert pilots.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        pilots.random(n)
+        assert pilots.bit_generator.state == noise.bit_generator.state
+
+
 def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
-    # a Generator seed is drawn from in place: pilots first, then the noise of
-    # every block in C order, however many blocks are drawn at a time
-    blocks = 300
-    H = np.random.default_rng(0).uniform(0, 1, (blocks, 3, 2))
-    for chunk in (3, channel.NOISE_CHUNK_BLOCKS):
-        monkeypatch.setattr(channel, "NOISE_CHUNK_BLOCKS", chunk)
-        rng = np.random.default_rng((3, 1))
-        x = generate_pilots(2, 6, 1.0, rng, (blocks,))
-        gram, cross = rx_statistics(H, x, 0.1, rng)
-        ref = np.random.default_rng((3, 1))
-        x_ref = ref.uniform(0.0, 2.0, size=(blocks, 2, 6))
+    # run_algorithm1 draws each chunk's pilots and noise through the two
+    # cursors of trial_streams; the bits equal one stream drawing the pilots
+    # of every block, then the noise of every block in C order, whatever the
+    # chunk size (35 blocks: 3 does not divide them)
+    scene = _scene([(1.9, 2, 3), (2.1, 2, 3)], [(1.8, 2, 0), (2.0, 2, 0), (2.2, 2, 0)],
+                   wall_grid(5, 7))
+    truth = build_csi_tensor(scene)
+    ref = np.random.default_rng((3, 1))
+    x_ref = ref.uniform(0.0, 2.0, size=(35, 2, 6))
+    z_ref = ref.standard_normal((35, 3, 6))
+    for chunk in (3, 35):
+        seen = []
+
+        def record(H, X, sigma, seed):
+            stats = rx_statistics(H, X, sigma, seed)
+            seen.append((H, X.copy(), *stats))
+            return stats
+
+        monkeypatch.setattr(estimator, "CHUNK_BLOCKS", chunk)
+        monkeypatch.setattr(estimator, "rx_statistics", record)
+        run_algorithm1(scene, truth, 1, pilot_slots=6, sigma=0.1, seeds=[(3, 1)])
+        assert len(seen) == -(-35 // chunk)
+        h, x, gram, cross = (np.concatenate(parts) for parts in zip(*seen))
         assert np.array_equal(x, x_ref)
-        y_ref = H @ x_ref + 0.1 * ref.standard_normal((blocks, 3, 6))
-        assert rng.bit_generator.state == ref.bit_generator.state
+        y_ref = h @ x_ref + 0.1 * z_ref
         assert_allclose(gram, x_ref @ np.swapaxes(x_ref, -1, -2), rtol=1e-14)
         assert_allclose(cross, x_ref @ np.swapaxes(y_ref, -1, -2), rtol=1e-12)
     # drawn into a buffer, the pilots keep their bits
-    out = np.empty((blocks, 2, 6))
-    assert generate_pilots(2, 6, 1.0, (3, 1), (blocks,), out=out) is out
+    out = np.empty((35, 2, 6))
+    assert generate_pilots(2, 6, 1.0, (3, 1), (35,), out=out) is out
     assert np.array_equal(out, x_ref)
 
 

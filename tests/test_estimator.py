@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from oirsvlc import estimator
 from oirsvlc import (
     ExperimentConfig,
     IdentifiabilityError,
@@ -45,6 +47,19 @@ def desk_scene(rows=24, cols=24):
                        pd_positions=[(1.8, 2, 0), (2.2, 2, 0)],
                        pd_normal=(0, 0, 1), pd_side=0.05,
                        fov_semi_angle=np.pi / 2, grid=wall_grid(rows, cols))
+
+
+def three_by_three_scene(rows, cols, pitch=0.1):
+    """Three LEDs and three PDs in a row under and over a wall grid."""
+    grid = OirsGrid(center=(2, 0, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
+                    normal=(0, -1, 0), rows=rows, cols=cols,
+                    element_size=pitch / 2, element_pitch=pitch)
+    return SceneConfig(room=(4, 4, 3),
+                       led_positions=[(1.8, 2, 3), (2.0, 2, 3), (2.2, 2, 3)],
+                       led_normal=(0, 0, -1), lambertian_order=1.0,
+                       pd_positions=[(1.6, 2, 0), (2.0, 2, 0), (2.4, 2, 0)],
+                       pd_normal=(0, 0, 1), pd_side=0.05,
+                       fov_semi_angle=np.pi / 2, grid=grid)
 
 
 def sampled_lattice(rows, cols, n_leds, n_pds, spacing):
@@ -503,6 +518,44 @@ def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
         run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=[*range(7), 99])
     assert threading.active_count() == before
     run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=range(8))
+
+
+@pytest.mark.parametrize("scene,spacing", [(three_by_three_scene(14, 14), 1),
+                                           (three_by_three_scene(14, 14), 3),
+                                           (desk_scene(14, 14), 2)],
+                         ids=["3x3-dense", "3x3-spacing3", "2x2-spacing2"])
+def test_run_algorithm1_does_not_depend_on_the_chunk_size(scene, spacing, monkeypatch):
+    # 196, 16 and 49 blocks: chunks of 3 leave a short last chunk
+    truth = build_csi_tensor(scene, "quadrature", 3)
+    results = []
+    for chunk in (3, scene.grid.n_elements):
+        monkeypatch.setattr(estimator, "CHUNK_BLOCKS", chunk)
+        results.append(run_algorithm1(scene, truth, spacing, pilot_slots=8, sigma=1e-3,
+                                      seeds=[7, (7, 1)]))
+    assert np.array_equal(results[0].gains, results[1].gains)
+    assert np.array_equal(results[0].nmse, results[1].nmse)
+
+
+def test_truth_build_and_dense_pass_memory_stays_bounded():
+    # tracemalloc peaks on a 48 x 48 grid with 3 LEDs and 3 PDs. Built over
+    # the whole grid at once, the order-8 truth peaked near 72 MB; a chunk
+    # takes about 8. A single-seed pass runs on the calling thread; holding
+    # its 2,304 blocks of pilots at once took 6.7 MB, one chunk takes 3.5
+    scene = three_by_three_scene(48, 48, pitch=0.025)
+    truth = build_csi_tensor(scene, "quadrature", 8)
+    run_algorithm1(scene, truth, 1, sigma=1e-3, seeds=[0])     # warm caches
+    tracemalloc.start()
+    try:
+        build_csi_tensor(scene, "quadrature", 8)
+        truth_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        run_algorithm1(scene, truth, 1, sigma=1e-3, seeds=[0])
+        pass_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert truth_peak < 16e6
+    assert pass_peak < 5e6
 
 
 def test_dense_noiseless_nmse_stays_below_the_csv_floor():

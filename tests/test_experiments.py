@@ -316,7 +316,7 @@ def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
 ROOT = Path(__file__).resolve().parent.parent
 
 # bench/child.py still traces these, though the package no longer has them
-STALE_TRACED = {("channel", "aperture_gain"), ("estimator", "design_layout")}
+STALE_TRACED = {("estimator", "design_layout")}
 
 
 def test_readme_config_block_is_the_default_config():
