@@ -35,7 +35,9 @@ from .geometry import (
 )
 
 GAIN_MODES = ("unit", "lambertian")
-APERTURE_CHUNK_POINTS = 1 << 14    # aperture sub-points evaluated at a time
+# aperture sub-points evaluated at a time: 64 elements at order 8, so each
+# (points, Nr, Nt) gain temporary of a 3 x 3 scene stays near 0.3 MB
+APERTURE_CHUNK_POINTS = 1 << 12
 
 
 def _check_beam(lambertian_order: float, fov_semi_angle: float):
@@ -242,6 +244,22 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
     return gains
 
 
+def _check_pilots(n_leds: int, n_slots: int, power: float):
+    """Raise unless `n_slots` pilots of finite positive mean `power` can
+    identify `n_leds` LED gains."""
+    if n_slots < n_leds:
+        raise IdentifiabilityError(
+            f"{n_slots} pilot slots cannot identify {n_leds} LED gains")
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError("pilot power must be positive and finite")
+
+
+def _check_sigma(sigma: float):
+    """Raise unless the noise level `sigma` is finite and nonnegative."""
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError("sigma must be finite and >= 0")
+
+
 def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
                     batch: tuple = (), out: np.ndarray | None = None) -> np.ndarray:
     """Nonnegative (*batch, n_leds, n_slots) pilots, i.i.d. uniform on
@@ -254,11 +272,7 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
     the pilots are drawn into it; the bits equal `uniform(0, 2*power)`
     either way.
     """
-    if n_slots < n_leds:
-        raise IdentifiabilityError(
-            f"{n_slots} pilot slots cannot identify {n_leds} LED gains")
-    if power <= 0.0:
-        raise ValueError("pilot power must be positive")
+    _check_pilots(n_leds, n_slots, power)
     rng = np.random.default_rng(seed)
     x = rng.random((*batch, n_leds, n_slots), out=out)
     x *= 2.0 * power
@@ -294,8 +308,7 @@ def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     X = np.asarray(X, dtype=float)
     if H.ndim < 2 or H.shape[:-2] != X.shape[:-2] or H.shape[-1] != X.shape[-2]:
         raise ShapeError(f"H {H.shape} and X {X.shape} are not conformable")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    _check_sigma(sigma)
     gram = X @ np.swapaxes(X, -1, -2)
     cross = gram @ np.swapaxes(H, -1, -2)
     if sigma > 0.0:

@@ -16,12 +16,14 @@ spacing = 1 with more than one LED or PD is the dense baseline: no spatial
 sampling, every element's gain for every pair estimated directly, one block
 per element with a rotating pair assignment.
 
-`run_algorithm1` runs a batch of Monte-Carlo trials, one seed stream each.
-Phase II reads the received blocks Y = H X + sigma Z only through X X^T and
-X Y^T, so Y is never formed. It draws, reads and solves CHUNK_BLOCKS blocks
-at a time, the pilots and the noise through two cursors on the trial's one
-stream (`trial_streams`), so no trial holds all its pilots or noise at once.
-The trials' draws and solves are spread over the process's CPUs.
+`run_algorithm1` runs a batch of Monte-Carlo trials, one seed stream each,
+and keeps one number per trial: its NMSE. Phase II reads the received
+blocks Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed.
+It draws, reads and solves CHUNK_BLOCKS blocks at a time, the pilots and the
+noise through two cursors on the trial's one stream (`trial_streams`), so no
+trial holds all its pilots or noise at once. The trials' draws and solves
+are spread over the process's CPUs. Each trial is scored as soon as it is
+recovered, so no call holds every trial's full (N, Nr, Nt) estimate.
 """
 
 from __future__ import annotations
@@ -33,11 +35,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import SceneConfig, generate_pilots, rx_statistics, trial_streams
+from .channel import (
+    SceneConfig,
+    _check_pilots,
+    _check_sigma,
+    generate_pilots,
+    rx_statistics,
+    trial_streams,
+)
 from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
 from .geometry import OirsGrid
 
-CHUNK_BLOCKS = 576    # Phase II blocks drawn and solved at a time: a 24 x 24 dense schedule
+# Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
+# pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per worker
+CHUNK_BLOCKS = 144
 
 
 @dataclass(frozen=True)
@@ -126,23 +137,15 @@ def mmse_estimate(gram: np.ndarray, cross: np.ndarray, sigma: float) -> np.ndarr
 
 
 def nmse(estimate, truth):
-    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2.
-
-    `estimate` may carry leading trial axes before the truth's shape; the
-    result then has those axes, one NMSE per trial, and is a float otherwise.
-    """
+    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2."""
     est = np.asarray(estimate, dtype=float)
     ref = np.asarray(truth, dtype=float)
-    lead = est.ndim - ref.ndim
-    if lead < 0 or est.shape[lead:] != ref.shape:
+    if est.shape != ref.shape:
         raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
     denom = float(np.sum(ref**2))
     if denom == 0.0:
         raise ZeroReferenceError("reference tensor is identically zero")
-    err = est - ref
-    np.square(err, out=err)
-    err = np.sum(err, axis=tuple(range(lead, est.ndim))) / denom
-    return err if lead else float(err)
+    return float(np.sum((est - ref) ** 2)) / denom
 
 
 def spline_weights(sample_pos, target_pos) -> np.ndarray:
@@ -199,24 +202,23 @@ def recovery_operators(layout: SubarrayLayout):
 
 
 def interpolate_full(block_estimates: np.ndarray, layout: SubarrayLayout) -> np.ndarray:
-    """Recover the (..., N, Nr, Nt) CSI estimate of every pair from (..., Q, Nr, Nt)
-    block estimates; leading (trial) axes are kept.
+    """Recover the (N, Nr, Nt) CSI estimate of every pair from (Q, Nr, Nt)
+    block estimates.
 
     Pair (nr, nt)'s field R[nr] @ S[nr, nt] @ C[nt].T, exact at its samples
-    S[nr, nt] (blocks q = qv * q_h + qh), fills [..., nr, nt] of the result.
+    S[nr, nt] (blocks q = qv * q_h + qh), fills [:, nr, nt] of the result.
     """
     est = np.asarray(block_estimates, dtype=float)
     shape = (layout.n_blocks, layout.n_pds, layout.n_leds)
-    if est.shape[-3:] != shape:
-        raise ShapeError(f"block estimates must be (..., Q, Nr, Nt) = "
-                         f"(..., {', '.join(map(str, shape))}), got {est.shape}")
-    lead = est.shape[:-3]
+    if est.shape != shape:
+        raise ShapeError(f"block estimates must be (Q, Nr, Nt) = "
+                         f"({', '.join(map(str, shape))}), got {est.shape}")
     r, c = recovery_operators(layout)
-    s = est.reshape(*lead, layout.q_v, layout.q_h, layout.n_pds, layout.n_leds)
-    s = np.moveaxis(s, (-4, -3), (-2, -1))                     # (..., Nr, Nt, q_v, q_h)
-    fields = r[:, None] @ s @ np.swapaxes(c, -1, -2)         # (..., Nr, Nt, rows, cols)
-    fields = np.moveaxis(fields, (-4, -3), (-2, -1))         # (..., rows, cols, Nr, Nt)
-    return fields.reshape(*lead, layout.rows * layout.cols, layout.n_pds, layout.n_leds)
+    s = est.reshape(layout.q_v, layout.q_h, layout.n_pds, layout.n_leds)
+    s = np.moveaxis(s, (0, 1), (2, 3))                       # (Nr, Nt, q_v, q_h)
+    fields = r[:, None] @ s @ np.swapaxes(c, -1, -2)         # (Nr, Nt, rows, cols)
+    fields = np.moveaxis(fields, (0, 1), (2, 3))             # (rows, cols, Nr, Nt)
+    return fields.reshape(layout.rows * layout.cols, layout.n_pds, layout.n_leds)
 
 
 def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> int:
@@ -234,13 +236,12 @@ def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> in
 class EstimationResult:
     """Output of one estimation call over T trials.
 
-    `gains` is (T, *truth shape) and `nmse` the (T,) per-trial NMSE, in seed
-    order; entries may be slightly negative under noise (estimates are not
-    clamped before the NMSE, which would bias the comparison).
-    `flops_estimate` covers all T trials.
+    `nmse` is the (T,) per-trial NMSE, in seed order, of estimates that are
+    not clamped before scoring (under noise some entries may be slightly
+    negative; clamping would bias the comparison). `flops_estimate` covers
+    all T trials.
     """
 
-    gains: np.ndarray
     nmse: np.ndarray
     flops_estimate: int
 
@@ -287,21 +288,26 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
                    pilot_slots: int = 100, sigma: float = 0.0,
                    pilot_power: float = 1.0, seeds=(0,)) -> EstimationResult:
     """Estimation passes, one per seed: design, per-block estimation, recovery,
-    NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see `build_csi_tensor`).
+    and the NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see
+    `build_csi_tensor`). The truth (shape, finite, nonnegative, not all
+    zero), sigma (finite, >= 0), pilot_power (finite, > 0) and pilot_slots
+    (>= Nt) are checked before any draw or thread start.
 
     Trial t reads its own stream `default_rng(seeds[t])`: the pilots of
     every block, then the noise only when sigma > 0, block q consuming
-    slice q. It reads them through the two cursors of `trial_streams`, one
-    chunk of CHUNK_BLOCKS blocks at a time: the chunk's pilots, its noise,
-    its Gram and cross terms and its ridge solve. So a trial holds one
-    chunk of pilots and noise, never all of them, and its bits do not
-    depend on the chunk size. The trials are split into contiguous groups,
-    one per CPU the process may run on; the calling thread solves one group
-    and plain threads the rest, while Phase III and the NMSE run once over
-    the trial axis on the calling thread. So a trial's result depends on
-    its seed alone, not on the other seeds or on the CPU count.
-    sigma = 0 with spacing 1 and the point-model truth recovers the tensor
-    exactly up to round-off.
+    slice q, through the two cursors of `trial_streams`, one chunk of
+    CHUNK_BLOCKS blocks at a time (pilots, noise, Gram and cross terms,
+    ridge solve). Its bits do not depend on the chunk size. The trials are
+    split into contiguous groups, one per CPU the process may run on; the
+    calling thread solves one group and plain threads the rest. A worker
+    scores each dense-baseline trial on its blocks, which hold every
+    (element, pair) entry once, as soon as it is solved. A sampled trial
+    keeps only its (Q, Nr, Nt) block estimates; the calling thread then
+    recovers and scores one trial at a time. So a call holds at most one
+    full estimate per worker, and a trial's result depends on its seed
+    alone, not on the other seeds or on the CPU count. sigma = 0 with
+    spacing 1 and the point-model truth recovers the tensor exactly up to
+    round-off.
     """
     nt, nr = scene.n_leds, scene.n_pds
     truth = np.asarray(truth, dtype=float)
@@ -312,6 +318,10 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
         raise ValueError("truth gains must be finite")
     if np.any(truth < 0.0):
         raise ValueError("truth gains must be nonnegative")
+    if not np.any(truth):
+        raise ZeroReferenceError("truth tensor is identically zero")
+    _check_sigma(sigma)
+    _check_pilots(nt, pilot_slots, pilot_power)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must name at least one trial")
@@ -319,30 +329,30 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     q_blocks = index.shape[0]
     pd_index, led_index = np.ix_(range(nr), range(nt))
     h_blocks = truth[index, pd_index, led_index]                      # (Q, Nr, Nt)
-    h_est = np.empty((len(seeds), q_blocks, nr, nt))
+    errors = np.empty(len(seeds))
+    # sampled trials keep their block estimates for Phase III on this thread
+    kept = None if layout is None else np.empty((len(seeds), q_blocks, nr, nt))
 
     def solve(lo, hi):
         x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
+        own = np.empty((q_blocks, nr, nt)) if kept is None else None
         for t in range(lo, hi):
+            h_est = own if kept is None else kept[t]
             pilots, noise = trial_streams(seeds[t], q_blocks * nt * pilot_slots)
             for b in range(0, q_blocks, len(x)):
                 xb = x[:q_blocks - b]
                 generate_pilots(nt, pilot_slots, pilot_power, pilots, (len(xb),), out=xb)
                 stats = rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise)
-                h_est[t, b:b + len(xb)] = mmse_estimate(*stats, sigma)
+                h_est[b:b + len(xb)] = mmse_estimate(*stats, sigma)
+            if kept is None:
+                errors[t] = nmse(h_est, h_blocks)
 
     _in_chunks(solve, len(seeds))
-    if layout is None:
-        # the dense schedule holds every (element, pair) entry exactly once
-        errors = nmse(h_est, h_blocks)
-        est = np.zeros((len(seeds), *truth.shape))
-        est[:, index, pd_index, led_index] = h_est
-    else:
-        est = interpolate_full(h_est, layout)
-        errors = nmse(est, truth)
+    if kept is not None:
+        for t, h_est in enumerate(kept):
+            errors[t] = nmse(interpolate_full(h_est, layout), truth)
 
     return EstimationResult(
-        gains=est,
         nmse=errors,
         flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * q_blocks),
     )

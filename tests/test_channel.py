@@ -272,6 +272,18 @@ def test_generate_pilots_identifiability():
         generate_pilots(3, 2, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
+def test_generate_pilots_rejects_bad_power(power):
+    with pytest.raises(ValueError):
+        generate_pilots(2, 4, power, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
+def test_rx_statistics_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError):
+        rx_statistics(np.ones((2, 2)), np.ones((2, 4)), sigma, seed=0)
+
+
 @pytest.mark.parametrize("seed", [7, (3, 1)], ids=["int", "tuple"])
 def test_advanced_cursor_continues_the_uniform_stream(seed):
     # one PCG64 word per float64 uniform: advancing by n words lands where n

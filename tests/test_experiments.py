@@ -4,6 +4,7 @@ import re
 import runpy
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,9 +48,6 @@ def test_nmse_identities():
     assert nmse(truth, truth) == 0.0
     assert nmse(np.zeros_like(truth), truth) == pytest.approx(1.0, rel=1e-15)
     assert nmse(2 * truth, truth) == pytest.approx(1.0, rel=1e-15)
-    # leading trial axes give one NMSE per trial
-    assert_allclose(nmse(np.stack([truth, 2 * truth, 0 * truth]), truth), [0, 1, 1],
-                    rtol=1e-15)
 
 
 def test_nmse_errors():
@@ -59,6 +57,8 @@ def test_nmse_errors():
         nmse(np.ones((2, 2)), np.ones((2, 3)))
     with pytest.raises(ShapeError):
         nmse(np.ones(4), np.ones((2, 2)))
+    with pytest.raises(ShapeError):         # one trial at a time
+        nmse(np.ones((3, 2, 2)), np.ones((2, 2)))
 
 
 def test_nmse_db_floor():
@@ -337,6 +337,39 @@ def test_bench_traced_functions_exist():
                                        name, None))}
     assert missing <= STALE_TRACED
     assert sorted((ROOT / "bench").rglob("*")) == bench_files
+
+
+def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch):
+    # bench/child.py keeps one span stack, so every function it traces must
+    # run on the thread that called the sweep, also when the trials of a
+    # call are solved on two CPUs; Phase III runs once per sampled trial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    traced = runpy.run_path(str(ROOT / "bench" / "child.py"))["TRACED"]
+    calls = {}
+
+    def recording(key, fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(key, []).append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items()
+               if m is not None and n.split(".")[0] == "oirsvlc"]
+    for module_name, names in {**traced, "estimator": (*traced["estimator"],
+                                                        "mmse_estimate")}.items():
+        home = importlib.import_module(f"oirsvlc.{module_name}")
+        for name in names:
+            original = getattr(home, name, None)
+            for module in modules:
+                if original is not None and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name,
+                                        recording(f"{module_name}.{name}", original))
+    run_noise_sweep(FAST)
+    solvers = set(calls.pop("estimator.mmse_estimate"))
+    assert len(solvers) > 1                   # the trials did run on worker threads
+    assert {t for ids in calls.values() for t in ids} == {threading.get_ident()}
+    assert len(calls["estimator.interpolate_full"]) == \
+        FAST.trials * len(FAST.sigmas) * len(FAST.spacings)
 
 
 def test_cli_import_loads_no_scipy():

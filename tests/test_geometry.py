@@ -66,20 +66,20 @@ def _wall_grid(rows=24, cols=24, pitch=0.1):
                     element_size=0.05, element_pitch=pitch)
 
 
-def test_element_position_corner():
+def test_element_positions_corner():
     # hand evaluation of the centering formula for the 24x24 wall grid
     grid = _wall_grid()
     assert_allclose(element_positions(grid)[0], [0.85, 0.0, 0.35], atol=1e-12)
 
 
-def test_element_position_single_element_grid():
+def test_element_positions_single_element_grid():
     grid = OirsGrid(center=(1, 2, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
                     normal=(0, -1, 0), rows=1, cols=1,
                     element_size=0.05, element_pitch=0.1)
     assert_allclose(element_positions(grid), [[1, 2, 1.5]])
 
 
-def test_element_position_middle_of_3x3():
+def test_element_positions_middle_of_3x3():
     grid = OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     normal=(0, 0, 1), rows=3, cols=3,
                     element_size=0.1, element_pitch=0.1)
