@@ -105,20 +105,31 @@ def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
     the LED faces away from the point or the arrival direction falls
     outside the PD field of view (cos phi < cos fov). `c` is the gain
     constant.
+
+    The points are split into their x, y and z planes, (..., 1) each, so
+    every leg is three (..., Nt) or (..., Nr) coordinate arrays and each
+    length and cosine a sum of three products. numpy runs those at full
+    width, where a (..., Nt, 3) layout loops over a size-3 inner axis.
     """
     pts = np.asarray(points, dtype=float)
-    to_led = pts[..., None, :] - leds                         # (..., Nt, 3)
-    to_pd = pts[..., None, :] - pds                           # (..., Nr, 3)
-    d1 = np.linalg.norm(to_led, axis=-1)
-    d2 = np.linalg.norm(to_pd, axis=-1)
-    ct = (to_led @ led_normal) / d1
-    cp = (to_pd @ pd_normal) / d2
-    ok_t = ct > 0.0
-    ok_p = cp >= math.cos(fov)
-    num = np.where(ok_t, ct, 0.0) ** m
-    num = num[..., None, :] * np.where(ok_p, cp, 0.0)[..., :, None]
-    num *= (ok_t[..., None, :] & ok_p[..., :, None])
-    return c * num / (d1[..., None, :] + d2[..., :, None]) ** 2
+
+    def leg(ends, normal):
+        """Length and cosine toward each point of the legs from `ends`."""
+        ends = np.asarray(ends, dtype=float)
+        x, y, z = (pts[..., k, None] - ends[:, k] for k in range(3))   # (..., len(ends))
+        length = np.sqrt(x * x + y * y + z * z)
+        return length, (x * normal[0] + y * normal[1] + z * normal[2]) / length
+
+    d1, ct = leg(leds, led_normal)                            # (..., Nt)
+    d2, cp = leg(pds, pd_normal)                              # (..., Nr)
+    # m >= 1 (_check_beam), so a zeroed cosine zeroes its pair's numerator
+    num = np.where(ct > 0.0, ct, 0.0) ** m
+    num = num[..., None, :] * np.where(cp >= math.cos(fov), cp, 0.0)[..., :, None]
+    den = d1[..., None, :] + d2[..., :, None]
+    den *= den
+    num *= c
+    num /= den
+    return num
 
 
 def point_gain(link: LinkGeometry) -> float:
@@ -287,10 +298,12 @@ def trial_streams(seed, n_pilot_values: int):
     `n_pilot_values` words in O(log n), starts where that many pilot values
     end. Drawing pilots and noise in alternating chunks through the two
     cursors thus gives the bits of drawing every pilot and then every noise
-    sample from one generator. `seed` is anything PCG64 accepts.
+    sample from one generator. `seed` is anything SeedSequence accepts; it
+    is hashed once and both cursors are seeded from that one SeedSequence.
     """
-    return (np.random.Generator(np.random.PCG64(seed)),
-            np.random.Generator(np.random.PCG64(seed).advance(n_pilot_values)))
+    seq = np.random.SeedSequence(seed)
+    return (np.random.Generator(np.random.PCG64(seq)),
+            np.random.Generator(np.random.PCG64(seq).advance(n_pilot_values)))
 
 
 def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
@@ -303,13 +316,18 @@ def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     Generator, such as the noise cursor of `trial_streams`, is drawn from
     in place), only when sigma > 0, so sigma = 0 draws nothing. Callers
     bound its memory by passing one chunk of blocks at a time.
+
+    G is taken against a transposed copy of X: numpy sends a product of a
+    buffer with its own transpose to the symmetric (syrk) kernel, which for
+    a stack of small Nt x P blocks runs about 3x slower than the general
+    product, copy included. The copy is freed before the noise is drawn.
     """
     H = np.asarray(H, dtype=float)
     X = np.asarray(X, dtype=float)
     if H.ndim < 2 or H.shape[:-2] != X.shape[:-2] or H.shape[-1] != X.shape[-2]:
         raise ShapeError(f"H {H.shape} and X {X.shape} are not conformable")
     _check_sigma(sigma)
-    gram = X @ np.swapaxes(X, -1, -2)
+    gram = X @ np.swapaxes(X.copy(), -1, -2)           # gemm, not syrk: see above
     cross = gram @ np.swapaxes(H, -1, -2)
     if sigma > 0.0:
         z = np.random.default_rng(seed).standard_normal((*H.shape[:-1], X.shape[-1]))

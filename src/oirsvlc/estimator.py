@@ -319,7 +319,8 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     if np.any(truth < 0.0):
         raise ValueError("truth gains must be nonnegative")
     if not np.any(truth):
-        raise ZeroReferenceError("truth tensor is identically zero")
+        raise ZeroReferenceError("truth tensor is identically zero: every element "
+                                 "lies outside a LED beam or the PD field of view")
     _check_sigma(sigma)
     _check_pilots(nt, pilot_slots, pilot_power)
     seeds = list(seeds)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import SceneConfig, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
-from .errors import ConfigError, LayoutError, OirsVlcError, ZeroReferenceError
+from .errors import ConfigError, LayoutError, OirsVlcError
 from .estimator import block_schedule, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
@@ -397,9 +397,6 @@ def run_noise_sweep(config: ExperimentConfig):
     """
     scene = config.build_scene()
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
-    if not np.any(truth):
-        raise ZeroReferenceError("truth tensor is identically zero: every element "
-                                 "lies outside a LED beam or the PD field of view")
     rows = []
     for i_sigma, sigma in enumerate(config.sigmas):
         for spacing in sweep_schemes(config):

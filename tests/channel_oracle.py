@@ -1,4 +1,8 @@
-"""Phase I's block-diagonal association model, kept as a test oracle.
+"""Test oracles: the gain of one link written out with `math`, and Phase I's
+block-diagonal association model.
+
+`link_gain` evaluates the reflected-gain formula of one LED -> point -> PD
+link on plain floats, one link at a time, with no numpy and no array layout.
 
 Block q of the schedule aligns element index[q, nr, nt] with pair (nr, nt).
 Its composite association V_q (N, K) holds V_q[n, k] = 1 when element n
@@ -9,9 +13,31 @@ build that product literally and record the channel blocks that
 `run_algorithm1` actually estimates, so the two can be compared.
 """
 
+import math
+
 import numpy as np
 
 from oirsvlc import estimator, run_algorithm1
+
+
+def link_gain(led, led_normal, point, pd, pd_normal, m, fov, c):
+    """c cos^m(theta) cos(phi) / (d1 + d2)^2 of one LED -> point -> PD link.
+
+    theta is the angle at the LED between its normal and the point, phi the
+    angle at the PD between its normal and the point, d1 and d2 the two leg
+    lengths. The gain is 0 when the LED faces away from the point
+    (cos theta <= 0) or the point lies outside the PD field of view
+    (cos phi < cos fov).
+    """
+    to_led = [float(p) - float(q) for p, q in zip(point, led)]
+    to_pd = [float(p) - float(q) for p, q in zip(point, pd)]
+    d1 = math.sqrt(sum(v * v for v in to_led))
+    d2 = math.sqrt(sum(v * v for v in to_pd))
+    cos_theta = sum(v * float(n) for v, n in zip(to_led, led_normal)) / d1
+    cos_phi = sum(v * float(n) for v, n in zip(to_pd, pd_normal)) / d2
+    if cos_theta <= 0.0 or cos_phi < math.cos(fov):
+        return 0.0
+    return c * cos_theta**m * cos_phi / (d1 + d2) ** 2
 
 
 def pair_column(nr, nt, n_pds):

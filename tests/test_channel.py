@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -23,7 +23,7 @@ from oirsvlc import (
     trial_streams,
 )
 
-from channel_oracle import blockdiag_channel, recorded_channel_blocks
+from channel_oracle import blockdiag_channel, link_gain, recorded_channel_blocks
 
 STUDY_LED = np.array([1.0, 2.0, 3.0])
 STUDY_ELEM = np.array([1.0, 2.0, 1.5])
@@ -173,6 +173,42 @@ def test_build_csi_tensor_against_per_link_loop(model, order):
                                     for a in offs for b in offs])
                     got = tensor[i * 2 + j, nr, nt]
                     assert got == pytest.approx(want, rel=1e-12)
+
+
+ROOM_POINT = st.tuples(st.floats(0, 4), st.floats(0, 4), st.floats(0, 3))
+DIRECTION = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+# half the draws take the widest field of view, so lit links are common
+FOV = st.just(math.pi / 2) | st.floats(0, math.pi / 2, exclude_min=True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(points=st.lists(ROOM_POINT, min_size=1, max_size=4),
+       leds=st.lists(ROOM_POINT, min_size=1, max_size=3),
+       pds=st.lists(ROOM_POINT, min_size=1, max_size=3),
+       led_normal=DIRECTION, pd_normal=DIRECTION, m=st.floats(1, 4),
+       fov=FOV, mode=st.sampled_from(channel.GAIN_MODES))
+def test_scene_gains_match_one_link_oracle(points, leds, pds, led_normal, pd_normal,
+                                           m, fov, mode):
+    # every (point, PD, LED) entry against the formula written out link by link
+    assume(min(math.dist(p, q) for p in points for q in leds + pds) > 1e-3)
+    scene = SceneConfig(room=(4, 4, 3), led_positions=leds,
+                        led_normal=np.divide(led_normal, math.hypot(*led_normal)),
+                        lambertian_order=m, pd_positions=pds,
+                        pd_normal=np.divide(pd_normal, math.hypot(*pd_normal)),
+                        pd_side=0.05, fov_semi_angle=fov, grid=wall_grid(1, 1),
+                        gain_mode=mode)
+    c = 1.0 if mode == "unit" else 0.9 * (m + 1.0) * 0.05**2 / (2.0 * math.pi)
+    got = scene.gains(points)
+    assert got.shape == (len(points), len(pds), len(leds))
+    for i, point in enumerate(points):
+        for nr, pd in enumerate(pds):
+            for nt, led in enumerate(leds):
+                want = link_gain(led, scene.led_normal, point, pd, scene.pd_normal,
+                                 m, fov, c)
+                if want == 0.0:           # a cut-off applies: exactly zero
+                    assert got[i, nr, nt] == 0.0
+                else:
+                    assert got[i, nr, nt] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("model", ["point", "quadrature"])

@@ -27,7 +27,7 @@ from oirsvlc import (
     run_noise_sweep,
     run_overhead_report,
 )
-from oirsvlc import experiments
+from oirsvlc import estimator, experiments
 from oirsvlc.cli import main as cli_main
 from oirsvlc.experiments import (
     config_hash,
@@ -286,15 +286,15 @@ def test_cli_seed_changes_noise_sweep(tmp_path):
 
 def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     # every element lies outside the 0.05 rad field of view: NMSE is undefined,
-    # and the sweep stops before its first estimation pass
+    # and the sweep stops before its first pilot draw
     calls = []
-    real = experiments.run_algorithm1
-    monkeypatch.setattr(experiments, "run_algorithm1",
+    real = estimator.generate_pilots
+    monkeypatch.setattr(estimator, "generate_pilots",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = tmp_path / "dark.cfg"
     cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
                    + "scene.fov_semi_angle_rad = 0.05\n")
-    with pytest.raises(ZeroReferenceError):
+    with pytest.raises(ZeroReferenceError, match="outside a LED beam or the PD field of view"):
         cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert calls == []
     assert not (tmp_path / "out" / "noise_sweep.csv").exists()
@@ -384,20 +384,32 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_cli_outputs_match_smoke_reference(tmp_path):
+def _assert_cli_outputs_match_reference(tmp_path, reference, commands, config_args=()):
     # bench/check.py is run from source so that nothing is written under bench/
     check = runpy.run_path(str(ROOT / "bench" / "check.py"))
-    reference = ROOT / "bench" / "reference" / "smoke"
-    for command, filename in [("coherence", "coherence.csv"), ("fig4", "fig4.csv"),
-                              ("noise-sweep", "noise_sweep.csv"),
-                              ("overhead", "overhead.csv")]:
-        assert cli_main([command, "--config", str(ROOT / "bench" / "configs" / "smoke.cfg"),
-                         "--seed", str(check["RECORDED_SEED"]),
+    for command, filename in commands:
+        assert cli_main([command, *config_args, "--seed", str(check["RECORDED_SEED"]),
                          "--out", str(tmp_path)]) == 0
         problems = check["compare"]((tmp_path / filename).read_text(),
-                                    (reference / filename).read_text(),
+                                    (ROOT / "bench" / "reference" / reference
+                                     / filename).read_text(),
                                     check["RECORDED_SEED"])
         assert problems == [], (filename, problems)
+
+
+def test_cli_outputs_match_smoke_reference(tmp_path):
+    _assert_cli_outputs_match_reference(
+        tmp_path, "smoke", [("coherence", "coherence.csv"), ("fig4", "fig4.csv"),
+                            ("noise-sweep", "noise_sweep.csv"), ("overhead", "overhead.csv")],
+        ("--config", str(ROOT / "bench" / "configs" / "smoke.cfg")))
+
+
+def test_cli_light_outputs_match_default_reference(tmp_path):
+    # the built-in default config at the recorded seed: fig4's order-8
+    # aperture quadrature runs the gain kernel on every sub-point
+    _assert_cli_outputs_match_reference(
+        tmp_path, "default", [("coherence", "coherence.csv"), ("fig4", "fig4.csv"),
+                              ("overhead", "overhead.csv")])
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.stem)
