@@ -8,14 +8,12 @@ Layers, bottom up: `geometry` (points, grids, reflection-law normals),
 """
 
 from .channel import (
-    LinkGeometry,
     SceneConfig,
     aperture_gain,
     aperture_points,
     build_csi_tensor,
     generate_pilots,
     pair_gains,
-    point_gain,
     rx_statistics,
     trial_streams,
 )

@@ -17,7 +17,7 @@ units, so the same sigma buries the far smaller "lambertian" gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,62 +38,6 @@ GAIN_MODES = ("unit", "lambertian")
 # aperture sub-points evaluated at a time: 64 elements at order 8, so each
 # (points, Nr, Nt) gain temporary of a 3 x 3 scene stays near 0.3 MB
 APERTURE_CHUNK_POINTS = 1 << 12
-
-
-def _check_beam(lambertian_order: float, fov_semi_angle: float):
-    if lambertian_order < 1.0:
-        raise ValueError("lambertian_order must be >= 1")
-    if not 0.0 < fov_semi_angle <= math.pi / 2:
-        raise ValueError("fov_semi_angle must lie in (0, pi/2]")
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """One LED -> reflecting element -> PD optical link."""
-
-    led: np.ndarray
-    element: np.ndarray
-    pd: np.ndarray
-    led_normal: np.ndarray
-    pd_normal: np.ndarray
-    lambertian_order: float = 1.0
-    fov_semi_angle: float = math.pi / 2
-
-    def __post_init__(self):
-        for name in ("led", "element", "pd"):
-            object.__setattr__(self, name, _frozen(as_vec3(getattr(self, name))))
-        for name in ("led_normal", "pd_normal"):
-            vec = as_vec3(getattr(self, name))
-            if not is_unit(vec):
-                raise DegenerateGeometryError(f"{name} must be a unit vector")
-            object.__setattr__(self, name, _frozen(vec))
-        if np.linalg.norm(self.element - self.led) <= 0.0:
-            raise DegenerateGeometryError("LED coincides with the element")
-        if np.linalg.norm(self.element - self.pd) <= 0.0:
-            raise DegenerateGeometryError("PD coincides with the element")
-        _check_beam(self.lambertian_order, self.fov_semi_angle)
-
-    @property
-    def d1(self) -> float:
-        return float(np.linalg.norm(self.element - self.led))
-
-    @property
-    def d2(self) -> float:
-        return float(np.linalg.norm(self.element - self.pd))
-
-    @property
-    def cos_theta(self) -> float:
-        """Emission cosine at the LED, toward the element."""
-        return float(self.led_normal @ (self.element - self.led)) / self.d1
-
-    @property
-    def cos_phi(self) -> float:
-        """Incidence cosine at the PD, toward the element."""
-        return float(self.pd_normal @ (self.element - self.pd)) / self.d2
-
-    def shifted(self, delta) -> "LinkGeometry":
-        """Same link with the element displaced by `delta`."""
-        return replace(self, element=self.element + as_vec3(delta))
 
 
 def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
@@ -122,7 +66,7 @@ def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
 
     d1, ct = leg(leds, led_normal)                            # (..., Nt)
     d2, cp = leg(pds, pd_normal)                              # (..., Nr)
-    # m >= 1 (_check_beam), so a zeroed cosine zeroes its pair's numerator
+    # m >= 1 (SceneConfig), so a zeroed cosine zeroes its pair's numerator
     num = np.where(ct > 0.0, ct, 0.0) ** m
     num = num[..., None, :] * np.where(cp >= math.cos(fov), cp, 0.0)[..., :, None]
     den = d1[..., None, :] + d2[..., :, None]
@@ -130,13 +74,6 @@ def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
     num *= c
     num /= den
     return num
-
-
-def point_gain(link: LinkGeometry) -> float:
-    """Unit-constant reflected gain of a single link under the point-source model."""
-    return float(pair_gains(link.element, link.led[None], link.led_normal, link.pd[None],
-                            link.pd_normal, link.lambertian_order,
-                            link.fov_semi_angle, 1.0)[0, 0])
 
 
 def aperture_points(grid: OirsGrid, centers, order: int) -> np.ndarray:
@@ -156,7 +93,8 @@ def aperture_points(grid: OirsGrid, centers, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Room, LED/PD arrays, and the reflecting-element grid."""
+    """Room, LED/PD arrays, and the reflecting-element grid. Each rejection's
+    message begins with the name of the field it rejects."""
 
     room: np.ndarray              # extents (x, y, z), meters; origin at (0, 0, 0)
     led_positions: np.ndarray     # (Nt, 3)
@@ -188,10 +126,18 @@ class SceneConfig:
             raise ValueError(f"gain_mode must be one of {GAIN_MODES}")
         if self.pd_side <= 0.0:
             raise ValueError("pd_side must be positive")
-        _check_beam(self.lambertian_order, self.fov_semi_angle)
-        for tag, pts in (("led", leds), ("pd", pds), ("grid element", element_positions(self.grid))):
+        if self.lambertian_order < 1.0:
+            raise ValueError("lambertian_order must be >= 1")
+        if not 0.0 < self.fov_semi_angle <= math.pi / 2:
+            raise ValueError("fov_semi_angle must lie in (0, pi/2]")
+        for name, pts in (("led_positions", leds), ("pd_positions", pds),
+                          ("grid", element_positions(self.grid))):
             if np.any(pts < -1e-9) or np.any(pts > self.room + 1e-9):
-                raise ValueError(f"{tag} positions fall outside the room extents")
+                raise ValueError(f"{name} must lie inside the room extents")
+        for name, pts in (("led_positions", leds), ("pd_positions", pds)):
+            # a gain sub-point on an LED or PD would divide 0 by 0
+            if np.any(self.grid.covers(pts)):
+                raise DegenerateGeometryError(f"{name} must not lie on an element aperture")
 
     @property
     def n_leds(self) -> int:
@@ -209,12 +155,6 @@ class SceneConfig:
                 * self.pd_side**2 / (2.0 * math.pi)
         return pair_gains(points, self.led_positions, self.led_normal, self.pd_positions,
                           self.pd_normal, self.lambertian_order, self.fov_semi_angle, c)
-
-    def link(self, led_index: int, element_point, pd_index: int) -> LinkGeometry:
-        return LinkGeometry(self.led_positions[led_index], element_point,
-                            self.pd_positions[pd_index], self.led_normal,
-                            self.pd_normal, self.lambertian_order,
-                            self.fov_semi_angle)
 
 
 def aperture_gain(scene: SceneConfig, centers, order: int) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkGeometry, point_gain
-from .errors import SingularGeometryError, ZeroGainError
+from .channel import SceneConfig
+from .errors import DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError
 from .geometry import _frozen, as_vec3, is_unit
 
 _COS_EPS = 1e-9
@@ -52,38 +52,52 @@ class TaylorCoeffs:
         object.__setattr__(self, "S2", _frozen(0.5 * (s2 + s2.T)))
 
 
-def growth_rate_exact(link: LinkGeometry, shift) -> float:
-    """Exact relative gain change under an element shift.
+def _legs(scene: SceneConfig, points):
+    """LED-to-point and PD-to-point vectors of (..., 3) element points in a
+    one-LED, one-PD scene."""
+    if scene.n_leds != 1 or scene.n_pds != 1:
+        raise ShapeError("a coherence study takes a scene with one LED and one PD")
+    lr = points - scene.led_positions[0]
+    ur = points - scene.pd_positions[0]
+    if not (np.any(lr, axis=-1).all() and np.any(ur, axis=-1).all()):
+        raise DegenerateGeometryError("an element point coincides with the LED or the PD")
+    return lr, ur
+
+
+def growth_rate_exact(scene: SceneConfig, point, shift) -> float:
+    """Exact relative gain change of a one-LED, one-PD scene when the
+    element point moves by `shift`.
 
     Both gains are evaluated for the same fixed link configuration (the
     element's mirror orientation is not re-aligned under the shift); the
     gain constant cancels in the ratio, so no gain mode enters.
     """
-    h0 = point_gain(link)
+    points = np.stack([as_vec3(point), as_vec3(point) + as_vec3(shift)])
+    _legs(scene, points)
+    h0, h1 = scene.gains(points)[:, 0, 0]
     if h0 <= 0.0:
         raise ZeroGainError("growth rate undefined where the gain is zero")
-    return (point_gain(link.shifted(shift)) - h0) / h0
+    return float((h1 - h0) / h0)
 
 
-def taylor_coeffs(link: LinkGeometry) -> TaylorCoeffs:
-    """Closed-form growth-rate coefficients at a link.
+def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
+    """Closed-form growth-rate coefficients of a one-LED, one-PD scene at a point.
 
     Requires both incidence cosines strictly positive; the coefficients
     diverge as either approaches zero.
     """
-    lr = link.element - link.led
-    ur = link.element - link.pd
+    lr, ur = _legs(scene, as_vec3(point))
     d1 = float(np.linalg.norm(lr))
     d2 = float(np.linalg.norm(ur))
     lr = lr / d1
     ur = ur / d2
-    n1 = link.led_normal
-    n2 = link.pd_normal
+    n1 = scene.led_normal
+    n2 = scene.pd_normal
     ct = float(n1 @ lr)
     cp = float(n2 @ ur)
     if ct <= _COS_EPS or cp <= _COS_EPS:
         raise SingularGeometryError("incidence cosine too small for a Taylor expansion")
-    m = link.lambertian_order
+    m = scene.lambertian_order
     ds = d1 + d2
 
     s1 = (m / (d1 * ct)) * n1 + (1.0 / (d2 * cp)) * n2 \
@@ -197,9 +211,9 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
     return mid, f(mid)
 
 
-def coherence_distance(link: LinkGeometry, plane_axes, xi_c: float,
+def coherence_distance(scene: SceneConfig, point, plane_axes, xi_c: float,
                        angular_samples: int = 360) -> CoherenceReport:
-    """Minimum coherence length over a surface's in-plane directions.
+    """Minimum coherence length over a surface's in-plane directions at `point`.
 
     plane_axes are two orthonormal in-plane directions of the reflecting
     surface. A uniform angular grid seeds a golden-section refinement around
@@ -211,7 +225,7 @@ def coherence_distance(link: LinkGeometry, plane_axes, xi_c: float,
     u, v = (as_vec3(ax) for ax in plane_axes)
     if not (is_unit(u) and is_unit(v)) or abs(u @ v) > 1e-9:
         raise ValueError("plane_axes must be orthonormal")
-    coeffs = taylor_coeffs(link)
+    coeffs = taylor_coeffs(scene, point)
     angles, lengths = coherence_profile(coeffs, (u, v), xi_c, angular_samples)
     profile = list(zip(angles.tolist(), lengths.tolist()))
     k = int(np.argmin(lengths))

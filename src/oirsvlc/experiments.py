@@ -82,19 +82,18 @@ class ExperimentConfig:
                            ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), (0.0, -1.0, 0.0),
                            self.grid_rows, self.grid_cols)
 
-    def build_single_link(self):
-        """Single LED/element/PD study geometry for the gain and coherence runs.
+    def build_single_link(self) -> SceneConfig:
+        """Single LED/element/PD study scene for the gain and coherence runs.
 
-        The one-element grid is oriented to the element's aligned mirror
-        normal, so its in-plane axes span the reflecting surface itself; the
-        first axis is the room X axis projected onto that surface.
+        The element point is the grid's center. The one-element grid is
+        oriented to the element's aligned mirror normal, so its in-plane axes
+        span the reflecting surface itself; the first axis is the room X axis
+        projected onto that surface.
         """
         normal = alignment_normal(self.coherence_led, self.coherence_element,
                                   self.coherence_pd)
-        scene = self._scene((self.coherence_led,), (self.coherence_pd,),
-                            self.coherence_element, plane_basis_from(normal), normal, 1, 1)
-        link = scene.link(0, scene.grid.center, 0)
-        return scene, link
+        return self._scene((self.coherence_led,), (self.coherence_pd,),
+                           self.coherence_element, plane_basis_from(normal), normal, 1, 1)
 
     def _scene(self, leds, pds, center, axes, normal, rows, cols) -> SceneConfig:
         """Scene with these LEDs, PDs and grid placement; the room, beams,
@@ -235,12 +234,6 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("truth.model", "must be 'point' or 'quadrature'")
     if config.quadrature_order < 1:
         bad("truth.quadrature_order", "must be >= 1")
-    if config.gain_mode not in ("unit", "lambertian"):
-        bad("scene.gain_mode", "must be 'unit' or 'lambertian'")
-    if config.lambertian_order < 1:
-        bad("scene.lambertian_order", "must be >= 1")
-    if not 0 < config.fov_semi_angle <= math.pi / 2:
-        bad("scene.fov_semi_angle_rad", "must lie in (0, pi/2]")
     if config.grid_rows < 1:
         bad("scene.grid.rows", "must be >= 1")
     if config.grid_cols < 1:
@@ -264,9 +257,12 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
     try:
         scene = config.build_scene()
     except (ValueError, OirsVlcError) as exc:
-        bad("scene", str(exc))
+        # a SceneConfig message begins with the field it rejects; a grid
+        # error names no config field and is reported as `scene`
+        bad(_FIELD_TO_KEY.get(str(exc).partition(" ")[0], "scene"), str(exc))
     try:
-        taylor_coeffs(config.build_single_link()[1])
+        single = config.build_single_link()
+        taylor_coeffs(single, single.grid.center)
     except (ValueError, OirsVlcError) as exc:
         bad("coherence", str(exc))
     for spacing in sweep_schemes(config):
@@ -343,8 +339,8 @@ def _write_csv(path, header, rows, comments):
 
 def run_coherence(config: ExperimentConfig):
     """Coherence report of the single-link geometry over its mirror plane."""
-    scene, link = config.build_single_link()
-    return coherence_distance(link, (scene.grid.axis_u, scene.grid.axis_v),
+    scene = config.build_single_link()
+    return coherence_distance(scene, scene.grid.center, (scene.grid.axis_u, scene.grid.axis_v),
                               config.xi_c, config.angular_samples)
 
 
@@ -361,19 +357,18 @@ def run_fig4(config: ExperimentConfig):
     gain_taylor_norm), each column normalized by its zero-shift value, and
     the coherence distance at the configured threshold.
     """
-    scene, link = config.build_single_link()
-    coeffs = taylor_coeffs(link)
+    report = run_coherence(config)
+    scene = config.build_single_link()
     steps = int(round(1.0 / _FIG4_STEP))
     shifts = np.arange(-steps, steps + 1) * _FIG4_STEP
     direction = scene.grid.axis_u
-    centers = link.element + shifts[:, None] * direction
+    centers = scene.grid.center + shifts[:, None] * direction
     point = scene.gains(centers)[:, 0, 0]
     quad = aperture_gain(scene, centers, config.quadrature_order)[:, 0, 0]
     # shift 0 leaves the element exactly in place, so that row normalizes to 1
     rows = [(float(t), p / point[steps], q / quad[steps],
-             1.0 + growth_rate_taylor(coeffs, t * direction))
+             1.0 + growth_rate_taylor(report.coeffs, t * direction))
             for t, p, q in zip(shifts, point, quad)]
-    report = run_coherence(config)
     return rows, float(report.d_c)
 
 

@@ -105,6 +105,18 @@ class OirsGrid:
     def n_elements(self) -> int:
         return self.rows * self.cols
 
+    def covers(self, points) -> np.ndarray:
+        """Whether each of the (..., 3) points lies on an element's square
+        aperture, within 1e-9 m of the grid plane."""
+        rel = np.asarray(points, dtype=float) - self.center
+        hit = np.abs(rel @ self.normal) <= 1e-9
+        for axis, count in ((self.axis_u, self.cols), (self.axis_v, self.rows)):
+            # position in pitches from the first element, and the nearest element
+            t = rel @ axis / self.element_pitch + (count - 1) / 2.0
+            nearest = np.clip(np.round(t), 0, count - 1)
+            hit &= np.abs(t - nearest) * self.element_pitch <= self.element_size / 2.0 + 1e-9
+        return hit
+
 
 def element_positions(grid: OirsGrid) -> np.ndarray:
     """All element centers as an (N, 3) array in row-major order (n = i*cols + j)."""

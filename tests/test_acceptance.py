@@ -18,7 +18,6 @@ import numpy as np
 
 from oirsvlc import (
     ExperimentConfig,
-    LinkGeometry,
     SubarrayLayout,
     block_schedule,
     build_csi_tensor,
@@ -27,7 +26,6 @@ from oirsvlc import (
     growth_rate_taylor,
     interpolate_full,
     normalize,
-    point_gain,
     run_algorithm1,
     run_coherence,
     run_noise_sweep,
@@ -36,7 +34,7 @@ from oirsvlc import (
 )
 from oirsvlc.cli import main as cli_main
 
-from channel_oracle import blockdiag_channel, recorded_channel_blocks
+from channel_oracle import blockdiag_channel, link_scene, recorded_channel_blocks
 
 MID_SIGMA_GAP_DB = 3.0
 
@@ -46,11 +44,11 @@ def _report(criterion, ok, detail):
     return ok
 
 
-def _exact_edge(link, direction, xi_c):
-    """Nearest r > 0 with |growth_rate_exact(link, r * direction)| = xi_c,
+def _exact_edge(scene, point, direction, xi_c):
+    """Nearest r > 0 with |growth_rate_exact(scene, point, r * direction)| = xi_c,
     by bracket growth plus bisection on the exact gain (no Taylor form)."""
     def inside(r):
-        return abs(growth_rate_exact(link, r * direction)) <= xi_c
+        return abs(growth_rate_exact(scene, point, r * direction)) <= xi_c
 
     lo, hi = 0.0, 1e-3
     while inside(hi):
@@ -82,9 +80,9 @@ def test_criterion_1_coherence_distance():
     dir_err = min(np.max(np.abs(direction - y_axis)),
                   np.max(np.abs(direction + y_axis)))
 
-    _, link = config.build_single_link()
-    exact = _exact_edge(link, direction, config.xi_c) \
-        + _exact_edge(link, -direction, config.xi_c)
+    scene = config.build_single_link()
+    exact = _exact_edge(scene, scene.grid.center, direction, config.xi_c) \
+        + _exact_edge(scene, scene.grid.center, -direction, config.xi_c)
 
     ok = closed_err <= 1e-9 and dir_err <= 1e-6 \
         and report.d_c <= exact <= 1.02 * report.d_c and elapsed < 1.0
@@ -103,8 +101,7 @@ def _random_link(rng):
     elem = rng.uniform([-1, -1, -0.5], [1, 1, 0.5])
     n1 = normalize(normalize(elem - led) + 0.3 * rng.standard_normal(3))
     n2 = normalize(normalize(elem - pd) + 0.3 * rng.standard_normal(3))
-    return LinkGeometry(led, elem, pd, n1, n2,
-                        lambertian_order=rng.uniform(1, 3))
+    return link_scene(led, elem, pd, n1, n2, m=rng.uniform(1, 3))
 
 
 def test_criterion_2_growth_rate_coefficients():
@@ -116,24 +113,28 @@ def test_criterion_2_growth_rate_coefficients():
     ratios = []
     checked = 0
     while checked < 1000:
-        link = _random_link(rng)
-        if point_gain(link) <= 1e-6 or link.cos_theta < 0.05 or link.cos_phi < 0.05:
+        link = scene, point = _random_link(rng)
+        lr = point - scene.led_positions[0]
+        ur = point - scene.pd_positions[0]
+        cos_theta = scene.led_normal @ lr / np.linalg.norm(lr)
+        cos_phi = scene.pd_normal @ ur / np.linalg.norm(ur)
+        if scene.gains(point)[0, 0] <= 1e-6 or cos_theta < 0.05 or cos_phi < 0.05:
             continue
         checked += 1
-        coeffs = taylor_coeffs(link)
+        coeffs = taylor_coeffs(*link)
         r = 1e-5
         for e in axes:
-            fd = (growth_rate_exact(link, r * e)
-                  - growth_rate_exact(link, -r * e)) / (2 * r)
+            fd = (growth_rate_exact(*link, r * e)
+                  - growth_rate_exact(*link, -r * e)) / (2 * r)
             worst_s1 = max(worst_s1,
                            abs(fd - coeffs.s1 @ e) / (abs(coeffs.s1 @ e) + 1e-8))
         r = 1e-4
         for e in axes:
-            fd = (growth_rate_exact(link, r * e)
-                  + growth_rate_exact(link, -r * e)) / r**2
+            fd = (growth_rate_exact(*link, r * e)
+                  + growth_rate_exact(*link, -r * e)) / r**2
             q = e @ coeffs.S2 @ e
             worst_s2 = max(worst_s2, abs(fd - q) / (abs(q) + 1e-4))
-        rem = [abs(growth_rate_exact(link, r * direction)
+        rem = [abs(growth_rate_exact(*link, r * direction)
                    - growth_rate_taylor(coeffs, r * direction))
                for r in (0.08, 0.04)]
         if rem[1] > 1e-14:

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 
 from oirsvlc import channel, estimator
 from oirsvlc import (
+    DegenerateGeometryError,
     IdentifiabilityError,
-    LinkGeometry,
     OirsGrid,
     SceneConfig,
     ShapeError,
@@ -17,13 +17,12 @@ from oirsvlc import (
     build_csi_tensor,
     element_positions,
     generate_pilots,
-    point_gain,
     run_algorithm1,
     rx_statistics,
     trial_streams,
 )
 
-from channel_oracle import blockdiag_channel, link_gain, recorded_channel_blocks
+from channel_oracle import blockdiag_channel, link_gain, link_scene, recorded_channel_blocks
 
 STUDY_LED = np.array([1.0, 2.0, 3.0])
 STUDY_ELEM = np.array([1.0, 2.0, 1.5])
@@ -32,28 +31,33 @@ DOWN = (0.0, 0.0, -1.0)
 UP = (0.0, 0.0, 1.0)
 
 
-def study_link(**kw):
-    return LinkGeometry(STUDY_LED, STUDY_ELEM, STUDY_PD, DOWN, UP, **kw)
+def one_link_gain(led, point, pd, led_normal, pd_normal, **kw):
+    """Unit-constant gain of one LED -> point -> PD link, from its one-link scene."""
+    scene, point = link_scene(led, point, pd, led_normal, pd_normal, **kw)
+    return float(scene.gains(point)[0, 0])
+
+
+def study_gain():
+    return one_link_gain(STUDY_LED, STUDY_ELEM, STUDY_PD, DOWN, UP)
 
 
 def test_point_gain_symmetric_link():
     # cos(theta) = cos(phi) = 1, d1 = d2 = 1  ->  1 / (1 + 1)^2
-    link = LinkGeometry([0, 0, 1], [0, 0, 0], [0, 0, 1], DOWN, DOWN)
-    assert point_gain(link) == pytest.approx(0.25, abs=1e-15)
+    assert one_link_gain([0, 0, 1], [0, 0, 0], [0, 0, 1], DOWN, DOWN) == \
+        pytest.approx(0.25, abs=1e-15)
 
 
 def test_point_gain_outside_fov_is_zero():
     # arrival 45 degrees off the PD normal, field of view narrower than that
-    link = LinkGeometry([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP,
-                        fov_semi_angle=math.radians(30))
-    assert point_gain(link) == 0.0
+    assert one_link_gain([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP,
+                         fov=math.radians(30)) == 0.0
 
 
 def test_point_gain_study_geometry():
     # hand evaluation: cos(phi) = 1.5/sqrt(3.25), distances 1.5 and sqrt(3.25)
     d2 = math.sqrt(3.25)
     expected = (1.5 / d2) / (1.5 + d2) ** 2
-    g = point_gain(study_link())
+    g = study_gain()
     assert g == pytest.approx(expected, rel=1e-12)
     assert g == pytest.approx(0.07628, abs=5e-5)
 
@@ -64,8 +68,7 @@ def test_point_gain_decreases_with_pd_distance():
     gains = []
     for t in (1.0, 1.5, 2.0, 2.5):
         pd = STUDY_ELEM + t * direction
-        link = LinkGeometry(STUDY_LED, STUDY_ELEM, pd, DOWN, -direction)
-        gains.append(point_gain(link))
+        gains.append(one_link_gain(STUDY_LED, STUDY_ELEM, pd, DOWN, -direction))
     assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
@@ -88,7 +91,7 @@ def test_point_gain_lambertian_constant():
     # a "lambertian" scene scales the unit point gain by rho (m + 1) A_pd / (2 pi)
     scene = _scene([STUDY_LED], [STUDY_PD], study_grid(), mode="lambertian")
     assert scene.gains(STUDY_ELEM)[0, 0] == pytest.approx(
-        point_gain(study_link()) * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
+        study_gain() * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
     unit = build_csi_tensor(_scene([STUDY_LED], [STUDY_PD], study_grid()), "quadrature", 3)
     lamb = build_csi_tensor(scene, "quadrature", 3)
     assert_allclose(lamb, unit * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rtol=1e-12)
@@ -96,7 +99,7 @@ def test_point_gain_lambertian_constant():
 
 def test_quadrature_gain_order_one_is_point_gain():
     assert element_gain(study_grid(), 1) == \
-        pytest.approx(point_gain(study_link()), rel=0, abs=0)
+        pytest.approx(study_gain(), rel=0, abs=0)
 
 
 def test_quadrature_gain_constant_integrand():
@@ -117,7 +120,7 @@ def test_quadrature_gain_self_convergence():
 
 def test_quadrature_gain_approaches_point_gain():
     # averaging error shrinks at least linearly as the aperture shrinks
-    p = point_gain(study_link())
+    p = study_gain()
     errs = [abs(element_gain(study_grid(s), 6) - p) for s in (0.08, 0.04, 0.02)]
     assert errs[0] >= 2 * errs[1] and errs[1] >= 2 * errs[2]
 
@@ -139,9 +142,10 @@ def test_build_csi_tensor_single_link():
     grid = wall_grid(1, 1)
     scene = _scene([(1, 2, 3)], [(2, 2, 0)], grid)
     tensor = build_csi_tensor(scene, "point")
-    link = scene.link(0, grid.center, 0)
     assert tensor.shape == (1, 1, 1)
-    assert tensor[0, 0, 0] == pytest.approx(point_gain(link), rel=1e-14)
+    assert tensor[0, 0, 0] == pytest.approx(
+        link_gain((1, 2, 3), DOWN, grid.center, (2, 2, 0), UP, 1.0, math.pi / 2, 1.0),
+        rel=1e-14)
     with pytest.raises(ValueError):           # the truth is read-only
         tensor[0, 0, 0] = 1.0
 
@@ -166,10 +170,12 @@ def test_build_csi_tensor_against_per_link_loop(model, order):
         for nr in range(2):
             for i in range(2):
                 for j in range(2):
-                    link = scene.link(nt, element_positions(grid)[i * 2 + j], nr)
+                    center = element_positions(grid)[i * 2 + j]
                     # literal midpoint rule over the aperture, one link at a time
                     offs = ((np.arange(order) + 0.5) / order - 0.5) * grid.element_size
-                    want = np.mean([point_gain(link.shifted(a * grid.axis_u + b * grid.axis_v))
+                    want = np.mean([link_gain(scene.led_positions[nt], DOWN,
+                                              center + a * grid.axis_u + b * grid.axis_v,
+                                              scene.pd_positions[nr], UP, 1.0, math.pi / 2, 1.0)
                                     for a in offs for b in offs])
                     got = tensor[i * 2 + j, nr, nt]
                     assert got == pytest.approx(want, rel=1e-12)
@@ -375,12 +381,24 @@ def test_scene_rejects_positions_outside_room():
         _scene([(1, 2, 3.5)], [(2, 2, 0)], grid)
 
 
+def test_scene_rejects_led_or_pd_on_an_element_aperture():
+    # an LED or PD at a gain sub-point would make its gain 0 / 0; the 2 x 2
+    # wall grid on y = 0 has its apertures at x in [1.925, 1.975] or
+    # [2.025, 2.075], and z in [1.425, 1.475] or [1.525, 1.575]
+    grid = wall_grid(2, 2)
+    for on in [(1.95, 0, 1.45), (2.07, 0, 1.53), (2.05, 1e-10, 1.55)]:
+        with pytest.raises(DegenerateGeometryError, match="^led_positions "):
+            _scene([(1, 2, 3), on], [(2, 2, 0)], grid)
+        with pytest.raises(DegenerateGeometryError, match="^pd_positions "):
+            _scene([(1, 2, 3)], [on, (2, 2, 0)], grid)
+    # beside an aperture, between two of them, or off the plane: a valid scene
+    for off in [(2.08, 0, 1.55), (2.0, 0, 1.5), (1.95, 1e-8, 1.45), (3, 0, 1.5)]:
+        _scene([off], [(2, 2, 0)], grid)
+
+
 @pytest.mark.parametrize("m,fov", [(0.5, math.pi / 2), (1.0, 0.0), (1.0, 3.0)])
 def test_scene_rejects_beam_outside_link_domain(m, fov):
-    # the same Lambertian order and field-of-view domain as LinkGeometry
     with pytest.raises(ValueError):
         SceneConfig(room=(4, 4, 3), led_positions=[(1, 2, 3)], led_normal=DOWN,
                     lambertian_order=m, pd_positions=[(2, 2, 0)], pd_normal=UP,
                     pd_side=0.05, fov_semi_angle=fov, grid=wall_grid(2, 2))
-    with pytest.raises(ValueError):
-        LinkGeometry(STUDY_LED, STUDY_ELEM, STUDY_PD, DOWN, UP, m, fov)

@@ -9,8 +9,9 @@ from numpy.testing import assert_allclose
 
 from oirsvlc import (
     CoherenceReport,
+    DegenerateGeometryError,
     ExperimentConfig,
-    LinkGeometry,
+    ShapeError,
     SingularGeometryError,
     TaylorCoeffs,
     ZeroGainError,
@@ -22,16 +23,17 @@ from oirsvlc import (
     growth_rate_taylor,
     normalize,
     plane_basis_from,
-    point_gain,
     taylor_coeffs,
 )
+
+from channel_oracle import link_scene
 
 DOWN = (0.0, 0.0, -1.0)
 UP = (0.0, 0.0, 1.0)
 
 
 def study_link():
-    return LinkGeometry([1, 2, 3], [1, 2, 1.5], [2, 2, 0], DOWN, UP)
+    return link_scene([1, 2, 3], [1, 2, 1.5], [2, 2, 0], DOWN, UP)
 
 
 def random_link(rng):
@@ -41,57 +43,61 @@ def random_link(rng):
     n1 = normalize(normalize(elem - led) + 0.3 * rng.standard_normal(3))
     n2 = normalize(normalize(elem - pd) + 0.3 * rng.standard_normal(3))
     m = rng.uniform(1, 3)
-    return LinkGeometry(led, elem, pd, n1, n2, lambertian_order=m)
+    return link_scene(led, elem, pd, n1, n2, m=m)
 
 
-def usable(link):
-    return point_gain(link) > 1e-6 and link.cos_theta > 0.05 and link.cos_phi > 0.05
+def usable(scene, point):
+    lr = point - scene.led_positions[0]
+    ur = point - scene.pd_positions[0]
+    cos_theta = scene.led_normal @ lr / np.linalg.norm(lr)
+    cos_phi = scene.pd_normal @ ur / np.linalg.norm(ur)
+    return scene.gains(point)[0, 0] > 1e-6 and cos_theta > 0.05 and cos_phi > 0.05
 
 
 def test_growth_rate_zero_shift():
-    assert growth_rate_exact(study_link(), [0, 0, 0]) == 0.0
+    assert growth_rate_exact(*study_link(), [0, 0, 0]) == 0.0
 
 
 def test_growth_rate_matches_double_evaluation():
     # independent evaluation of the defining ratio from two plain gains
-    link = study_link()
+    scene, point = study_link()
     shift = np.array([0.05, 0.0, 0.0])
-    h0 = point_gain(link)
-    h1 = point_gain(link.shifted(shift))
-    assert growth_rate_exact(link, shift) == pytest.approx((h1 - h0) / h0, rel=1e-14)
+    h0 = scene.gains(point)[0, 0]
+    h1 = scene.gains(point + shift)[0, 0]
+    assert growth_rate_exact(scene, point, shift) == pytest.approx((h1 - h0) / h0, rel=1e-14)
 
 
 def test_growth_rate_odd_leading_term():
     # xi(d) + xi(-d) is second order: it shrinks ~4x when the shift halves
     link = study_link()
     d = np.array([0.02, 0.01, 0.015])
-    s1 = abs(growth_rate_exact(link, d) + growth_rate_exact(link, -d))
-    s2 = abs(growth_rate_exact(link, d / 2) + growth_rate_exact(link, -d / 2))
+    s1 = abs(growth_rate_exact(*link, d) + growth_rate_exact(*link, -d))
+    s2 = abs(growth_rate_exact(*link, d / 2) + growth_rate_exact(*link, -d / 2))
     assert 2.0 <= s1 / s2 <= 8.0
 
 
 def test_growth_rate_scale_invariant():
     # the gain constant cancels in the ratio: the study scene's gains give
-    # growth_rate_exact's value in either gain mode
+    # the unit-mode growth_rate_exact value in either gain mode
     d = np.array([0.03, -0.02, 0.04])
+    unit = ExperimentConfig().build_single_link()
     for mode in ("unit", "lambertian"):
-        scene, link = replace(ExperimentConfig(), gain_mode=mode).build_single_link()
-        h0, h1 = (float(scene.gains(p)[0, 0]) for p in (link.element, link.element + d))
-        assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(link, d), rel=1e-12)
+        scene = replace(ExperimentConfig(), gain_mode=mode).build_single_link()
+        point = scene.grid.center
+        h0, h1 = (float(scene.gains(p)[0, 0]) for p in (point, point + d))
+        assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(unit, point, d), rel=1e-12)
 
 
 def test_growth_rate_zero_gain():
-    dead = LinkGeometry([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP,
-                        fov_semi_angle=math.radians(10))
+    dead = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(10))
     with pytest.raises(ZeroGainError):
-        growth_rate_exact(dead, [0.01, 0, 0])
+        growth_rate_exact(*dead, [0.01, 0, 0])
 
 
 def test_taylor_coeffs_symmetric_normal_incidence():
     # L = U one meter above R, both normals aimed: the gain along z is
     # 1/(2(1-dz))^2, so xi(dz) = 2 dz + 3 dz^2 + ...: s1_z = 2, S2_zz = 6
-    link = LinkGeometry([0, 0, 1], [0, 0, 0], [0, 0, 1], DOWN, DOWN)
-    c = taylor_coeffs(link)
+    c = taylor_coeffs(*link_scene([0, 0, 1], [0, 0, 0], [0, 0, 1], DOWN, DOWN))
     assert_allclose(c.s1, [0, 0, 2.0], atol=1e-12)
     assert c.S2[2, 2] == pytest.approx(6.0, rel=1e-12)
 
@@ -101,25 +107,48 @@ def test_taylor_coeffs_match_finite_differences():
     checked = 0
     while checked < 100:
         link = random_link(rng)
-        if not usable(link):
+        if not usable(*link):
             continue
         checked += 1
-        c = taylor_coeffs(link)
+        c = taylor_coeffs(*link)
         r = 1e-5
         for e in np.eye(3):
-            fd = (growth_rate_exact(link, r * e) - growth_rate_exact(link, -r * e)) / (2 * r)
+            fd = (growth_rate_exact(*link, r * e) - growth_rate_exact(*link, -r * e)) / (2 * r)
             assert fd == pytest.approx(c.s1 @ e, rel=1e-5, abs=1e-8)
         r = 1e-4
         for e in np.eye(3):
-            fd = (growth_rate_exact(link, r * e) + growth_rate_exact(link, -r * e)) / r**2
+            fd = (growth_rate_exact(*link, r * e) + growth_rate_exact(*link, -r * e)) / r**2
             assert fd == pytest.approx(e @ c.S2 @ e, rel=1e-4, abs=1e-4)
 
 
 def test_taylor_coeffs_singular_geometry():
     # grazing emission: cos(theta) ~ 0
-    link = LinkGeometry([0, 0, 1], [1, 0, 1 - 1e-12], [2, 0, 0], DOWN, UP)
+    link = link_scene([0, 0, 1], [1, 0, 1 - 1e-12], [2, 0, 0], DOWN, UP)
     with pytest.raises(SingularGeometryError):
-        taylor_coeffs(link)
+        taylor_coeffs(*link)
+
+
+def test_coherence_functions_take_one_led_one_pd_and_a_point_off_both():
+    # an element point on the LED or the PD has a zero-length leg
+    scene, point = study_link()
+    led, pd = scene.led_positions[0], scene.pd_positions[0]
+    axes = (np.eye(3)[0], np.eye(3)[1])
+    for at in (led, pd):
+        with pytest.raises(DegenerateGeometryError):
+            taylor_coeffs(scene, at)
+        with pytest.raises(DegenerateGeometryError):
+            growth_rate_exact(scene, at, [0.01, 0, 0])
+        with pytest.raises(DegenerateGeometryError):
+            growth_rate_exact(scene, point, at - point)          # shifted onto it
+        with pytest.raises(DegenerateGeometryError):
+            coherence_distance(scene, at, axes, 0.04, 64)
+    # the MIMO scene has two LEDs and two PDs: no single link to study
+    mimo = ExperimentConfig().build_scene()
+    for call in (lambda: taylor_coeffs(mimo, point),
+                 lambda: growth_rate_exact(mimo, point, [0.01, 0, 0]),
+                 lambda: coherence_distance(mimo, point, axes, 0.04, 64)):
+        with pytest.raises(ShapeError):
+            call()
 
 
 def test_growth_rate_taylor_basics():
@@ -131,11 +160,11 @@ def test_growth_rate_taylor_basics():
 def test_taylor_remainder_third_order():
     # remainder shrinks ~8x per halving on the study geometry along x
     link = study_link()
-    c = taylor_coeffs(link)
+    c = taylor_coeffs(*link)
     e = np.array([1.0, 0, 0])
     rem = {}
     for r in (0.08, 0.04, 0.02):
-        rem[r] = abs(growth_rate_exact(link, r * e) - growth_rate_taylor(c, r * e))
+        rem[r] = abs(growth_rate_exact(*link, r * e) - growth_rate_taylor(c, r * e))
     assert 4.0 <= rem[0.08] / rem[0.04] <= 16.0
     assert 4.0 <= rem[0.04] / rem[0.02] <= 16.0
 
@@ -236,19 +265,21 @@ def test_coherence_distance_study_geometry():
     # frozen value for the aligned single-element surface; the worst
     # direction is the in-plane axis orthogonal to the mirror normal's
     # vertical plane (the room y axis)
-    link = study_link()
-    axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
-    report = coherence_distance(link, axes, 0.04, 360)
+    scene, point = study_link()
+    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
+                                             scene.pd_positions[0]))
+    report = coherence_distance(scene, point, axes, 0.04, 360)
     assert report.d_c == pytest.approx(0.4631576655, abs=1e-9)
     assert_allclose(np.abs(report.argmin_direction), [0, 1, 0], atol=1e-6)
 
 
 def test_coherence_distance_certificate():
     # the growth rate stays within the band across the certified interval
-    link = study_link()
-    axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
+    scene, point = study_link()
+    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
+                                             scene.pd_positions[0]))
     xi_c = 0.04
-    report = coherence_distance(link, axes, xi_c, 360)
+    report = coherence_distance(scene, point, axes, xi_c, 360)
     e = report.argmin_direction
     c = report.coeffs
 
@@ -263,10 +294,11 @@ def test_coherence_distance_certificate():
 
 
 def test_coherence_distance_angular_convergence():
-    link = study_link()
-    axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
-    d64 = coherence_distance(link, axes, 0.04, 64).d_c
-    d512 = coherence_distance(link, axes, 0.04, 512).d_c
+    scene, point = study_link()
+    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
+                                             scene.pd_positions[0]))
+    d64 = coherence_distance(scene, point, axes, 0.04, 64).d_c
+    d512 = coherence_distance(scene, point, axes, 0.04, 512).d_c
     assert abs(d64 - d512) / d512 <= 0.01
 
 
@@ -276,21 +308,22 @@ def test_coherence_distance_angular_convergence():
 def test_coherence_distance_rigid_translation(seed, shift):
     # moving LED, element and PD together changes no distance or angle
     rng = np.random.default_rng(seed)
-    link = random_link(rng)
-    assume(usable(link))
-    axes = plane_basis_from(alignment_normal(link.led, link.element, link.pd))
-    moved = LinkGeometry(link.led + shift, link.element + shift, link.pd + shift,
-                         link.led_normal, link.pd_normal, link.lambertian_order)
-    d_c = coherence_distance(link, axes, 0.04, 64).d_c
-    assert coherence_distance(moved, axes, 0.04, 64).d_c == pytest.approx(d_c, rel=1e-9)
+    scene, point = random_link(rng)
+    assume(usable(scene, point))
+    led, pd = scene.led_positions[0], scene.pd_positions[0]
+    axes = plane_basis_from(alignment_normal(led, point, pd))
+    moved = link_scene(led + shift, point + shift, pd + shift, scene.led_normal,
+                       scene.pd_normal, scene.lambertian_order)
+    d_c = coherence_distance(scene, point, axes, 0.04, 64).d_c
+    assert coherence_distance(*moved, axes, 0.04, 64).d_c == pytest.approx(d_c, rel=1e-9)
 
 
 def test_coherence_distance_validates_inputs():
     link = study_link()
     with pytest.raises(ValueError):
-        coherence_distance(link, (np.eye(3)[0], np.eye(3)[1]), 0.04, 4)
+        coherence_distance(*link, (np.eye(3)[0], np.eye(3)[1]), 0.04, 4)
     with pytest.raises(ValueError):
-        coherence_distance(link, (np.eye(3)[0], np.eye(3)[0]), 0.04, 64)
+        coherence_distance(*link, (np.eye(3)[0], np.eye(3)[0]), 0.04, 64)
 
 
 def test_report_invariants():

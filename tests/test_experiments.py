@@ -117,6 +117,13 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("coherence.element = 9, 9, 9", "coherence.element"),
         ("coherence.element = 1, 2, 3", "coherence"),        # on the LED
         ("coherence.pd = 1, 2, 1.5", "coherence"),            # on the element
+        # on an element center, and on an aperture off the center
+        ("scene.led_positions = 2.05, 0, 1.55; 2.1, 2, 3\ntruth.model = point",
+         "scene.led_positions"),
+        ("scene.pd_positions = 1.8, 2, 0; 1.96, 0, 1.46", "scene.pd_positions"),
+        ("scene.gain_mode = absolute", "scene.gain_mode"),
+        ("scene.pd_side_m = 0", "scene.pd_side_m"),
+        ("scene.led_normal = 0, 0, -2", "scene.led_normal"),
         ("seed = -1", "seed"),
     ]:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
@@ -140,14 +147,14 @@ def test_load_config_file_and_comments(tmp_path):
 
 
 def test_single_link_scene_alignment():
-    scene, link = ExperimentConfig().build_single_link()
+    scene = ExperimentConfig().build_single_link()
     grid = scene.grid
     # the one-element surface is oriented by the reflection law
     from oirsvlc import alignment_normal
-    assert_allclose(grid.normal,
-                    alignment_normal(link.led, link.element, link.pd), atol=1e-12)
+    assert_allclose(grid.normal, alignment_normal(scene.led_positions[0], grid.center,
+                                                  scene.pd_positions[0]), atol=1e-12)
     assert abs(grid.axis_u @ grid.axis_v) <= 1e-12
-    assert_allclose(link.element, (1, 2, 1.5))
+    assert_allclose(grid.center, (1, 2, 1.5))
 
 
 def test_run_fig4_anchor_and_taylor_window():
@@ -316,7 +323,29 @@ def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
 ROOT = Path(__file__).resolve().parent.parent
 
 # bench/child.py still traces these, though the package no longer has them
-STALE_TRACED = {("estimator", "design_layout")}
+STALE_TRACED = {("estimator", "design_layout"), ("channel", "point_gain")}
+
+
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def test_cli_led_on_an_element_fails_at_load_and_writes_nothing(tmp_path):
+    # the gain of that LED at that element is 0 / 0: without -W error numpy
+    # only warns, so the check must stop the run before any gain is computed
+    cfg = tmp_path / "led_on_element.cfg"
+    cfg.write_text("scene.led_positions = 2.05, 0, 1.55; 2.1, 2, 3\n"
+                   "truth.model = point\nsweep.trials = 1\n")
+    env = _src_env()
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run([sys.executable, "-m", "oirsvlc.cli", "noise-sweep", "--config",
+                          str(cfg), "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    assert "ConfigError: scene.led_positions: " in run.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_block_is_the_default_config():
@@ -324,6 +353,18 @@ def test_readme_config_block_is_the_default_config():
     blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
     assert len(blocks) == 1
     assert loads(blocks[0]) == ExperimentConfig()
+
+
+def test_readme_quickstart_runs(tmp_path):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 1
+    run = subprocess.run([sys.executable, "-c", blocks[0]], env=_src_env(), cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    d_c, estimate = run.stdout.splitlines()
+    assert round(float(d_c), 4) == 0.4632
+    assert estimate.split()[-1] == "576"
 
 
 def test_bench_traced_functions_exist():
@@ -374,13 +415,11 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch):
 
 def test_cli_import_loads_no_scipy():
     # nor concurrent.futures or logging, which cost about 10 ms of set-up
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, oirsvlc.cli; "
          "print(sorted(m for m in sys.modules "
          "if m.startswith(('scipy', 'concurrent', 'logging'))))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+        env=_src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 
 

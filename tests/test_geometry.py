@@ -121,6 +121,21 @@ def test_grid_rejects_bad_scalars():
                  element_pitch=0.1, reflectivity=0.0)
 
 
+def test_grid_covers_its_apertures_only():
+    # a tilted 2 x 3 grid of 4 cm apertures at 10 cm pitch
+    n = alignment_normal((1, 2, 3), (1, 2, 1.5), (2, 2, 0))
+    u, v = plane_basis_from(n)
+    grid = OirsGrid(center=(1, 2, 1.5), axis_u=u, axis_v=v, normal=n, rows=2, cols=3,
+                    element_size=0.04, element_pitch=0.1)
+    centers = element_positions(grid)
+    assert grid.covers(centers).all()
+    assert grid.covers(centers + 0.0199 * (u - v)).all()     # near an aperture corner
+    assert grid.covers(centers + 5e-10 * n).all()            # within 1e-9 m of the plane
+    assert not grid.covers(centers + 0.0201 * u).any()       # in a gap, or past the grid
+    assert not grid.covers(centers - 0.0201 * v).any()
+    assert not grid.covers(centers + 2e-9 * n).any()         # off the plane
+
+
 def test_grid_arrays_are_read_only():
     grid = _wall_grid()
     with pytest.raises(ValueError):
