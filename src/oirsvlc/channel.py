@@ -109,6 +109,8 @@ class SceneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "room", _frozen(as_vec3(self.room)))
+        if np.any(self.room <= 0.0):
+            raise ValueError("room extents must be positive")
         leds = np.atleast_2d(np.asarray(self.led_positions, dtype=float))
         pds = np.atleast_2d(np.asarray(self.pd_positions, dtype=float))
         if leds.shape[1] != 3 or leds.shape[0] < 1:

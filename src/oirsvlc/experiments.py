@@ -79,8 +79,7 @@ class ExperimentConfig:
     def build_scene(self) -> SceneConfig:
         """Desk-scale MIMO scene with the grid on the y = 0 wall."""
         return self._scene(self.led_positions, self.pd_positions, self.grid_center,
-                           ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), (0.0, -1.0, 0.0),
-                           self.grid_rows, self.grid_cols)
+                           ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), self.grid_rows, self.grid_cols)
 
     def build_single_link(self) -> SceneConfig:
         """Single LED/element/PD study scene for the gain and coherence runs.
@@ -93,16 +92,15 @@ class ExperimentConfig:
         normal = alignment_normal(self.coherence_led, self.coherence_element,
                                   self.coherence_pd)
         return self._scene((self.coherence_led,), (self.coherence_pd,),
-                           self.coherence_element, plane_basis_from(normal), normal, 1, 1)
+                           self.coherence_element, plane_basis_from(normal), 1, 1)
 
-    def _scene(self, leds, pds, center, axes, normal, rows, cols) -> SceneConfig:
+    def _scene(self, leds, pds, center, axes, rows, cols) -> SceneConfig:
         """Scene with these LEDs, PDs and grid placement; the room, beams,
         element size, pitch, reflectivity and gain mode come from the config."""
         grid = OirsGrid(
             center=center,
             axis_u=axes[0],
             axis_v=axes[1],
-            normal=normal,
             rows=rows,
             cols=cols,
             element_size=self.grid_element_size,
@@ -207,6 +205,15 @@ _SCHEMA = {
 
 _FIELD_TO_KEY = {field: key for key, (field, _) in _SCHEMA.items()}
 
+# A SceneConfig or OirsGrid message begins with the field it rejects; these
+# tables turn that word into the config key, one table per scene build.
+_SCENE_KEYS = {**_FIELD_TO_KEY, "rows": "scene.grid.rows", "cols": "scene.grid.cols",
+               "grid": "scene.grid.center", "element_pitch": "scene.grid.pitch_m",
+               "element_size": "scene.grid.element_size_m",
+               "reflectivity": "scene.grid.reflectivity"}
+_LINK_KEYS = {"led_positions": "coherence.led", "pd_positions": "coherence.pd",
+              "grid": "coherence.element"}
+
 
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
     def bad(key, msg):
@@ -234,37 +241,15 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("truth.model", "must be 'point' or 'quadrature'")
     if config.quadrature_order < 1:
         bad("truth.quadrature_order", "must be >= 1")
-    if config.grid_rows < 1:
-        bad("scene.grid.rows", "must be >= 1")
-    if config.grid_cols < 1:
-        bad("scene.grid.cols", "must be >= 1")
-    if config.grid_pitch <= 0:
-        bad("scene.grid.pitch_m", "must be positive")
-    if not 0 < config.grid_element_size <= config.grid_pitch:
-        bad("scene.grid.element_size_m", "must lie in (0, scene.grid.pitch_m]")
-    room = np.asarray(config.room)
-    if np.any(room <= 0):
-        bad("scene.room", "extents must be positive")
-    for key, points in (("scene.led_positions", config.led_positions),
-                        ("scene.pd_positions", config.pd_positions),
-                        ("scene.grid.center", (config.grid_center,)),
-                        ("coherence.led", (config.coherence_led,)),
-                        ("coherence.pd", (config.coherence_pd,)),
-                        ("coherence.element", (config.coherence_element,))):
-        pts = np.asarray(points)
-        if np.any((pts < -1e-9) | (pts > room + 1e-9)):
-            bad(key, f"must lie inside scene.room {_fmt_value(config.room)}")
     try:
         scene = config.build_scene()
     except (ValueError, OirsVlcError) as exc:
-        # a SceneConfig message begins with the field it rejects; a grid
-        # error names no config field and is reported as `scene`
-        bad(_FIELD_TO_KEY.get(str(exc).partition(" ")[0], "scene"), str(exc))
+        bad(_SCENE_KEYS.get(str(exc).partition(" ")[0], "scene"), str(exc))
     try:
         single = config.build_single_link()
         taylor_coeffs(single, single.grid.center)
     except (ValueError, OirsVlcError) as exc:
-        bad("coherence", str(exc))
+        bad(_LINK_KEYS.get(str(exc).partition(" ")[0], "coherence"), str(exc))
     for spacing in sweep_schemes(config):
         try:
             block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)

@@ -8,7 +8,7 @@ dataclasses are frozen read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,34 +68,35 @@ class OirsGrid:
 
     The grid is centered on `center`; element (i, j) sits at
     center + (j - (cols-1)/2) * pitch * axis_u + (i - (rows-1)/2) * pitch * axis_v.
-    The frame is right-handed: normal = axis_u x axis_v.
+    The frame is right-handed: the derived `normal` is axis_u x axis_v. Each
+    rejection's message begins with the name of the field it rejects.
     """
 
     center: np.ndarray
     axis_u: np.ndarray
     axis_v: np.ndarray
-    normal: np.ndarray
     rows: int
     cols: int
     element_size: float
     element_pitch: float
     reflectivity: float = 0.9
+    normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen(as_vec3(self.center)))
-        for name in ("axis_u", "axis_v", "normal"):
+        for name in ("axis_u", "axis_v"):
             vec = as_vec3(getattr(self, name))
             if not is_unit(vec):
                 raise DegenerateGeometryError(f"{name} must be a unit vector")
             object.__setattr__(self, name, _frozen(vec))
-        if abs(self.axis_u @ self.axis_v) > _UNIT_TOL \
-                or abs(self.axis_u @ self.normal) > _UNIT_TOL \
-                or abs(self.axis_v @ self.normal) > _UNIT_TOL:
-            raise DegenerateGeometryError("grid axes must be pairwise orthogonal")
-        if np.linalg.norm(np.cross(self.axis_u, self.axis_v) - self.normal) > _UNIT_TOL:
-            raise DegenerateGeometryError("frame must be right-handed: normal = u x v")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("rows and cols must be positive")
+        if abs(self.axis_u @ self.axis_v) > _UNIT_TOL:
+            raise DegenerateGeometryError("axis_u must be orthogonal to axis_v")
+        object.__setattr__(self, "normal", _frozen(np.cross(self.axis_u, self.axis_v)))
+        for name in ("rows", "cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.element_pitch <= 0.0:
+            raise ValueError("element_pitch must be positive")
         if not 0.0 < self.element_size <= self.element_pitch:
             raise ValueError("element_size must lie in (0, element_pitch]")
         if not 0.0 < self.reflectivity <= 1.0:

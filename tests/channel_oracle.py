@@ -35,7 +35,7 @@ def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mo
     pts = np.array([led, point, pd], dtype=float)
     pts += np.maximum(0.0, -np.floor(pts.min(axis=0)))
     led, point, pd = pts
-    grid = OirsGrid(center=point, axis_u=(1, 0, 0), axis_v=(0, 1, 0), normal=(0, 0, 1),
+    grid = OirsGrid(center=point, axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     rows=1, cols=1, element_size=0.05, element_pitch=0.05)
     scene = SceneConfig(room=np.floor(pts.max(axis=0)) + 1.0, led_positions=[led],
                         led_normal=led_normal, lambertian_order=m, pd_positions=[pd],

@@ -77,7 +77,7 @@ def study_grid(element_size=0.05):
     from oirsvlc import alignment_normal, plane_basis_from
     n = alignment_normal(STUDY_LED, STUDY_ELEM, STUDY_PD)
     u, v = plane_basis_from(n)
-    return OirsGrid(center=STUDY_ELEM, axis_u=u, axis_v=v, normal=n, rows=1, cols=1,
+    return OirsGrid(center=STUDY_ELEM, axis_u=u, axis_v=v, rows=1, cols=1,
                     element_size=element_size, element_pitch=0.1)
 
 
@@ -105,7 +105,7 @@ def test_quadrature_gain_order_one_is_point_gain():
 def test_quadrature_gain_constant_integrand():
     # identically-zero field over the aperture: exact for every order
     grid = OirsGrid(center=(0, 0, 1), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                    normal=(0, 0, 1), rows=1, cols=1, element_size=0.05,
+                    rows=1, cols=1, element_size=0.05,
                     element_pitch=0.1, reflectivity=1.0)
     vals = [element_gain(grid, k, led=(0, 0, 2), pd=(1, 0, 0), fov=math.radians(10))
             for k in (1, 2, 5)]
@@ -134,7 +134,7 @@ def _scene(led_positions, pd_positions, grid, fov=math.pi / 2, mode="unit"):
 
 def wall_grid(rows, cols, center=(2, 0, 1.5)):
     return OirsGrid(center=center, axis_u=(1, 0, 0), axis_v=(0, 0, 1),
-                    normal=(0, -1, 0), rows=rows, cols=cols,
+                    rows=rows, cols=cols,
                     element_size=0.05, element_pitch=0.1)
 
 

@@ -39,7 +39,7 @@ from channel_oracle import blockdiag_channel, recorded_channel_blocks
 
 def wall_grid(rows=24, cols=24):
     return OirsGrid(center=(2, 0, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
-                    normal=(0, -1, 0), rows=rows, cols=cols,
+                    rows=rows, cols=cols,
                     element_size=0.05, element_pitch=0.1)
 
 
@@ -55,7 +55,7 @@ def desk_scene(rows=24, cols=24):
 def three_by_three_scene(rows, cols, pitch=0.1):
     """Three LEDs and three PDs in a row under and over a wall grid."""
     grid = OirsGrid(center=(2, 0, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
-                    normal=(0, -1, 0), rows=rows, cols=cols,
+                    rows=rows, cols=cols,
                     element_size=pitch / 2, element_pitch=pitch)
     return SceneConfig(room=(4, 4, 3),
                        led_positions=[(1.8, 2, 3), (2.0, 2, 3), (2.2, 2, 3)],
@@ -121,7 +121,7 @@ def test_design_pattern_angle_selective_and_blockdiag_identity(monkeypatch):
         assert_allclose(ran, oracle, rtol=1e-12, atol=0)
 
 
-def test_design_pattern_sample_lattice():
+def test_block_schedule_sample_lattice():
     index, _ = block_schedule(wall_grid(), 2, 2, 2)
     omega = index[:, 1, 0]                # PD row 1, LED column 0
     assert len(omega) == 144 and len(set(omega.tolist())) == 144
@@ -130,7 +130,7 @@ def test_design_pattern_sample_lattice():
     assert set(cols.tolist()) == set(range(0, 24, 2))
 
 
-def test_design_dense_pattern_covers_every_pair_once():
+def test_block_schedule_dense_covers_every_pair_once():
     grid = wall_grid(3, 3)
     index, layout = block_schedule(grid, 2, 2, 1)
     assert layout is None

@@ -93,7 +93,7 @@ def test_config_rejects_unknown_and_invalid_keys():
     with pytest.raises(ConfigError, match="key = value"):
         loads("just some words")
     # each of these used to pass loads() and fail only mid-run
-    for text, key in [
+    table = [
         ("sweep.sigmas = 0, nan", "sweep.sigmas"),
         ("pilots.power = inf", "pilots.power"),
         ("scene.room = 4, inf, 3", "scene.room"),
@@ -125,9 +125,21 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("scene.pd_side_m = 0", "scene.pd_side_m"),
         ("scene.led_normal = 0, 0, -2", "scene.led_normal"),
         ("seed = -1", "seed"),
-    ]:
+        ("scene.grid.reflectivity = 0", "scene.grid.reflectivity"),
+        ("scene.grid.reflectivity = 1.5", "scene.grid.reflectivity"),
+        ("scene.grid.center = 0.1, 0, 1.5", "scene.grid.center"),   # elements spill out
+        ("scene.pd_normal = 0, 0.6, 0.6", "scene.pd_normal"),
+        ("coherence.xi_c = 0", "coherence.xi_c"),
+        ("coherence.angular_samples = 7", "coherence.angular_samples"),
+        ("truth.model = exact", "truth.model"),
+        ("truth.quadrature_order = 0", "truth.quadrature_order"),
+        ("sweep.trials = -1", "sweep.trials"),
+    ]
+    for text, key in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             loads(text)
+    # a new key fails here until the table has a row for it
+    assert {key for _, key in table} >= set(experiments._SCHEMA) - {"output.dir"}
 
 
 def test_config_round_trip():

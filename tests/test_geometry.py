@@ -62,7 +62,7 @@ def test_alignment_normal_antiparallel_rays():
 
 def _wall_grid(rows=24, cols=24, pitch=0.1):
     return OirsGrid(center=(2, 0, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
-                    normal=(0, -1, 0), rows=rows, cols=cols,
+                    rows=rows, cols=cols,
                     element_size=0.05, element_pitch=pitch)
 
 
@@ -74,14 +74,14 @@ def test_element_positions_corner():
 
 def test_element_positions_single_element_grid():
     grid = OirsGrid(center=(1, 2, 1.5), axis_u=(1, 0, 0), axis_v=(0, 0, 1),
-                    normal=(0, -1, 0), rows=1, cols=1,
+                    rows=1, cols=1,
                     element_size=0.05, element_pitch=0.1)
     assert_allclose(element_positions(grid), [[1, 2, 1.5]])
 
 
 def test_element_positions_middle_of_3x3():
     grid = OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                    normal=(0, 0, 1), rows=3, cols=3,
+                    rows=3, cols=3,
                     element_size=0.1, element_pitch=0.1)
     assert_allclose(element_positions(grid)[1 * 3 + 1], [0, 0, 0], atol=1e-15)
 
@@ -99,12 +99,12 @@ def test_element_positions_lattice_spacing():
 def test_grid_rejects_bad_frames():
     with pytest.raises(DegenerateGeometryError):
         OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(1, 0, 0),
-                 normal=(0, 0, 1), rows=2, cols=2, element_size=0.1,
+                 rows=2, cols=2, element_size=0.1,
                  element_pitch=0.1)
-    with pytest.raises(DegenerateGeometryError):
-        # left-handed: normal = v x u
-        OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                 normal=(0, 0, -1), rows=2, cols=2, element_size=0.1,
+    with pytest.raises(DegenerateGeometryError, match="^axis_u must be orthogonal"):
+        # unit axes, not orthogonal
+        OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0.6, 0.8, 0),
+                 rows=2, cols=2, element_size=0.1,
                  element_pitch=0.1)
 
 
@@ -113,11 +113,11 @@ def test_grid_rejects_bad_scalars():
         _wall_grid(rows=0)
     with pytest.raises(ValueError):
         OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                 normal=(0, 0, 1), rows=2, cols=2, element_size=0.2,
+                 rows=2, cols=2, element_size=0.2,
                  element_pitch=0.1)
     with pytest.raises(ValueError):
         OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                 normal=(0, 0, 1), rows=2, cols=2, element_size=0.1,
+                 rows=2, cols=2, element_size=0.1,
                  element_pitch=0.1, reflectivity=0.0)
 
 
@@ -125,7 +125,7 @@ def test_grid_covers_its_apertures_only():
     # a tilted 2 x 3 grid of 4 cm apertures at 10 cm pitch
     n = alignment_normal((1, 2, 3), (1, 2, 1.5), (2, 2, 0))
     u, v = plane_basis_from(n)
-    grid = OirsGrid(center=(1, 2, 1.5), axis_u=u, axis_v=v, normal=n, rows=2, cols=3,
+    grid = OirsGrid(center=(1, 2, 1.5), axis_u=u, axis_v=v, rows=2, cols=3,
                     element_size=0.04, element_pitch=0.1)
     centers = element_positions(grid)
     assert grid.covers(centers).all()
@@ -140,6 +140,10 @@ def test_grid_arrays_are_read_only():
     grid = _wall_grid()
     with pytest.raises(ValueError):
         grid.center[0] = 5.0
+    # the normal is derived from the axes, and frozen like them
+    assert np.array_equal(grid.normal, np.cross(grid.axis_u, grid.axis_v))
+    with pytest.raises(ValueError):
+        grid.normal[1] = 1.0
 
 
 @pytest.mark.parametrize("normal", [(0, 0, 1), (1, 0, 0), (0.6, 0.0, 0.8)])
