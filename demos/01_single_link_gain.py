@@ -15,7 +15,7 @@ from oirsvlc import ExperimentConfig, alignment_normal, build_csi_tensor
 
 # the default config's single-link scene: one LED, one PD and a one-element
 # grid of 5 cm elements spanning the mirror surface
-scene = ExperimentConfig().build_single_link()
+scene = ExperimentConfig().single_link
 led, pd, element = scene.led_positions[0], scene.pd_positions[0], scene.grid.center
 d1 = np.linalg.norm(element - led)
 d2 = np.linalg.norm(element - pd)
@@ -31,7 +31,7 @@ print(f"mirror normal from the reflection law: "
 g_point = scene.gains(element)[0, 0]
 print(f"\npoint-source gain (unit constant): {g_point:.6f}")
 
-absolute = replace(ExperimentConfig(), gain_mode="lambertian").build_single_link()
+absolute = replace(ExperimentConfig(), gain_mode="lambertian").single_link
 print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
       f"{absolute.gains(element)[0, 0]:.3e}")
 for order in (1, 2, 4, 8, 16):

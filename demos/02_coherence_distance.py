@@ -19,7 +19,7 @@ from oirsvlc import (
 
 config = ExperimentConfig()
 report = run_coherence(config)
-scene = config.build_single_link()
+scene = config.single_link
 element = scene.grid.center
 
 coeffs = taylor_coeffs(scene, element)

@@ -12,7 +12,7 @@ import numpy as np
 from oirsvlc import ExperimentConfig, block_schedule, build_csi_tensor, nmse_db, run_algorithm1
 
 config = ExperimentConfig()
-scene = config.build_scene()
+scene = config.scene
 truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
 sigma = 1e-4
 trials = 20

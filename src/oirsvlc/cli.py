@@ -2,7 +2,8 @@
 
 Subcommands: fig4, noise-sweep, overhead, coherence. Each accepts
 --config <path>, --seed <int>, and --out <dir>; results land as CSV in the
-output directory (flag, then OIRS_OUT_DIR, then the config's output.dir).
+output directory (flag, then OIRS_OUT_DIR, then the config's output.dir),
+which is created before the run starts.
 """
 
 from __future__ import annotations
@@ -14,58 +15,45 @@ import sys
 from . import experiments as xp
 
 
-def _load(args) -> xp.ExperimentConfig:
-    config = xp.load_config(args.config) if args.config else xp.ExperimentConfig()
-    if args.seed is not None:
-        config = xp.with_overrides(config, master_seed=args.seed)
-    return config
-
-
-def _outdir(config, args) -> str:
-    path = xp.resolve_output_dir(config, args.out)
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _cmd_fig4(args) -> int:
-    config = _load(args)
+def _fig4(config, path):
     rows, d_c = xp.run_fig4(config)
-    path = os.path.join(_outdir(config, args), "fig4.csv")
     xp.write_fig4_csv(config, rows, d_c, path)
-    print(f"wrote {path} ({len(rows)} rows), d_c = {d_c:.4f} m")
-    return 0
+    return [f"wrote {path} ({len(rows)} rows), d_c = {d_c:.4f} m"]
 
 
-def _cmd_noise_sweep(args) -> int:
-    config = _load(args)
+def _noise_sweep(config, path):
     rows = xp.run_noise_sweep(config)
-    path = os.path.join(_outdir(config, args), "noise_sweep.csv")
     xp.write_noise_sweep_csv(config, rows, path)
-    print(f"wrote {path} ({len(rows)} rows, {config.trials} trials/point)")
-    return 0
+    return [f"wrote {path} ({len(rows)} rows, {config.trials} trials/point)"]
 
 
-def _cmd_overhead(args) -> int:
-    config = _load(args)
+def _overhead(config, path):
     rows = xp.run_overhead_report(config)
-    path = os.path.join(_outdir(config, args), "overhead.csv")
     xp.write_overhead_csv(config, rows, path)
-    for spacing, params, flops in rows:
-        print(f"spacing {spacing}: {params} CSI parameters, ~{flops} flops")
-    print(f"wrote {path}")
-    return 0
+    return [f"spacing {spacing}: {params} CSI parameters, ~{flops} flops"
+            for spacing, params, flops in rows] + [f"wrote {path}"]
 
 
-def _cmd_coherence(args) -> int:
-    config = _load(args)
+def _coherence(config, path):
     report = xp.run_coherence(config)
-    path = os.path.join(_outdir(config, args), "coherence.csv")
     xp.write_coherence_csv(config, report, path)
     d = report.argmin_direction
-    print(f"d_c = {report.d_c:.6f} m at xi_c = {report.xi_c}")
-    print(f"worst direction: ({d[0]:+.4f}, {d[1]:+.4f}, {d[2]:+.4f})")
-    print(f"wrote {path} ({len(report.per_direction_lengths)} directions)")
-    return 0
+    return [f"d_c = {report.d_c:.6f} m at xi_c = {report.xi_c}",
+            f"worst direction: ({d[0]:+.4f}, {d[1]:+.4f}, {d[2]:+.4f})",
+            f"wrote {path} ({len(report.per_direction_lengths)} directions)"]
+
+
+# subcommand -> (help, CSV file name, run-and-write step returning summary lines)
+COMMANDS = {
+    "fig4": ("normalized gain versus element shift for the single-link geometry",
+             "fig4.csv", _fig4),
+    "noise-sweep": ("trial-averaged NMSE over noise levels and spacings",
+                    "noise_sweep.csv", _noise_sweep),
+    "overhead": ("CSI parameter counts and estimation flops per spacing",
+                 "overhead.csv", _overhead),
+    "coherence": ("coherence distance and per-direction profile",
+                  "coherence.csv", _coherence),
+}
 
 
 def main(argv=None) -> int:
@@ -74,27 +62,22 @@ def main(argv=None) -> int:
         description="Reflected-channel coherence analysis and spatial-sampling "
                     "channel estimation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "fig4": _cmd_fig4,
-        "noise-sweep": _cmd_noise_sweep,
-        "overhead": _cmd_overhead,
-        "coherence": _cmd_coherence,
-    }
-    helps = {
-        "fig4": "normalized gain versus element shift for the single-link geometry",
-        "noise-sweep": "trial-averaged NMSE over noise levels and spacings",
-        "overhead": "CSI parameter counts and estimation flops per spacing",
-        "coherence": "coherence distance and per-direction profile",
-    }
-    for name, handler in handlers.items():
-        p = sub.add_parser(name, help=helps[name])
+    for name, (help_text, _, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="config file path (defaults built in)")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="output directory (else $OIRS_OUT_DIR, "
                                      "else the config's output.dir)")
-        p.set_defaults(handler=handler)
     args = parser.parse_args(argv)
-    return args.handler(args)
+    _, filename, step = COMMANDS[args.command]
+    changes = {} if args.seed is None else {"master_seed": args.seed}
+    config = (xp.load_config(args.config, **changes) if args.config
+              else xp.ExperimentConfig(**changes))
+    outdir = xp.resolve_output_dir(config, args.out)
+    os.makedirs(outdir, exist_ok=True)
+    for line in step(config, os.path.join(outdir, filename)):
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

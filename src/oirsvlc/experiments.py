@@ -2,7 +2,9 @@
 
 Configs are flat key = value text with dotted section keys (diff friendly);
 unknown keys are rejected and every validation error names the offending
-key. An empty file yields the default desk-scale setup: a 4 x 4 x 3 m room,
+key. A config is checked when it is made (`loads`, `load_config`, the
+constructor, `dataclasses.replace`) and holds the two scenes the check builds.
+An empty file yields the default desk-scale setup: a 4 x 4 x 3 m room,
 a 24 x 24 reflecting grid with 0.1 m pitch on the y = 0 wall, two LEDs and
 two PDs, 100 pilot slots per block.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +46,11 @@ def nmse_db(value: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Plain-data experiment description; scenes are built on demand."""
+    """Experiment description, checked when it is made: a bad field raises a
+    `ConfigError` naming its key. `scene` is the MIMO scene with the grid on
+    the y = 0 wall. `single_link` is the one LED/element/PD study scene of the
+    gain and coherence runs; its element is turned to the aligned mirror
+    normal, with the room X axis projected onto the surface as first axis."""
 
     room: tuple = (4.0, 4.0, 3.0)
     grid_rows: int = 24
@@ -76,49 +82,13 @@ class ExperimentConfig:
     quadrature_order: int = 8
     output_dir: str = "out"
 
-    def build_scene(self) -> SceneConfig:
-        """Desk-scale MIMO scene with the grid on the y = 0 wall."""
-        return self._scene(self.led_positions, self.pd_positions, self.grid_center,
-                           ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), self.grid_rows, self.grid_cols)
+    scene: SceneConfig = field(init=False, compare=False, repr=False)
+    single_link: SceneConfig = field(init=False, compare=False, repr=False)
 
-    def build_single_link(self) -> SceneConfig:
-        """Single LED/element/PD study scene for the gain and coherence runs.
-
-        The element point is the grid's center. The one-element grid is
-        oriented to the element's aligned mirror normal, so its in-plane axes
-        span the reflecting surface itself; the first axis is the room X axis
-        projected onto that surface.
-        """
-        normal = alignment_normal(self.coherence_led, self.coherence_element,
-                                  self.coherence_pd)
-        return self._scene((self.coherence_led,), (self.coherence_pd,),
-                           self.coherence_element, plane_basis_from(normal), 1, 1)
-
-    def _scene(self, leds, pds, center, axes, rows, cols) -> SceneConfig:
-        """Scene with these LEDs, PDs and grid placement; the room, beams,
-        element size, pitch, reflectivity and gain mode come from the config."""
-        grid = OirsGrid(
-            center=center,
-            axis_u=axes[0],
-            axis_v=axes[1],
-            rows=rows,
-            cols=cols,
-            element_size=self.grid_element_size,
-            element_pitch=self.grid_pitch,
-            reflectivity=self.grid_reflectivity,
-        )
-        return SceneConfig(
-            room=self.room,
-            led_positions=leds,
-            led_normal=self.led_normal,
-            lambertian_order=self.lambertian_order,
-            pd_positions=pds,
-            pd_normal=self.pd_normal,
-            pd_side=self.pd_side,
-            fov_semi_angle=self.fov_semi_angle,
-            grid=grid,
-            gain_mode=self.gain_mode,
-        )
+    def __post_init__(self):
+        scene, single_link = _validate(self)
+        object.__setattr__(self, "scene", scene)
+        object.__setattr__(self, "single_link", single_link)
 
 
 def _parse_float(key, text):
@@ -203,7 +173,7 @@ _SCHEMA = {
     "output.dir": ("output_dir", lambda k, t: t),
 }
 
-_FIELD_TO_KEY = {field: key for key, (field, _) in _SCHEMA.items()}
+_FIELD_TO_KEY = {name: key for key, (name, _) in _SCHEMA.items()}
 
 # A SceneConfig or OirsGrid message begins with the field it rejects; these
 # tables turn that word into the config key, one table per scene build.
@@ -215,7 +185,35 @@ _LINK_KEYS = {"led_positions": "coherence.led", "pd_positions": "coherence.pd",
               "grid": "coherence.element"}
 
 
-def _validate(config: ExperimentConfig) -> ExperimentConfig:
+def _scene(config, leds, pds, center, axes, rows, cols) -> SceneConfig:
+    """Scene with these LEDs, PDs and grid placement; the room, beams,
+    element size, pitch, reflectivity and gain mode come from the config."""
+    grid = OirsGrid(
+        center=center,
+        axis_u=axes[0],
+        axis_v=axes[1],
+        rows=rows,
+        cols=cols,
+        element_size=config.grid_element_size,
+        element_pitch=config.grid_pitch,
+        reflectivity=config.grid_reflectivity,
+    )
+    return SceneConfig(
+        room=config.room,
+        led_positions=leds,
+        led_normal=config.led_normal,
+        lambertian_order=config.lambertian_order,
+        pd_positions=pds,
+        pd_normal=config.pd_normal,
+        pd_side=config.pd_side,
+        fov_semi_angle=config.fov_semi_angle,
+        grid=grid,
+        gain_mode=config.gain_mode,
+    )
+
+
+def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
+    """Check every key of `config`; return its MIMO and single-link scenes."""
     def bad(key, msg):
         raise ConfigError(f"{key}: {msg}")
 
@@ -241,12 +239,18 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         bad("truth.model", "must be 'point' or 'quadrature'")
     if config.quadrature_order < 1:
         bad("truth.quadrature_order", "must be >= 1")
+    if not config.output_dir:
+        bad("output.dir", "must not be empty")
     try:
-        scene = config.build_scene()
+        scene = _scene(config, config.led_positions, config.pd_positions, config.grid_center,
+                       ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), config.grid_rows, config.grid_cols)
     except (ValueError, OirsVlcError) as exc:
         bad(_SCENE_KEYS.get(str(exc).partition(" ")[0], "scene"), str(exc))
     try:
-        single = config.build_single_link()
+        normal = alignment_normal(config.coherence_led, config.coherence_element,
+                                  config.coherence_pd)
+        single = _scene(config, (config.coherence_led,), (config.coherence_pd,),
+                        config.coherence_element, plane_basis_from(normal), 1, 1)
         taylor_coeffs(single, single.grid.center)
     except (ValueError, OirsVlcError) as exc:
         bad(_LINK_KEYS.get(str(exc).partition(" ")[0], "coherence"), str(exc))
@@ -255,11 +259,12 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
             block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)
         except LayoutError as exc:
             bad("sweep.spacings", f"spacing {spacing}: {exc}")
-    return config
+    return scene, single
 
 
-def loads(text: str) -> ExperimentConfig:
-    """Parse config text; missing keys take the desk-scale defaults."""
+def loads(text: str, **changes) -> ExperimentConfig:
+    """Parse config text; missing keys take the desk-scale defaults, and the
+    named fields in `changes` replace what the text gives."""
     values = {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -278,26 +283,19 @@ def loads(text: str) -> ExperimentConfig:
         seen.add(key)
         field_name, parser = _SCHEMA[key]
         values[field_name] = parser(key, val)
-    return with_overrides(ExperimentConfig(), **values)
-
-
-def with_overrides(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """`config` with the named fields replaced, checked as a loaded file is."""
-    return _validate(replace(config, **changes))
+    return ExperimentConfig(**{**values, **changes})
 
 
 def dumps(config: ExperimentConfig) -> str:
     """Serialize with sorted keys; loads(dumps(c)) equals c."""
-    lines = []
-    for f in sorted(fields(ExperimentConfig), key=lambda f: _FIELD_TO_KEY[f.name]):
-        key = _FIELD_TO_KEY[f.name]
-        lines.append(f"{key} = {_fmt_value(getattr(config, f.name))}")
+    lines = [f"{key} = {_fmt_value(getattr(config, name))}"
+             for key, (name, _) in sorted(_SCHEMA.items())]
     return "\n".join(lines) + "\n"
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, **changes) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        return loads(fh.read(), **changes)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -324,7 +322,7 @@ def _write_csv(path, header, rows, comments):
 
 def run_coherence(config: ExperimentConfig):
     """Coherence report of the single-link geometry over its mirror plane."""
-    scene = config.build_single_link()
+    scene = config.single_link
     return coherence_distance(scene, scene.grid.center, (scene.grid.axis_u, scene.grid.axis_v),
                               config.xi_c, config.angular_samples)
 
@@ -343,7 +341,7 @@ def run_fig4(config: ExperimentConfig):
     the coherence distance at the configured threshold.
     """
     report = run_coherence(config)
-    scene = config.build_single_link()
+    scene = config.single_link
     steps = int(round(1.0 / _FIG4_STEP))
     shifts = np.arange(-steps, steps + 1) * _FIG4_STEP
     direction = scene.grid.axis_u
@@ -375,7 +373,7 @@ def run_noise_sweep(config: ExperimentConfig):
     is one `run_algorithm1` call over all its trials; trial seeds derive from
     the master seed, the scheme, the sigma index, and the trial index.
     """
-    scene = config.build_scene()
+    scene = config.scene
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
     rows = []
     for i_sigma, sigma in enumerate(config.sigmas):
@@ -399,7 +397,7 @@ def write_noise_sweep_csv(config: ExperimentConfig, rows, path):
 def run_overhead_report(config: ExperimentConfig):
     """Parameter counts and estimation flops per scheme: rows
     (spacing, csi_params, flops_estimate)."""
-    scene = config.build_scene()
+    scene = config.scene
     nt, nr = scene.n_leds, scene.n_pds
     rows = []
     for spacing in sweep_schemes(config):

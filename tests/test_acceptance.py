@@ -80,7 +80,7 @@ def test_criterion_1_coherence_distance():
     dir_err = min(np.max(np.abs(direction - y_axis)),
                   np.max(np.abs(direction + y_axis)))
 
-    scene = config.build_single_link()
+    scene = config.single_link
     exact = _exact_edge(scene, scene.grid.center, direction, config.xi_c) \
         + _exact_edge(scene, scene.grid.center, -direction, config.xi_c)
 
@@ -128,10 +128,12 @@ def test_criterion_2_growth_rate_coefficients():
                   - growth_rate_exact(*link, -r * e)) / (2 * r)
             worst_s1 = max(worst_s1,
                            abs(fd - coeffs.s1 @ e) / (abs(coeffs.s1 @ e) + 1e-8))
-        r = 1e-4
+        # five-point stencil; xi(0) = 0
+        r = 3e-3
         for e in axes:
-            fd = (growth_rate_exact(*link, r * e)
-                  + growth_rate_exact(*link, -r * e)) / r**2
+            fd = (16 * (growth_rate_exact(*link, r * e) + growth_rate_exact(*link, -r * e))
+                  - (growth_rate_exact(*link, 2 * r * e)
+                     + growth_rate_exact(*link, -2 * r * e))) / (12 * r**2)
             q = e @ coeffs.S2 @ e
             worst_s2 = max(worst_s2, abs(fd - q) / (abs(q) + 1e-4))
         rem = [abs(growth_rate_exact(*link, r * direction)
@@ -209,7 +211,7 @@ def test_criterion_4_model_identity(monkeypatch):
     # the channel blocks run_algorithm1 estimates against the literal
     # block-diagonal association model built from the same schedule
     t0 = time.monotonic()
-    scene = ExperimentConfig().build_scene()
+    scene = ExperimentConfig().scene
     rng = np.random.default_rng(31)
     worst = 0.0
     shapes_ok = True
@@ -232,7 +234,7 @@ def test_criterion_4_model_identity(monkeypatch):
 
 def test_criterion_5_exact_recovery():
     t0 = time.monotonic()
-    scene = ExperimentConfig().build_scene()
+    scene = ExperimentConfig().scene
     result = run_algorithm1(scene, build_csi_tensor(scene, "point"), spacing=1,
                             pilot_slots=100, sigma=0.0, seeds=[1])
     elapsed = time.monotonic() - t0
@@ -243,7 +245,7 @@ def test_criterion_5_exact_recovery():
 
 def test_criterion_6_overhead_accounting():
     config = ExperimentConfig()
-    scene = config.build_scene()
+    scene = config.scene
     n = scene.grid.n_elements
     blocks = {s: SubarrayLayout(scene.grid.rows, scene.grid.cols, 2, 2, s).n_blocks
               for s in (2, 3, 4)}
@@ -282,7 +284,7 @@ def test_criterion_7_noise_sweep_behavior():
 
 
 def test_criterion_8_interpolation_properties():
-    grid = ExperimentConfig().build_scene().grid
+    grid = ExperimentConfig().scene.grid
     index, layout = block_schedule(grid, 2, 2, 2)
     rows, cols = np.divmod(index, 24)          # sampled element of each block and pair
     rng = np.random.default_rng(2)

@@ -80,9 +80,9 @@ def test_growth_rate_scale_invariant():
     # the gain constant cancels in the ratio: the study scene's gains give
     # the unit-mode growth_rate_exact value in either gain mode
     d = np.array([0.03, -0.02, 0.04])
-    unit = ExperimentConfig().build_single_link()
+    unit = ExperimentConfig().single_link
     for mode in ("unit", "lambertian"):
-        scene = replace(ExperimentConfig(), gain_mode=mode).build_single_link()
+        scene = replace(ExperimentConfig(), gain_mode=mode).single_link
         point = scene.grid.center
         h0, h1 = (float(scene.gains(p)[0, 0]) for p in (point, point + d))
         assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(unit, point, d), rel=1e-12)
@@ -115,9 +115,11 @@ def test_taylor_coeffs_match_finite_differences():
         for e in np.eye(3):
             fd = (growth_rate_exact(*link, r * e) - growth_rate_exact(*link, -r * e)) / (2 * r)
             assert fd == pytest.approx(c.s1 @ e, rel=1e-5, abs=1e-8)
-        r = 1e-4
+        r = 3e-3                # five-point stencil; xi(0) = 0
         for e in np.eye(3):
-            fd = (growth_rate_exact(*link, r * e) + growth_rate_exact(*link, -r * e)) / r**2
+            fd = (16 * (growth_rate_exact(*link, r * e) + growth_rate_exact(*link, -r * e))
+                  - (growth_rate_exact(*link, 2 * r * e)
+                     + growth_rate_exact(*link, -2 * r * e))) / (12 * r**2)
             assert fd == pytest.approx(e @ c.S2 @ e, rel=1e-4, abs=1e-4)
 
 
@@ -143,7 +145,7 @@ def test_coherence_functions_take_one_led_one_pd_and_a_point_off_both():
         with pytest.raises(DegenerateGeometryError):
             coherence_distance(scene, at, axes, 0.04, 64)
     # the MIMO scene has two LEDs and two PDs: no single link to study
-    mimo = ExperimentConfig().build_scene()
+    mimo = ExperimentConfig().scene
     for call in (lambda: taylor_coeffs(mimo, point),
                  lambda: growth_rate_exact(mimo, point, [0.01, 0, 0]),
                  lambda: coherence_distance(mimo, point, axes, 0.04, 64)):

@@ -78,7 +78,7 @@ def pair_field(estimate, layout, nr, nt):
 
 
 @pytest.mark.parametrize("spacing,expected_q", [(2, 144), (3, 64), (4, 36)])
-def test_design_pattern_subarray_counts(spacing, expected_q):
+def test_block_schedule_subarray_counts(spacing, expected_q):
     index, layout = block_schedule(wall_grid(), 2, 2, spacing)
     assert (layout.q_v, layout.q_h) == (24 // spacing, 24 // spacing)
     assert layout.n_blocks == expected_q
@@ -93,7 +93,7 @@ def test_design_pattern_degenerate_full_sampling():
     assert_allclose(np.sort(index[:, 0, 0]), np.arange(16))
 
 
-def test_design_pattern_layout_errors():
+def test_block_schedule_layout_errors():
     with pytest.raises(LayoutError):
         SubarrayLayout(24, 24, 2, 2, 1)            # block larger than subarray
     with pytest.raises(LayoutError):
@@ -506,7 +506,7 @@ def test_gain_mode_changes_nmse_only_under_noise():
     mean_nmse = {}
     for mode in ("unit", "lambertian"):
         config = replace(ExperimentConfig(), gain_mode=mode)
-        scene = config.build_scene()
+        scene = config.scene
         truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
         for sigma in (0.0, 1e-4):
             result = run_algorithm1(scene, truth, 2, config.pilot_slots, sigma,
@@ -615,7 +615,7 @@ def test_dense_noiseless_nmse_stays_below_the_csv_floor():
     # the sweep writes -300 dB for these cells; a round-off change in the
     # ridge solve shows here first
     config = ExperimentConfig()
-    scene = config.build_scene()
+    scene = config.scene
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
     result = run_algorithm1(scene, truth, 1, config.pilot_slots, 0.0, config.pilot_power,
                             seeds=[(config.master_seed, 1, 0, trial) for trial in range(5)])

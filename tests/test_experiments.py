@@ -74,7 +74,7 @@ def test_empty_config_is_default_desk_setup():
     assert cfg.pilot_slots == 100
     assert len(cfg.led_positions) == 2 and len(cfg.pd_positions) == 2
     assert cfg.grid_reflectivity == 0.9
-    scene = cfg.build_scene()
+    scene = cfg.scene
     assert scene.n_leds == 2 and scene.n_pds == 2
     assert scene.grid.n_elements == 576
 
@@ -134,12 +134,22 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("truth.model = exact", "truth.model"),
         ("truth.quadrature_order = 0", "truth.quadrature_order"),
         ("sweep.trials = -1", "sweep.trials"),
+        ("output.dir =", "output.dir"),
     ]
     for text, key in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             loads(text)
     # a new key fails here until the table has a row for it
-    assert {key for _, key in table} >= set(experiments._SCHEMA) - {"output.dir"}
+    assert {key for _, key in table} >= set(experiments._SCHEMA)
+
+
+def test_constructor_and_replace_check_the_config():
+    # a config made without loads() is checked as a loaded file is
+    for make, key in [(lambda: replace(ExperimentConfig(), trials=0), "sweep.trials"),
+                      (lambda: ExperimentConfig(pilot_slots=1), "pilots.slots"),
+                      (lambda: replace(ExperimentConfig(), grid_rows=0), "scene.grid.rows")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            make()
 
 
 def test_config_round_trip():
@@ -159,7 +169,7 @@ def test_load_config_file_and_comments(tmp_path):
 
 
 def test_single_link_scene_alignment():
-    scene = ExperimentConfig().build_single_link()
+    scene = ExperimentConfig().single_link
     grid = scene.grid
     # the one-element surface is oriented by the reflection law
     from oirsvlc import alignment_normal
@@ -330,6 +340,30 @@ def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
                   "--out", str(tmp_path / "out")])
     assert calls == []
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_checks_the_config_once(tmp_path, monkeypatch):
+    # --seed goes into the load, so the file and the seed are checked together
+    calls = []
+    real = experiments._validate
+    monkeypatch.setattr(experiments, "_validate", lambda config: calls.append(1) or real(config))
+    assert cli_main(["overhead", "--config", _cfg_file(tmp_path), "--seed", "11",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_output_dir_fails_before_the_sweep(tmp_path, monkeypatch):
+    # the output directory is created before any compute, so a path under a
+    # regular file fails at once
+    calls = []
+    real = experiments.run_algorithm1
+    monkeypatch.setattr(experiments, "run_algorithm1",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    (tmp_path / "f").write_text("")
+    with pytest.raises(OSError):
+        cli_main(["noise-sweep", "--config", _cfg_file(tmp_path),
+                  "--out", str(tmp_path / "f" / "sub")])
+    assert calls == []
 
 
 ROOT = Path(__file__).resolve().parent.parent
