@@ -38,6 +38,11 @@ GAIN_MODES = ("unit", "lambertian")
 # aperture sub-points evaluated at a time: 64 elements at order 8, so each
 # (points, Nr, Nt) gain temporary of a 3 x 3 scene stays near 0.3 MB
 APERTURE_CHUNK_POINTS = 1 << 12
+# Largest Gram entry bound P*(2p)^2 and ridge term sigma^2 accepted, each
+# formed by multiplication (`**` raises on overflow). At the square root of
+# the float64 maximum their sum, the cross terms G H^T + sigma X Z^T and the
+# steps of the ridge solve stay finite.
+MAX_SCALE = math.sqrt(np.finfo(np.float64).max)
 
 
 def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
@@ -199,18 +204,24 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
 
 def _check_pilots(n_leds: int, n_slots: int, power: float):
     """Raise unless `n_slots` pilots of finite positive mean `power` can
-    identify `n_leds` LED gains."""
+    identify `n_leds` LED gains with Gram entries of at most MAX_SCALE."""
     if n_slots < n_leds:
         raise IdentifiabilityError(
             f"{n_slots} pilot slots cannot identify {n_leds} LED gains")
     if not (math.isfinite(power) and power > 0.0):
         raise ValueError("pilot power must be positive and finite")
+    if not n_slots * (2.0 * power) * (2.0 * power) <= MAX_SCALE:
+        raise ValueError(f"pilot power {power:g} makes the Gram bound "
+                         f"slots * (2 * power)^2 exceed {MAX_SCALE:.3g}")
 
 
 def _check_sigma(sigma: float):
-    """Raise unless the noise level `sigma` is finite and nonnegative."""
+    """Raise unless the noise level `sigma` is finite and nonnegative, and
+    sigma^2 at most MAX_SCALE."""
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise ValueError("sigma must be finite and >= 0")
+    if not sigma * sigma <= MAX_SCALE:
+        raise ValueError(f"sigma {sigma:g} makes the ridge term sigma^2 exceed {MAX_SCALE:.3g}")
 
 
 def generate_pilots(n_leds: int, n_slots: int, power: float, seed,

@@ -16,18 +16,28 @@ seed reproduce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SceneConfig, aperture_gain, build_csi_tensor
+from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
-from .errors import ConfigError, LayoutError, OirsVlcError
+from .errors import ConfigError, IdentifiabilityError, LayoutError, OirsVlcError
 from .estimator import block_schedule, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
+
+# CPython's builtin digest, as Lib/random.py takes sha512: `hashlib` loads
+# OpenSSL's libcrypto (3.5 MB of peak RSS on x86_64 Linux), which nothing
+# else in coherence, fig4 or overhead needs. Same algorithm, same footer.
+try:
+    from _sha2 import sha256                 # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256           # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 NMSE_DB_FLOOR = -300.0
 _FIG4_STEP = 0.01        # meters; sweep covers [-1, 1]
@@ -217,20 +227,29 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
     def bad(key, msg):
         raise ConfigError(f"{key}: {msg}")
 
-    for key, (name, _) in _SCHEMA.items():
+    for key, (name, parser) in _SCHEMA.items():
         value = getattr(config, name)
-        if not isinstance(value, str) and not np.all(np.isfinite(value)):
+        if parser in (_parse_int, _parse_ints):
+            counts = value if parser is _parse_ints else (value,)
+            if not all(type(v) is int for v in counts):        # a bool is not a count
+                bad(key, "counts must be integers")
+        elif not isinstance(value, str) and not np.all(np.isfinite(value)):
             bad(key, "values must be finite")
     if config.master_seed < 0:
         bad("seed", "must be >= 0")
     if config.trials < 1:
         bad("sweep.trials", "must be >= 1")
-    if any(s < 0 for s in config.sigmas):
-        bad("sweep.sigmas", "noise levels must be >= 0")
-    if config.pilot_slots < len(config.led_positions):
-        bad("pilots.slots", f"must be >= the number of LEDs ({len(config.led_positions)})")
-    if config.pilot_power <= 0:
-        bad("pilots.power", "must be positive")
+    for sigma in config.sigmas:
+        try:
+            _check_sigma(sigma)
+        except ValueError as exc:
+            bad("sweep.sigmas", str(exc))
+    try:
+        _check_pilots(len(config.led_positions), config.pilot_slots, config.pilot_power)
+    except IdentifiabilityError as exc:
+        bad("pilots.slots", str(exc))
+    except ValueError as exc:
+        bad("pilots.power", str(exc))
     if config.xi_c <= 0:
         bad("coherence.xi_c", "must be positive")
     if config.angular_samples < 8:
@@ -299,7 +318,8 @@ def load_config(path, **changes) -> ExperimentConfig:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(dumps(config).encode()).hexdigest()
+    """SHA-256 hex digest of `dumps(config)`, the CSV footer's config_sha256."""
+    return sha256(dumps(config).encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_block_schedule_subarray_counts(spacing, expected_q):
     assert index.shape == (expected_q, 2, 2)
 
 
-def test_design_pattern_degenerate_full_sampling():
+def test_block_schedule_degenerate_full_sampling():
     # one LED, one PD, spacing 1: every element is its own sample
     grid = wall_grid(4, 4)
     index, layout = block_schedule(grid, 1, 1, 1)
@@ -104,7 +104,7 @@ def test_block_schedule_layout_errors():
         block_schedule(wall_grid(1, 3), 2, 2, 1)   # dense baseline: 3 elements, 4 pairs
 
 
-def test_design_pattern_angle_selective_and_blockdiag_identity(monkeypatch):
+def test_block_schedule_angle_selective_and_blockdiag_identity(monkeypatch):
     # three LEDs and two PDs, so a transposed (LED, PD) gather cannot hide
     scene = SceneConfig(room=(4, 4, 3),
                         led_positions=[(1.8, 2, 3), (2, 2, 3), (2.2, 2, 3)],
@@ -456,8 +456,9 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
 
 
 def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch):
-    # a NaN, infinite or negative sigma, a NaN, infinite or non-positive pilot
-    # power, too few pilot slots and an all-zero truth fail before any pilot
+    # a NaN, infinite, negative or overflowing (sigma^2 = inf) sigma, a NaN,
+    # infinite, non-positive or overflowing (Gram entries = inf) pilot power,
+    # too few pilot slots and an all-zero truth fail before any pilot
     # is drawn or thread started (NaN and inf powers used to come back as NaN
     # NMSE, and sigma = -1 failed only in a worker)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -473,9 +474,10 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
     monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
     monkeypatch.setattr(estimator, "_in_chunks",
                         lambda *a: runs.append(a) or real_in_chunks(*a))
-    bad = [({"sigma": value}, ValueError) for value in (np.nan, np.inf, -np.inf, -1.0)]
+    bad = [({"sigma": value}, ValueError)
+           for value in (np.nan, np.inf, -np.inf, -1.0, 1e160)]
     bad += [({"pilot_power": value}, ValueError)
-            for value in (np.nan, np.inf, 0.0, -1.0)]
+            for value in (np.nan, np.inf, 0.0, -1.0, 1e160)]
     bad += [({"pilot_slots": 1}, IdentifiabilityError),
             ({"truth": np.zeros_like(truth)}, ZeroReferenceError)]
     for spacing in (1, 2):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import re
@@ -135,6 +136,10 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("truth.quadrature_order = 0", "truth.quadrature_order"),
         ("sweep.trials = -1", "sweep.trials"),
         ("output.dir =", "output.dir"),
+        # the Gram entries P * (2p)^2 and the ridge term sigma^2 would overflow:
+        # every row came out NaN, or the sweep died after the truth build
+        ("pilots.power = 1e160", "pilots.power"),
+        ("sweep.sigmas = 0, 1e160", "sweep.sigmas"),
     ]
     for text, key in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
@@ -150,6 +155,20 @@ def test_constructor_and_replace_check_the_config():
                       (lambda: replace(ExperimentConfig(), grid_rows=0), "scene.grid.rows")]:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             make()
+    # a count that is not an int (loads() always parses one) used to pass, or
+    # fail with a bare TypeError
+    for changes, key in [({"trials": 2.5}, "sweep.trials"),
+                         ({"spacings": (2.5,)}, "sweep.spacings"),
+                         ({"spacings": (2, True)}, "sweep.spacings"),
+                         ({"pilot_slots": 100.5}, "pilots.slots"),
+                         ({"angular_samples": 16.5}, "coherence.angular_samples"),
+                         ({"quadrature_order": 2.5}, "truth.quadrature_order"),
+                         ({"grid_rows": 24.0}, "scene.grid.rows"),
+                         ({"grid_cols": 24.0}, "scene.grid.cols"),
+                         ({"master_seed": 1.0}, "seed"),
+                         ({"trials": True}, "sweep.trials")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            ExperimentConfig(**changes)
 
 
 def test_config_round_trip():
@@ -159,6 +178,12 @@ def test_config_round_trip():
     again = loads(dumps(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+
+
+def test_config_hash_is_the_sha256_of_dumps():
+    smoke = load_config(ROOT / "bench" / "configs" / "smoke.cfg")
+    for cfg in (ExperimentConfig(), smoke):
+        assert config_hash(cfg) == hashlib.sha256(dumps(cfg).encode()).hexdigest()
 
 
 def test_load_config_file_and_comments(tmp_path):
@@ -459,14 +484,17 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch):
         FAST.trials * len(FAST.sigmas) * len(FAST.spacings)
 
 
-def test_cli_import_loads_no_scipy():
-    # nor concurrent.futures or logging, which cost about 10 ms of set-up
+def test_cli_import_loads_no_scipy(tmp_path):
+    # nor concurrent.futures or logging, which cost about 10 ms of set-up, nor
+    # (through hashlib) OpenSSL's _hashlib, about 3.5 MB of RSS, in the light
+    # commands
     out = subprocess.run(
         [sys.executable, "-c", "import sys, oirsvlc.cli; "
+         f"[oirsvlc.cli.main([c, '--out', {str(tmp_path)!r}]) for c in ('overhead', 'coherence')]; "
          "print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy', 'concurrent', 'logging'))))"],
+         "if m.startswith(('scipy', 'concurrent', 'logging', '_hashlib'))))"],
         env=_src_env(), capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def _assert_cli_outputs_match_reference(tmp_path, reference, commands, config_args=()):
