@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -64,20 +65,31 @@ def _legs(scene: SceneConfig, points):
     return lr, ur
 
 
-def growth_rate_exact(scene: SceneConfig, point, shift) -> float:
+def _shifts(shifts) -> np.ndarray:
+    """Coerce to a float (..., 3) array of finite shifts or directions."""
+    d = np.asarray(shifts, dtype=float)
+    if d.shape[-1:] != (3,):
+        raise ShapeError(f"expected (..., 3) shifts, got shape {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("shifts must be finite")
+    return d
+
+
+def growth_rate_exact(scene: SceneConfig, point, shifts):
     """Exact relative gain change of a one-LED, one-PD scene when the
-    element point moves by `shift`.
+    element point moves by each of the (..., 3) `shifts`; returns (...).
 
     Both gains are evaluated for the same fixed link configuration (the
     element's mirror orientation is not re-aligned under the shift); the
     gain constant cancels in the ratio, so no gain mode enters.
     """
-    points = np.stack([as_vec3(point), as_vec3(point) + as_vec3(shift)])
+    point, shifts = as_vec3(point), _shifts(shifts)
+    points = np.concatenate([point[None], (point + shifts).reshape(-1, 3)])
     _legs(scene, points)
-    h0, h1 = scene.gains(points)[:, 0, 0]
-    if h0 <= 0.0:
+    h = scene.gains(points)[:, 0, 0]
+    if h[0] <= 0.0:
         raise ZeroGainError("growth rate undefined where the gain is zero")
-    return float((h1 - h0) / h0)
+    return ((h[1:] - h[0]) / h[0]).reshape(shifts.shape[:-1])[()]
 
 
 def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
@@ -113,33 +125,39 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     return TaylorCoeffs(s1, hess_ln + np.outer(s1, s1))
 
 
-def growth_rate_taylor(coeffs: TaylorCoeffs, shift) -> float:
-    """Second-order growth-rate prediction s1^T dR + dR^T S2 dR / 2."""
-    d = as_vec3(shift)
-    return float(coeffs.s1 @ d + 0.5 * d @ coeffs.S2 @ d)
+def _terms(coeffs: TaylorCoeffs, shifts):
+    """Growth-rate terms s1^T d and d^T S2 d / 2 of (..., 3) shifts d, each (...)."""
+    row = _shifts(shifts)[..., None, :]
+    # stacked (1, 3) products, so each shift's sums run in one fixed order
+    linear = (row @ coeffs.s1[:, None])[..., 0, 0]
+    quadratic = 0.5 * (row @ coeffs.S2 @ np.swapaxes(row, -1, -2))[..., 0, 0]
+    return linear, quadratic
 
 
-def coherence_length_1d(A: float, B: float, xi_c: float) -> float:
-    """Spread of the two |A r^2 + B r| = xi_c boundary points nearest zero.
+def growth_rate_taylor(coeffs: TaylorCoeffs, shifts):
+    """Second-order growth-rate prediction s1^T dR + dR^T S2 dR / 2 of each
+    of the (..., 3) `shifts`; returns (...)."""
+    linear, quadratic = _terms(coeffs, shifts)
+    return (linear + quadratic)[()]
 
-    Quadratic branch while the parabola's extremum stays within the band
-    (B^2 <= 4 |A| xi_c); tangent-line bound 2 xi_c / |B| otherwise. A near-
-    zero quadratic coefficient bypasses the quadratic branch to avoid
-    dividing by A. A flat profile (A = B = 0) has no finite length: +inf.
-    """
-    if xi_c <= 0.0:
+
+def coherence_length_1d(A, B, xi_c):
+    """Spread of the two |A r^2 + B r| = xi_c boundary points nearest zero,
+    elementwise over the broadcast arrays: the quadratic or the tangent-line
+    branch of the module notes. A near-zero A takes the tangent line, to
+    avoid dividing by it, unless B = 0: that pure quadratic has length
+    sqrt(4 xi_c / |A|), +inf for a flat profile (A = B = 0)."""
+    A, B, xi_c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (A, B, xi_c)))
+    if not np.all(xi_c > 0.0):
         raise ValueError("xi_c must be positive")
-    if A == 0.0 and B == 0.0:
-        return math.inf
-    eps_a = 1e-12 * max(1.0, B * B / xi_c)
-    if abs(A) <= eps_a:
-        if B == 0.0:
-            # pure quadratic with tiny A: no B/A blow-up possible
-            return math.sqrt(4.0 * xi_c / abs(A))
-        return 2.0 * xi_c / abs(B)
-    if B * B <= 4.0 * abs(A) * xi_c:
-        return math.sqrt((B / A) ** 2 + 4.0 * xi_c / abs(A))
-    return 2.0 * xi_c / abs(B)
+    abs_a = np.abs(A)
+    with np.errstate(all="ignore"):            # the branch not taken may overflow
+        ratio = np.divide(B, A, out=np.zeros_like(B), where=B != 0.0)
+        quadratic = (B == 0.0) | ((abs_a > 1e-12 * np.maximum(1.0, B * B / xi_c))
+                                  & (B * B <= 4.0 * abs_a * xi_c))
+        length = np.where(quadratic, np.sqrt(ratio ** 2 + 4.0 * xi_c / abs_a),
+                          2.0 * xi_c / np.abs(B))
+    return length[()]
 
 
 @dataclass(frozen=True)
@@ -159,35 +177,19 @@ class CoherenceReport:
         if not lengths:
             raise ValueError("per_direction_lengths must not be empty")
         best = min(lengths)
-        if math.isfinite(best):
-            if abs(self.d_c - best) > 1e-12 * max(1.0, abs(best)):
-                raise ValueError("d_c must equal the minimum per-direction length")
-        elif math.isfinite(self.d_c):
+        if self.d_c != best and not (math.isfinite(best)
+                                     and abs(self.d_c - best) <= 1e-12 * max(1.0, abs(best))):
             raise ValueError("d_c must equal the minimum per-direction length")
 
 
-def _direction_length(coeffs: TaylorCoeffs, direction, xi_c: float) -> float:
-    e = direction
-    a = 0.5 * float(e @ coeffs.S2 @ e)
-    b = float(coeffs.s1 @ e)
-    return coherence_length_1d(a, b, xi_c)
-
-
-def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float,
-                      angular_samples: int = 360):
-    """Coherence length over in-plane directions cos(a) u + sin(a) v.
-
-    Angles sample [0, pi); opposite directions are covered by the two-sided
-    length construction. Returns (angles, lengths) arrays; flat directions
-    carry +inf.
-    """
+def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float, angles):
+    """Coherence lengths along the in-plane directions cos(a) u + sin(a) v of
+    the `angles` a; flat directions carry +inf. Opposite directions share a
+    length (the two-sided construction), so angles in [0, pi) cover the plane."""
     u, v = (as_vec3(ax) for ax in plane_axes)
-    angles = np.pi * np.arange(angular_samples) / angular_samples
-    lengths = np.array([
-        _direction_length(coeffs, math.cos(a) * u + math.sin(a) * v, xi_c)
-        for a in angles
-    ])
-    return angles, lengths
+    angles = np.asarray(angles, dtype=float)[..., None]
+    linear, quadratic = _terms(coeffs, np.cos(angles) * u + np.sin(angles) * v)
+    return coherence_length_1d(quadratic, linear, xi_c)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -195,8 +197,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
     """Golden-section minimum of f on [lo, hi] to within tol."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
     while hi - lo > tol:
         if f1 <= f2:
@@ -226,21 +227,18 @@ def coherence_distance(scene: SceneConfig, point, plane_axes, xi_c: float,
     if not (is_unit(u) and is_unit(v)) or abs(u @ v) > 1e-9:
         raise ValueError("plane_axes must be orthonormal")
     coeffs = taylor_coeffs(scene, point)
-    angles, lengths = coherence_profile(coeffs, (u, v), xi_c, angular_samples)
+    angles = np.pi * np.arange(angular_samples) / angular_samples
+    lengths = coherence_profile(coeffs, (u, v), xi_c, angles)
     profile = list(zip(angles.tolist(), lengths.tolist()))
     k = int(np.argmin(lengths))
     best_angle, best_len = angles[k], lengths[k]
     if math.isfinite(best_len):
         step = math.pi / angular_samples
-
-        def f(a):
-            return _direction_length(coeffs, math.cos(a) * u + math.sin(a) * v, xi_c)
-
-        ref_angle, ref_len = _golden_min(f, best_angle - step, best_angle + step)
+        ref_angle, ref_len = _golden_min(partial(coherence_profile, coeffs, (u, v), xi_c),
+                                         best_angle - step, best_angle + step)
         if ref_len < best_len:
             best_angle, best_len = ref_angle, ref_len
         profile.append((float(best_angle), float(best_len)))
     direction = math.cos(best_angle) * u + math.sin(best_angle) * v
-    normal = np.cross(u, v)
-    assert abs(direction @ normal) <= 1e-9, "argmin direction left the surface plane"
+    assert abs(direction @ np.cross(u, v)) <= 1e-9, "argmin direction left the surface plane"
     return CoherenceReport(float(best_len), direction, xi_c, coeffs, tuple(profile))

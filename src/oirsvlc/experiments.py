@@ -140,14 +140,15 @@ def _parse_ints(key, text):
     return tuple(_parse_int(key, p) for p in text.split(",") if p.strip())
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return "; ".join(", ".join(str(float(x)) for x in v) for v in value)
-        if all(isinstance(x, int) for x in value):
-            return ", ".join(str(int(x)) for x in value)
-        return ", ".join(str(float(x)) for x in value)
-    return str(value)
+def _fmt(parser, value) -> str:
+    """The text that `parser` reads back as `value`; an int in a float field
+    prints as a float, so a reloaded config hashes as the one written."""
+    if parser is _parse_vec3_list:
+        return "; ".join(_fmt(_parse_vec3, v) for v in value)
+    if parser in (_parse_vec3, _parse_floats, _parse_ints):
+        item = _parse_int if parser is _parse_ints else _parse_float
+        return ", ".join(_fmt(item, v) for v in value)
+    return str(float(value)) if parser is _parse_float else str(value)
 
 
 # key -> (field name, parser)
@@ -182,6 +183,10 @@ _SCHEMA = {
     "truth.quadrature_order": ("quadrature_order", _parse_int),
     "output.dir": ("output_dir", lambda k, t: t),
 }
+
+# count key -> its smallest accepted value
+_MINIMUM = {"seed": 0, "sweep.trials": 1, "coherence.angular_samples": 8,
+            "truth.quadrature_order": 1}
 
 _FIELD_TO_KEY = {name: key for key, (name, _) in _SCHEMA.items()}
 
@@ -229,16 +234,23 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
 
     for key, (name, parser) in _SCHEMA.items():
         value = getattr(config, name)
+        kind = type(getattr(ExperimentConfig, name))        # of the default
+        if kind in (tuple, str) and not isinstance(value, kind):     # a list would not reload
+            bad(key, f"must be a {kind.__name__}, not {type(value).__name__}")
+        if parser is _parse_vec3_list and not all(isinstance(v, tuple) and len(v) == 3
+                                                  for v in value):
+            bad(key, "must be a tuple of x, y, z tuples")
+        if parser is _parse_floats and not value:
+            bad(key, "must not be empty")
         if parser in (_parse_int, _parse_ints):
             counts = value if parser is _parse_ints else (value,)
             if not all(type(v) is int for v in counts):        # a bool is not a count
                 bad(key, "counts must be integers")
-        elif not isinstance(value, str) and not np.all(np.isfinite(value)):
-            bad(key, "values must be finite")
-    if config.master_seed < 0:
-        bad("seed", "must be >= 0")
-    if config.trials < 1:
-        bad("sweep.trials", "must be >= 1")
+            if key in _MINIMUM and value < _MINIMUM[key]:
+                bad(key, f"must be >= {_MINIMUM[key]}")
+        elif kind is not str and not (np.asarray(value).dtype.kind in "biuf"
+                                     and np.all(np.isfinite(value))):
+            bad(key, "values must be finite numbers")
     for sigma in config.sigmas:
         try:
             _check_sigma(sigma)
@@ -252,12 +264,8 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         bad("pilots.power", str(exc))
     if config.xi_c <= 0:
         bad("coherence.xi_c", "must be positive")
-    if config.angular_samples < 8:
-        bad("coherence.angular_samples", "must be >= 8")
     if config.truth_model not in ("point", "quadrature"):
         bad("truth.model", "must be 'point' or 'quadrature'")
-    if config.quadrature_order < 1:
-        bad("truth.quadrature_order", "must be >= 1")
     if not config.output_dir:
         bad("output.dir", "must not be empty")
     try:
@@ -307,8 +315,8 @@ def loads(text: str, **changes) -> ExperimentConfig:
 
 def dumps(config: ExperimentConfig) -> str:
     """Serialize with sorted keys; loads(dumps(c)) equals c."""
-    lines = [f"{key} = {_fmt_value(getattr(config, name))}"
-             for key, (name, _) in sorted(_SCHEMA.items())]
+    lines = [f"{key} = {_fmt(parser, getattr(config, name))}"
+             for key, (name, parser) in sorted(_SCHEMA.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -348,30 +356,28 @@ def run_coherence(config: ExperimentConfig):
 
 
 def write_coherence_csv(config: ExperimentConfig, report: CoherenceReport, path):
-    rows = [(angle, length) for angle, length in report.per_direction_lengths]
     comments = (f"# d_c_m={float(report.d_c)}",) + _footer(config)
-    _write_csv(path, "angle_rad,length_m", rows, comments)
+    _write_csv(path, "angle_rad,length_m", report.per_direction_lengths, comments)
 
 
 def run_fig4(config: ExperimentConfig):
     """Normalized gain versus element shift along the surface's first axis.
 
-    Returns (rows, d_c): rows of (shift_m, gain_point_norm, gain_quad_norm,
-    gain_taylor_norm), each column normalized by its zero-shift value, and
-    the coherence distance at the configured threshold.
+    Returns (rows, d_c): (201, 4) rows of (shift_m, gain_point_norm,
+    gain_quad_norm, gain_taylor_norm), each gain column normalized by its
+    zero-shift value, and the coherence distance at the configured threshold.
     """
     report = run_coherence(config)
     scene = config.single_link
     steps = int(round(1.0 / _FIG4_STEP))
     shifts = np.arange(-steps, steps + 1) * _FIG4_STEP
-    direction = scene.grid.axis_u
-    centers = scene.grid.center + shifts[:, None] * direction
+    offsets = shifts[:, None] * scene.grid.axis_u
+    centers = scene.grid.center + offsets
     point = scene.gains(centers)[:, 0, 0]
     quad = aperture_gain(scene, centers, config.quadrature_order)[:, 0, 0]
     # shift 0 leaves the element exactly in place, so that row normalizes to 1
-    rows = [(float(t), p / point[steps], q / quad[steps],
-             1.0 + growth_rate_taylor(report.coeffs, t * direction))
-            for t, p, q in zip(shifts, point, quad)]
+    rows = np.column_stack([shifts, point / point[steps], quad / quad[steps],
+                            1.0 + growth_rate_taylor(report.coeffs, offsets)])
     return rows, float(report.d_c)
 
 
@@ -433,9 +439,4 @@ def write_overhead_csv(config: ExperimentConfig, rows, path):
 
 def resolve_output_dir(config: ExperimentConfig, override=None) -> str:
     """CLI flag beats the OIRS_OUT_DIR environment variable beats the config."""
-    if override:
-        return str(override)
-    env = os.environ.get("OIRS_OUT_DIR")
-    if env:
-        return env
-    return config.output_dir
+    return str(override or os.environ.get("OIRS_OUT_DIR") or config.output_dir)

@@ -122,23 +122,20 @@ def test_criterion_2_growth_rate_coefficients():
             continue
         checked += 1
         coeffs = taylor_coeffs(*link)
-        r = 1e-5
-        for e in axes:
-            fd = (growth_rate_exact(*link, r * e)
-                  - growth_rate_exact(*link, -r * e)) / (2 * r)
-            worst_s1 = max(worst_s1,
-                           abs(fd - coeffs.s1 @ e) / (abs(coeffs.s1 @ e) + 1e-8))
-        # five-point stencil; xi(0) = 0
-        r = 3e-3
-        for e in axes:
-            fd = (16 * (growth_rate_exact(*link, r * e) + growth_rate_exact(*link, -r * e))
-                  - (growth_rate_exact(*link, 2 * r * e)
-                     + growth_rate_exact(*link, -2 * r * e))) / (12 * r**2)
-            q = e @ coeffs.S2 @ e
-            worst_s2 = max(worst_s2, abs(fd - q) / (abs(q) + 1e-4))
-        rem = [abs(growth_rate_exact(*link, r * direction)
-                   - growth_rate_taylor(coeffs, r * direction))
-               for r in (0.08, 0.04)]
+        # central stencil at r1 on each axis, five-point stencil at r2 (with
+        # xi(0) = 0), then the remainder along `direction`: one call per link
+        r1, r2 = 1e-5, 3e-3
+        steps = [r1 * axes, -r1 * axes, r2 * axes, -r2 * axes, 2 * r2 * axes, -2 * r2 * axes]
+        along = np.array([0.08 * direction, 0.04 * direction])
+        xi = growth_rate_exact(*link, np.concatenate(steps + [along]))
+        plus1, minus1, plus2, minus2, plus4, minus4 = xi[:18].reshape(6, 3)
+        s1 = coeffs.s1                      # s1 @ e on each axis
+        fd = (plus1 - minus1) / (2 * r1)
+        worst_s1 = max(worst_s1, np.max(np.abs(fd - s1) / (np.abs(s1) + 1e-8)))
+        q = np.diag(coeffs.S2)              # e @ S2 @ e on each axis
+        fd = (16 * (plus2 + minus2) - (plus4 + minus4)) / (12 * r2**2)
+        worst_s2 = max(worst_s2, np.max(np.abs(fd - q) / (np.abs(q) + 1e-4)))
+        rem = np.abs(xi[18:] - growth_rate_taylor(coeffs, along))
         if rem[1] > 1e-14:
             ratios.append(rem[0] / rem[1])
     elapsed = time.monotonic() - t0
@@ -198,7 +195,7 @@ def test_criterion_3_coherence_length_oracle():
     A = np.concatenate([A, Ab])
     B = np.concatenate([B, Bb])
     xi = np.concatenate([xi, xib])
-    closed = np.array([coherence_length_1d(a, b, x) for a, b, x in zip(A, B, xi)])
+    closed = coherence_length_1d(A, B, xi)
     oracle = _oracle_lengths(A, B, xi)
     worst = np.max(np.abs(closed - oracle) / oracle)
     elapsed = time.monotonic() - t0

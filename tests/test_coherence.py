@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from oirsvlc import (
@@ -252,15 +253,61 @@ def test_coherence_length_is_lower_bound_beyond_band():
 def test_coherence_profile_linear_coeffs():
     # in-plane gradient (1, 0), no curvature: worst direction is +-u
     c = TaylorCoeffs([1.0, 0, 0], np.zeros((3, 3)))
-    angles, lengths = coherence_profile(c, (np.eye(3)[0], np.eye(3)[1]), 0.04, 64)
+    angles = np.pi * np.arange(64) / 64
+    lengths = coherence_profile(c, (np.eye(3)[0], np.eye(3)[1]), 0.04, angles)
+    assert lengths.shape == (64,)
     k = int(np.argmin(lengths))
     assert lengths[k] == pytest.approx(0.08, rel=1e-12)
     assert angles[k] == 0.0
     assert lengths[32] > 1e12  # near-perpendicular to the gradient: near-flat
     # an exactly flat direction reports an unbounded length
-    _, flat = coherence_profile(TaylorCoeffs([0, 0, 1.0], np.zeros((3, 3))),
-                                (np.eye(3)[0], np.eye(3)[1]), 0.04, 8)
+    flat = coherence_profile(TaylorCoeffs([0, 0, 1.0], np.zeros((3, 3))),
+                             (np.eye(3)[0], np.eye(3)[1]), 0.04, np.pi * np.arange(8) / 8)
     assert np.all(np.isinf(flat[:1]))  # angle 0 has exactly zero in-plane slope
+
+
+def test_array_forms_equal_one_at_a_time_calls():
+    # a batch runs each entry through the same sums as a lone call, bit for bit
+    scene, point = study_link()
+    coeffs = taylor_coeffs(scene, point)
+    rng = np.random.default_rng(8)
+    shifts = rng.uniform(-0.2, 0.2, (2, 7, 3))
+    for batch in (shifts[0], shifts):
+        for fn, args in ((growth_rate_exact, (scene, point)), (growth_rate_taylor, (coeffs,))):
+            got = fn(*args, batch)
+            assert got.shape == batch.shape[:-1]
+            one = np.reshape([fn(*args, d) for d in batch.reshape(-1, 3)], got.shape)
+            assert np.array_equal(got, one)
+    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
+                                             scene.pd_positions[0]))
+    angles = np.pi * np.arange(360) / 360
+    lengths = coherence_profile(coeffs, axes, 0.04, angles)
+    assert np.array_equal(lengths, [coherence_profile(coeffs, axes, 0.04, a) for a in angles])
+    A = np.concatenate([rng.choice([-1.0, 1.0], 200) * 10 ** rng.uniform(-14, 3, 200),
+                        [0.0, 0.0, 1e-13, -1e-13, 2.0]])
+    B = np.concatenate([rng.choice([-1.0, 1.0], 200) * 10 ** rng.uniform(-3, 3, 200),
+                        [0.0, 1.0, 0.0, 1e-9, 0.0]])
+    xi = 10 ** rng.uniform(-3, 0, len(A))
+    batch = coherence_length_1d(A, B, xi)
+    assert np.array_equal(batch, [coherence_length_1d(a, b, x) for a, b, x in zip(A, B, xi)])
+    with pytest.raises(ShapeError):
+        growth_rate_exact(scene, point, np.zeros((4, 2)))
+
+
+_COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, 1e-300]),
+                   st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(A=hnp.arrays(float, 16, elements=_COEFF), B=hnp.arrays(float, 16, elements=_COEFF),
+       xi_c=st.floats(1e-4, 10.0))
+def test_coherence_length_sign_flip_invariance(A, B, xi_c):
+    # |A r^2 + B r| = xi_c mirrors under r -> -r and under a global sign, so
+    # L(A, B) = L(-A, B) = L(A, -B) exactly, in every branch
+    length = coherence_length_1d(A, B, xi_c)
+    assert np.array_equal(coherence_length_1d(-A, B, xi_c), length)
+    assert np.array_equal(coherence_length_1d(A, -B, xi_c), length)
+    assert not np.any(np.isnan(length))
 
 
 def test_coherence_distance_study_geometry():

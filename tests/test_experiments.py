@@ -178,6 +178,32 @@ def test_config_round_trip():
     again = loads(dumps(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+    # a value that dumps() could not write back as itself is refused when the
+    # config is made; an int in a float field is written as a float
+    for changes, key in [({"spacings": [2, 3], "sigmas": [0.0, 1e-4]}, "sweep.sigmas"),
+                         ({"spacings": [2, 3]}, "sweep.spacings"),
+                         ({"sigmas": [0.0, 1e-4]}, "sweep.sigmas"),
+                         ({"sigmas": ()}, "sweep.sigmas"),
+                         ({"led_positions": [[1.9, 2.0, 3.0], [2.1, 2.0, 3.0]]},
+                          "scene.led_positions"),
+                         ({"led_positions": ([1.9, 2.0, 3.0], (2.1, 2.0, 3.0))},
+                          "scene.led_positions"),
+                         ({"room": np.array([4.0, 4.0, 3.0])}, "scene.room"),
+                         ({"output_dir": Path("out")}, "output.dir"),
+                         ({"xi_c": "0.04"}, "coherence.xi_c"),
+                         ({"sigmas": (0, 1)}, None),
+                         ({"lambertian_order": 1}, None),
+                         ({"room": (4, 4, 3)}, None),
+                         ({"coherence_led": (1, 2, 3)}, None),
+                         ({"spacings": ()}, None)]:
+        try:
+            cfg = ExperimentConfig(**changes)
+        except ConfigError as exc:
+            assert key is not None and str(exc).startswith(f"{key}: "), (changes, exc)
+            continue
+        assert key is None, changes
+        again = loads(dumps(cfg))
+        assert again == cfg and config_hash(again) == config_hash(cfg), changes
 
 
 def test_config_hash_is_the_sha256_of_dumps():
