@@ -22,14 +22,18 @@ blocks Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed.
 It draws, reads and solves CHUNK_BLOCKS blocks at a time, the pilots and the
 noise through two cursors on the trial's one stream (`trial_streams`), so no
 trial holds all its pilots or noise at once. The trials' draws and solves
-are spread over the process's CPUs. Each trial is scored as soon as it is
-recovered, so no call holds every trial's full (N, Nr, Nt) estimate.
+are spread over the process's CPUs by forked worker processes, which hand
+their results back through anonymous shared memory; Phase III and every
+other public function run in the calling process. Each trial is scored as
+soon as it is recovered, so no call holds every trial's full (N, Nr, Nt)
+estimate.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import threading
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +47,13 @@ from .channel import (
     rx_statistics,
     trial_streams,
 )
-from .errors import LayoutError, ShapeError, SingularSystemError, ZeroReferenceError
+from .errors import (
+    LayoutError,
+    OirsVlcError,
+    ShapeError,
+    SingularSystemError,
+    ZeroReferenceError,
+)
 from .geometry import OirsGrid
 
 # Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
@@ -247,41 +257,71 @@ class EstimationResult:
 
 
 def _worker_count() -> int:
-    """CPUs this process may run on: the number of trial chunks per call."""
+    """CPUs this process may run on: the number of trial groups per call, 1
+    where the platform cannot tell."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        return 1
 
 
-def _in_chunks(task, n_items: int):
-    """Run task(lo, hi) over contiguous chunks of range(n_items), one per
-    worker: the calling thread runs the first chunk, plain threads the rest.
-    All threads are joined before the first error, in chunk order, is
-    re-raised."""
-    n = max(1, min(_worker_count(), n_items))
-    bounds = [n_items * i // n for i in range(n + 1)]
-    errors = [None] * n
-
-    def run(i):
-        try:
-            task(bounds[i], bounds[i + 1])
-        except BaseException as exc:
-            errors[i] = exc
-
-    threads = []
+def _work(solve, lo: int, hi: int, report_fd: int):
+    """A forked worker: solve(lo, hi), write the pickled outcome (None, or the
+    exception) to `report_fd`, and leave through os._exit, never into the
+    stack it was forked from; the status is 0 only once the outcome is written."""
+    status = 1
     try:
-        for i in range(1, n):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
+        try:
+            solve(lo, hi)
+            outcome = None
+        except BaseException as exc:            # the caller raises it
+            outcome = exc
+        with open(report_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        status = 0
     finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        os._exit(status)
+
+
+def _in_chunks(solve, score, n_items: int):
+    """solve(lo, hi) over contiguous groups of range(n_items), one per CPU the
+    process may run on, then score(lo, hi) of every group in the calling
+    process and thread. The caller solves and scores the first group while
+    one forked worker solves each other group. Every worker is reaped before
+    the first error, in group order, is raised; the workers' groups are
+    scored only when all of them reported done."""
+    n = max(1, min(_worker_count(), n_items))
+    groups = [(n_items * i // n, n_items * (i + 1) // n) for i in range(n)]
+    workers, reaped = [], []
+    try:
+        for lo, hi in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work(solve, lo, hi, write)
+            os.close(write)
+            workers.append((pid, read))
+        solve(*groups[0])
+        score(*groups[0])
+    finally:
+        for pid, read in workers:
+            with open(read, "rb") as pipe:      # to its end: no worker blocks on a full pipe
+                report = pipe.read()
+            reaped.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), report))
+    for pid, code, report in reaped:
+        if code != 0:
+            raise OirsVlcError(f"trial worker {pid} exited with status {code} "
+                               "before reporting")
+        outcome = pickle.loads(report)
+        if outcome is not None:
+            raise outcome
+    for lo, hi in groups[1:]:
+        score(lo, hi)
 
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
@@ -291,23 +331,28 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     and the NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see
     `build_csi_tensor`). The truth (shape, finite, nonnegative, not all
     zero), sigma (finite, >= 0), pilot_power (finite, > 0) and pilot_slots
-    (>= Nt) are checked before any draw or thread start.
+    (>= Nt) are checked before any draw or fork.
 
     Trial t reads its own stream `default_rng(seeds[t])`: the pilots of
     every block, then the noise only when sigma > 0, block q consuming
     slice q, through the two cursors of `trial_streams`, one chunk of
     CHUNK_BLOCKS blocks at a time (pilots, noise, Gram and cross terms,
     ridge solve). Its bits do not depend on the chunk size. The trials are
-    split into contiguous groups, one per CPU the process may run on; the
-    calling thread solves one group and plain threads the rest. A worker
-    scores each dense-baseline trial on its blocks, which hold every
-    (element, pair) entry once, as soon as it is solved. A sampled trial
-    keeps only its (Q, Nr, Nt) block estimates; the calling thread then
-    recovers and scores one trial at a time. So a call holds at most one
-    full estimate per worker, and a trial's result depends on its seed
-    alone, not on the other seeds or on the CPU count. sigma = 0 with
-    spacing 1 and the point-model truth recovers the tensor exactly up to
-    round-off.
+    split into contiguous groups, one per CPU the process may run on
+    (`os.sched_getaffinity`; one group where the platform lacks it). The
+    calling process solves the first group and one forked worker process
+    each of the others, writing into anonymous shared memory: a
+    dense-baseline trial is scored on its blocks, which hold every
+    (element, pair) entry once, as soon as it is solved, and leaves its
+    NMSE; a sampled trial leaves only its (Q, Nr, Nt) block estimates,
+    which the calling process recovers and scores one trial at a time, its
+    own group's while the workers run. Every worker is reaped before the
+    call returns or raises; a worker's exception is raised in the caller,
+    and a worker that exits without reporting raises OirsVlcError. So a
+    call holds at most one full estimate per process, and a trial's result
+    depends on its seed alone, not on the other seeds or on the CPU count.
+    sigma = 0 with spacing 1 and the point-model truth recovers the tensor
+    exactly up to round-off.
     """
     nt, nr = scene.n_leds, scene.n_pds
     truth = np.asarray(truth, dtype=float)
@@ -330,28 +375,30 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     q_blocks = index.shape[0]
     pd_index, led_index = np.ix_(range(nr), range(nt))
     h_blocks = truth[index, pd_index, led_index]                      # (Q, Nr, Nt)
+    # shared with the forked workers: each dense trial's NMSE, or each sampled
+    # trial's block estimates for Phase III in the calling process
+    width = 1 if layout is None else h_blocks.size
+    shared = np.frombuffer(mmap.mmap(-1, len(seeds) * width * 8)).reshape(len(seeds), width)
     errors = np.empty(len(seeds))
-    # sampled trials keep their block estimates for Phase III on this thread
-    kept = None if layout is None else np.empty((len(seeds), q_blocks, nr, nt))
 
     def solve(lo, hi):
         x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
-        own = np.empty((q_blocks, nr, nt)) if kept is None else None
+        h_est = np.empty(h_blocks.shape)
         for t in range(lo, hi):
-            h_est = own if kept is None else kept[t]
             pilots, noise = trial_streams(seeds[t], q_blocks * nt * pilot_slots)
             for b in range(0, q_blocks, len(x)):
                 xb = x[:q_blocks - b]
                 generate_pilots(nt, pilot_slots, pilot_power, pilots, (len(xb),), out=xb)
                 stats = rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise)
                 h_est[b:b + len(xb)] = mmse_estimate(*stats, sigma)
-            if kept is None:
-                errors[t] = nmse(h_est, h_blocks)
+            shared[t] = nmse(h_est, h_blocks) if layout is None else h_est.reshape(-1)
 
-    _in_chunks(solve, len(seeds))
-    if kept is not None:
-        for t, h_est in enumerate(kept):
-            errors[t] = nmse(interpolate_full(h_est, layout), truth)
+    def score(lo, hi):
+        for t in range(lo, hi):
+            errors[t] = shared[t, 0] if layout is None else nmse(
+                interpolate_full(shared[t].reshape(h_blocks.shape), layout), truth)
+
+    _in_chunks(solve, score, len(seeds))
 
     return EstimationResult(
         nmse=errors,

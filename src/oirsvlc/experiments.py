@@ -268,6 +268,10 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         bad("truth.model", "must be 'point' or 'quadrature'")
     if not config.output_dir:
         bad("output.dir", "must not be empty")
+    # loads() strips each value and splits the text into lines, so either
+    # would change the directory that dumps() wrote
+    if config.output_dir != config.output_dir.strip() or not config.output_dir.isprintable():
+        bad("output.dir", "must be printable, with no leading or trailing whitespace")
     try:
         scene = _scene(config, config.led_positions, config.pd_positions, config.grid_center,
                        ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), config.grid_rows, config.grid_cols)

@@ -1,5 +1,4 @@
 import os
-import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -16,6 +15,7 @@ from oirsvlc import (
     IdentifiabilityError,
     LayoutError,
     OirsGrid,
+    OirsVlcError,
     SceneConfig,
     ShapeError,
     SingularSystemError,
@@ -455,19 +455,23 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
     assert len(draws) == 1
 
 
-def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch):
+def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch, tmp_path):
     # a NaN, infinite, negative or overflowing (sigma^2 = inf) sigma, a NaN,
     # infinite, non-positive or overflowing (Gram entries = inf) pilot power,
     # too few pilot slots and an all-zero truth fail before any pilot
-    # is drawn or thread started (NaN and inf powers used to come back as NaN
-    # NMSE, and sigma = -1 failed only in a worker)
+    # is drawn or worker forked (NaN and inf powers used to come back as NaN
+    # NMSE, and sigma = -1 failed only in a worker). A worker's draws reach
+    # the test through an append-mode file, not this process's memory.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
-    draws, runs = [], []
+    log = tmp_path / "draws.txt"
+    log.touch()
+    runs = []
 
     def pilots(*args, **kwargs):
-        draws.append(args)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {threading.get_ident()}\n")
         return generate_pilots(*args, **kwargs)
 
     real_in_chunks = estimator._in_chunks
@@ -485,9 +489,12 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
             kwargs = {"truth": truth, "pilot_slots": 16, "sigma": 1e-4, **changed}
             with pytest.raises(error):
                 run_algorithm1(scene, spacing=spacing, seeds=[1, 2], **kwargs)
-    assert draws == [] and runs == []
+    assert log.read_text() == "" and runs == []
     run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[1, 2])
-    assert len(draws) == 2 and len(runs) == 1
+    drawers = [line.split()[0] for line in log.read_text().splitlines()]
+    assert len(drawers) == 2 and len(set(drawers)) == 2 and len(runs) == 1
+    with pytest.raises(ChildProcessError):     # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_noise_monotonicity_smoke():
@@ -520,32 +527,48 @@ def test_gain_mode_changes_nmse_only_under_noise():
 
 @pytest.mark.parametrize("spacing", [1, 2, 3])
 def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
-    # trials split over two CPUs, or over more workers than cores that each
-    # write their trials' scores while switching often, still give each
-    # seed's one-trial result
+    # trials split over two CPUs, or over more worker processes than cores
+    # that each write their trials' rows of the shared buffer, still give
+    # each seed's one-trial result
     scene = desk_scene(12, 12)
     truth = build_csi_tensor(scene, "quadrature")
     seeds = [(8, spacing, trial) for trial in range(9)]
     singles = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=[s])
                for s in seeds]
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for cpus in (2, 8):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                                raising=False)
-            batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
-                                   seeds=seeds)
-            assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
-            assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
-    finally:
-        sys.setswitchinterval(interval)
+    for cpus in (2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                            raising=False)
+        batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
+                               seeds=seeds)
+        assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
+        assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
+
+
+def test_run_algorithm1_without_affinity_runs_in_one_process(monkeypatch):
+    # where os.sched_getaffinity is missing the pass never forks, whatever
+    # os.cpu_count says, and each trial keeps its bits
+    scene = desk_scene(8, 8)
+    truth = build_csi_tensor(scene)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
+                             seeds=range(5)) for spacing in (1, 2)]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def no_fork():
+        raise AssertionError("the pass forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for spacing, reference in zip((1, 2), forked):
+        alone = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
+                               seeds=range(5))
+        assert np.array_equal(alone.nmse, reference.nmse)
 
 
 def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
     # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
-    # last trial gets them, so the error is raised in a worker thread, not the
-    # calling one; it surfaces in the caller and no thread outlives the call
+    # last trial gets them, so the error is raised in a worker process, not
+    # the calling one; it surfaces in the caller and no child outlives the call
     bad = np.random.default_rng(99).bit_generator.state
 
     def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
@@ -559,11 +582,39 @@ def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
-    before = threading.active_count()
     with pytest.raises(SingularSystemError):
         run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=[*range(7), 99])
-    assert threading.active_count() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=range(8))
+
+
+@pytest.mark.parametrize("spacing", [1, 2])
+def test_run_algorithm1_worker_that_dies_unreported_fails_the_call(spacing, monkeypatch):
+    # a worker that exits without its "done" record leaves its shared rows
+    # zero-filled; the call must raise, naming the exit status, and never
+    # read those rows as an NMSE of 0 (-300 dB in the CSV)
+    scene = desk_scene(8, 8)
+    truth = build_csi_tensor(scene)
+    caller, seed_of = os.getpid(), {}
+    real_streams = estimator.trial_streams
+
+    def streams(seed, n):
+        seed_of["now"] = seed
+        return real_streams(seed, n)
+
+    def dying(*args):
+        if seed_of["now"] == 5 and os.getpid() != caller:
+            os._exit(3)
+        return mmse_estimate(*args)
+
+    monkeypatch.setattr(estimator, "trial_streams", streams)
+    monkeypatch.setattr(estimator, "mmse_estimate", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(OirsVlcError, match="exited with status 3"):
+        run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=range(6))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("scene,spacing", [(three_by_three_scene(14, 14), 1),
@@ -582,7 +633,7 @@ def test_run_algorithm1_does_not_depend_on_the_chunk_size(scene, spacing, monkey
 
 
 def _traced_peak(call):
-    """Peak bytes tracemalloc sees, in every thread, while `call` runs."""
+    """Peak bytes tracemalloc sees in this process while `call` runs."""
     tracemalloc.start()
     try:
         call()
@@ -595,9 +646,10 @@ def test_truth_build_and_dense_pass_memory_stays_bounded(monkeypatch):
     # tracemalloc peaks on a 48 x 48 grid with 3 LEDs and 3 PDs and two
     # reported CPUs. Built over the whole grid at once, the order-8 truth
     # peaked near 72 MB; a chunk takes about 2.4. Each dense trial is scored
-    # by the worker that solves it, so a call holds one trial's buffers per
-    # worker and never all trials' estimates: 16 seeds peak like 2 (the
-    # estimates of 16 trials alone would take 5.3 MB)
+    # by the process that solves it, so a call holds one trial's buffers per
+    # process and never all trials' estimates: 16 seeds peak like 2 (the
+    # estimates of 16 trials alone would take 5.3 MB). tracemalloc sees the
+    # calling process, which solves the first group of trials.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = three_by_three_scene(48, 48, pitch=0.025)
     truth = build_csi_tensor(scene, "quadrature", 8)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oirsvlc import (
@@ -136,6 +138,8 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("truth.quadrature_order = 0", "truth.quadrature_order"),
         ("sweep.trials = -1", "sweep.trials"),
         ("output.dir =", "output.dir"),
+        ("output.dir = a\tb", "output.dir"),          # control characters
+        ("output.dir = out\x7f", "output.dir"),
         # the Gram entries P * (2p)^2 and the ridge term sigma^2 would overflow:
         # every row came out NaN, or the sweep died after the truth build
         ("pilots.power = 1e160", "pilots.power"),
@@ -146,6 +150,10 @@ def test_config_rejects_unknown_and_invalid_keys():
             loads(text)
     # a new key fails here until the table has a row for it
     assert {key for _, key in table} >= set(experiments._SCHEMA)
+    # text that loads() cannot give back: it strips values and splits lines
+    for value in (" out", "out ", "out\n", "a\nb", "a\rb", "a\x85b", "a\u2028b"):
+        with pytest.raises(ConfigError, match="^output.dir: "):
+            ExperimentConfig(output_dir=value)
 
 
 def test_constructor_and_replace_check_the_config():
@@ -204,6 +212,17 @@ def test_config_round_trip():
         assert key is None, changes
         again = loads(dumps(cfg))
         assert again == cfg and config_hash(again) == config_hash(cfg), changes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(), st.text(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028#=;,ab/")))
+def test_config_round_trip_keeps_every_accepted_output_dir(output_dir):
+    try:
+        config = ExperimentConfig(output_dir=output_dir)
+    except ConfigError as exc:
+        assert str(exc).startswith("output.dir: ")
+        return
+    assert loads(dumps(config)) == config
 
 
 def test_config_hash_is_the_sha256_of_dumps():
@@ -445,6 +464,25 @@ def test_cli_led_on_an_element_fails_at_load_and_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_noise_sweep_forks_cleanly_under_warnings_as_errors(tmp_path):
+    # Python 3.12+ warns when a process with more than one thread forks. With
+    # BLAS free to start its own threads, the smoke sweep still runs under
+    # -W error and writes the bytes of a run with BLAS pinned to one thread
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    free = {k: v for k, v in _src_env().items() if k not in pins}
+    smoke = str(ROOT / "bench" / "configs" / "smoke.cfg")
+    written = []
+    for name, flags, env in (("free", ["-W", "error"], free),
+                             ("pinned", [], {**free, **dict.fromkeys(pins, "1")})):
+        run = subprocess.run([sys.executable, *flags, "-m", "oirsvlc.cli", "noise-sweep",
+                              "--config", smoke, "--out", str(tmp_path / name)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "multi-threaded" not in run.stderr
+        written.append((tmp_path / name / "noise_sweep.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_readme_config_block_is_the_default_config():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```ini\n(.*?)```", text, re.S)
@@ -477,17 +515,20 @@ def test_bench_traced_functions_exist():
     assert sorted((ROOT / "bench").rglob("*")) == bench_files
 
 
-def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch):
+def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
     # bench/child.py keeps one span stack, so every function it traces must
-    # run on the thread that called the sweep, also when the trials of a
-    # call are solved on two CPUs; Phase III runs once per sampled trial
+    # run in the process and on the thread that called the sweep, also when
+    # the trials of a call are solved by forked workers; Phase III runs once
+    # per sampled trial. Workers cannot report back through this process's
+    # memory, so each call appends "<key> <pid> <thread id>" to a file.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     traced = runpy.run_path(str(ROOT / "bench" / "child.py"))["TRACED"]
-    calls = {}
+    log = tmp_path / "calls.txt"
 
     def recording(key, fn):
         def wrapper(*args, **kwargs):
-            calls.setdefault(key, []).append(threading.get_ident())
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{key} {os.getpid()} {threading.get_ident()}\n")
             return fn(*args, **kwargs)
         return wrapper
 
@@ -503,11 +544,18 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch):
                     monkeypatch.setattr(module, name,
                                         recording(f"{module_name}.{name}", original))
     run_noise_sweep(FAST)
-    solvers = set(calls.pop("estimator.mmse_estimate"))
-    assert len(solvers) > 1                   # the trials did run on worker threads
-    assert {t for ids in calls.values() for t in ids} == {threading.get_ident()}
+    calls = {}
+    for line in log.read_text().splitlines():
+        key, pid, thread = line.split()
+        calls.setdefault(key, []).append((int(pid), int(thread)))
+    solvers = {pid for pid, _ in calls.pop("estimator.mmse_estimate")}
+    assert len(solvers) > 1                   # the trials did run in worker processes
+    assert {t for ids in calls.values() for t in ids} == {(os.getpid(),
+                                                           threading.get_ident())}
     assert len(calls["estimator.interpolate_full"]) == \
         FAST.trials * len(FAST.sigmas) * len(FAST.spacings)
+    with pytest.raises(ChildProcessError):     # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
