@@ -22,18 +22,22 @@ blocks Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed.
 It draws, reads and solves CHUNK_BLOCKS blocks at a time, the pilots and the
 noise through two cursors on the trial's one stream (`trial_streams`), so no
 trial holds all its pilots or noise at once. The trials' draws and solves
-are spread over the process's CPUs by forked worker processes, which hand
-their results back through anonymous shared memory; Phase III and every
-other public function run in the calling process. Each trial is scored as
-soon as it is recovered, so no call holds every trial's full (N, Nr, Nt)
-estimate.
+are spread over the process's CPUs by a pool of forked worker processes,
+`TrialWorkers`, which a caller such as the noise sweep opens once for many
+calls. A worker's jobs are plain data read from a pipe (the truth blocks,
+the seeds and the pilot and noise settings); it takes trials from a pipe
+of tokens it shares with the caller and replies through a second pipe of
+its own with its trials' pickled rows or its exception. Phase III and
+every other public function run in the calling process. Each trial is
+scored as soon as it is recovered, so no call holds every trial's full
+(N, Nr, Nt) estimate.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import pickle
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -59,6 +63,11 @@ from .geometry import OirsGrid
 # Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
 # pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per worker
 CHUNK_BLOCKS = 144
+
+# Token chunks a call's trials are cut into, at most: the 4-byte tokens of a
+# call then take at most 4 kB, so writing them to the empty token pipe never
+# blocks
+MAX_CHUNKS = 1024
 
 
 @dataclass(frozen=True)
@@ -256,77 +265,220 @@ class EstimationResult:
     flops_estimate: int
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on: the number of trial groups per call, 1
-    where the platform cannot tell."""
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback, set as the `__cause__` of the
+    exception the caller raises for it, since pickling keeps only an
+    exception's type and args."""
+
+
+def _take(tokens: int):
+    """The chunk of the next token in the non-blocking pipe `tokens`, or None
+    when none is left."""
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
+        token = os.read(tokens, 4)
+    except BlockingIOError:
+        return None
+    return int.from_bytes(token, "little") if token else None
 
 
-def _work(solve, lo: int, hi: int, report_fd: int):
-    """A forked worker: solve(lo, hi), write the pickled outcome (None, or the
-    exception) to `report_fd`, and leave through os._exit, never into the
-    stack it was forked from; the status is 0 only once the outcome is written."""
+def _take_chunks(job, seeds, chunks, first: int, tokens: int, done):
+    """Phase II of the trials of chunk `first`, then of each chunk whose token
+    this process takes from `tokens` until none is left; done(t, row) after
+    each trial t, its row the NMSE of a dense-baseline trial, scored on its
+    blocks, which hold every (element, pair) entry once, or the (Q, Nr, Nt)
+    block estimates of a sampled one. `job` is (truth blocks, dense,
+    pilot_slots, sigma, pilot_power). A failure takes and drops the tokens
+    left and is returned as (chunk, exception); None when every chunk taken
+    was done."""
+    h_blocks, dense, pilot_slots, sigma, pilot_power = job
+    q_blocks, _, nt = h_blocks.shape
+    x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
+    h_est = np.empty(h_blocks.shape)
+    c = first
+    try:
+        while c is not None:
+            for t in chunks[c]:
+                pilots, noise = trial_streams(seeds[t], q_blocks * nt * pilot_slots)
+                for b in range(0, q_blocks, len(x)):
+                    xb = x[:q_blocks - b]
+                    generate_pilots(nt, pilot_slots, pilot_power, pilots, (len(xb),), out=xb)
+                    stats = rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise)
+                    h_est[b:b + len(xb)] = mmse_estimate(*stats, sigma)
+                done(t, nmse(h_est, h_blocks) if dense else h_est.copy())
+            c = _take(tokens)
+    except Exception as exc:
+        while _take(tokens) is not None:
+            pass
+        return c, exc
+    return None
+
+
+def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
+    """A forked worker: for each job (job, seeds, chunks, first) read from
+    `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes, and
+    send one pickled reply on `replies_fd`: ({trial: row}, None), or with
+    (chunk, exception, its formatted traceback) in place of None. It ends at
+    the end of the jobs, after closing the `inherited` pipe ends of the
+    caller and earlier workers, and leaves through os._exit, never into the
+    stack it was forked from; the status is 0 only at the end of the jobs."""
+    import traceback        # in the worker only: the light commands never load it (44 kB RSS)
+
     status = 1
     try:
-        try:
-            solve(lo, hi)
-            outcome = None
-        except BaseException as exc:            # the caller raises it
-            outcome = exc
-        with open(report_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
+        for fd in inherited:
+            os.close(fd)
+        with open(jobs_fd, "rb") as jobs, open(replies_fd, "wb") as replies:
+            while True:
+                try:
+                    job = pickle.load(jobs)
+                except EOFError:
+                    break
+                rows = {}
+                failure = _take_chunks(*job, tokens, rows.__setitem__)
+                if failure is not None:                   # the caller raises it
+                    failure = (*failure, "".join(traceback.format_exception(failure[1])))
+                pickle.dump((rows, failure), replies, pickle.HIGHEST_PROTOCOL)
+                replies.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _in_chunks(solve, score, n_items: int):
-    """solve(lo, hi) over contiguous groups of range(n_items), one per CPU the
-    process may run on, then score(lo, hi) of every group in the calling
-    process and thread. The caller solves and scores the first group while
-    one forked worker solves each other group. Every worker is reaped before
-    the first error, in group order, is raised; the workers' groups are
-    scored only when all of them reported done."""
-    n = max(1, min(_worker_count(), n_items))
-    groups = [(n_items * i // n, n_items * (i + 1) // n) for i in range(n)]
-    workers, reaped = [], []
-    try:
-        for lo, hi in groups[1:]:
-            read, write = os.pipe()
+class TrialWorkers:
+    """Forked trial workers for `run_algorithm1` calls, kept from `__enter__`
+    to `__exit__`: one per further CPU this process may run on
+    (`os.sched_getaffinity`), at most `trials` - 1, none where the platform
+    cannot tell. Open them around a loop of calls so that every call reuses
+    them.
+
+    A call cuts its trials into chunks of one trial each (contiguous runs
+    when there are more than MAX_CHUNKS), gives the first to the caller and
+    the next one to each worker, and writes a token for each other chunk to
+    a shared non-blocking pipe. Every process then takes tokens until none
+    is left, so the caller, which also recovers and scores every sampled
+    trial, or a process slowed by the host, solves fewer trials. A worker's
+    job, read from its own pipe, is plain data: the truth blocks, the dense
+    flag, the pilot and noise settings, the seeds and the chunks. It
+    answers through a second pipe with one pickled reply: its trials' rows
+    or its exception. A worker sees the module as it was when forked, not
+    later changes. Leaving the context closes every pipe and reaps every
+    worker.
+    """
+
+    def __init__(self, trials: int):
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:
+            cpus = 1
+        self._forks = max(0, min(cpus, trials) - 1)
+        self._workers = []                        # (pid, job writer, reply reader)
+        self._tokens = ()                         # (read end, write end) while open
+
+    def __enter__(self):
+        self._tokens = os.pipe()
+        os.set_blocking(self._tokens[0], False)
+        try:
+            for _ in range(self._forks):
+                self._fork()
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self):
+        """Close every job pipe, so each worker leaves after its current job,
+        then every reply pipe, reap every worker and close the token pipe;
+        later calls of `split` raise, and closing again does nothing."""
+        workers, self._workers = self._workers, []
+        for _, jobs, replies in workers:
             try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _work(solve, lo, hi, write)
-            os.close(write)
-            workers.append((pid, read))
-        solve(*groups[0])
-        score(*groups[0])
-    finally:
-        for pid, read in workers:
-            with open(read, "rb") as pipe:      # to its end: no worker blocks on a full pipe
-                report = pipe.read()
-            reaped.append((pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), report))
-    for pid, code, report in reaped:
-        if code != 0:
-            raise OirsVlcError(f"trial worker {pid} exited with status {code} "
-                               "before reporting")
-        outcome = pickle.loads(report)
-        if outcome is not None:
-            raise outcome
-    for lo, hi in groups[1:]:
-        score(lo, hi)
+                jobs.close()
+            except OSError:                       # the worker is gone
+                pass
+            replies.close()
+        for pid, _, _ in workers:
+            os.waitpid(pid, 0)
+        tokens, self._tokens = self._tokens, ()
+        for fd in tokens:
+            os.close(fd)
+
+    def _fork(self):
+        job_read, job_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (job_read, job_write, reply_read, reply_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            _serve(job_read, reply_write, self._tokens[0],
+                   [job_write, reply_read, self._tokens[1],
+                    *(f.fileno() for _, *files in self._workers for f in files)])
+        os.close(job_read)
+        os.close(reply_write)
+        self._workers.append((pid, open(job_write, "wb"), open(reply_read, "rb")))
+
+    def _reply(self, worker):
+        """The worker's reply to its job; a worker that exits without one is
+        reaped and dropped, and its reply is an OirsVlcError naming its status."""
+        pid, jobs, replies = worker
+        try:
+            return pickle.load(replies)
+        except (EOFError, pickle.UnpicklingError):
+            pass
+        self._workers.remove(worker)
+        jobs.close()
+        replies.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return {}, (-1, OirsVlcError(f"trial worker {pid} exited with status {code} "
+                                     "before reporting"), None)
+
+    def split(self, job, seeds, score):
+        """Phase II of one trial per seed (see `_take_chunks`), then score(t,
+        row) of each trial t in the calling process and thread: the caller's
+        trials as it solves them, the workers' once every worker replied. A
+        failure stops the process that meets it; the call raises that of the
+        earliest chunk, or first that of a worker that exited without a
+        reply. A failure outside the trials, such as an interrupt, closes the
+        pool."""
+        if not self._tokens:
+            raise OirsVlcError("trial workers used outside their `with` block")
+        n_chunks = min(len(seeds), MAX_CHUNKS)
+        bounds = [len(seeds) * i // n_chunks for i in range(n_chunks + 1)]
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        busy = self._workers[:n_chunks - 1]
+        try:
+            os.write(self._tokens[1], b"".join(c.to_bytes(4, "little")
+                                               for c in range(len(busy) + 1, n_chunks)))
+            for first, (_, jobs, _) in enumerate(busy, 1):
+                pickle.dump((job, seeds, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
+                jobs.flush()
+            failure = _take_chunks(job, seeds, chunks, 0, self._tokens[0], score)
+            replies = [self._reply(worker) for worker in busy]
+        except BaseException:
+            self.close()
+            raise
+        failures = [f for _, f in replies if f is not None]
+        if failure is not None:
+            failures.append((*failure, None))
+        if failures:
+            _, exc, text = min(failures, key=lambda f: f[0])
+            if text is None:
+                raise exc
+            raise exc from _WorkerTraceback(text)
+        for rows, _ in replies:
+            for t, row in rows.items():
+                score(t, row)
 
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
                    pilot_slots: int = 100, sigma: float = 0.0,
-                   pilot_power: float = 1.0, seeds=(0,)) -> EstimationResult:
+                   pilot_power: float = 1.0, seeds=(0,),
+                   workers: TrialWorkers | None = None) -> EstimationResult:
     """Estimation passes, one per seed: design, per-block estimation, recovery,
     and the NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see
     `build_csi_tensor`). The truth (shape, finite, nonnegative, not all
@@ -338,19 +490,21 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     slice q, through the two cursors of `trial_streams`, one chunk of
     CHUNK_BLOCKS blocks at a time (pilots, noise, Gram and cross terms,
     ridge solve). Its bits do not depend on the chunk size. The trials are
-    split into contiguous groups, one per CPU the process may run on
-    (`os.sched_getaffinity`; one group where the platform lacks it). The
-    calling process solves the first group and one forked worker process
-    each of the others, writing into anonymous shared memory: a
-    dense-baseline trial is scored on its blocks, which hold every
-    (element, pair) entry once, as soon as it is solved, and leaves its
-    NMSE; a sampled trial leaves only its (Q, Nr, Nt) block estimates,
-    which the calling process recovers and scores one trial at a time, its
-    own group's while the workers run. Every worker is reaped before the
-    call returns or raises; a worker's exception is raised in the caller,
-    and a worker that exits without reporting raises OirsVlcError. So a
-    call holds at most one full estimate per process, and a trial's result
-    depends on its seed alone, not on the other seeds or on the CPU count.
+    solved by the calling process and the forked processes of `workers`, a
+    `TrialWorkers` pool that the caller keeps open over many calls; without
+    one, the call opens a pool of its own and closes it before it returns or
+    raises. Each worker gets the call's job as plain data through a pipe,
+    and each process takes trials until none is left (see
+    `TrialWorkers`). A dense-baseline trial is scored on its blocks, which
+    hold every (element, pair) entry once, where it is solved; a sampled
+    trial's (Q, Nr, Nt) block estimates come back to the calling process, a
+    worker's in its pickled reply, and the calling process recovers and
+    scores one trial at a time, its own as it solves them. A worker's
+    exception is raised in the caller with the worker's formatted traceback
+    as its cause, and a worker that exits without a reply raises
+    OirsVlcError. So a call holds at most one full estimate per process,
+    and a trial's result depends on its seed alone, not on the other seeds,
+    the CPU count or which process solved it.
     sigma = 0 with spacing 1 and the point-model truth recovers the tensor
     exactly up to round-off.
     """
@@ -372,35 +526,17 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     if not seeds:
         raise ValueError("seeds must name at least one trial")
     index, layout = block_schedule(scene.grid, nt, nr, spacing)
-    q_blocks = index.shape[0]
     pd_index, led_index = np.ix_(range(nr), range(nt))
     h_blocks = truth[index, pd_index, led_index]                      # (Q, Nr, Nt)
-    # shared with the forked workers: each dense trial's NMSE, or each sampled
-    # trial's block estimates for Phase III in the calling process
-    width = 1 if layout is None else h_blocks.size
-    shared = np.frombuffer(mmap.mmap(-1, len(seeds) * width * 8)).reshape(len(seeds), width)
     errors = np.empty(len(seeds))
 
-    def solve(lo, hi):
-        x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
-        h_est = np.empty(h_blocks.shape)
-        for t in range(lo, hi):
-            pilots, noise = trial_streams(seeds[t], q_blocks * nt * pilot_slots)
-            for b in range(0, q_blocks, len(x)):
-                xb = x[:q_blocks - b]
-                generate_pilots(nt, pilot_slots, pilot_power, pilots, (len(xb),), out=xb)
-                stats = rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise)
-                h_est[b:b + len(xb)] = mmse_estimate(*stats, sigma)
-            shared[t] = nmse(h_est, h_blocks) if layout is None else h_est.reshape(-1)
+    def score(t, row):
+        errors[t] = row if layout is None else nmse(interpolate_full(row, layout), truth)
 
-    def score(lo, hi):
-        for t in range(lo, hi):
-            errors[t] = shared[t, 0] if layout is None else nmse(
-                interpolate_full(shared[t].reshape(h_blocks.shape), layout), truth)
-
-    _in_chunks(solve, score, len(seeds))
+    with nullcontext(workers) if workers is not None else TrialWorkers(len(seeds)) as pool:
+        pool.split((h_blocks, layout is None, pilot_slots, sigma, pilot_power), seeds, score)
 
     return EstimationResult(
         nmse=errors,
-        flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * q_blocks),
+        flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * len(index)),
     )

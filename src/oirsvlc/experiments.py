@@ -25,7 +25,7 @@ import numpy as np
 from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
 from .errors import ConfigError, IdentifiabilityError, LayoutError, OirsVlcError
-from .estimator import block_schedule, flops_estimate, run_algorithm1
+from .estimator import TrialWorkers, block_schedule, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
 # CPython's builtin digest, as Lib/random.py takes sha512: `hashlib` loads
@@ -400,23 +400,25 @@ def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
     Returns rows (sigma, spacing, nmse_db, trials). Each (sigma, scheme) cell
-    is one `run_algorithm1` call over all its trials; trial seeds derive from
-    the master seed, the scheme, the sigma index, and the trial index.
+    is one `run_algorithm1` call over all its trials, and every call reuses
+    the trial workers forked once for the sweep; trial seeds derive from the
+    master seed, the scheme, the sigma index, and the trial index.
     """
     scene = config.scene
     truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
     rows = []
-    for i_sigma, sigma in enumerate(config.sigmas):
-        for spacing in sweep_schemes(config):
-            errors = run_algorithm1(
-                scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
-                seeds=[(config.master_seed, spacing, i_sigma, trial)
-                       for trial in range(config.trials)]).nmse
-            total = 0.0
-            for value in errors.tolist():      # in trial order
-                total += value
-            rows.append((float(sigma), int(spacing),
-                         nmse_db(total / config.trials), int(config.trials)))
+    with TrialWorkers(config.trials) as workers:
+        for i_sigma, sigma in enumerate(config.sigmas):
+            for spacing in sweep_schemes(config):
+                errors = run_algorithm1(
+                    scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
+                    seeds=[(config.master_seed, spacing, i_sigma, trial)
+                           for trial in range(config.trials)], workers=workers).nmse
+                total = 0.0
+                for value in errors.tolist():      # in trial order
+                    total += value
+                rows.append((float(sigma), int(spacing),
+                             nmse_db(total / config.trials), int(config.trials)))
     return rows
 
 

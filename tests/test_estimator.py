@@ -1,5 +1,7 @@
 import os
 import threading
+import time
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -20,6 +22,7 @@ from oirsvlc import (
     ShapeError,
     SingularSystemError,
     SubarrayLayout,
+    TrialWorkers,
     ZeroReferenceError,
     block_schedule,
     build_csi_tensor,
@@ -467,17 +470,16 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
     truth = build_csi_tensor(scene)
     log = tmp_path / "draws.txt"
     log.touch()
-    runs = []
+    forks = []
 
     def pilots(*args, **kwargs):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {threading.get_ident()}\n")
         return generate_pilots(*args, **kwargs)
 
-    real_in_chunks = estimator._in_chunks
+    real_fork = os.fork
     monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
-    monkeypatch.setattr(estimator, "_in_chunks",
-                        lambda *a: runs.append(a) or real_in_chunks(*a))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     bad = [({"sigma": value}, ValueError)
            for value in (np.nan, np.inf, -np.inf, -1.0, 1e160)]
     bad += [({"pilot_power": value}, ValueError)
@@ -489,10 +491,10 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
             kwargs = {"truth": truth, "pilot_slots": 16, "sigma": 1e-4, **changed}
             with pytest.raises(error):
                 run_algorithm1(scene, spacing=spacing, seeds=[1, 2], **kwargs)
-    assert log.read_text() == "" and runs == []
+    assert log.read_text() == "" and forks == []
     run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[1, 2])
     drawers = [line.split()[0] for line in log.read_text().splitlines()]
-    assert len(drawers) == 2 and len(set(drawers)) == 2 and len(runs) == 1
+    assert len(drawers) == 2 and len(set(drawers)) == 2 and len(forks) == 1
     with pytest.raises(ChildProcessError):     # the worker was reaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -527,17 +529,18 @@ def test_gain_mode_changes_nmse_only_under_noise():
 
 @pytest.mark.parametrize("spacing", [1, 2, 3])
 def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
-    # trials split over two CPUs, or over more worker processes than cores
-    # that each write their trials' rows of the shared buffer, still give
-    # each seed's one-trial result
+    # trials split over two CPUs, or over more worker processes than cores,
+    # one trial per token or several (MAX_CHUNKS below the trial count),
+    # still give each seed's one-trial result
     scene = desk_scene(12, 12)
     truth = build_csi_tensor(scene, "quadrature")
     seeds = [(8, spacing, trial) for trial in range(9)]
     singles = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=[s])
                for s in seeds]
-    for cpus in (2, 8):
+    for cpus, max_chunks in ((2, estimator.MAX_CHUNKS), (8, estimator.MAX_CHUNKS), (2, 4)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
                             raising=False)
+        monkeypatch.setattr(estimator, "MAX_CHUNKS", max_chunks)
         batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
                                seeds=seeds)
         assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
@@ -567,8 +570,8 @@ def test_run_algorithm1_without_affinity_runs_in_one_process(monkeypatch):
 
 def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
     # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
-    # last trial gets them, so the error is raised in a worker process, not
-    # the calling one; it surfaces in the caller and no child outlives the call
+    # last trial gets them, and whichever of the four processes takes it
+    # raises; the error surfaces in the caller and no child outlives the call
     bad = np.random.default_rng(99).bit_generator.state
 
     def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
@@ -589,26 +592,106 @@ def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
     run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=range(8))
 
 
-@pytest.mark.parametrize("spacing", [1, 2])
-def test_run_algorithm1_worker_that_dies_unreported_fails_the_call(spacing, monkeypatch):
-    # a worker that exits without its "done" record leaves its shared rows
-    # zero-filled; the call must raise, naming the exit status, and never
-    # read those rows as an NMSE of 0 (-300 dB in the CSV)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path):
+    # pickling drops an exception's __cause__ and traceback, so a worker also
+    # sends its formatted traceback, which the caller raises as the cause: the
+    # formatted exception names numpy's "Singular matrix" wherever the
+    # singular trial ran. With two CPUs the second of two trials is the
+    # worker's first
+    bad = np.random.default_rng(99).bit_generator.state
+    log = tmp_path / "zeroed.txt"
+    log.touch()
+
+    def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
+        if seed.bit_generator.state == bad:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            out[...] = 0.0
+            return out
+        return generate_pilots(n_leds, n_slots, power, seed, batch, out)
+
+    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    scene = desk_scene(8, 8)
+    with pytest.raises(SingularSystemError) as raised:
+        run_algorithm1(scene, build_csi_tensor(scene), 1, pilot_slots=16, sigma=0.0,
+                       seeds=[0, 99])
+    assert "Singular matrix" in "".join(traceback.format_exception(raised.value))
+    zeroed_in = {int(pid) for pid in log.read_text().split()}
+    assert (zeroed_in == {os.getpid()}) == (cpus == 1) and len(zeroed_in) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("bad_seeds", [(0,), (1,), (7,), (0, 1)])
+def test_trial_workers_stay_usable_after_a_failed_call(bad_seeds, monkeypatch):
+    # a singular trial, the caller's first (0), the worker's first (1), one
+    # taken from the shared tokens (7) or the first of both processes, fails
+    # its call; a process that fails drops the tokens left, so the next,
+    # shorter call on the same pool takes its own trials and no stale one
+    bad = [np.random.default_rng(seed).bit_generator.state for seed in bad_seeds]
+
+    def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
+        if seed.bit_generator.state in bad:
+            out[...] = 0.0
+            return out
+        return generate_pilots(n_leds, n_slots, power, seed, batch, out)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
-    caller, seed_of = os.getpid(), {}
-    real_streams = estimator.trial_streams
+    reference = run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14))
+    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    with TrialWorkers(8) as workers:
+        with pytest.raises(SingularSystemError):
+            run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(8), workers=workers)
+        again = run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14),
+                               workers=workers)
+    assert np.array_equal(again.nmse, reference.nmse)
 
-    def streams(seed, n):
-        seed_of["now"] = seed
-        return real_streams(seed, n)
+
+def test_trial_workers_share_trials_by_speed(monkeypatch, tmp_path):
+    # a worker slowed to 50 ms a trial leaves the trials it has not taken to
+    # the caller, which takes them from the shared tokens; each trial keeps
+    # its bits whoever solves it
+    scene = desk_scene(8, 8)
+    truth = build_csi_tensor(scene)
+    reference = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(8))
+    log = tmp_path / "solvers.txt"
+    log.touch()
+    caller = os.getpid()
+
+    def slow_in_worker(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != caller:
+            time.sleep(0.05)
+        return mmse_estimate(*args)
+
+    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_worker)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    shared = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(8))
+    assert np.array_equal(shared.nmse, reference.nmse)
+    solvers = [int(pid) for pid in log.read_text().split()]     # one solve per trial
+    assert len(solvers) == 8 and 1 <= len(solvers) - solvers.count(caller) < 4
+
+
+@pytest.mark.parametrize("spacing", [1, 2])
+def test_run_algorithm1_worker_that_dies_unreported_fails_the_call(spacing, monkeypatch):
+    # a worker that exits without its reply loses the rows of the trials it
+    # took; the call must raise, naming the exit status, and never read
+    # those trials as an NMSE of 0 (-300 dB in the CSV). The worker dies in
+    # its first trial, the call's second
+    scene = desk_scene(8, 8)
+    truth = build_csi_tensor(scene)
+    caller = os.getpid()
 
     def dying(*args):
-        if seed_of["now"] == 5 and os.getpid() != caller:
+        if os.getpid() != caller:
             os._exit(3)
         return mmse_estimate(*args)
 
-    monkeypatch.setattr(estimator, "trial_streams", streams)
     monkeypatch.setattr(estimator, "mmse_estimate", dying)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with pytest.raises(OirsVlcError, match="exited with status 3"):
@@ -663,6 +746,51 @@ def test_truth_build_and_dense_pass_memory_stays_bounded(monkeypatch):
     assert truth_peak < 4e6
     assert single < 2e6
     assert sixteen < 3e6 and abs(sixteen - two) < 0.5e6
+
+
+def test_workers_memory_stays_bounded(monkeypatch, tmp_path):
+    # the bounds the calling process meets in the test above, met by the
+    # forked worker of each call. tracemalloc runs before the pool forks and
+    # keeps running in the worker; a worker resets its peak at its first
+    # `nmse` (one per dense trial, after its solve) and logs the peak after
+    # each, to a file, since its memory is not this process's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scene = three_by_three_scene(48, 48, pitch=0.025)
+    truth = build_csi_tensor(scene, "quadrature", 8)
+    log = tmp_path / "peaks.txt"
+    log.touch()
+    caller, reset = os.getpid(), set()
+    real_nmse = estimator.nmse
+
+    def logged_nmse(*args):
+        if os.getpid() not in reset:
+            reset.add(os.getpid())
+            tracemalloc.reset_peak()
+        value = real_nmse(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {peak}\n")
+        return value
+
+    monkeypatch.setattr(estimator, "nmse", logged_nmse)
+    run_algorithm1(scene, truth, 1, sigma=1e-3, seeds=range(2))     # warm caches
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for trials in (2, 16):
+            log.write_text("")
+            run_algorithm1(scene, truth, 1, sigma=1e-3, seeds=range(trials))
+            by_pid = {}
+            for line in log.read_text().splitlines():
+                pid, peak = map(int, line.split())
+                if pid != caller:
+                    by_pid[pid] = max(by_pid.get(pid, 0), peak)
+            assert len(by_pid) == 1                    # one worker, which solved a trial
+            peaks[trials] = by_pid.popitem()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[2] < 2e6                              # the worker's one trial
+    assert peaks[16] < 3e6 and abs(peaks[16] - peaks[2]) < 0.5e6
 
 
 def test_dense_noiseless_nmse_stays_below_the_csv_floor():

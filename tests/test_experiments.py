@@ -18,13 +18,17 @@ from numpy.testing import assert_allclose
 from oirsvlc import (
     ConfigError,
     ExperimentConfig,
+    OirsVlcError,
     ShapeError,
+    TrialWorkers,
     ZeroReferenceError,
+    build_csi_tensor,
     dumps,
     load_config,
     loads,
     nmse,
     nmse_db,
+    run_algorithm1,
     run_coherence,
     run_fig4,
     run_noise_sweep,
@@ -558,15 +562,89 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path)
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_noise_sweep_forks_its_workers_once(monkeypatch):
+    # one worker per further CPU, forked once for the whole sweep and not for
+    # each of its (sigma, scheme) cells
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+    reference = run_noise_sweep(FAST)
+    assert forks == [os.getpid()]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert run_noise_sweep(FAST) == reference and forks == [os.getpid()]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_trial_workers_keep_their_pids_across_calls(monkeypatch, tmp_path):
+    # every call made with one pool is solved by the same forked workers; the
+    # calling process marks each call's end in the log the workers append to
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scene = FAST.scene
+    truth = build_csi_tensor(scene)
+    log = tmp_path / "solvers.txt"
+    log.touch()
+    real_streams = estimator.trial_streams
+
+    def streams(seed, n):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_streams(seed, n)
+
+    monkeypatch.setattr(estimator, "trial_streams", streams)
+    with TrialWorkers(4) as workers:
+        for spacing in (1, 2, 1):
+            run_algorithm1(scene, truth, spacing, pilot_slots=10, sigma=1e-4,
+                           seeds=range(4), workers=workers)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("end\n")
+    calls = [{int(pid) for pid in call.split()} - {os.getpid()}
+             for call in log.read_text().split("end\n")[:-1]]
+    assert len(calls) == 3 and len(calls[0]) == 1
+    assert calls[1] == calls[0] and calls[2] == calls[0]
+    workers.close()                         # closing twice closes no other descriptor
+    with pytest.raises(OirsVlcError, match="outside their `with` block"):
+        run_algorithm1(scene, truth, 1, pilot_slots=10, seeds=range(4), workers=workers)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
+    # a worker that raises in the third of the four cells fails the sweep
+    # with its error, and the sweep leaves no child behind
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, seed_of = os.getpid(), {}
+    real_streams, real_estimate = estimator.trial_streams, estimator.mmse_estimate
+
+    def streams(seed, n):
+        seed_of["now"] = seed
+        return real_streams(seed, n)
+
+    def failing(*args):
+        _, spacing, i_sigma, _ = seed_of["now"]
+        if os.getpid() != caller and (i_sigma, spacing) == (1, 1):
+            raise ZeroReferenceError("worker failed mid-sweep")
+        return real_estimate(*args)
+
+    monkeypatch.setattr(estimator, "trial_streams", streams)
+    monkeypatch.setattr(estimator, "mmse_estimate", failing)
+    with pytest.raises(ZeroReferenceError, match="worker failed mid-sweep") as raised:
+        run_noise_sweep(FAST)
+    assert "in failing" in str(raised.value.__cause__)      # the worker's own frames
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     # nor concurrent.futures or logging, which cost about 10 ms of set-up, nor
-    # (through hashlib) OpenSSL's _hashlib, about 3.5 MB of RSS, in the light
-    # commands
+    # (through hashlib, or numpy.random's secrets -> hmac) OpenSSL's _hashlib,
+    # about 3.5 MB of RSS, nor mmap, in the light commands
     out = subprocess.run(
         [sys.executable, "-c", "import sys, oirsvlc.cli; "
-         f"[oirsvlc.cli.main([c, '--out', {str(tmp_path)!r}]) for c in ('overhead', 'coherence')]; "
-         "print(sorted(m for m in sys.modules "
-         "if m.startswith(('scipy', 'concurrent', 'logging', '_hashlib'))))"],
+         f"[oirsvlc.cli.main([c, '--out', {str(tmp_path)!r}]) "
+         "for c in ('overhead', 'coherence', 'fig4')]; "
+         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent', "
+         "'logging', '_hashlib', 'numpy.random', 'mmap'))))"],
         env=_src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
 
