@@ -15,7 +15,7 @@ from .channel import (
     generate_pilots,
     pair_gains,
     rx_statistics,
-    trial_streams,
+    trial_statistics,
 )
 from .coherence import (
     CoherenceReport,

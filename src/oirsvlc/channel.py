@@ -28,6 +28,7 @@ from .errors import (
 )
 from .geometry import (
     OirsGrid,
+    _element_centers,
     _frozen,
     as_vec3,
     element_positions,
@@ -137,8 +138,9 @@ class SceneConfig:
             raise ValueError("lambertian_order must be >= 1")
         if not 0.0 < self.fov_semi_angle <= math.pi / 2:
             raise ValueError("fov_semi_angle must lie in (0, pi/2]")
-        for name, pts in (("led_positions", leds), ("pd_positions", pds),
-                          ("grid", element_positions(self.grid))):
+        # the grid by its corner elements: no grid size builds every element
+        corners = _element_centers(self.grid, [0, self.grid.cols - 1], [0, self.grid.rows - 1])
+        for name, pts in (("led_positions", leds), ("pd_positions", pds), ("grid", corners)):
             if np.any(pts < -1e-9) or np.any(pts > self.room + 1e-9):
                 raise ValueError(f"{name} must lie inside the room extents")
         for name, pts in (("led_positions", leds), ("pd_positions", pds)):
@@ -232,7 +234,7 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
     Uniform nonnegative entries keep X X^T well conditioned with high
     probability under the intensity-modulation constraint. `seed` may be a
     Generator, which is drawn from in place, one stream word per pilot
-    value (see `trial_streams`). Given `out`, a float64 array of that shape,
+    value (see `trial_statistics`). Given `out`, a float64 array of that shape,
     the pilots are drawn into it; the bits equal `uniform(0, 2*power)`
     either way.
     """
@@ -243,22 +245,6 @@ def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
     return x
 
 
-def trial_streams(seed, n_pilot_values: int):
-    """Two cursors (pilots, noise) on the one stream `default_rng(seed)`.
-
-    The pilot cursor starts at the seed. `Generator.random` takes exactly one
-    64-bit PCG64 word per float64, so the noise cursor, advanced by
-    `n_pilot_values` words in O(log n), starts where that many pilot values
-    end. Drawing pilots and noise in alternating chunks through the two
-    cursors thus gives the bits of drawing every pilot and then every noise
-    sample from one generator. `seed` is anything SeedSequence accepts; it
-    is hashed once and both cursors are seeded from that one SeedSequence.
-    """
-    seq = np.random.SeedSequence(seed)
-    return (np.random.Generator(np.random.PCG64(seq)),
-            np.random.Generator(np.random.PCG64(seq).advance(n_pilot_values)))
-
-
 def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     """What the ridge solve reads of the received blocks Y = H X + sigma Z.
 
@@ -266,9 +252,9 @@ def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
     Returns the Gram matrices G = X X^T, (..., Nt, Nt), and the cross terms
     X Y^T = G H^T + sigma X Z^T, (..., Nt, Nr); Y itself is never formed.
     Z, (..., Nr, P), is i.i.d. standard normal in C order from `seed` (a
-    Generator, such as the noise cursor of `trial_streams`, is drawn from
-    in place), only when sigma > 0, so sigma = 0 draws nothing. Callers
-    bound its memory by passing one chunk of blocks at a time.
+    Generator is drawn from in place), only when sigma > 0, so sigma = 0
+    draws nothing. Callers bound its memory by passing one chunk of blocks
+    at a time, as `trial_statistics` does.
 
     G is taken against a transposed copy of X: numpy sends a product of a
     buffer with its own transpose to the symmetric (syrk) kernel, which for
@@ -286,3 +272,26 @@ def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
         z = np.random.default_rng(seed).standard_normal((*H.shape[:-1], X.shape[-1]))
         cross += sigma * (X @ np.swapaxes(z, -1, -2))
     return gram, cross
+
+
+def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
+                     sigma: float, x: np.ndarray):
+    """Yield (b, G, X Y^T) of one trial's (Q, Nr, Nt) channel blocks a chunk
+    at a time: the `rx_statistics` of blocks b, b + 1, ... under pilots
+    drawn into the caller's (chunk, Nt, pilot_slots) buffer `x`.
+
+    The trial reads one stream, `default_rng(seed)`: the pilots of every
+    block, then its noise in C order only when sigma > 0, through two cursors
+    on one SeedSequence(seed). `Generator.random` takes one PCG64 word per
+    float64, so the noise cursor, advanced past Q * Nt * pilot_slots words,
+    starts where the pilots end, and the bits do not depend on the chunk size.
+    """
+    q_blocks, _, nt = np.shape(h_blocks)
+    seq = np.random.SeedSequence(seed)
+    pilots = np.random.Generator(np.random.PCG64(seq))
+    noise = (np.random.Generator(np.random.PCG64(seq).advance(q_blocks * nt * pilot_slots))
+             if sigma > 0.0 else None)
+    for b in range(0, q_blocks, len(x)):
+        xb = x[:q_blocks - b]
+        generate_pilots(nt, pilot_slots, power, pilots, (len(xb),), out=xb)
+        yield (b, *rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise))

@@ -6,31 +6,30 @@ regular lattice with pitch `spacing` elements. Phase II activates the tiles
 one time block at a time and ridge-estimates each block's effective channel
 from its pilot observations. Phase III recovers every element's gain for
 every pair by separable interpolation over the sample lattice: natural cubic
-spline with 4 or more samples along an axis, straight line (extrapolating)
-with 2 or 3, constant with 1. Each is linear in the samples, so with cached
-cardinal-spline operators R (Nr, rows, q_v) and C (Nt, cols, q_h), built on
-row and column indices once per `SubarrayLayout`, and S[nr, nt] the sample
-grid of pair (nr, nt), all fields are one batched product R[:, None] @ S @ C^T.
+spline with 4 or more samples along an axis, piecewise linear (the end
+pieces extrapolating) with 2 or 3, constant with 1. Each is linear in the
+samples, so with cached cardinal-spline operators R (Nr, rows, q_v) and
+C (Nt, cols, q_h), built on row and column indices once per
+`SubarrayLayout`, and S[nr, nt] the sample grid of pair (nr, nt), all fields
+are one batched product R[:, None] @ S @ C^T.
 
 spacing = 1 with more than one LED or PD is the dense baseline: no spatial
 sampling, every element's gain for every pair estimated directly, one block
 per element with a rotating pair assignment.
 
 `run_algorithm1` runs a batch of Monte-Carlo trials, one seed stream each,
-and keeps one number per trial: its NMSE. Phase II reads the received
-blocks Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed.
-It draws, reads and solves CHUNK_BLOCKS blocks at a time, the pilots and the
-noise through two cursors on the trial's one stream (`trial_streams`), so no
-trial holds all its pilots or noise at once. The trials' draws and solves
-are spread over the process's CPUs by a pool of forked worker processes,
-`TrialWorkers`, which a caller such as the noise sweep opens once for many
-calls. A worker's jobs are plain data read from a pipe (the truth blocks,
-the seeds and the pilot and noise settings); it takes trials from a pipe
-of tokens it shares with the caller and replies through a second pipe of
-its own with its trials' pickled rows or its exception. Phase III and
-every other public function run in the calling process. Each trial is
-scored as soon as it is recovered, so no call holds every trial's full
-(N, Nr, Nt) estimate.
+and keeps one number per trial: its NMSE. Phase II reads the received blocks
+Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed. It
+solves CHUNK_BLOCKS blocks at a time, as `channel.trial_statistics` draws
+them from the trial's seed. The trials are spread over the process's CPUs by
+a pool of forked worker processes, `TrialWorkers`, which a caller such as
+the noise sweep opens once for many calls. A worker's jobs are plain data
+read from a pipe (the truth blocks, the seeds and the pilot and noise
+settings); it takes trials from a pipe of tokens it shares with the caller
+and replies through a second pipe of its own with its trials' pickled rows
+or its exception. Phase III and every other public function run in the
+calling process. Each trial is scored as soon as it is recovered, so no call
+holds every trial's full (N, Nr, Nt) estimate.
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ from .channel import (
     SceneConfig,
     _check_pilots,
     _check_sigma,
-    generate_pilots,
-    rx_statistics,
-    trial_streams,
+    trial_statistics,
 )
 from .errors import (
     LayoutError,
@@ -171,9 +168,9 @@ def spline_weights(sample_pos, target_pos) -> np.ndarray:
     """Cardinal weights W, (targets, q), of 1-D interpolation on q sorted samples.
 
     W @ f is the interpolant of sample values f evaluated at `target_pos`:
-    the natural cubic spline with q >= 4 samples, the straight line with 2
-    or 3, the constant with 1. Targets beyond either end take the end
-    piece's polynomial.
+    the natural cubic spline with q >= 4 samples, the piecewise linear
+    interpolant with 2 or 3 (a line through 2), the constant with 1.
+    Targets beyond either end take the end piece's polynomial.
     """
     x = np.asarray(sample_pos, dtype=float)
     t = np.asarray(target_pos, dtype=float)
@@ -291,19 +288,15 @@ def _take_chunks(job, seeds, chunks, first: int, tokens: int, done):
     left and is returned as (chunk, exception); None when every chunk taken
     was done."""
     h_blocks, dense, pilot_slots, sigma, pilot_power = job
-    q_blocks, _, nt = h_blocks.shape
-    x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
+    x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), h_blocks.shape[2], pilot_slots))
     h_est = np.empty(h_blocks.shape)
     c = first
     try:
         while c is not None:
             for t in chunks[c]:
-                pilots, noise = trial_streams(seeds[t], q_blocks * nt * pilot_slots)
-                for b in range(0, q_blocks, len(x)):
-                    xb = x[:q_blocks - b]
-                    generate_pilots(nt, pilot_slots, pilot_power, pilots, (len(xb),), out=xb)
-                    stats = rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise)
-                    h_est[b:b + len(xb)] = mmse_estimate(*stats, sigma)
+                for b, gram, cross in trial_statistics(h_blocks, seeds[t], pilot_slots,
+                                                       pilot_power, sigma, x):
+                    h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
                 done(t, nmse(h_est, h_blocks) if dense else h_est.copy())
             c = _take(tokens)
     except Exception as exc:
@@ -485,26 +478,23 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     zero), sigma (finite, >= 0), pilot_power (finite, > 0) and pilot_slots
     (>= Nt) are checked before any draw or fork.
 
-    Trial t reads its own stream `default_rng(seeds[t])`: the pilots of
-    every block, then the noise only when sigma > 0, block q consuming
-    slice q, through the two cursors of `trial_streams`, one chunk of
-    CHUNK_BLOCKS blocks at a time (pilots, noise, Gram and cross terms,
-    ridge solve). Its bits do not depend on the chunk size. The trials are
-    solved by the calling process and the forked processes of `workers`, a
-    `TrialWorkers` pool that the caller keeps open over many calls; without
-    one, the call opens a pool of its own and closes it before it returns or
-    raises. Each worker gets the call's job as plain data through a pipe,
-    and each process takes trials until none is left (see
-    `TrialWorkers`). A dense-baseline trial is scored on its blocks, which
-    hold every (element, pair) entry once, where it is solved; a sampled
-    trial's (Q, Nr, Nt) block estimates come back to the calling process, a
-    worker's in its pickled reply, and the calling process recovers and
-    scores one trial at a time, its own as it solves them. A worker's
-    exception is raised in the caller with the worker's formatted traceback
-    as its cause, and a worker that exits without a reply raises
-    OirsVlcError. So a call holds at most one full estimate per process,
-    and a trial's result depends on its seed alone, not on the other seeds,
-    the CPU count or which process solved it.
+    Trial t's pilots and noise come from `seeds[t]` alone, drawn and solved
+    CHUNK_BLOCKS blocks at a time (see `channel.trial_statistics`), so its
+    bits do not depend on the chunk size. The trials are solved by the
+    calling process and the forked processes of `workers`, a `TrialWorkers`
+    pool that the caller keeps open over many calls; without one, the call
+    opens a pool of its own and closes it before it returns or raises. Each
+    worker gets the call's job as plain data through a pipe, and each
+    process takes trials until none is left (see `TrialWorkers`). A
+    dense-baseline trial is scored on its blocks, which hold every (element,
+    pair) entry once, where it is solved; a sampled trial's (Q, Nr, Nt)
+    block estimates come back to the calling process, a worker's in its
+    pickled reply, and the calling process recovers and scores one trial at
+    a time, its own as it solves them. A worker's exception is raised in the
+    caller with the worker's formatted traceback as its cause, and a worker
+    that exits without a reply raises OirsVlcError. So a call holds at most
+    one full estimate per process, and a trial's result depends on its seed
+    alone, not on the other seeds, the CPU count or which process solved it.
     sigma = 0 with spacing 1 and the point-model truth recovers the tensor
     exactly up to round-off.
     """

@@ -198,6 +198,9 @@ _SCENE_KEYS = {**_FIELD_TO_KEY, "rows": "scene.grid.rows", "cols": "scene.grid.c
                "reflectivity": "scene.grid.reflectivity"}
 _LINK_KEYS = {"led_positions": "coherence.led", "pd_positions": "coherence.pd",
               "grid": "coherence.element"}
+# the keys of a study-link failure that no one key causes
+_LINK_SET_BY = ("coherence.led, coherence.element, coherence.pd, scene.led_normal and "
+                "scene.pd_normal")
 
 
 def _scene(config, leds, pds, center, axes, rows, cols) -> SceneConfig:
@@ -251,6 +254,14 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         elif kind is not str and not (np.asarray(value).dtype.kind in "biuf"
                                      and np.all(np.isfinite(value))):
             bad(key, "values must be finite numbers")
+        elif kind is not str and np.ndim(value) != (kind is tuple) + (parser is _parse_vec3_list):
+            bad(key, "holds a sequence where a number belongs")
+        elif kind is not str and parser(key, _fmt(parser, value)) != value:
+            bad(key, f"{value!r} would be written as {_fmt(parser, value)!r}, another value")
+    if min(config.spacings, default=2) < 2:
+        bad("sweep.spacings", "must be >= 2: the dense baseline (spacing 1) always runs first")
+    if len(set(config.spacings)) < len(config.spacings):
+        bad("sweep.spacings", "must not list a spacing twice")
     for sigma in config.sigmas:
         try:
             _check_sigma(sigma)
@@ -284,7 +295,10 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
                         config.coherence_element, plane_basis_from(normal), 1, 1)
         taylor_coeffs(single, single.grid.center)
     except (ValueError, OirsVlcError) as exc:
-        bad(_LINK_KEYS.get(str(exc).partition(" ")[0], "coherence"), str(exc))
+        key = _LINK_KEYS.get(str(exc).partition(" ")[0])
+        if key is None:
+            bad("coherence", f"{exc}; the study link is set by {_LINK_SET_BY}")
+        bad(key, str(exc))
     for spacing in sweep_schemes(config):
         try:
             block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)

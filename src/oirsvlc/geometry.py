@@ -93,8 +93,9 @@ class OirsGrid:
             raise DegenerateGeometryError("axis_u must be orthogonal to axis_v")
         object.__setattr__(self, "normal", _frozen(np.cross(self.axis_u, self.axis_v)))
         for name in ("rows", "cols"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            # every element index must fit numpy's index type
+            if not 1 <= getattr(self, name) <= np.iinfo(np.intp).max:
+                raise ValueError(f"{name} must lie in [1, {np.iinfo(np.intp).max}]")
         if self.element_pitch <= 0.0:
             raise ValueError("element_pitch must be positive")
         if not 0.0 < self.element_size <= self.element_pitch:
@@ -121,7 +122,14 @@ class OirsGrid:
 
 def element_positions(grid: OirsGrid) -> np.ndarray:
     """All element centers as an (N, 3) array in row-major order (n = i*cols + j)."""
-    jj, ii = np.meshgrid(np.arange(grid.cols), np.arange(grid.rows))
+    return _element_centers(grid, np.arange(grid.cols), np.arange(grid.rows))
+
+
+def _element_centers(grid: OirsGrid, cols, rows) -> np.ndarray:
+    """Centers of the elements in the given columns of the given rows, in
+    row-major order. Each coordinate is monotone along a row and a column,
+    so a box holds every element exactly when it holds the four corners'."""
+    jj, ii = np.meshgrid(cols, rows)
     ou = (jj.ravel() - (grid.cols - 1) / 2.0) * grid.element_pitch
     ov = (ii.ravel() - (grid.rows - 1) / 2.0) * grid.element_pitch
     return grid.center + np.outer(ou, grid.axis_u) + np.outer(ov, grid.axis_v)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from oirsvlc import OirsGrid, SceneConfig, estimator, run_algorithm1
+from oirsvlc import OirsGrid, SceneConfig, channel, run_algorithm1
 
 
 def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mode="unit"):
@@ -112,13 +112,13 @@ def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
     call passes to `rx_statistics`, chunk after chunk; one seed keeps the
     call on this thread."""
     seen = []
-    original = estimator.rx_statistics
+    original = channel.rx_statistics
 
     def record(H, X, sigma, seed):
         seen.append(np.array(H))
         return original(H, X, sigma, seed)
 
     with monkeypatch.context() as patch:
-        patch.setattr(estimator, "rx_statistics", record)
+        patch.setattr(channel, "rx_statistics", record)
         run_algorithm1(scene, truth, spacing, pilot_slots=10, seeds=[0])
     return np.concatenate(seen)

@@ -19,7 +19,7 @@ from oirsvlc import (
     generate_pilots,
     run_algorithm1,
     rx_statistics,
-    trial_streams,
+    trial_statistics,
 )
 
 from channel_oracle import blockdiag_channel, link_gain, link_scene, recorded_channel_blocks
@@ -335,15 +335,23 @@ def test_advanced_cursor_continues_the_uniform_stream(seed):
         ref.random(n)
         jumped = np.random.Generator(np.random.PCG64(seed).advance(n))
         assert np.array_equal(jumped.standard_normal(50), ref.standard_normal(50))
-        pilots, noise = trial_streams(seed, n)
-        assert pilots.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-        pilots.random(n)
-        assert pilots.bit_generator.state == noise.bit_generator.state
+    # trial_statistics of n one-slot blocks with H = 0 and sigma = 1 yields
+    # G = x^2 and X Y^T = x z: its pilots are the first n uniforms of
+    # default_rng(seed) and its noise the normals right after them
+    for n in (1, 7, 1000):
+        ref = np.random.default_rng(seed)
+        x_ref, z_ref = ref.random(n), ref.standard_normal(n)
+        x = np.empty((min(n, 144), 1, 1))
+        starts, grams, crosses = zip(*trial_statistics(np.zeros((n, 1, 1)), seed, 1, 0.5,
+                                                       1.0, x))
+        assert starts == tuple(range(0, n, 144))
+        assert np.array_equal(np.concatenate(grams).ravel(), x_ref * x_ref)
+        assert np.array_equal(np.concatenate(crosses).ravel(), x_ref * z_ref)
 
 
 def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
     # run_algorithm1 draws each chunk's pilots and noise through the two
-    # cursors of trial_streams; the bits equal one stream drawing the pilots
+    # cursors of trial_statistics; the bits equal one stream drawing the pilots
     # of every block, then the noise of every block in C order, whatever the
     # chunk size (35 blocks: 3 does not divide them)
     scene = _scene([(1.9, 2, 3), (2.1, 2, 3)], [(1.8, 2, 0), (2.0, 2, 0), (2.2, 2, 0)],
@@ -361,7 +369,7 @@ def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
             return stats
 
         monkeypatch.setattr(estimator, "CHUNK_BLOCKS", chunk)
-        monkeypatch.setattr(estimator, "rx_statistics", record)
+        monkeypatch.setattr(channel, "rx_statistics", record)
         run_algorithm1(scene, truth, 1, pilot_slots=6, sigma=0.1, seeds=[(3, 1)])
         assert len(seen) == -(-35 // chunk)
         h, x, gram, cross = (np.concatenate(parts) for parts in zip(*seen))

@@ -279,12 +279,15 @@ def test_interpolate_reproduces_affine_fields():
 
 
 def test_interpolate_linear_fallback_few_samples():
-    # 3 samples per axis: straight-line interpolation, still exact on affine data
+    # 3 samples per axis: piecewise-linear interpolation, exact on affine data
     layout, rows, cols = sampled_lattice(6, 6, 2, 2, 2)
     field = interpolate_full(1.0 + 2.0 * rows + 0.5 * cols, layout)
     rr, cc = np.divmod(np.arange(36), 6)
     assert_allclose(field, np.tile((1.0 + 2.0 * rr + 0.5 * cc)[:, None, None], (2, 2)),
                     atol=1e-10)
+    # one piece per interval, and the end piece beyond the last sample: not one line
+    weights = spline_weights([0.0, 1.0, 2.0], [0.5, 1.5, 3.0])
+    assert_allclose(weights @ [0.0, 1.0, 0.0], [0.5, 0.5, -1.0], atol=1e-15)
 
 
 def test_interpolate_shape_check():
@@ -295,7 +298,7 @@ def test_interpolate_shape_check():
         interpolate_full(np.zeros((144, 2, 1)), layout)
 
 
-# sample counts per axis: 1 (constant), 2 and 3 (straight line), >= 4 (natural cubic)
+# sample counts per axis: 1 (constant), 2 and 3 (piecewise linear), >= 4 (natural cubic)
 Q_CLASSES = {1: st.just(1), 2: st.just(2), 3: st.just(3), 4: st.integers(4, 24)}
 
 
@@ -448,7 +451,7 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
         draws.append(args)
         return generate_pilots(*args, **kwargs)
 
-    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
     for truth, error in ((with_nan, ValueError), (negative, ValueError),
                          (good.transpose(0, 2, 1).reshape(64, 4), ShapeError)):
         with pytest.raises(error):
@@ -478,7 +481,7 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
         return generate_pilots(*args, **kwargs)
 
     real_fork = os.fork
-    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     bad = [({"sigma": value}, ValueError)
            for value in (np.nan, np.inf, -np.inf, -1.0, 1e160)]
@@ -580,7 +583,7 @@ def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
             return out
         return generate_pilots(n_leds, n_slots, power, seed, batch, out)
 
-    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     scene = desk_scene(8, 8)
@@ -611,7 +614,7 @@ def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path
             return out
         return generate_pilots(n_leds, n_slots, power, seed, batch, out)
 
-    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     scene = desk_scene(8, 8)
     with pytest.raises(SingularSystemError) as raised:
@@ -642,7 +645,7 @@ def test_trial_workers_stay_usable_after_a_failed_call(bad_seeds, monkeypatch):
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
     reference = run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14))
-    monkeypatch.setattr("oirsvlc.estimator.generate_pilots", pilots)
+    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
     with TrialWorkers(8) as workers:
         with pytest.raises(SingularSystemError):
             run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(8), workers=workers)

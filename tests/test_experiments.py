@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from oirsvlc import (
     run_noise_sweep,
     run_overhead_report,
 )
-from oirsvlc import estimator, experiments
+from oirsvlc import channel, estimator, experiments
 from oirsvlc.cli import main as cli_main
 from oirsvlc.experiments import (
     config_hash,
@@ -86,6 +87,11 @@ def test_empty_config_is_default_desk_setup():
     assert scene.grid.n_elements == 576
 
 
+# the end of a study-link rejection, which names no key of its own
+_STUDY_LINK = ("the study link is set by coherence.led, coherence.element, coherence.pd, "
+               "scene.led_normal and scene.pd_normal")
+
+
 def test_config_rejects_unknown_and_invalid_keys():
     with pytest.raises(ConfigError, match="nonsense"):
         loads("nonsense = 1")
@@ -109,6 +115,9 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("pilots.slots = 1", "pilots.slots"),
         ("sweep.spacings = 30", "sweep.spacings"),
         ("sweep.spacings = 0", "sweep.spacings"),
+        # the baseline always runs first, and a repeat solved its row again
+        ("sweep.spacings = 1, 2", "sweep.spacings"),
+        ("sweep.spacings = 2, 3, 2", "sweep.spacings"),
         ("scene.grid.rows = 1\nscene.grid.cols = 3", "sweep.spacings"),
         ("scene.grid.rows = 0", "scene.grid.rows"),
         ("scene.grid.cols = 0", "scene.grid.cols"),
@@ -124,6 +133,7 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("coherence.element = 9, 9, 9", "coherence.element"),
         ("coherence.element = 1, 2, 3", "coherence"),        # on the LED
         ("coherence.pd = 1, 2, 1.5", "coherence"),            # on the element
+        ("scene.led_normal = 0, 0, 1", "coherence"),          # faces away from it
         # on an element center, and on an aperture off the center
         ("scene.led_positions = 2.05, 0, 1.55; 2.1, 2, 3\ntruth.model = point",
          "scene.led_positions"),
@@ -150,8 +160,9 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("sweep.sigmas = 0, 1e160", "sweep.sigmas"),
     ]
     for text, key in table:
-        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
             loads(text)
+        assert str(raised.value).endswith(_STUDY_LINK) == (key == "coherence")
     # a new key fails here until the table has a row for it
     assert {key for _, key in table} >= set(experiments._SCHEMA)
     # text that loads() cannot give back: it strips values and splits lines
@@ -183,6 +194,21 @@ def test_constructor_and_replace_check_the_config():
             ExperimentConfig(**changes)
 
 
+def test_huge_grid_fails_without_building_its_elements():
+    # the room check reads the four corner elements: 10**5 rows at 0.1 m
+    # pitch used to build 2.4 M element positions (a 190 MB peak) to refuse
+    # them, and counts past numpy's index range fail by name
+    tracemalloc.start()
+    try:
+        for rows, key in ((10**5, "scene.grid.center"), (2**70, "scene.grid.rows"),
+                          (10**400, "scene.grid.rows")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+                ExperimentConfig(grid_rows=rows)
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def test_config_round_trip():
     cfg = replace(ExperimentConfig(), sigmas=(0.0, 2.5e-4), spacings=(2, 4),
                   master_seed=99, output_dir="elsewhere",
@@ -203,6 +229,11 @@ def test_config_round_trip():
                          ({"room": np.array([4.0, 4.0, 3.0])}, "scene.room"),
                          ({"output_dir": Path("out")}, "output.dir"),
                          ({"xi_c": "0.04"}, "coherence.xi_c"),
+                         # an int that no float holds, which would read back as
+                         # another value, and sequences where numbers belong
+                         ({"lambertian_order": 2**53 + 1}, "scene.lambertian_order"),
+                         ({"sigmas": ((1e-4, 2e-4),)}, "sweep.sigmas"),
+                         ({"room": ((4.0, 4.0, 3.0),) * 3}, "scene.room"),
                          ({"sigmas": (0, 1)}, None),
                          ({"lambertian_order": 1}, None),
                          ({"room": (4, 4, 3)}, None),
@@ -227,6 +258,95 @@ def test_config_round_trip_keeps_every_accepted_output_dir(output_dir):
         assert str(exc).startswith("output.dir: ")
         return
     assert loads(dumps(config)) == config
+
+
+def _numbers(default):
+    """Values for a float field: its default (as an int where it is one),
+    floats near it, ints (also ones that no float holds), -0.0, subnormals,
+    nan, inf and floats up to 1e100 in size."""
+    near = st.floats(*sorted((0.5 * default, 1.5 * default))) if default else st.just(0.0)
+    exact = st.sampled_from([default, int(default)] if default == int(default) else [default])
+    return st.one_of(exact, near, st.integers(-3, 30), st.integers(2**53 + 1, 2**80),
+                     st.just(-0.0), st.floats(-2.2e-308, 2.2e-308),
+                     st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1e100, 1e100))
+
+
+def _counts(default):
+    """Values for a count field: near its default, small and very large ints."""
+    return st.one_of(st.integers(default - 3, default + 3), st.integers(-3, 30),
+                     st.integers(2**60, 2**70))
+
+
+def _tuples(item, lengths):
+    """Tuples of `item`s with a length from `lengths`, or the same as a list."""
+    return st.sampled_from(lengths).flatmap(lambda n: st.tuples(*[item] * n)) \
+        .flatmap(lambda t: st.sampled_from([t, list(t)]))
+
+
+def _vec3(default):
+    ints = tuple(int(v) if v == int(v) else v for v in default)
+    return st.one_of(st.sampled_from([default, ints, list(ints)]),
+                     _tuples(st.one_of(*[_numbers(v) for v in default]), (3, 3, 3, 0, 1, 2)))
+
+
+# parser -> strategy for a value of its shape, given the field's default;
+# a text field takes any text or one of the words its checks know
+_SHAPES = {
+    experiments._parse_float: _numbers,
+    experiments._parse_int: _counts,
+    experiments._parse_vec3: _vec3,
+    experiments._parse_vec3_list: lambda d: _tuples(st.one_of(*[_vec3(v) for v in d]),
+                                                    (len(d), 0, 1, 3)),
+    experiments._parse_floats: lambda d: _tuples(st.one_of(st.sampled_from(d), _numbers(1e-4)),
+                                                 (2, 0, 1, 4)),
+    experiments._parse_ints: lambda d: _tuples(st.one_of(st.sampled_from(d), _counts(3)),
+                                               (2, 0, 1, 4)),
+}
+_TEXT = st.one_of(st.sampled_from(["unit", "lambertian", "point", "quadrature", "out", ""]),
+                  st.text(), st.text(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028#=;,ab/"))
+
+
+@st.composite
+def _key_and_value(draw):
+    key = draw(st.sampled_from(sorted(experiments._SCHEMA)))
+    name, parser = experiments._SCHEMA[key]
+    shape = _SHAPES.get(parser, lambda default: _TEXT)
+    return key, name, draw(shape(getattr(ExperimentConfig, name)))
+
+
+# Checks that read several keys and name one of them: a value of one key
+# may be refused under another key of its group.
+_JOINT_CHECKS = (
+    # the grid, LEDs and PDs lie inside the room, and no LED or PD on an aperture
+    {"scene.room", "scene.grid.center", "scene.grid.rows", "scene.grid.cols",
+     "scene.grid.pitch_m", "scene.grid.element_size_m", "scene.led_positions",
+     "scene.pd_positions", "coherence.led", "coherence.pd", "coherence.element"},
+    # every spacing's subarray fits the grid and holds one (LED, PD) block
+    {"sweep.spacings", "scene.grid.rows", "scene.grid.cols", "scene.led_positions",
+     "scene.pd_positions"},
+    # the pilots identify every LED, and their Gram entries stay finite
+    {"pilots.slots", "pilots.power", "scene.led_positions"},
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_key_and_value())
+def test_config_round_trip_keeps_every_accepted_value(key_name_value):
+    # one key of the default config takes a value of its shape. Whatever the
+    # constructor accepts, dumps() writes back as itself; whatever it refuses
+    # is named by that key, by a key it is checked with, or, for the study
+    # link, by the "coherence" message that lists the link's keys
+    key, name, value = key_name_value
+    try:
+        config = ExperimentConfig(**{name: value})
+    except ConfigError as exc:
+        named = str(exc).partition(": ")[0]
+        assert named == key or any({key, named} <= keys for keys in _JOINT_CHECKS) \
+            or (named == "coherence" and str(exc).endswith(_STUDY_LINK) and key in _STUDY_LINK), \
+            (key, value, str(exc))
+        return
+    again = loads(dumps(config))
+    assert again == config and config_hash(again) == config_hash(config)
 
 
 def test_config_hash_is_the_sha256_of_dumps():
@@ -391,8 +511,8 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     # every element lies outside the 0.05 rad field of view: NMSE is undefined,
     # and the sweep stops before its first pilot draw
     calls = []
-    real = estimator.generate_pilots
-    monkeypatch.setattr(estimator, "generate_pilots",
+    real = channel.generate_pilots
+    monkeypatch.setattr(channel, "generate_pilots",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = tmp_path / "dark.cfg"
     cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
@@ -584,14 +704,14 @@ def test_trial_workers_keep_their_pids_across_calls(monkeypatch, tmp_path):
     truth = build_csi_tensor(scene)
     log = tmp_path / "solvers.txt"
     log.touch()
-    real_streams = estimator.trial_streams
+    real_statistics = estimator.trial_statistics
 
-    def streams(seed, n):
+    def statistics(h_blocks, seed, *args):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return real_streams(seed, n)
+        return real_statistics(h_blocks, seed, *args)
 
-    monkeypatch.setattr(estimator, "trial_streams", streams)
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
     with TrialWorkers(4) as workers:
         for spacing in (1, 2, 1):
             run_algorithm1(scene, truth, spacing, pilot_slots=10, sigma=1e-4,
@@ -614,11 +734,11 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
     # with its error, and the sweep leaves no child behind
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller, seed_of = os.getpid(), {}
-    real_streams, real_estimate = estimator.trial_streams, estimator.mmse_estimate
+    real_statistics, real_estimate = estimator.trial_statistics, estimator.mmse_estimate
 
-    def streams(seed, n):
+    def statistics(h_blocks, seed, *args):
         seed_of["now"] = seed
-        return real_streams(seed, n)
+        return real_statistics(h_blocks, seed, *args)
 
     def failing(*args):
         _, spacing, i_sigma, _ = seed_of["now"]
@@ -626,7 +746,7 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
             raise ZeroReferenceError("worker failed mid-sweep")
         return real_estimate(*args)
 
-    monkeypatch.setattr(estimator, "trial_streams", streams)
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
     monkeypatch.setattr(estimator, "mmse_estimate", failing)
     with pytest.raises(ZeroReferenceError, match="worker failed mid-sweep") as raised:
         run_noise_sweep(FAST)
