@@ -166,26 +166,38 @@ class SceneConfig:
                           self.pd_normal, self.lambertian_order, self.fov_semi_angle, c)
 
 
-def aperture_gain(scene: SceneConfig, centers, order: int) -> np.ndarray:
+def _aperture_means(scene: SceneConfig, order: int):
+    """The solver of `aperture_gain`'s chunks: centers -> aperture-averaged gains."""
+    return lambda centers: scene.gains(aperture_points(scene.grid, centers, order)).mean(axis=1)
+
+
+def aperture_gain(scene: SceneConfig, centers, order: int, workers=None) -> np.ndarray:
     """Aperture-averaged gains of `scene`: (M, 3) element centers -> (M, Nr, Nt).
 
     The midpoint rule of `aperture_points` with the given order, evaluated
     for as many centers at a time as fit in APERTURE_CHUNK_POINTS sub-points,
-    so memory stays bounded on any grid. Each center's average does not
-    depend on the chunk it falls in.
+    so memory stays bounded on any grid; given an open `TrialWorkers` pool,
+    its workers share them. No center's average depends on its chunk or process.
     """
     centers = np.asarray(centers, dtype=float)
     gains = np.empty((len(centers), scene.n_pds, scene.n_leds))
     # centers per chunk; aperture_points refuses order < 1
     step = max(1, APERTURE_CHUNK_POINTS // max(1, order) ** 2)
-    for lo in range(0, len(centers), step):
-        sub = aperture_points(scene.grid, centers[lo:lo + step], order)
-        gains[lo:lo + step] = scene.gains(sub).mean(axis=1)
+    chunks = [centers[lo:lo + step] for lo in range(0, len(centers), step)]
+
+    def store(i, means):
+        gains[i * step:(i + 1) * step] = means
+
+    if workers is None:
+        for i, means in enumerate(map(_aperture_means(scene, order), chunks)):
+            store(i, means)
+    else:
+        workers.split(_aperture_means, (scene, order), chunks, store)
     return gains
 
 
 def build_csi_tensor(scene: SceneConfig, model: str = "point",
-                     quadrature_order: int = 8) -> np.ndarray:
+                     quadrature_order: int = 8, workers=None) -> np.ndarray:
     """Ground-truth CSI: the read-only (N, Nr, Nt) gains of every element for
     every (PD, LED) pair.
 
@@ -194,12 +206,12 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
     given midpoint order. Each element is taken as aligned (its mirror
     normal set by the reflection law for the link being evaluated), which
     the point-source bound leaves implicit. Both fill the result one chunk
-    of elements at a time through `aperture_gain`.
+    of elements at a time through `aperture_gain`, with `workers` if given.
     """
     if model not in ("point", "quadrature"):
         raise ValueError(f"unknown truth model {model!r}")
     order = 1 if model == "point" else int(quadrature_order)
-    gains = aperture_gain(scene, element_positions(scene.grid), order)
+    gains = aperture_gain(scene, element_positions(scene.grid), order, workers)
     gains.flags.writeable = False
     return gains
 
@@ -212,7 +224,7 @@ def _check_pilots(n_leds: int, n_slots: int, power: float):
             f"{n_slots} pilot slots cannot identify {n_leds} LED gains")
     if not (math.isfinite(power) and power > 0.0):
         raise ValueError("pilot power must be positive and finite")
-    if not n_slots * (2.0 * power) * (2.0 * power) <= MAX_SCALE:
+    if not (n_slots <= MAX_SCALE and n_slots * (2.0 * power) * (2.0 * power) <= MAX_SCALE):
         raise ValueError(f"pilot power {power:g} makes the Gram bound "
                          f"slots * (2 * power)^2 exceed {MAX_SCALE:.3g}")
 

@@ -21,15 +21,15 @@ per element with a rotating pair assignment.
 and keeps one number per trial: its NMSE. Phase II reads the received blocks
 Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed. It
 solves CHUNK_BLOCKS blocks at a time, as `channel.trial_statistics` draws
-them from the trial's seed. The trials are spread over the process's CPUs by
-a pool of forked worker processes, `TrialWorkers`, which a caller such as
-the noise sweep opens once for many calls. A worker's jobs are plain data
-read from a pipe (the truth blocks, the seeds and the pilot and noise
-settings); it takes trials from a pipe of tokens it shares with the caller
-and replies through a second pipe of its own with its trials' pickled rows
-or its exception. Phase III and every other public function run in the
-calling process. Each trial is scored as soon as it is recovered, so no call
-holds every trial's full (N, Nr, Nt) estimate.
+them from the trial's seed. The caller shares the trials, and the sweep's
+truth chunks, with a pool of forked worker processes, `TrialWorkers`, that
+the noise sweep opens once for its truth build and every call. A worker's
+jobs are plain data read from a pipe (a factory, its arguments and the
+items, such as the seeds); it takes items from a pipe of tokens it shares
+with the caller and replies through a second pipe of its own with its
+items' pickled rows or its exception. Phase III and every public function
+run in the calling process. Each trial is scored as soon as it is
+recovered, so no call holds every trial's full (N, Nr, Nt) estimate.
 """
 
 from __future__ import annotations
@@ -278,26 +278,31 @@ def _take(tokens: int):
     return int.from_bytes(token, "little") if token else None
 
 
-def _take_chunks(job, seeds, chunks, first: int, tokens: int, done):
-    """Phase II of the trials of chunk `first`, then of each chunk whose token
-    this process takes from `tokens` until none is left; done(t, row) after
-    each trial t, its row the NMSE of a dense-baseline trial, scored on its
-    blocks, which hold every (element, pair) entry once, or the (Q, Nr, Nt)
-    block estimates of a sampled one. `job` is (truth blocks, dense,
-    pilot_slots, sigma, pilot_power). A failure takes and drops the tokens
-    left and is returned as (chunk, exception); None when every chunk taken
-    was done."""
-    h_blocks, dense, pilot_slots, sigma, pilot_power = job
+def _trial_solver(h_blocks, dense, pilot_slots, sigma, pilot_power):
+    """Phase II of a call's trials by seed, in one pilot buffer: a dense trial's
+    row is its NMSE on its blocks, a sampled one's its (Q, Nr, Nt) estimates."""
     x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), h_blocks.shape[2], pilot_slots))
     h_est = np.empty(h_blocks.shape)
+
+    def solve(seed):
+        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma, x):
+            h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
+        return nmse(h_est, h_blocks) if dense else h_est.copy()
+
+    return solve
+
+
+def _take_chunks(factory, args, items, chunks, first: int, tokens: int, done):
+    """done(i, solve(items[i])), solve = factory(*args), of each item i of chunk
+    `first`, then of each chunk whose token this process takes from `tokens`
+    until none is left. A failure takes and drops the tokens left and is
+    returned as (chunk, exception); None when every chunk taken was done."""
     c = first
     try:
+        solve = factory(*args)
         while c is not None:
-            for t in chunks[c]:
-                for b, gram, cross in trial_statistics(h_blocks, seeds[t], pilot_slots,
-                                                       pilot_power, sigma, x):
-                    h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
-                done(t, nmse(h_est, h_blocks) if dense else h_est.copy())
+            for i in chunks[c]:
+                done(i, solve(items[i]))
             c = _take(tokens)
     except Exception as exc:
         while _take(tokens) is not None:
@@ -307,9 +312,9 @@ def _take_chunks(job, seeds, chunks, first: int, tokens: int, done):
 
 
 def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
-    """A forked worker: for each job (job, seeds, chunks, first) read from
-    `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes, and
-    send one pickled reply on `replies_fd`: ({trial: row}, None), or with
+    """A forked worker: for each job (factory, args, items, chunks, first) read
+    from `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes,
+    and send one pickled reply on `replies_fd`: ({index: row}, None), or with
     (chunk, exception, its formatted traceback) in place of None. It ends at
     the end of the jobs, after closing the `inherited` pipe ends of the
     caller and earlier workers, and leaves through os._exit, never into the
@@ -338,24 +343,23 @@ def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
 
 
 class TrialWorkers:
-    """Forked trial workers for `run_algorithm1` calls, kept from `__enter__`
-    to `__exit__`: one per further CPU this process may run on
-    (`os.sched_getaffinity`), at most `trials` - 1, none where the platform
-    cannot tell. Open them around a loop of calls so that every call reuses
-    them.
+    """Forked workers for `run_algorithm1` calls and `build_csi_tensor`'s
+    aperture chunks, kept from `__enter__` to `__exit__`: one per further CPU
+    this process may run on (`os.sched_getaffinity`), at most `trials` - 1,
+    none where the platform cannot tell. The noise sweep opens them before
+    its truth build, and every later call reuses them.
 
-    A call cuts its trials into chunks of one trial each (contiguous runs
-    when there are more than MAX_CHUNKS), gives the first to the caller and
-    the next one to each worker, and writes a token for each other chunk to
-    a shared non-blocking pipe. Every process then takes tokens until none
-    is left, so the caller, which also recovers and scores every sampled
-    trial, or a process slowed by the host, solves fewer trials. A worker's
-    job, read from its own pipe, is plain data: the truth blocks, the dense
-    flag, the pilot and noise settings, the seeds and the chunks. It
-    answers through a second pipe with one pickled reply: its trials' rows
-    or its exception. A worker sees the module as it was when forked, not
-    later changes. Leaving the context closes every pipe and reaps every
-    worker.
+    `split` cuts a call's items (trial seeds, or chunks of element centers)
+    into chunks of one item each (contiguous runs past MAX_CHUNKS), gives the
+    first to the caller and the next one to each worker, and writes a token
+    for each other chunk to a shared non-blocking pipe. Every process then
+    takes tokens until none is left, so the caller, which also recovers and
+    scores every sampled trial, or a process slowed by the host, solves
+    fewer. A worker's job, read from its own pipe, is plain data: a
+    module-level factory, its arguments, the items and the chunks. It
+    answers through a second pipe with one pickled reply: its items' rows
+    or its exception. A worker sees the modules as they were when forked.
+    Leaving the context closes every pipe and reaps every worker.
     """
 
     def __init__(self, trials: int):
@@ -427,30 +431,30 @@ class TrialWorkers:
         jobs.close()
         replies.close()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return {}, (-1, OirsVlcError(f"trial worker {pid} exited with status {code} "
+        return {}, (-1, OirsVlcError(f"pool worker {pid} exited with status {code} "
                                      "before reporting"), None)
 
-    def split(self, job, seeds, score):
-        """Phase II of one trial per seed (see `_take_chunks`), then score(t,
-        row) of each trial t in the calling process and thread: the caller's
-        trials as it solves them, the workers' once every worker replied. A
-        failure stops the process that meets it; the call raises that of the
-        earliest chunk, or first that of a worker that exited without a
-        reply. A failure outside the trials, such as an interrupt, closes the
-        pool."""
+    def split(self, factory, args, items, done):
+        """done(i, solve(items[i])) of each item i (see `_take_chunks`), done in
+        the calling process and thread: on the caller's items as it solves
+        them, on the workers' once every worker replied. `factory` is pickled
+        by name. A failure stops the process that meets it; the call raises
+        that of the earliest chunk, or first that of a worker that exited
+        without a reply. A failure outside the items, such as an interrupt,
+        closes the pool."""
         if not self._tokens:
             raise OirsVlcError("trial workers used outside their `with` block")
-        n_chunks = min(len(seeds), MAX_CHUNKS)
-        bounds = [len(seeds) * i // n_chunks for i in range(n_chunks + 1)]
+        n_chunks = min(len(items), MAX_CHUNKS)
+        bounds = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
         chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         busy = self._workers[:n_chunks - 1]
         try:
             os.write(self._tokens[1], b"".join(c.to_bytes(4, "little")
                                                for c in range(len(busy) + 1, n_chunks)))
             for first, (_, jobs, _) in enumerate(busy, 1):
-                pickle.dump((job, seeds, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((factory, args, items, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
                 jobs.flush()
-            failure = _take_chunks(job, seeds, chunks, 0, self._tokens[0], score)
+            failure = _take_chunks(factory, args, items, chunks, 0, self._tokens[0], done)
             replies = [self._reply(worker) for worker in busy]
         except BaseException:
             self.close()
@@ -464,8 +468,8 @@ class TrialWorkers:
                 raise exc
             raise exc from _WorkerTraceback(text)
         for rows, _ in replies:
-            for t, row in rows.items():
-                score(t, row)
+            for i, row in rows.items():
+                done(i, row)
 
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
@@ -483,16 +487,13 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     bits do not depend on the chunk size. The trials are solved by the
     calling process and the forked processes of `workers`, a `TrialWorkers`
     pool that the caller keeps open over many calls; without one, the call
-    opens a pool of its own and closes it before it returns or raises. Each
-    worker gets the call's job as plain data through a pipe, and each
-    process takes trials until none is left (see `TrialWorkers`). A
-    dense-baseline trial is scored on its blocks, which hold every (element,
-    pair) entry once, where it is solved; a sampled trial's (Q, Nr, Nt)
-    block estimates come back to the calling process, a worker's in its
-    pickled reply, and the calling process recovers and scores one trial at
-    a time, its own as it solves them. A worker's exception is raised in the
-    caller with the worker's formatted traceback as its cause, and a worker
-    that exits without a reply raises OirsVlcError. So a call holds at most
+    opens a pool of its own and closes it before it returns or raises; each
+    process takes trials until none is left, and a worker's failure is
+    raised in the caller (see `TrialWorkers.split`). A dense-baseline trial
+    is scored on its blocks, which hold every (element, pair) entry once,
+    where it is solved; a sampled trial's (Q, Nr, Nt) block estimates come
+    back to the calling process, and the calling process recovers and scores
+    one trial at a time, its own as it solves them. So a call holds at most
     one full estimate per process, and a trial's result depends on its seed
     alone, not on the other seeds, the CPU count or which process solved it.
     sigma = 0 with spacing 1 and the point-model truth recovers the tensor
@@ -524,7 +525,8 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
         errors[t] = row if layout is None else nmse(interpolate_full(row, layout), truth)
 
     with nullcontext(workers) if workers is not None else TrialWorkers(len(seeds)) as pool:
-        pool.split((h_blocks, layout is None, pilot_slots, sigma, pilot_power), seeds, score)
+        pool.split(_trial_solver, (h_blocks, layout is None, pilot_slots, sigma, pilot_power),
+                   seeds, score)
 
     return EstimationResult(
         nmse=errors,

@@ -201,6 +201,11 @@ _LINK_KEYS = {"led_positions": "coherence.led", "pd_positions": "coherence.pd",
 # the keys of a study-link failure that no one key causes
 _LINK_SET_BY = ("coherence.led, coherence.element, coherence.pd, scene.led_normal and "
                 "scene.pd_normal")
+_GRID_KEYS = ("scene.grid.center", "scene.grid.rows", "scene.grid.cols", "scene.grid.pitch_m")
+# by the end of its message, the keys a scene check reads besides the field it names
+_ALSO_READS = {"must lie inside the room extents": ("scene.room",),
+               "must not lie on an element aperture": (*_GRID_KEYS, "scene.grid.element_size_m"),
+               "must lie in (0, element_pitch]": ("scene.grid.pitch_m",)}
 
 
 def _scene(config, leds, pds, center, axes, rows, cols) -> SceneConfig:
@@ -232,7 +237,9 @@ def _scene(config, leds, pds, center, axes, rows, cols) -> SceneConfig:
 
 def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
     """Check every key of `config`; return its MIMO and single-link scenes."""
-    def bad(key, msg):
+    def bad(key, msg, reads=()):
+        if len(reads) > 1:                # a check of several keys lists them
+            msg = f"{msg}; the check reads {', '.join(reads[:-1])} and {reads[-1]}"
         raise ConfigError(f"{key}: {msg}")
 
     for key, (name, parser) in _SCHEMA.items():
@@ -251,13 +258,17 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
                 bad(key, "counts must be integers")
             if key in _MINIMUM and value < _MINIMUM[key]:
                 bad(key, f"must be >= {_MINIMUM[key]}")
-        elif kind is not str and not (np.asarray(value).dtype.kind in "biuf"
-                                     and np.all(np.isfinite(value))):
-            bad(key, "values must be finite numbers")
-        elif kind is not str and np.ndim(value) != (kind is tuple) + (parser is _parse_vec3_list):
-            bad(key, "holds a sequence where a number belongs")
-        elif kind is not str and parser(key, _fmt(parser, value)) != value:
-            bad(key, f"{value!r} would be written as {_fmt(parser, value)!r}, another value")
+        elif kind is not str:
+            try:
+                array = np.asarray(value)
+            except ValueError:              # ragged: a sequence beside a number
+                bad(key, "holds a sequence where a number belongs")
+            if not (array.dtype.kind in "biuf" and np.all(np.isfinite(array))):
+                bad(key, "values must be finite numbers")
+            if array.ndim != (kind is tuple) + (parser is _parse_vec3_list):
+                bad(key, "holds a sequence where a number belongs")
+            if parser(key, _fmt(parser, value)) != value:
+                bad(key, f"{value!r} would be written as {_fmt(parser, value)!r}, another value")
     if min(config.spacings, default=2) < 2:
         bad("sweep.spacings", "must be >= 2: the dense baseline (spacing 1) always runs first")
     if len(set(config.spacings)) < len(config.spacings):
@@ -270,9 +281,9 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
     try:
         _check_pilots(len(config.led_positions), config.pilot_slots, config.pilot_power)
     except IdentifiabilityError as exc:
-        bad("pilots.slots", str(exc))
-    except ValueError as exc:
-        bad("pilots.power", str(exc))
+        bad("pilots.slots", str(exc), ("pilots.slots", "scene.led_positions"))
+    except ValueError as exc:                     # only the Gram bound reads the slots
+        bad("pilots.power", str(exc), ("pilots.power", "pilots.slots") * ("Gram" in str(exc)))
     if config.xi_c <= 0:
         bad("coherence.xi_c", "must be positive")
     if config.truth_model not in ("point", "quadrature"):
@@ -287,7 +298,9 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         scene = _scene(config, config.led_positions, config.pd_positions, config.grid_center,
                        ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), config.grid_rows, config.grid_cols)
     except (ValueError, OirsVlcError) as exc:
-        bad(_SCENE_KEYS.get(str(exc).partition(" ")[0], "scene"), str(exc))
+        field, _, check = str(exc).partition(" ")
+        reads = _GRID_KEYS if field == "grid" else (_SCENE_KEYS.get(field, "scene"),)
+        bad(reads[0], str(exc), (*reads, *_ALSO_READS.get(check, ())))
     try:
         normal = alignment_normal(config.coherence_led, config.coherence_element,
                                   config.coherence_pd)
@@ -298,12 +311,13 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         key = _LINK_KEYS.get(str(exc).partition(" ")[0])
         if key is None:
             bad("coherence", f"{exc}; the study link is set by {_LINK_SET_BY}")
-        bad(key, str(exc))
+        bad(key, str(exc), (key, "scene.room") if str(exc).endswith("the room extents") else ())
     for spacing in sweep_schemes(config):
         try:
             block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)
         except LayoutError as exc:
-            bad("sweep.spacings", f"spacing {spacing}: {exc}")
+            bad("sweep.spacings", f"spacing {spacing}: {exc}", ("sweep.spacings", "scene.grid.rows",
+                "scene.grid.cols", "scene.led_positions", "scene.pd_positions"))
     return scene, single
 
 
@@ -414,14 +428,14 @@ def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
     Returns rows (sigma, spacing, nmse_db, trials). Each (sigma, scheme) cell
-    is one `run_algorithm1` call over all its trials, and every call reuses
-    the trial workers forked once for the sweep; trial seeds derive from the
-    master seed, the scheme, the sigma index, and the trial index.
+    is one `run_algorithm1` call over all its trials; the calls and the truth
+    build share the workers forked once for the sweep. Trial seeds derive from
+    the master seed, the scheme, the sigma index, and the trial index.
     """
     scene = config.scene
-    truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
     rows = []
     with TrialWorkers(config.trials) as workers:
+        truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order, workers)
         for i_sigma, sigma in enumerate(config.sigmas):
             for spacing in sweep_schemes(config):
                 errors = run_algorithm1(

@@ -36,6 +36,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def normalize(v) -> np.ndarray:
     """Return v / ||v||; a zero vector has no direction."""
     a = as_vec3(v)
+    a = a / max(1.0, np.max(np.abs(a)) / 1e150)   # by 1.0 unless a square could overflow
     n = np.linalg.norm(a)
     if n <= 0.0:
         raise DegenerateGeometryError("cannot normalize a zero vector")
@@ -43,7 +44,8 @@ def normalize(v) -> np.ndarray:
 
 
 def is_unit(v, tol: float = _UNIT_TOL) -> bool:
-    return abs(np.linalg.norm(as_vec3(v)) - 1.0) <= tol
+    a = as_vec3(v)             # an entry past 1 + tol rules it out before it overflows the norm
+    return bool(np.max(np.abs(a)) <= 1.0 + tol) and abs(np.linalg.norm(a) - 1.0) <= tol
 
 
 def alignment_normal(led, element, pd) -> np.ndarray:

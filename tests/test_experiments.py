@@ -92,6 +92,15 @@ _STUDY_LINK = ("the study link is set by coherence.led, coherence.element, coher
                "scene.led_normal and scene.pd_normal")
 
 
+# the keys listed at the end of the messages of checks that read several keys
+_GRID_IN_ROOM = ("scene.grid.center, scene.grid.rows, scene.grid.cols, scene.grid.pitch_m and "
+                 "scene.room")
+_ON_APERTURE = (", scene.grid.center, scene.grid.rows, scene.grid.cols, scene.grid.pitch_m and "
+                "scene.grid.element_size_m")
+_LAYOUT = ("sweep.spacings, scene.grid.rows, scene.grid.cols, scene.led_positions and "
+           "scene.pd_positions")
+
+
 def test_config_rejects_unknown_and_invalid_keys():
     with pytest.raises(ConfigError, match="nonsense"):
         loads("nonsense = 1")
@@ -105,46 +114,52 @@ def test_config_rejects_unknown_and_invalid_keys():
         loads("seed = 1\nseed = 2")
     with pytest.raises(ConfigError, match="key = value"):
         loads("just some words")
-    # each of these used to pass loads() and fail only mid-run
+    # each of these used to pass loads() and fail only mid-run. A row with a
+    # third item is a check that reads several keys: it names one, and its
+    # message ends by listing every key it reads
     table = [
         ("sweep.sigmas = 0, nan", "sweep.sigmas"),
         ("pilots.power = inf", "pilots.power"),
         ("scene.room = 4, inf, 3", "scene.room"),
         ("scene.grid.pitch_m = -1", "scene.grid.pitch_m"),
-        ("scene.grid.element_size_m = 0.2", "scene.grid.element_size_m"),
-        ("pilots.slots = 1", "pilots.slots"),
-        ("sweep.spacings = 30", "sweep.spacings"),
+        ("scene.grid.element_size_m = 0.2", "scene.grid.element_size_m",
+         "scene.grid.element_size_m and scene.grid.pitch_m"),
+        ("pilots.slots = 1", "pilots.slots", "pilots.slots and scene.led_positions"),
+        ("sweep.spacings = 30", "sweep.spacings", _LAYOUT),
         ("sweep.spacings = 0", "sweep.spacings"),
         # the baseline always runs first, and a repeat solved its row again
         ("sweep.spacings = 1, 2", "sweep.spacings"),
         ("sweep.spacings = 2, 3, 2", "sweep.spacings"),
-        ("scene.grid.rows = 1\nscene.grid.cols = 3", "sweep.spacings"),
+        ("scene.grid.rows = 1\nscene.grid.cols = 3", "sweep.spacings", _LAYOUT),
         ("scene.grid.rows = 0", "scene.grid.rows"),
         ("scene.grid.cols = 0", "scene.grid.cols"),
         ("scene.room = 4, -4, 3", "scene.room"),
-        ("scene.led_positions = 1, 2, 3.5", "scene.led_positions"),
-        ("scene.pd_positions = 1.8, 2, 0; 2.2, 4.5, 0", "scene.pd_positions"),
-        ("scene.grid.center = 2, -0.5, 1.5", "scene.grid.center"),
+        ("scene.led_positions = 1, 2, 3.5", "scene.led_positions",
+         "scene.led_positions and scene.room"),
+        ("scene.pd_positions = 1.8, 2, 0; 2.2, 4.5, 0", "scene.pd_positions",
+         "scene.pd_positions and scene.room"),
+        ("scene.grid.center = 2, -0.5, 1.5", "scene.grid.center", _GRID_IN_ROOM),
         ("scene.lambertian_order = 0.5", "scene.lambertian_order"),
         ("scene.fov_semi_angle_rad = 3", "scene.fov_semi_angle_rad"),
         ("scene.fov_semi_angle_rad = 0", "scene.fov_semi_angle_rad"),
-        ("coherence.led = 1, 5, 3", "coherence.led"),
-        ("coherence.pd = 2, 2, -1", "coherence.pd"),
-        ("coherence.element = 9, 9, 9", "coherence.element"),
+        ("coherence.led = 1, 5, 3", "coherence.led", "coherence.led and scene.room"),
+        ("coherence.pd = 2, 2, -1", "coherence.pd", "coherence.pd and scene.room"),
+        ("coherence.element = 9, 9, 9", "coherence.element", "coherence.element and scene.room"),
         ("coherence.element = 1, 2, 3", "coherence"),        # on the LED
         ("coherence.pd = 1, 2, 1.5", "coherence"),            # on the element
         ("scene.led_normal = 0, 0, 1", "coherence"),          # faces away from it
         # on an element center, and on an aperture off the center
         ("scene.led_positions = 2.05, 0, 1.55; 2.1, 2, 3\ntruth.model = point",
-         "scene.led_positions"),
-        ("scene.pd_positions = 1.8, 2, 0; 1.96, 0, 1.46", "scene.pd_positions"),
+         "scene.led_positions", "scene.led_positions" + _ON_APERTURE),
+        ("scene.pd_positions = 1.8, 2, 0; 1.96, 0, 1.46", "scene.pd_positions",
+         "scene.pd_positions" + _ON_APERTURE),
         ("scene.gain_mode = absolute", "scene.gain_mode"),
         ("scene.pd_side_m = 0", "scene.pd_side_m"),
         ("scene.led_normal = 0, 0, -2", "scene.led_normal"),
         ("seed = -1", "seed"),
         ("scene.grid.reflectivity = 0", "scene.grid.reflectivity"),
         ("scene.grid.reflectivity = 1.5", "scene.grid.reflectivity"),
-        ("scene.grid.center = 0.1, 0, 1.5", "scene.grid.center"),   # elements spill out
+        ("scene.grid.center = 0.1, 0, 1.5", "scene.grid.center", _GRID_IN_ROOM),  # spills out
         ("scene.pd_normal = 0, 0.6, 0.6", "scene.pd_normal"),
         ("coherence.xi_c = 0", "coherence.xi_c"),
         ("coherence.angular_samples = 7", "coherence.angular_samples"),
@@ -156,15 +171,31 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("output.dir = out\x7f", "output.dir"),
         # the Gram entries P * (2p)^2 and the ridge term sigma^2 would overflow:
         # every row came out NaN, or the sweep died after the truth build
-        ("pilots.power = 1e160", "pilots.power"),
+        ("pilots.power = 1e160", "pilots.power", "pilots.power and pilots.slots"),
         ("sweep.sigmas = 0, 1e160", "sweep.sigmas"),
+        # changed alone, each used to be named only by another key of its check
+        ("scene.grid.rows = 40", "scene.grid.center", _GRID_IN_ROOM),
+        ("scene.room = 2, 2, 2", "scene.led_positions", "scene.led_positions and scene.room"),
+        (f"pilots.slots = {10**160}", "pilots.power", "pilots.power and pilots.slots"),
+        # past the float range: used to raise OverflowError
+        (f"pilots.slots = {10**400}", "pilots.power", "pilots.power and pilots.slots"),
+        ("scene.grid.pitch_m = 0.01", "scene.grid.element_size_m",
+         "scene.grid.element_size_m and scene.grid.pitch_m"),
+        # squared in the norm, these used to overflow into a RuntimeWarning
+        ("scene.led_normal = 1e200, 0, 1", "scene.led_normal"),
+        ("scene.pd_normal = 0, -1e300, 1e300", "scene.pd_normal"),
+        ("coherence.led = 1e300, 2, 3", "coherence.led", "coherence.led and scene.room"),
+        ("coherence.element = -1.7e308, 1.7e308, 1.7e308", "coherence.element",
+         "coherence.element and scene.room"),
     ]
-    for text, key in table:
+    for text, key, *reads in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
             loads(text)
         assert str(raised.value).endswith(_STUDY_LINK) == (key == "coherence")
+        assert ("; the check reads " in str(raised.value)) == bool(reads)
+        assert str(raised.value).endswith(f"; the check reads {reads[0]}" if reads else "")
     # a new key fails here until the table has a row for it
-    assert {key for _, key in table} >= set(experiments._SCHEMA)
+    assert {key for _, key, *_ in table} >= set(experiments._SCHEMA)
     # text that loads() cannot give back: it strips values and splits lines
     for value in (" out", "out ", "out\n", "a\nb", "a\rb", "a\x85b", "a\u2028b"):
         with pytest.raises(ConfigError, match="^output.dir: "):
@@ -234,6 +265,11 @@ def test_config_round_trip():
                          ({"lambertian_order": 2**53 + 1}, "scene.lambertian_order"),
                          ({"sigmas": ((1e-4, 2e-4),)}, "sweep.sigmas"),
                          ({"room": ((4.0, 4.0, 3.0),) * 3}, "scene.room"),
+                         # ragged: numpy used to raise its "inhomogeneous shape"
+                         ({"sigmas": (1e-4, (1, 2))}, "sweep.sigmas"),
+                         ({"room": (4, (4, 4), 3)}, "scene.room"),
+                         ({"led_positions": ((1.9, (2.0,), 3.0), (2.1, 2.0, 3.0))},
+                          "scene.led_positions"),
                          ({"sigmas": (0, 1)}, None),
                          ({"lambertian_order": 1}, None),
                          ({"room": (4, 4, 3)}, None),
@@ -263,12 +299,15 @@ def test_config_round_trip_keeps_every_accepted_output_dir(output_dir):
 def _numbers(default):
     """Values for a float field: its default (as an int where it is one),
     floats near it, ints (also ones that no float holds), -0.0, subnormals,
-    nan, inf and floats up to 1e100 in size."""
+    nan, inf, floats of any size, and a pair where a number belongs (which
+    makes the sequence it is drawn into ragged)."""
     near = st.floats(*sorted((0.5 * default, 1.5 * default))) if default else st.just(0.0)
     exact = st.sampled_from([default, int(default)] if default == int(default) else [default])
     return st.one_of(exact, near, st.integers(-3, 30), st.integers(2**53 + 1, 2**80),
                      st.just(-0.0), st.floats(-2.2e-308, 2.2e-308),
-                     st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1e100, 1e100))
+                     st.sampled_from([np.nan, np.inf, -np.inf]),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.tuples(exact, exact))
 
 
 def _counts(default):
@@ -314,34 +353,22 @@ def _key_and_value(draw):
     return key, name, draw(shape(getattr(ExperimentConfig, name)))
 
 
-# Checks that read several keys and name one of them: a value of one key
-# may be refused under another key of its group.
-_JOINT_CHECKS = (
-    # the grid, LEDs and PDs lie inside the room, and no LED or PD on an aperture
-    {"scene.room", "scene.grid.center", "scene.grid.rows", "scene.grid.cols",
-     "scene.grid.pitch_m", "scene.grid.element_size_m", "scene.led_positions",
-     "scene.pd_positions", "coherence.led", "coherence.pd", "coherence.element"},
-    # every spacing's subarray fits the grid and holds one (LED, PD) block
-    {"sweep.spacings", "scene.grid.rows", "scene.grid.cols", "scene.led_positions",
-     "scene.pd_positions"},
-    # the pilots identify every LED, and their Gram entries stay finite
-    {"pilots.slots", "pilots.power", "scene.led_positions"},
-)
-
-
 @settings(max_examples=400, deadline=None)
 @given(_key_and_value())
 def test_config_round_trip_keeps_every_accepted_value(key_name_value):
     # one key of the default config takes a value of its shape. Whatever the
     # constructor accepts, dumps() writes back as itself; whatever it refuses
-    # is named by that key, by a key it is checked with, or, for the study
-    # link, by the "coherence" message that lists the link's keys
+    # is named by that key, or listed at the end of the message among the
+    # keys of a check that reads several, or, for the study link, among the
+    # keys of the "coherence" message
     key, name, value = key_name_value
     try:
         config = ExperimentConfig(**{name: value})
     except ConfigError as exc:
-        named = str(exc).partition(": ")[0]
-        assert named == key or any({key, named} <= keys for keys in _JOINT_CHECKS) \
+        named, _, message = str(exc).partition(": ")
+        listed = re.split(", | and ", message.rpartition("; the check reads ")[2]) \
+            if "; the check reads " in message else []
+        assert named == key or key in listed \
             or (named == "coherence" and str(exc).endswith(_STUDY_LINK) and key in _STUDY_LINK), \
             (key, value, str(exc))
         return
