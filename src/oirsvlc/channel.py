@@ -25,6 +25,7 @@ from .errors import (
     DegenerateGeometryError,
     IdentifiabilityError,
     ShapeError,
+    with_fields,
 )
 from .geometry import (
     OirsGrid,
@@ -99,8 +100,8 @@ def aperture_points(grid: OirsGrid, centers, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Room, LED/PD arrays, and the reflecting-element grid. Each rejection's
-    message begins with the name of the field it rejects."""
+    """Room, LED/PD arrays, and the reflecting-element grid. Each rejection
+    carries `fields`, the fields its check read, its grid's included."""
 
     room: np.ndarray              # extents (x, y, z), meters; origin at (0, 0, 0)
     led_positions: np.ndarray     # (Nt, 3)
@@ -116,37 +117,42 @@ class SceneConfig:
     def __post_init__(self):
         object.__setattr__(self, "room", _frozen(as_vec3(self.room)))
         if np.any(self.room <= 0.0):
-            raise ValueError("room extents must be positive")
+            raise with_fields(ValueError("room extents must be positive"), "room")
         leds = np.atleast_2d(np.asarray(self.led_positions, dtype=float))
         pds = np.atleast_2d(np.asarray(self.pd_positions, dtype=float))
-        if leds.shape[1] != 3 or leds.shape[0] < 1:
-            raise ShapeError("led_positions must be (Nt, 3) with Nt >= 1")
-        if pds.shape[1] != 3 or pds.shape[0] < 1:
-            raise ShapeError("pd_positions must be (Nr, 3) with Nr >= 1")
+        for name, pts, n in (("led_positions", leds, "Nt"), ("pd_positions", pds, "Nr")):
+            if pts.shape[1] != 3 or pts.shape[0] < 1:
+                raise with_fields(ShapeError(f"{name} must be ({n}, 3) with {n} >= 1"), name)
         object.__setattr__(self, "led_positions", _frozen(leds))
         object.__setattr__(self, "pd_positions", _frozen(pds))
         for name in ("led_normal", "pd_normal"):
             vec = as_vec3(getattr(self, name))
             if not is_unit(vec):
-                raise DegenerateGeometryError(f"{name} must be a unit vector")
+                raise with_fields(DegenerateGeometryError(f"{name} must be a unit vector"), name)
             object.__setattr__(self, name, _frozen(vec))
         if self.gain_mode not in GAIN_MODES:
-            raise ValueError(f"gain_mode must be one of {GAIN_MODES}")
+            raise with_fields(ValueError(f"gain_mode must be one of {GAIN_MODES}"), "gain_mode")
         if self.pd_side <= 0.0:
-            raise ValueError("pd_side must be positive")
+            raise with_fields(ValueError("pd_side must be positive"), "pd_side")
         if self.lambertian_order < 1.0:
-            raise ValueError("lambertian_order must be >= 1")
+            raise with_fields(ValueError("lambertian_order must be >= 1"), "lambertian_order")
         if not 0.0 < self.fov_semi_angle <= math.pi / 2:
-            raise ValueError("fov_semi_angle must lie in (0, pi/2]")
-        # the grid by its corner elements: no grid size builds every element
+            raise with_fields(ValueError("fov_semi_angle must lie in (0, pi/2]"), "fov_semi_angle")
+        # the grid by its corner elements: no grid size builds every element.
+        # The grid fields that place them; a one-element grid's corner is its center
+        grid = ("center", "axis_u", "axis_v", "rows", "cols", "element_pitch")
         corners = _element_centers(self.grid, [0, self.grid.cols - 1], [0, self.grid.rows - 1])
-        for name, pts in (("led_positions", leds), ("pd_positions", pds), ("grid", corners)):
+        for name, reads, pts in (("led_positions", ("led_positions",), leds),
+                                 ("pd_positions", ("pd_positions",), pds),
+                                 ("grid", grid if self.grid.n_elements > 1 else grid[:1], corners)):
             if np.any(pts < -1e-9) or np.any(pts > self.room + 1e-9):
-                raise ValueError(f"{name} must lie inside the room extents")
+                raise with_fields(ValueError(f"{name} must lie inside the room extents"),
+                                  *reads, "room")
         for name, pts in (("led_positions", leds), ("pd_positions", pds)):
             # a gain sub-point on an LED or PD would divide 0 by 0
             if np.any(self.grid.covers(pts)):
-                raise DegenerateGeometryError(f"{name} must not lie on an element aperture")
+                raise with_fields(DegenerateGeometryError(f"{name} must not lie on an element "
+                                                          "aperture"), name, *grid, "element_size")
 
     @property
     def n_leds(self) -> int:
@@ -217,16 +223,16 @@ def build_csi_tensor(scene: SceneConfig, model: str = "point",
 
 
 def _check_pilots(n_leds: int, n_slots: int, power: float):
-    """Raise unless `n_slots` pilots of finite positive mean `power` can
-    identify `n_leds` LED gains with Gram entries of at most MAX_SCALE."""
+    """Raise unless `n_slots` pilots of finite positive mean `power` can identify
+    `n_leds` LED gains with Gram entries of at most MAX_SCALE (`fields`: the arguments read)."""
     if n_slots < n_leds:
-        raise IdentifiabilityError(
-            f"{n_slots} pilot slots cannot identify {n_leds} LED gains")
+        raise with_fields(IdentifiabilityError(
+            f"{n_slots} pilot slots cannot identify {n_leds} LED gains"), "n_slots", "n_leds")
     if not (math.isfinite(power) and power > 0.0):
-        raise ValueError("pilot power must be positive and finite")
+        raise with_fields(ValueError("pilot power must be positive and finite"), "power")
     if not (n_slots <= MAX_SCALE and n_slots * (2.0 * power) * (2.0 * power) <= MAX_SCALE):
-        raise ValueError(f"pilot power {power:g} makes the Gram bound "
-                         f"slots * (2 * power)^2 exceed {MAX_SCALE:.3g}")
+        raise with_fields(ValueError(f"pilot power {power:g} makes the Gram bound slots * "
+                                     f"(2 * power)^2 exceed {MAX_SCALE:.3g}"), "power", "n_slots")
 
 
 def _check_sigma(sigma: float):

@@ -26,7 +26,8 @@ from functools import partial
 import numpy as np
 
 from .channel import SceneConfig
-from .errors import DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError
+from .errors import (DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError,
+                     with_fields)
 from .geometry import _frozen, as_vec3, is_unit
 
 _COS_EPS = 1e-9
@@ -96,7 +97,8 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     """Closed-form growth-rate coefficients of a one-LED, one-PD scene at a point.
 
     Requires both incidence cosines strictly positive; the coefficients
-    diverge as either approaches zero.
+    diverge as either approaches zero. A zero gain has no log-gain to expand:
+    its ZeroGainError reads the point as the grid center.
     """
     lr, ur = _legs(scene, as_vec3(point))
     d1 = float(np.linalg.norm(lr))
@@ -109,6 +111,9 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     cp = float(n2 @ ur)
     if ct <= _COS_EPS or cp <= _COS_EPS:
         raise SingularGeometryError("incidence cosine too small for a Taylor expansion")
+    if scene.gains(point)[0, 0] <= 0.0:        # the PD's field of view misses the LED's light
+        raise with_fields(ZeroGainError("fov_semi_angle leaves the link dark, with no log-gain"),
+                          "fov_semi_angle", "pd_positions", "center", "pd_normal")
     m = scene.lambertian_order
     ds = d1 + d2
 

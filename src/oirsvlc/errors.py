@@ -1,6 +1,12 @@
 """Exception types raised across the package."""
 
 
+def with_fields(exc: Exception, *fields: str) -> Exception:
+    """`exc` carrying `fields`, the names of the fields its check read, rejected field first."""
+    exc.fields = fields
+    return exc
+
+
 class OirsVlcError(Exception):
     """Base class for all package-specific errors."""
 

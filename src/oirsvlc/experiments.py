@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
-from .errors import ConfigError, IdentifiabilityError, LayoutError, OirsVlcError
+from .errors import ConfigError, LayoutError, OirsVlcError
 from .estimator import TrialWorkers, block_schedule, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
@@ -184,63 +184,48 @@ _SCHEMA = {
     "output.dir": ("output_dir", lambda k, t: t),
 }
 
-# count key -> its smallest accepted value
-_MINIMUM = {"seed": 0, "sweep.trials": 1, "coherence.angular_samples": 8,
-            "truth.quadrature_order": 1}
+# count key -> (smallest, largest) accepted value: a run takes order^2
+# sub-points per element, that many angles, and that many trials per cell
+_BOUNDS = {"seed": (0, math.inf), "sweep.trials": (1, 10**6),
+           "coherence.angular_samples": (8, 10**6), "truth.quadrature_order": (1, 64)}
 
-_FIELD_TO_KEY = {name: key for key, (name, _) in _SCHEMA.items()}
-
-# A SceneConfig or OirsGrid message begins with the field it rejects; these
-# tables turn that word into the config key, one table per scene build.
-_SCENE_KEYS = {**_FIELD_TO_KEY, "rows": "scene.grid.rows", "cols": "scene.grid.cols",
-               "grid": "scene.grid.center", "element_pitch": "scene.grid.pitch_m",
-               "element_size": "scene.grid.element_size_m",
-               "reflectivity": "scene.grid.reflectivity"}
-_LINK_KEYS = {"led_positions": "coherence.led", "pd_positions": "coherence.pd",
-              "grid": "coherence.element"}
-# the keys of a study-link failure that no one key causes
-_LINK_SET_BY = ("coherence.led, coherence.element, coherence.pd, scene.led_normal and "
-                "scene.pd_normal")
-_GRID_KEYS = ("scene.grid.center", "scene.grid.rows", "scene.grid.cols", "scene.grid.pitch_m")
-# by the end of its message, the keys a scene check reads besides the field it names
-_ALSO_READS = {"must lie inside the room extents": ("scene.room",),
-               "must not lie on an element aperture": (*_GRID_KEYS, "scene.grid.element_size_m"),
-               "must lie in (0, element_pitch]": ("scene.grid.pitch_m",)}
+# scene field -> the key that sets it in the MIMO scene, or None where the build places it
+# (the grid's axes): `_scene` builds the scene by it and `_validate` names its errors by it
+_MIMO = {"room": "scene.room", "led_positions": "scene.led_positions",
+         "led_normal": "scene.led_normal", "lambertian_order": "scene.lambertian_order",
+         "pd_positions": "scene.pd_positions", "pd_normal": "scene.pd_normal",
+         "pd_side": "scene.pd_side_m", "fov_semi_angle": "scene.fov_semi_angle_rad",
+         "gain_mode": "scene.gain_mode", "center": "scene.grid.center", "axis_u": None,
+         "axis_v": None, "rows": "scene.grid.rows", "cols": "scene.grid.cols",
+         "element_size": "scene.grid.element_size_m", "element_pitch": "scene.grid.pitch_m",
+         "reflectivity": "scene.grid.reflectivity"}
+# the study link's own fields over the MIMO scene's: its LED, element, PD and the normals
+# that set its mirror normal and cosines; no key sets its one element's rows and cols
+_STUDY = {"led_positions": "coherence.led", "center": "coherence.element",
+          "pd_positions": "coherence.pd", "led_normal": "scene.led_normal",
+          "pd_normal": "scene.pd_normal", "rows": None, "cols": None}
 
 
-def _scene(config, leds, pds, center, axes, rows, cols) -> SceneConfig:
-    """Scene with these LEDs, PDs and grid placement; the room, beams,
-    element size, pitch, reflectivity and gain mode come from the config."""
-    grid = OirsGrid(
-        center=center,
-        axis_u=axes[0],
-        axis_v=axes[1],
-        rows=rows,
-        cols=cols,
-        element_size=config.grid_element_size,
-        element_pitch=config.grid_pitch,
-        reflectivity=config.grid_reflectivity,
-    )
-    return SceneConfig(
-        room=config.room,
-        led_positions=leds,
-        led_normal=config.led_normal,
-        lambertian_order=config.lambertian_order,
-        pd_positions=pds,
-        pd_normal=config.pd_normal,
-        pd_side=config.pd_side,
-        fov_semi_angle=config.fov_semi_angle,
-        grid=grid,
-        gain_mode=config.gain_mode,
-    )
+def _scene(config, keys, **placed) -> SceneConfig:
+    """Scene of the config values of the keys in `keys` (field -> key), or `placed` values."""
+    value = {name: getattr(config, _SCHEMA[key][0]) for name, key in keys.items() if key} | placed
+    grid = OirsGrid(**{f.name: value.pop(f.name) for f in fields(OirsGrid) if f.init})
+    return SceneConfig(grid=grid, **value)
 
 
 def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
     """Check every key of `config`; return its MIMO and single-link scenes."""
-    def bad(key, msg, reads=()):
+    def bad(key, msg, reads=(), lead="the check reads"):
         if len(reads) > 1:                # a check of several keys lists them
-            msg = f"{msg}; the check reads {', '.join(reads[:-1])} and {reads[-1]}"
+            msg = f"{msg}; {lead} {', '.join(reads[:-1])} and {reads[-1]}"
         raise ConfigError(f"{key}: {msg}")
+
+    def reject(exc, keys):                # keys: field -> key, of the check that failed
+        reads = [keys[name] for name in getattr(exc, "fields", ()) if keys[name]]
+        if not reads:           # only the study link fails so: no mirror normal or Taylor expansion
+            bad("coherence", str(exc), [k for k in _STUDY.values() if k],
+                "the study link is set by")
+        bad(reads[0], str(exc), reads)
 
     for key, (name, parser) in _SCHEMA.items():
         value = getattr(config, name)
@@ -256,8 +241,9 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
             counts = value if parser is _parse_ints else (value,)
             if not all(type(v) is int for v in counts):        # a bool is not a count
                 bad(key, "counts must be integers")
-            if key in _MINIMUM and value < _MINIMUM[key]:
-                bad(key, f"must be >= {_MINIMUM[key]}")
+            if key in _BOUNDS and not _BOUNDS[key][0] <= value <= _BOUNDS[key][1]:
+                lo, hi = _BOUNDS[key]
+                bad(key, f"must be >= {lo}" if value < lo else f"must lie in [{lo}, {hi}]")
         elif kind is not str:
             try:
                 array = np.asarray(value)
@@ -280,10 +266,9 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
             bad("sweep.sigmas", str(exc))
     try:
         _check_pilots(len(config.led_positions), config.pilot_slots, config.pilot_power)
-    except IdentifiabilityError as exc:
-        bad("pilots.slots", str(exc), ("pilots.slots", "scene.led_positions"))
-    except ValueError as exc:                     # only the Gram bound reads the slots
-        bad("pilots.power", str(exc), ("pilots.power", "pilots.slots") * ("Gram" in str(exc)))
+    except (ValueError, OirsVlcError) as exc:
+        reject(exc, {"n_slots": "pilots.slots", "n_leds": "scene.led_positions",
+                     "power": "pilots.power"})
     if config.xi_c <= 0:
         bad("coherence.xi_c", "must be positive")
     if config.truth_model not in ("point", "quadrature"):
@@ -295,23 +280,17 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
     if config.output_dir != config.output_dir.strip() or not config.output_dir.isprintable():
         bad("output.dir", "must be printable, with no leading or trailing whitespace")
     try:
-        scene = _scene(config, config.led_positions, config.pd_positions, config.grid_center,
-                       ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)), config.grid_rows, config.grid_cols)
+        scene = _scene(config, _MIMO, axis_u=(1.0, 0.0, 0.0), axis_v=(0.0, 0.0, 1.0))
     except (ValueError, OirsVlcError) as exc:
-        field, _, check = str(exc).partition(" ")
-        reads = _GRID_KEYS if field == "grid" else (_SCENE_KEYS.get(field, "scene"),)
-        bad(reads[0], str(exc), (*reads, *_ALSO_READS.get(check, ())))
+        reject(exc, _MIMO)
+    study = {**_MIMO, **_STUDY}
     try:
-        normal = alignment_normal(config.coherence_led, config.coherence_element,
-                                  config.coherence_pd)
-        single = _scene(config, (config.coherence_led,), (config.coherence_pd,),
-                        config.coherence_element, plane_basis_from(normal), 1, 1)
-        taylor_coeffs(single, single.grid.center)
+        u, v = plane_basis_from(alignment_normal(config.coherence_led, config.coherence_element,
+                                                 config.coherence_pd))
+        single = _scene(config, study, axis_u=u, axis_v=v, rows=1, cols=1)
+        taylor_coeffs(single, single.grid.center)          # refuses a dark link too
     except (ValueError, OirsVlcError) as exc:
-        key = _LINK_KEYS.get(str(exc).partition(" ")[0])
-        if key is None:
-            bad("coherence", f"{exc}; the study link is set by {_LINK_SET_BY}")
-        bad(key, str(exc), (key, "scene.room") if str(exc).endswith("the room extents") else ())
+        reject(exc, study)
     for spacing in sweep_schemes(config):
         try:
             block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)

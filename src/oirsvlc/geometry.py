@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, with_fields
 
 _UNIT_TOL = 1e-9
 
@@ -71,7 +71,7 @@ class OirsGrid:
     The grid is centered on `center`; element (i, j) sits at
     center + (j - (cols-1)/2) * pitch * axis_u + (i - (rows-1)/2) * pitch * axis_v.
     The frame is right-handed: the derived `normal` is axis_u x axis_v. Each
-    rejection's message begins with the name of the field it rejects.
+    rejection carries `fields` (`errors.with_fields`), the fields its check read.
     """
 
     center: np.ndarray
@@ -89,21 +89,23 @@ class OirsGrid:
         for name in ("axis_u", "axis_v"):
             vec = as_vec3(getattr(self, name))
             if not is_unit(vec):
-                raise DegenerateGeometryError(f"{name} must be a unit vector")
+                raise with_fields(DegenerateGeometryError(f"{name} must be a unit vector"), name)
             object.__setattr__(self, name, _frozen(vec))
         if abs(self.axis_u @ self.axis_v) > _UNIT_TOL:
-            raise DegenerateGeometryError("axis_u must be orthogonal to axis_v")
+            raise with_fields(DegenerateGeometryError("axis_u must be orthogonal to axis_v"),
+                              "axis_u", "axis_v")
         object.__setattr__(self, "normal", _frozen(np.cross(self.axis_u, self.axis_v)))
+        top = np.iinfo(np.intp).max           # every element index must fit numpy's index type
         for name in ("rows", "cols"):
-            # every element index must fit numpy's index type
-            if not 1 <= getattr(self, name) <= np.iinfo(np.intp).max:
-                raise ValueError(f"{name} must lie in [1, {np.iinfo(np.intp).max}]")
+            if not 1 <= getattr(self, name) <= top:
+                raise with_fields(ValueError(f"{name} must lie in [1, {top}]"), name)
         if self.element_pitch <= 0.0:
-            raise ValueError("element_pitch must be positive")
+            raise with_fields(ValueError("element_pitch must be positive"), "element_pitch")
         if not 0.0 < self.element_size <= self.element_pitch:
-            raise ValueError("element_size must lie in (0, element_pitch]")
+            raise with_fields(ValueError("element_size must lie in (0, element_pitch]"),
+                              "element_size", "element_pitch")
         if not 0.0 < self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must lie in (0, 1]")
+            raise with_fields(ValueError("reflectivity must lie in (0, 1]"), "reflectivity")
 
     @property
     def n_elements(self) -> int:

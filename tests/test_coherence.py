@@ -95,6 +95,19 @@ def test_growth_rate_zero_gain():
         growth_rate_exact(*dead, [0.01, 0, 0])
 
 
+def test_taylor_coeffs_zero_gain():
+    # both cosines are positive, but the PD's 10 degree field of view misses
+    # the 45 degree arrival: a zero gain has no log-gain to expand, and the
+    # error carries the fields of the check that the config names keys by
+    dead = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(10))
+    with pytest.raises(ZeroGainError) as raised:
+        taylor_coeffs(*dead)
+    assert raised.value.fields == ("fov_semi_angle", "pd_positions", "center", "pd_normal")
+    # the same link seen through a 50 degree field of view expands
+    lit = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(50))
+    assert np.all(np.isfinite(taylor_coeffs(*lit).s1))
+
+
 def test_taylor_coeffs_symmetric_normal_incidence():
     # L = U one meter above R, both normals aimed: the gain along z is
     # 1/(2(1-dz))^2, so xi(dz) = 2 dz + 3 dz^2 + ...: s1_z = 2, S2_zz = 6

@@ -1,13 +1,14 @@
 import hashlib
 import importlib
 import os
+import pickle
 import re
 import runpy
 import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from numpy.testing import assert_allclose
 from oirsvlc import (
     ConfigError,
     ExperimentConfig,
+    OirsGrid,
     OirsVlcError,
+    SceneConfig,
     ShapeError,
     TrialWorkers,
     ZeroReferenceError,
@@ -99,6 +102,7 @@ _ON_APERTURE = (", scene.grid.center, scene.grid.rows, scene.grid.cols, scene.gr
                 "scene.grid.element_size_m")
 _LAYOUT = ("sweep.spacings, scene.grid.rows, scene.grid.cols, scene.led_positions and "
            "scene.pd_positions")
+_DARK = ("scene.fov_semi_angle_rad, coherence.pd, coherence.element and scene.pd_normal")
 
 
 def test_config_rejects_unknown_and_invalid_keys():
@@ -187,6 +191,15 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("coherence.led = 1e300, 2, 3", "coherence.led", "coherence.led and scene.room"),
         ("coherence.element = -1.7e308, 1.7e308, 1.7e308", "coherence.element",
          "coherence.element and scene.room"),
+        # one past the largest count: order^2 sub-points per element, that
+        # many angles, that many trials per cell
+        ("truth.quadrature_order = 65", "truth.quadrature_order"),
+        ("coherence.angular_samples = 1000001", "coherence.angular_samples"),
+        ("sweep.trials = 1000001", "sweep.trials"),
+        # the PD's field of view misses the study link's 0.59 rad arrival: its
+        # gain is 0, and d_c used to be reported for a link with no light
+        ("scene.fov_semi_angle_rad = 0.3", "scene.fov_semi_angle_rad", _DARK),
+        ("scene.fov_semi_angle_rad = 1e-300", "scene.fov_semi_angle_rad", _DARK),
     ]
     for text, key, *reads in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
@@ -223,6 +236,91 @@ def test_constructor_and_replace_check_the_config():
                          ({"trials": True}, "sweep.trials")]:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
             ExperimentConfig(**changes)
+
+
+def test_counts_are_bounded_by_the_work_they_imply():
+    # each bounded count is accepted at both ends and refused one past either
+    for name, key, lo, hi in (("quadrature_order", "truth.quadrature_order", 1, 64),
+                              ("angular_samples", "coherence.angular_samples", 8, 10**6),
+                              ("trials", "sweep.trials", 1, 10**6)):
+        for value in (lo, hi):
+            assert getattr(ExperimentConfig(**{name: value}), name) == value
+        for value, message in ((lo - 1, f"must be >= {lo}"), (hi + 1, f"must lie in [{lo}, {hi}]"),
+                               (2**70, f"must lie in [{lo}, {hi}]")):
+            with pytest.raises(ConfigError, match=f"^{re.escape(f'{key}: {message}')}$"):
+                ExperimentConfig(**{name: value})
+    assert ExperimentConfig(master_seed=2**70).master_seed == 2**70       # a seed has no maximum
+
+
+_GRID = dict(center=(2.0, 0.0, 1.5), axis_u=(1.0, 0.0, 0.0), axis_v=(0.0, 0.0, 1.0), rows=4,
+             cols=4, element_size=0.05, element_pitch=0.1, reflectivity=0.9)
+_ONE = dict(_GRID, rows=1, cols=1)
+
+
+# one call per rejection of OirsGrid and SceneConfig, and the fields it
+# reads, the rejected field first; a scene change is applied to the default
+# MIMO scene, a grid change to a 4 x 4 grid on its wall
+_REJECTIONS = [
+    ({"axis_u": (2.0, 0.0, 0.0)}, ("axis_u",)),
+    ({"axis_v": (0.0, 0.0, 2.0)}, ("axis_v",)),
+    ({"axis_v": (1.0, 0.0, 0.0)}, ("axis_u", "axis_v")),
+    ({"rows": 0}, ("rows",)),
+    ({"cols": 0}, ("cols",)),
+    ({"element_pitch": 0.0}, ("element_pitch",)),
+    ({"element_size": 0.2}, ("element_size", "element_pitch")),
+    ({"reflectivity": 0.0}, ("reflectivity",)),
+    ({"room": (4.0, 0.0, 3.0)}, ("room",)),
+    ({"led_positions": np.zeros((0, 3))}, ("led_positions",)),
+    ({"pd_positions": np.zeros((1, 2))}, ("pd_positions",)),
+    ({"led_normal": (0.0, 0.0, 2.0)}, ("led_normal",)),
+    ({"pd_normal": (0.0, 0.0, 0.5)}, ("pd_normal",)),
+    ({"gain_mode": "absolute"}, ("gain_mode",)),
+    ({"pd_side": 0.0}, ("pd_side",)),
+    ({"lambertian_order": 0.5}, ("lambertian_order",)),
+    ({"fov_semi_angle": 0.0}, ("fov_semi_angle",)),
+    ({"led_positions": ((1.0, 5.0, 3.0),)}, ("led_positions", "room")),
+    ({"pd_positions": ((1.0, 2.0, -1.0),)}, ("pd_positions", "room")),
+    ({"grid": _GRID | {"center": (0.1, 0.0, 1.5)}},
+     ("center", "axis_u", "axis_v", "rows", "cols", "element_pitch", "room")),
+    ({"grid": _ONE | {"center": (2.0, -0.5, 1.5)}}, ("center", "room")),      # its corner
+    ({"led_positions": ((2.0, 0.0, 1.5),), "grid": _GRID | {"center": (2.05, 0.0, 1.55)}},
+     ("led_positions", "center", "axis_u", "axis_v", "rows", "cols", "element_pitch",
+      "element_size")),
+    ({"pd_positions": ((2.0, 0.0, 1.5),), "grid": _GRID | {"center": (2.05, 0.0, 1.55)}},
+     ("pd_positions", "center", "axis_u", "axis_v", "rows", "cols", "element_pitch",
+      "element_size")),
+]
+
+
+def _rejected(changes):
+    """The error of the default MIMO scene (or of a 4 x 4 grid) with `changes`."""
+    scene = ExperimentConfig().scene
+    grid = {k: v for k, v in changes.items() if k in _GRID}
+    try:
+        if grid:
+            OirsGrid(**_GRID | grid)
+        else:
+            replace(scene, **{k: OirsGrid(**v) if k == "grid" else v for k, v in changes.items()})
+    except (ValueError, OirsVlcError) as exc:
+        return exc
+    raise AssertionError(f"{changes} was accepted")
+
+
+def test_every_field_a_scene_check_reads_has_a_key_in_both_scene_maps():
+    # a scene rejection carries the fields its check read; each field of
+    # either scene type has an entry in both maps (a key, or None where the
+    # build places it), so no new check can reach a field that names no key
+    names = {f.name for cls in (OirsGrid, SceneConfig) for f in fields(cls) if f.init} - {"grid"}
+    for keys in (experiments._MIMO, {**experiments._MIMO, **experiments._STUDY}):
+        assert set(keys) == names
+        assert {key for key in keys.values() if key} <= set(experiments._SCHEMA)
+    for changes, reads in _REJECTIONS:
+        exc = _rejected(changes)
+        assert exc.fields == reads, (changes, exc)
+        # the pool sends a worker's exception back through pickle
+        again = pickle.loads(pickle.dumps(exc))
+        assert (type(again), str(again), again.fields) == (type(exc), str(exc), exc.fields)
+    assert {reads[0] for _, reads in _REJECTIONS} == names       # every field has a check
 
 
 def test_huge_grid_fails_without_building_its_elements():
@@ -535,19 +633,24 @@ def test_cli_seed_changes_noise_sweep(tmp_path):
 
 
 def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
-    # every element lies outside the 0.05 rad field of view: NMSE is undefined,
-    # and the sweep stops before its first pilot draw
+    # every MIMO element lies outside the 0.62 rad field of view, which still
+    # takes in the study link's 0.59 rad arrival: NMSE is undefined, and the
+    # sweep stops before its first pilot draw. At 0.05 rad the study link is
+    # dark too, and the config fails at load
     calls = []
     real = channel.generate_pilots
     monkeypatch.setattr(channel, "generate_pilots",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = tmp_path / "dark.cfg"
-    cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
-                   + "scene.fov_semi_angle_rad = 0.05\n")
-    with pytest.raises(ZeroReferenceError, match="outside a LED beam or the PD field of view"):
-        cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert calls == []
-    assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+    for fov, error, match in (
+            (0.62, ZeroReferenceError, "outside a LED beam or the PD field of view"),
+            (0.05, ConfigError, "^scene.fov_semi_angle_rad: ")):
+        cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
+                       + f"scene.fov_semi_angle_rad = {fov}\n")
+        with pytest.raises(error, match=match):
+            cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert calls == []
+        assert not (tmp_path / "out" / "noise_sweep.csv").exists()
 
 
 def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
