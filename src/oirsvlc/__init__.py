@@ -1,7 +1,7 @@
 """Spatial-coherence channel estimation for optical-IRS-assisted VLC.
 
 Layers, bottom up: `geometry` (points, grids, reflection-law normals),
-`channel` (Lambertian reflected gains, CSI tensors, pilots),
+`channel` (Lambertian reflected gains, CSI tensors, pilot statistics),
 `coherence` (growth-rate expansion and coherence distance),
 `estimator` (three-phase spatial-sampling estimation),
 `experiments` (configs, sweeps, CSV emission) and the `oirsvlc` CLI.
@@ -12,9 +12,7 @@ from .channel import (
     aperture_gain,
     aperture_points,
     build_csi_tensor,
-    generate_pilots,
     pair_gains,
-    rx_statistics,
     trial_statistics,
 )
 from .coherence import (

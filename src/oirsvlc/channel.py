@@ -1,5 +1,5 @@
 """Lambertian reflected-channel model, ground-truth gain tensors, and the
-block pilot signal model.
+received statistics of one trial's pilot blocks.
 
 The reflected gain of one LED -> element -> PD link is
 C * cos(theta)^m * cos(phi) / (d1 + d2)^2 inside the receiver field of view
@@ -9,15 +9,21 @@ unit vectors point from the LED/PD toward the element, which makes both
 cosines positive in the downlink geometry.
 
 C = 1 in "unit" mode; "lambertian" mode uses rho * (m + 1) * A_pd / (2 pi)
-for absolute gains. Growth rates, coherence distances and noiseless NMSE do
-not depend on C. NMSE under noise does: the noise sigma is absolute in gain
-units, so the same sigma buries the far smaller "lambertian" gains.
+for absolute gains. `SceneConfig` computes C once, as `gain_constant`, and
+refuses a C that underflows to 0 or exceeds MAX_SCALE. Growth rates, coherence
+distances and noiseless NMSE do not depend on C. NMSE under noise does: the
+noise sigma is absolute in gain units, so the same sigma buries the far
+smaller "lambertian" gains.
+
+`trial_statistics` is the observation model: it draws a trial's uniform
+nonnegative pilots X and, when sigma > 0, its Gaussian noise Z, and yields
+what the ridge solve reads of the received blocks Y = H X + sigma Z.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,10 +46,11 @@ GAIN_MODES = ("unit", "lambertian")
 # aperture sub-points evaluated at a time: 64 elements at order 8, so each
 # (points, Nr, Nt) gain temporary of a 3 x 3 scene stays near 0.3 MB
 APERTURE_CHUNK_POINTS = 1 << 12
-# Largest Gram entry bound P*(2p)^2 and ridge term sigma^2 accepted, each
-# formed by multiplication (`**` raises on overflow). At the square root of
-# the float64 maximum their sum, the cross terms G H^T + sigma X Z^T and the
-# steps of the ridge solve stay finite.
+# Largest Gram entry bound P*(2p)^2, ridge term sigma^2 and gain constant C
+# accepted, the first two formed by multiplication (`**` raises on overflow).
+# At the square root of the float64 maximum their sum, the cross terms
+# G H^T + sigma X Z^T, the steps of the ridge solve and the squares of gains
+# up to C stay finite.
 MAX_SCALE = math.sqrt(np.finfo(np.float64).max)
 
 
@@ -113,6 +120,7 @@ class SceneConfig:
     fov_semi_angle: float
     grid: OirsGrid
     gain_mode: str = "unit"
+    gain_constant: float = field(init=False, repr=False)   # C of the module docstring
 
     def __post_init__(self):
         object.__setattr__(self, "room", _frozen(as_vec3(self.room)))
@@ -138,6 +146,16 @@ class SceneConfig:
             raise with_fields(ValueError("lambertian_order must be >= 1"), "lambertian_order")
         if not 0.0 < self.fov_semi_angle <= math.pi / 2:
             raise with_fields(ValueError("fov_semi_angle must lie in (0, pi/2]"), "fov_semi_angle")
+        try:
+            c = (self.grid.reflectivity * (self.lambertian_order + 1.0) * self.pd_side**2
+                 / (2.0 * math.pi) if self.gain_mode == "lambertian" else 1.0)
+        except OverflowError:                     # `**` raises past the float range
+            c = math.inf
+        if not 0.0 < c <= MAX_SCALE:
+            raise with_fields(ValueError(f"gain constant rho (m + 1) pd_side^2 / (2 pi) = {c:g} "
+                                         f"must lie in (0, {MAX_SCALE:.3g}]"),
+                              "pd_side", "lambertian_order", "reflectivity", "gain_mode")
+        object.__setattr__(self, "gain_constant", c)
         # the grid by its corner elements: no grid size builds every element.
         # The grid fields that place them; a one-element grid's corner is its center
         grid = ("center", "axis_u", "axis_v", "rows", "cols", "element_pitch")
@@ -164,12 +182,9 @@ class SceneConfig:
 
     def gains(self, points) -> np.ndarray:
         """pair_gains of this scene's LEDs and PDs: (..., 3) -> (..., Nr, Nt)."""
-        c = 1.0
-        if self.gain_mode == "lambertian":
-            c = self.grid.reflectivity * (self.lambertian_order + 1.0) \
-                * self.pd_side**2 / (2.0 * math.pi)
         return pair_gains(points, self.led_positions, self.led_normal, self.pd_positions,
-                          self.pd_normal, self.lambertian_order, self.fov_semi_angle, c)
+                          self.pd_normal, self.lambertian_order, self.fov_semi_angle,
+                          self.gain_constant)
 
 
 def _aperture_means(scene: SceneConfig, order: int):
@@ -244,72 +259,47 @@ def _check_sigma(sigma: float):
         raise ValueError(f"sigma {sigma:g} makes the ridge term sigma^2 exceed {MAX_SCALE:.3g}")
 
 
-def generate_pilots(n_leds: int, n_slots: int, power: float, seed,
-                    batch: tuple = (), out: np.ndarray | None = None) -> np.ndarray:
-    """Nonnegative (*batch, n_leds, n_slots) pilots, i.i.d. uniform on
-    [0, 2*power] (mean `power`).
-
-    Uniform nonnegative entries keep X X^T well conditioned with high
-    probability under the intensity-modulation constraint. `seed` may be a
-    Generator, which is drawn from in place, one stream word per pilot
-    value (see `trial_statistics`). Given `out`, a float64 array of that shape,
-    the pilots are drawn into it; the bits equal `uniform(0, 2*power)`
-    either way.
-    """
-    _check_pilots(n_leds, n_slots, power)
-    rng = np.random.default_rng(seed)
-    x = rng.random((*batch, n_leds, n_slots), out=out)
-    x *= 2.0 * power
-    return x
-
-
-def rx_statistics(H: np.ndarray, X: np.ndarray, sigma: float, seed):
-    """What the ridge solve reads of the received blocks Y = H X + sigma Z.
-
-    H is (..., Nr, Nt) and X (..., Nt, P) with the same leading block axes.
-    Returns the Gram matrices G = X X^T, (..., Nt, Nt), and the cross terms
-    X Y^T = G H^T + sigma X Z^T, (..., Nt, Nr); Y itself is never formed.
-    Z, (..., Nr, P), is i.i.d. standard normal in C order from `seed` (a
-    Generator is drawn from in place), only when sigma > 0, so sigma = 0
-    draws nothing. Callers bound its memory by passing one chunk of blocks
-    at a time, as `trial_statistics` does.
-
-    G is taken against a transposed copy of X: numpy sends a product of a
-    buffer with its own transpose to the symmetric (syrk) kernel, which for
-    a stack of small Nt x P blocks runs about 3x slower than the general
-    product, copy included. The copy is freed before the noise is drawn.
-    """
-    H = np.asarray(H, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if H.ndim < 2 or H.shape[:-2] != X.shape[:-2] or H.shape[-1] != X.shape[-2]:
-        raise ShapeError(f"H {H.shape} and X {X.shape} are not conformable")
-    _check_sigma(sigma)
-    gram = X @ np.swapaxes(X.copy(), -1, -2)           # gemm, not syrk: see above
-    cross = gram @ np.swapaxes(H, -1, -2)
-    if sigma > 0.0:
-        z = np.random.default_rng(seed).standard_normal((*H.shape[:-1], X.shape[-1]))
-        cross += sigma * (X @ np.swapaxes(z, -1, -2))
-    return gram, cross
-
-
 def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
                      sigma: float, x: np.ndarray):
-    """Yield (b, G, X Y^T) of one trial's (Q, Nr, Nt) channel blocks a chunk
-    at a time: the `rx_statistics` of blocks b, b + 1, ... under pilots
-    drawn into the caller's (chunk, Nt, pilot_slots) buffer `x`.
+    """Yield (b, G, X Y^T) of one trial's (Q, Nr, Nt) channel blocks H a chunk
+    at a time, from block b: what the ridge solve reads of the received
+    blocks Y = H X + sigma Z, which are never formed. G = X X^T is
+    (chunk, Nt, Nt) and X Y^T = G H^T + sigma X Z^T is (chunk, Nt, Nr).
+
+    The pilots X, i.i.d. uniform on [0, 2*power] (mean `power`), are drawn
+    into the caller's (chunk, Nt, pilot_slots) buffer `x`: nonnegative under
+    the intensity-modulation constraint, and X X^T well conditioned with high
+    probability. The noise Z is i.i.d. standard normal. The pilots, sigma and
+    the shape of `x` are checked once, before the first draw.
 
     The trial reads one stream, `default_rng(seed)`: the pilots of every
     block, then its noise in C order only when sigma > 0, through two cursors
     on one SeedSequence(seed). `Generator.random` takes one PCG64 word per
     float64, so the noise cursor, advanced past Q * Nt * pilot_slots words,
     starts where the pilots end, and the bits do not depend on the chunk size.
+
+    G is taken against a transposed copy of X: numpy sends a product of a
+    buffer with its own transpose to the symmetric (syrk) kernel, which for
+    a stack of small Nt x P blocks runs about 3x slower than the general
+    product, copy included. The copy, and then a chunk's noise, are freed
+    before the chunk is yielded.
     """
-    q_blocks, _, nt = np.shape(h_blocks)
+    q_blocks, n_pds, nt = np.shape(h_blocks)
+    _check_pilots(nt, pilot_slots, power)
+    _check_sigma(sigma)
+    if np.ndim(x) != 3 or len(x) < 1 or np.shape(x)[1:] != (nt, pilot_slots):
+        raise ShapeError(f"pilot buffer {np.shape(x)} must be (>= 1, {nt}, {pilot_slots})")
     seq = np.random.SeedSequence(seed)
     pilots = np.random.Generator(np.random.PCG64(seq))
     noise = (np.random.Generator(np.random.PCG64(seq).advance(q_blocks * nt * pilot_slots))
              if sigma > 0.0 else None)
     for b in range(0, q_blocks, len(x)):
-        xb = x[:q_blocks - b]
-        generate_pilots(nt, pilot_slots, power, pilots, (len(xb),), out=xb)
-        yield (b, *rx_statistics(h_blocks[b:b + len(xb)], xb, sigma, noise))
+        xb = pilots.random(out=x[:q_blocks - b])
+        xb *= 2.0 * power
+        gram = xb @ np.swapaxes(xb.copy(), -1, -2)            # gemm, not syrk: see above
+        cross = gram @ np.swapaxes(h_blocks[b:b + len(xb)], -1, -2)
+        if noise is not None:
+            z = noise.standard_normal((len(xb), n_pds, pilot_slots))
+            cross += sigma * (xb @ np.swapaxes(z, -1, -2))
+            del z
+        yield b, gram, cross

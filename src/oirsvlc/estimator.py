@@ -109,6 +109,17 @@ class SubarrayLayout:
         return nt + self.spacing * np.arange(self.q_h)
 
 
+def _schedule_shape(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
+    """(Q, layout) of `block_schedule`, by its rules and its LayoutError,
+    without building the index: O(1) in the grid size."""
+    if spacing == 1 and max(n_leds, n_pds) > 1:
+        if grid.n_elements < n_leds * n_pds:
+            raise LayoutError("fewer elements than (LED, PD) pairs")
+        return grid.n_elements, None
+    layout = SubarrayLayout(grid.rows, grid.cols, n_leds, n_pds, spacing)
+    return layout.n_blocks, layout
+
+
 def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
     """Phase-I block schedule: (index, layout).
 
@@ -120,14 +131,11 @@ def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
     serves every pair in exactly one block while every block stays angle
     selective.
     """
-    if spacing == 1 and max(n_leds, n_pds) > 1:
-        n = grid.n_elements
-        if n < n_leds * n_pds:
-            raise LayoutError("fewer elements than (LED, PD) pairs")
+    n, layout = _schedule_shape(grid, n_leds, n_pds, spacing)
+    if layout is None:
         assignment = (np.arange(n)[:, None] + np.arange(n_leds * n_pds)) % n
         return assignment.reshape(n, n_leds, n_pds).transpose(0, 2, 1), None
-    layout = SubarrayLayout(grid.rows, grid.cols, n_leds, n_pds, spacing)
-    qv, qh = np.divmod(np.arange(layout.n_blocks), layout.q_h)
+    qv, qh = np.divmod(np.arange(n), layout.q_h)
     rows = qv[:, None, None] * spacing + np.arange(n_pds)[:, None]
     cols = qh[:, None, None] * spacing + np.arange(n_leds)
     return rows * grid.cols + cols, layout
@@ -441,10 +449,12 @@ class TrialWorkers:
         by name. A failure stops the process that meets it; the call raises
         that of the earliest chunk, or first that of a worker that exited
         without a reply. A failure outside the items, such as an interrupt,
-        closes the pool."""
+        closes the pool. A split of no items does nothing."""
         if not self._tokens:
             raise OirsVlcError("trial workers used outside their `with` block")
         n_chunks = min(len(items), MAX_CHUNKS)
+        if n_chunks == 0:
+            return
         bounds = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
         chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         busy = self._workers[:n_chunks - 1]

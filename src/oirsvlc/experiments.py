@@ -25,7 +25,7 @@ import numpy as np
 from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
 from .errors import ConfigError, LayoutError, OirsVlcError
-from .estimator import TrialWorkers, block_schedule, flops_estimate, run_algorithm1
+from .estimator import TrialWorkers, _schedule_shape, flops_estimate, run_algorithm1
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
 # CPython's builtin digest, as Lib/random.py takes sha512: `hashlib` loads
@@ -293,7 +293,7 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         reject(exc, study)
     for spacing in sweep_schemes(config):
         try:
-            block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)
+            _schedule_shape(scene.grid, scene.n_leds, scene.n_pds, spacing)
         except LayoutError as exc:
             bad("sweep.spacings", f"spacing {spacing}: {exc}", ("sweep.spacings", "scene.grid.rows",
                 "scene.grid.cols", "scene.led_positions", "scene.pd_positions"))
@@ -440,7 +440,7 @@ def run_overhead_report(config: ExperimentConfig):
     nt, nr = scene.n_leds, scene.n_pds
     rows = []
     for spacing in sweep_schemes(config):
-        blocks = len(block_schedule(scene.grid, nt, nr, spacing)[0])
+        blocks = _schedule_shape(scene.grid, nt, nr, spacing)[0]
         rows.append((int(spacing), blocks * nt * nr,
                      flops_estimate(nt, nr, config.pilot_slots, blocks)))
     return rows

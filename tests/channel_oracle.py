@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from oirsvlc import OirsGrid, SceneConfig, channel, run_algorithm1
+from oirsvlc import OirsGrid, SceneConfig, channel, estimator, run_algorithm1
 
 
 def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mode="unit"):
@@ -109,16 +109,16 @@ def blockdiag_channel(truth, block):
 
 def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
     """The (Q, Nr, Nt) channel blocks that one single-seed `run_algorithm1`
-    call passes to `rx_statistics`, chunk after chunk; one seed keeps the
-    call on this thread."""
+    call passes to `trial_statistics`; one seed keeps the call in this
+    process."""
     seen = []
-    original = channel.rx_statistics
 
-    def record(H, X, sigma, seed):
-        seen.append(np.array(H))
-        return original(H, X, sigma, seed)
+    def record(h_blocks, *args):
+        seen.append(np.array(h_blocks))
+        return channel.trial_statistics(h_blocks, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(channel, "rx_statistics", record)
+        patch.setattr(estimator, "trial_statistics", record)
         run_algorithm1(scene, truth, spacing, pilot_slots=10, seeds=[0])
-    return np.concatenate(seen)
+    [blocks] = seen
+    return blocks

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,7 @@ from oirsvlc import (
     block_schedule,
     build_csi_tensor,
     element_positions,
-    generate_pilots,
     run_algorithm1,
-    rx_statistics,
     trial_statistics,
 )
 
@@ -261,69 +260,90 @@ def test_run_algorithm1_gather_matches_blockdiag_oracle(monkeypatch):
         assert_allclose(ran, oracle, rtol=1e-12, atol=0)
 
 
+# The received (rx) statistics and the pilot draw, both of trial_statistics
+
+
+def _drawn(h_blocks, seed, slots, power, sigma):
+    """The pilot buffer and the (b, G, X Y^T) chunks of one trial_statistics
+    call with a buffer of every block."""
+    q, _, nt = h_blocks.shape
+    x = np.empty((q, nt, slots))
+    return x, list(trial_statistics(h_blocks, seed, slots, power, sigma, x))
+
+
 def test_rx_statistics_noiseless_and_deterministic():
+    # each block's statistics are its own products of the pilots drawn into x
     H = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
-    X = np.arange(8.0).reshape(2, 4)
-    gram, cross = rx_statistics(H, X, 0.0, seed=1)
-    assert_allclose(gram, X @ X.T)
-    assert_allclose(cross, X @ (H @ X).T)
-    _, c1 = rx_statistics(H, X, 0.3, seed=42)
-    _, c2 = rx_statistics(H, X, 0.3, seed=42)
-    assert np.array_equal(c1, c2)
-    assert not np.array_equal(c1, rx_statistics(H, X, 0.3, seed=43)[1])
-    # stacked blocks: each block is its own product
     Hs = np.stack([H, 2 * H, -H])
-    Xs = np.stack([X, X + 1, 2 * X])
-    grams, crosses = rx_statistics(Hs, Xs, 0.0, seed=1)
-    assert grams.shape == (3, 2, 2) and crosses.shape == (3, 2, 3)
+    x, [(b, grams, crosses)] = _drawn(Hs, 1, 4, 1.0, 0.0)
+    assert b == 0 and grams.shape == (3, 2, 2) and crosses.shape == (3, 2, 3)
     for q in range(3):
-        assert_allclose(grams[q], Xs[q] @ Xs[q].T)
-        assert_allclose(crosses[q], Xs[q] @ (Hs[q] @ Xs[q]).T)
-    with pytest.raises(ShapeError):
-        rx_statistics(Hs, np.ones((3, 3, 4)), 0.0, seed=1)
-    with pytest.raises(ShapeError):
-        rx_statistics(Hs, np.ones((2, 2, 4)), 0.0, seed=1)
+        assert_allclose(grams[q], x[q] @ x[q].T)
+        assert_allclose(crosses[q], x[q] @ (Hs[q] @ x[q]).T)
+    # noise leaves the pilots as they were; a seed repeats its draws, another does not
+    _, [(_, noisy_grams, c1)] = _drawn(Hs, 1, 4, 1.0, 0.3)
+    assert np.array_equal(noisy_grams, grams) and not np.array_equal(c1, crosses)
+    assert np.array_equal(c1, _drawn(Hs, 1, 4, 1.0, 0.3)[1][0][2])
+    assert not np.array_equal(c1, _drawn(Hs, 2, 4, 1.0, 0.3)[1][0][2])
+    # the buffer holds at least one block of Nt x pilot_slots pilots
+    for shape in ((3, 3, 4), (3, 2, 5), (0, 2, 4), (2, 4)):
+        with pytest.raises(ShapeError):
+            next(trial_statistics(Hs, 1, 4, 1.0, 0.0, np.empty(shape)))
 
 
 def test_rx_statistics_noise_variance():
     # with H = 0 each cross term is sigma * sum_p x_p z_p ~ N(0, sigma^2 G)
     blocks, slots = 100000, 4
-    X = np.ones((blocks, 1, slots))
-    gram, cross = rx_statistics(np.zeros((blocks, 1, 1)), X, 0.7, seed=123)
-    assert np.all(gram == slots)
-    assert abs(cross.var() - 0.49 * slots) / (0.49 * slots) <= 0.02
-    assert abs(cross.mean()) <= 0.02
+    x, [(_, gram, cross)] = _drawn(np.zeros((blocks, 1, 1)), 123, slots, 0.5, 0.7)
+    assert_allclose(gram[:, 0, 0], np.sum(x[:, 0] ** 2, axis=-1), rtol=1e-14)
+    z = cross[:, 0, 0] / np.sqrt(0.49 * gram[:, 0, 0])
+    assert abs(z.var() - 1.0) <= 0.02
+    assert abs(z.mean()) <= 0.02
+
+
+def test_rx_statistics_hold_no_noise_across_a_yield():
+    # a chunk's noise Z, (chunk, Nr, P) = 512 kB here, is freed before its
+    # statistics, 0.5 kB, are yielded. A first, untraced trial loads what
+    # seeding imports
+    h, x = np.zeros((2, 64, 1)), np.empty((1, 1, 1000))
+    list(trial_statistics(h, 0, 1000, 1.0, 1.0, x))
+    tracemalloc.start()
+    try:
+        held = [tracemalloc.get_traced_memory()[0]
+                for _ in trial_statistics(h, 0, 1000, 1.0, 1.0, x)]
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2 and max(held) < 100e3
 
 
 def test_generate_pilots_range_and_mean():
-    x = generate_pilots(1, 4, 0.5, seed=0)
-    assert x.shape == (1, 4)
+    x, _ = _drawn(np.zeros((1, 1, 1)), 0, 4, 0.5, 0.0)
     assert np.all(x >= 0) and np.all(x <= 1.0)
-    big = generate_pilots(1, 100000, 0.5, seed=7)
+    big, _ = _drawn(np.zeros((1, 1, 1)), 7, 100000, 0.5, 0.0)
     assert abs(big.mean() - 0.5) / 0.5 <= 0.02
 
 
 def test_generate_pilots_full_rank():
     for seed in range(1000):
-        x = generate_pilots(4, 100, 1.0, seed=seed)
-        assert np.linalg.matrix_rank(x) == 4
+        x, _ = _drawn(np.zeros((1, 1, 4)), seed, 100, 1.0, 0.0)
+        assert np.linalg.matrix_rank(x[0]) == 4
 
 
 def test_generate_pilots_identifiability():
     with pytest.raises(IdentifiabilityError):
-        generate_pilots(3, 2, 1.0, seed=0)
+        _drawn(np.zeros((1, 1, 3)), 0, 2, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
 def test_generate_pilots_rejects_bad_power(power):
     with pytest.raises(ValueError):
-        generate_pilots(2, 4, power, seed=0)
+        _drawn(np.zeros((1, 2, 2)), 0, 4, power, 0.0)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
 def test_rx_statistics_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
-        rx_statistics(np.ones((2, 2)), np.ones((2, 4)), sigma, seed=0)
+        _drawn(np.zeros((1, 2, 2)), 0, 4, 1.0, sigma)
 
 
 @pytest.mark.parametrize("seed", [7, (3, 1)], ids=["int", "tuple"])
@@ -353,34 +373,44 @@ def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
     # run_algorithm1 draws each chunk's pilots and noise through the two
     # cursors of trial_statistics; the bits equal one stream drawing the pilots
     # of every block, then the noise of every block in C order, whatever the
-    # chunk size (35 blocks: 3 does not divide them)
+    # chunk size (35 blocks: 3 does not divide them). The pilots and sigma are
+    # checked once per trial, not once per chunk
     scene = _scene([(1.9, 2, 3), (2.1, 2, 3)], [(1.8, 2, 0), (2.0, 2, 0), (2.2, 2, 0)],
                    wall_grid(5, 7))
     truth = build_csi_tensor(scene)
     ref = np.random.default_rng((3, 1))
     x_ref = ref.uniform(0.0, 2.0, size=(35, 2, 6))
     z_ref = ref.standard_normal((35, 3, 6))
+    checks = []
+
+    def counted(name):
+        real = getattr(channel, name)
+        return lambda *args: checks.append(name) or real(*args)
+
+    for name in ("_check_pilots", "_check_sigma"):
+        monkeypatch.setattr(channel, name, counted(name))
     for chunk in (3, 35):
         seen = []
+        checks.clear()
 
-        def record(H, X, sigma, seed):
-            stats = rx_statistics(H, X, sigma, seed)
-            seen.append((H, X.copy(), *stats))
-            return stats
+        def record(h_blocks, seed, pilot_slots, power, sigma, x):
+            for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, power, sigma, x):
+                seen.append((h_blocks[b:b + len(gram)], x[:len(gram)].copy(), gram, cross))
+                yield b, gram, cross
 
         monkeypatch.setattr(estimator, "CHUNK_BLOCKS", chunk)
-        monkeypatch.setattr(channel, "rx_statistics", record)
+        monkeypatch.setattr(estimator, "trial_statistics", record)
         run_algorithm1(scene, truth, 1, pilot_slots=6, sigma=0.1, seeds=[(3, 1)])
         assert len(seen) == -(-35 // chunk)
+        assert checks == ["_check_pilots", "_check_sigma"]
         h, x, gram, cross = (np.concatenate(parts) for parts in zip(*seen))
         assert np.array_equal(x, x_ref)
         y_ref = h @ x_ref + 0.1 * z_ref
         assert_allclose(gram, x_ref @ np.swapaxes(x_ref, -1, -2), rtol=1e-14)
         assert_allclose(cross, x_ref @ np.swapaxes(y_ref, -1, -2), rtol=1e-12)
-    # drawn into a buffer, the pilots keep their bits
-    out = np.empty((35, 2, 6))
-    assert generate_pilots(2, 6, 1.0, (3, 1), (35,), out=out) is out
-    assert np.array_equal(out, x_ref)
+    # drawn into a buffer of every block, one chunk, the pilots keep their bits
+    x, _ = _drawn(np.zeros((35, 3, 2)), (3, 1), 6, 1.0, 0.1)
+    assert np.array_equal(x, x_ref)
 
 
 def test_scene_rejects_positions_outside_room():

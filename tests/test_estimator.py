@@ -27,14 +27,13 @@ from oirsvlc import (
     block_schedule,
     build_csi_tensor,
     flops_estimate,
-    generate_pilots,
     interpolate_full,
     mmse_estimate,
     nmse,
     recovery_operators,
     run_algorithm1,
-    rx_statistics,
     spline_weights,
+    trial_statistics,
 )
 
 from channel_oracle import blockdiag_channel, recorded_channel_blocks
@@ -239,9 +238,10 @@ def test_noiseless_ridge_returns_truth_on_sample_lattice():
     scene = desk_scene(8, 8)
     index, layout = block_schedule(scene.grid, 2, 2, 2)
     tensor = build_csi_tensor(scene, "point")
-    x = generate_pilots(2, 16, 1.0, 4, (layout.n_blocks,))
     blocks = tensor[index, np.arange(2)[:, None], np.arange(2)]
-    est = mmse_estimate(*rx_statistics(blocks, x, 0.0, 4), 0.0)
+    [(_, gram, cross)] = trial_statistics(blocks, 4, 16, 1.0, 0.0,
+                                          np.empty((layout.n_blocks, 2, 16)))
+    est = mmse_estimate(gram, cross, 0.0)
     for nr in range(2):
         for nt in range(2):
             grid_vals = est[:, nr, nt].reshape(layout.q_v, layout.q_h)
@@ -447,11 +447,11 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
     negative[7, 0, 1] = -1e-9
     draws = []
 
-    def pilots(*args, **kwargs):
+    def statistics(*args):
         draws.append(args)
-        return generate_pilots(*args, **kwargs)
+        return trial_statistics(*args)
 
-    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
     for truth, error in ((with_nan, ValueError), (negative, ValueError),
                          (good.transpose(0, 2, 1).reshape(64, 4), ShapeError)):
         with pytest.raises(error):
@@ -475,13 +475,13 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
     log.touch()
     forks = []
 
-    def pilots(*args, **kwargs):
+    def statistics(*args):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {threading.get_ident()}\n")
-        return generate_pilots(*args, **kwargs)
+        return trial_statistics(*args)
 
     real_fork = os.fork
-    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     bad = [({"sigma": value}, ValueError)
            for value in (np.nan, np.inf, -np.inf, -1.0, 1e160)]
@@ -571,19 +571,25 @@ def test_run_algorithm1_without_affinity_runs_in_one_process(monkeypatch):
         assert np.array_equal(alone.nmse, reference.nmse)
 
 
+def _zero_pilots(monkeypatch, bad_seeds, log=None):
+    """Make the trials of `bad_seeds` read what all-zero pilots give: all-zero
+    Gram matrices and cross terms, singular at sigma = 0. Each such trial
+    appends the pid of its process to `log`, if given."""
+    def statistics(h_blocks, seed, *args):
+        if seed in bad_seeds and log is not None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+        for b, gram, cross in trial_statistics(h_blocks, seed, *args):
+            yield (b, 0.0 * gram, 0.0 * cross) if seed in bad_seeds else (b, gram, cross)
+
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
+
+
 def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
     # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
     # last trial gets them, and whichever of the four processes takes it
     # raises; the error surfaces in the caller and no child outlives the call
-    bad = np.random.default_rng(99).bit_generator.state
-
-    def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
-        if seed.bit_generator.state == bad:
-            out[...] = 0.0
-            return out
-        return generate_pilots(n_leds, n_slots, power, seed, batch, out)
-
-    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
+    _zero_pilots(monkeypatch, (99,))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     scene = desk_scene(8, 8)
@@ -602,19 +608,9 @@ def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path
     # formatted exception names numpy's "Singular matrix" wherever the
     # singular trial ran. With two CPUs the second of two trials is the
     # worker's first
-    bad = np.random.default_rng(99).bit_generator.state
     log = tmp_path / "zeroed.txt"
     log.touch()
-
-    def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
-        if seed.bit_generator.state == bad:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            out[...] = 0.0
-            return out
-        return generate_pilots(n_leds, n_slots, power, seed, batch, out)
-
-    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
+    _zero_pilots(monkeypatch, (99,), log)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     scene = desk_scene(8, 8)
     with pytest.raises(SingularSystemError) as raised:
@@ -633,19 +629,11 @@ def test_trial_workers_stay_usable_after_a_failed_call(bad_seeds, monkeypatch):
     # taken from the shared tokens (7) or the first of both processes, fails
     # its call; a process that fails drops the tokens left, so the next,
     # shorter call on the same pool takes its own trials and no stale one
-    bad = [np.random.default_rng(seed).bit_generator.state for seed in bad_seeds]
-
-    def pilots(n_leds, n_slots, power, seed, batch=(), out=None):
-        if seed.bit_generator.state in bad:
-            out[...] = 0.0
-            return out
-        return generate_pilots(n_leds, n_slots, power, seed, batch, out)
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
     reference = run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14))
-    monkeypatch.setattr("oirsvlc.channel.generate_pilots", pilots)
+    _zero_pilots(monkeypatch, bad_seeds)
     with TrialWorkers(8) as workers:
         with pytest.raises(SingularSystemError):
             run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(8), workers=workers)
@@ -833,6 +821,22 @@ def test_pool_built_truth_equals_the_serial_build(scene, order, cpus, monkeypatc
     step = channel.APERTURE_CHUNK_POINTS // order**2
     assert len(pids) == -(-scene.grid.n_elements // step)        # one call per chunk
     assert len(set(pids) - {os.getpid()}) == cpus - 1             # the worker took its chunk
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_split_of_no_centers_matches_the_serial_gains(monkeypatch):
+    # the serial path returns a (0, Nr, Nt) array for zero centers; a pooled
+    # split of no items used to divide by its zero chunk count inside the
+    # open pool. It does nothing, and the pool serves the next build
+    scene = desk_scene(8, 8)
+    serial = channel.aperture_gain(scene, np.empty((0, 3)), 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with TrialWorkers(8) as workers:
+        pooled = channel.aperture_gain(scene, np.empty((0, 3)), 8, workers)
+        truth = build_csi_tensor(scene, "quadrature", 8, workers)
+    assert pooled.shape == serial.shape == (0, 2, 2)
+    assert np.array_equal(truth, build_csi_tensor(scene, "quadrature", 8))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

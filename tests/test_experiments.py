@@ -38,7 +38,7 @@ from oirsvlc import (
     run_noise_sweep,
     run_overhead_report,
 )
-from oirsvlc import channel, estimator, experiments
+from oirsvlc import estimator, experiments
 from oirsvlc.cli import main as cli_main
 from oirsvlc.experiments import (
     config_hash,
@@ -103,6 +103,7 @@ _ON_APERTURE = (", scene.grid.center, scene.grid.rows, scene.grid.cols, scene.gr
 _LAYOUT = ("sweep.spacings, scene.grid.rows, scene.grid.cols, scene.led_positions and "
            "scene.pd_positions")
 _DARK = ("scene.fov_semi_angle_rad, coherence.pd, coherence.element and scene.pd_normal")
+_GAIN = "scene.pd_side_m, scene.lambertian_order, scene.grid.reflectivity and scene.gain_mode"
 
 
 def test_config_rejects_unknown_and_invalid_keys():
@@ -200,6 +201,13 @@ def test_config_rejects_unknown_and_invalid_keys():
         # gain is 0, and d_c used to be reported for a link with no light
         ("scene.fov_semi_angle_rad = 0.3", "scene.fov_semi_angle_rad", _DARK),
         ("scene.fov_semi_angle_rad = 1e-300", "scene.fov_semi_angle_rad", _DARK),
+        # the gain constant rho (m + 1) pd_side^2 / (2 pi) overflowed (a bare
+        # OverflowError at 1e200; NaN fig4 rows at 1e154) or underflowed to 0;
+        # at 9e153 it is 2.3e307, and the sweep's NMSE squares overflowed to NaN
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e200", "scene.pd_side_m", _GAIN),
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e154", "scene.pd_side_m", _GAIN),
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e-200", "scene.pd_side_m", _GAIN),
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 9e153", "scene.pd_side_m", _GAIN),
     ]
     for text, key, *reads in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
@@ -278,6 +286,8 @@ _REJECTIONS = [
     ({"pd_side": 0.0}, ("pd_side",)),
     ({"lambertian_order": 0.5}, ("lambertian_order",)),
     ({"fov_semi_angle": 0.0}, ("fov_semi_angle",)),
+    ({"gain_mode": "lambertian", "pd_side": 1e-200},
+     ("pd_side", "lambertian_order", "reflectivity", "gain_mode")),
     ({"led_positions": ((1.0, 5.0, 3.0),)}, ("led_positions", "room")),
     ({"pd_positions": ((1.0, 2.0, -1.0),)}, ("pd_positions", "room")),
     ({"grid": _GRID | {"center": (0.1, 0.0, 1.5)}},
@@ -336,6 +346,22 @@ def test_huge_grid_fails_without_building_its_elements():
         assert tracemalloc.get_traced_memory()[1] < 1e6
     finally:
         tracemalloc.stop()
+
+
+def test_large_grid_loads_without_building_its_schedule():
+    # the layout check and the overhead table count the blocks of each scheme
+    # without building their indices: 2000 x 2000 elements at 1 mm pitch used
+    # to peak at 256 MB of allocations to load
+    tracemalloc.start()
+    try:
+        config = ExperimentConfig(grid_rows=2000, grid_cols=2000, grid_pitch=0.001,
+                                  grid_element_size=0.0005)
+        rows = run_overhead_report(config)
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
+    assert [(spacing, params) for spacing, params, _ in rows] == \
+        [(1, 4 * 10**6 * 4), (2, 10**6 * 4), (3, 666**2 * 4), (4, 500**2 * 4)]
 
 
 def test_config_round_trip():
@@ -638,9 +664,8 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     # sweep stops before its first pilot draw. At 0.05 rad the study link is
     # dark too, and the config fails at load
     calls = []
-    real = channel.generate_pilots
-    monkeypatch.setattr(channel, "generate_pilots",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = estimator.trial_statistics
+    monkeypatch.setattr(estimator, "trial_statistics", lambda *a: calls.append(1) or real(*a))
     cfg = tmp_path / "dark.cfg"
     for fov, error, match in (
             (0.62, ZeroReferenceError, "outside a LED beam or the PD field of view"),
