@@ -21,15 +21,14 @@ per element with a rotating pair assignment.
 and keeps one number per trial: its NMSE. Phase II reads the received blocks
 Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed. It
 solves CHUNK_BLOCKS blocks at a time, as `channel.trial_statistics` draws
-them from the trial's seed. The caller shares the trials, and the sweep's
-truth chunks, with a pool of forked worker processes, `TrialWorkers`, that
-the noise sweep opens once for its truth build and every call. A worker's
-jobs are plain data read from a pipe (a factory, its arguments and the
-items, such as the seeds); it takes items from a pipe of tokens it shares
-with the caller and replies through a second pipe of its own with its
-items' pickled rows or its exception. Phase III and every public function
-run in the calling process. Each trial is scored as soon as it is
-recovered, so no call holds every trial's full (N, Nr, Nt) estimate.
+them from the trial's seed. The caller shares the trials with a pool of
+forked worker processes, `TrialWorkers`, that the noise sweep opens once,
+after its truth build, for every call. A worker's jobs are plain data read
+from a pipe (the Phase II arguments and the seeds); it takes trials from a
+pipe of tokens it shares with the caller and replies through a second pipe
+of its own with its trials' pickled rows or its exception. Phase III and
+every public function run in the calling process. Each trial is scored
+once recovered, so no call holds every trial's full (N, Nr, Nt) estimate.
 """
 
 from __future__ import annotations
@@ -161,14 +160,22 @@ def mmse_estimate(gram: np.ndarray, cross: np.ndarray, sigma: float) -> np.ndarr
 
 
 def nmse(estimate, truth):
-    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2."""
+    """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2.
+
+    When ||truth||_F^2 underflows below the smallest normal float (gains
+    under about 1e-154), both tensors are first divided by max |truth|.
+    """
     est = np.asarray(estimate, dtype=float)
     ref = np.asarray(truth, dtype=float)
     if est.shape != ref.shape:
         raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
     denom = float(np.sum(ref**2))
-    if denom == 0.0:
-        raise ZeroReferenceError("reference tensor is identically zero")
+    if denom < np.finfo(float).tiny:
+        scale = float(np.max(np.abs(ref), initial=0.0))
+        if scale == 0.0:
+            raise ZeroReferenceError("reference tensor is identically zero")
+        est, ref = est / scale, ref / scale
+        denom = float(np.sum(ref**2))
     return float(np.sum((est - ref) ** 2)) / denom
 
 
@@ -300,17 +307,17 @@ def _trial_solver(h_blocks, dense, pilot_slots, sigma, pilot_power):
     return solve
 
 
-def _take_chunks(factory, args, items, chunks, first: int, tokens: int, done):
-    """done(i, solve(items[i])), solve = factory(*args), of each item i of chunk
-    `first`, then of each chunk whose token this process takes from `tokens`
-    until none is left. A failure takes and drops the tokens left and is
-    returned as (chunk, exception); None when every chunk taken was done."""
+def _take_chunks(args, seeds, chunks, first: int, tokens: int, done):
+    """done(i, solve(seeds[i])), solve = _trial_solver(*args), of each trial i
+    of chunk `first`, then of each chunk whose token this process takes from
+    `tokens` until none is left. A failure takes and drops the tokens left
+    and is returned as (chunk, exception); None when every chunk taken was done."""
     c = first
     try:
-        solve = factory(*args)
+        solve = _trial_solver(*args)
         while c is not None:
             for i in chunks[c]:
-                done(i, solve(items[i]))
+                done(i, solve(seeds[i]))
             c = _take(tokens)
     except Exception as exc:
         while _take(tokens) is not None:
@@ -320,8 +327,8 @@ def _take_chunks(factory, args, items, chunks, first: int, tokens: int, done):
 
 
 def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
-    """A forked worker: for each job (factory, args, items, chunks, first) read
-    from `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes,
+    """A forked worker: for each job (args, seeds, chunks, first) read from
+    `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes,
     and send one pickled reply on `replies_fd`: ({index: row}, None), or with
     (chunk, exception, its formatted traceback) in place of None. It ends at
     the end of the jobs, after closing the `inherited` pipe ends of the
@@ -351,23 +358,23 @@ def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
 
 
 class TrialWorkers:
-    """Forked workers for `run_algorithm1` calls and `build_csi_tensor`'s
-    aperture chunks, kept from `__enter__` to `__exit__`: one per further CPU
-    this process may run on (`os.sched_getaffinity`), at most `trials` - 1,
-    none where the platform cannot tell. The noise sweep opens them before
-    its truth build, and every later call reuses them.
+    """Forked workers for `run_algorithm1` calls, kept from `__enter__` to
+    `__exit__`: one per further CPU this process may run on
+    (`os.sched_getaffinity`), at most `trials` - 1, none where the platform
+    cannot tell. The noise sweep opens them after its truth build, and
+    every call of the sweep reuses them.
 
-    `split` cuts a call's items (trial seeds, or chunks of element centers)
-    into chunks of one item each (contiguous runs past MAX_CHUNKS), gives the
-    first to the caller and the next one to each worker, and writes a token
-    for each other chunk to a shared non-blocking pipe. Every process then
-    takes tokens until none is left, so the caller, which also recovers and
-    scores every sampled trial, or a process slowed by the host, solves
-    fewer. A worker's job, read from its own pipe, is plain data: a
-    module-level factory, its arguments, the items and the chunks. It
-    answers through a second pipe with one pickled reply: its items' rows
-    or its exception. A worker sees the modules as they were when forked.
-    Leaving the context closes every pipe and reaps every worker.
+    `split` cuts a call's trial seeds into chunks of one trial each
+    (contiguous runs past MAX_CHUNKS), gives the first to the caller and the
+    next one to each worker, and writes a token for each other chunk to a
+    shared non-blocking pipe. Every process then takes tokens until none is
+    left, so the caller, which also recovers and scores every sampled trial,
+    or a process slowed by the host, solves fewer. A worker's job, read from
+    its own pipe, is plain data: the arguments of `_trial_solver`, the seeds
+    and the chunks. It answers through a second pipe with one pickled reply:
+    its trials' rows or its exception. A worker sees the modules as they
+    were when forked. Leaving the context closes every pipe and reaps every
+    worker.
     """
 
     def __init__(self, trials: int):
@@ -442,29 +449,29 @@ class TrialWorkers:
         return {}, (-1, OirsVlcError(f"pool worker {pid} exited with status {code} "
                                      "before reporting"), None)
 
-    def split(self, factory, args, items, done):
-        """done(i, solve(items[i])) of each item i (see `_take_chunks`), done in
-        the calling process and thread: on the caller's items as it solves
-        them, on the workers' once every worker replied. `factory` is pickled
-        by name. A failure stops the process that meets it; the call raises
-        that of the earliest chunk, or first that of a worker that exited
-        without a reply. A failure outside the items, such as an interrupt,
-        closes the pool. A split of no items does nothing."""
+    def split(self, args, seeds, done):
+        """done(i, solve(seeds[i])) of each trial i (see `_take_chunks`), done in
+        the calling process and thread: on the caller's trials as it solves
+        them, on the workers' once every worker replied. A failure stops the
+        process that meets it; the call raises that of the earliest chunk, or
+        first that of a worker that exited without a reply. A failure outside
+        the trials, such as an interrupt, closes the pool. A split of no
+        seeds does nothing."""
         if not self._tokens:
             raise OirsVlcError("trial workers used outside their `with` block")
-        n_chunks = min(len(items), MAX_CHUNKS)
+        n_chunks = min(len(seeds), MAX_CHUNKS)
         if n_chunks == 0:
             return
-        bounds = [len(items) * i // n_chunks for i in range(n_chunks + 1)]
+        bounds = [len(seeds) * i // n_chunks for i in range(n_chunks + 1)]
         chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         busy = self._workers[:n_chunks - 1]
         try:
             os.write(self._tokens[1], b"".join(c.to_bytes(4, "little")
                                                for c in range(len(busy) + 1, n_chunks)))
             for first, (_, jobs, _) in enumerate(busy, 1):
-                pickle.dump((factory, args, items, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
+                pickle.dump((args, seeds, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
                 jobs.flush()
-            failure = _take_chunks(factory, args, items, chunks, 0, self._tokens[0], done)
+            failure = _take_chunks(args, seeds, chunks, 0, self._tokens[0], done)
             replies = [self._reply(worker) for worker in busy]
         except BaseException:
             self.close()
@@ -535,8 +542,7 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
         errors[t] = row if layout is None else nmse(interpolate_full(row, layout), truth)
 
     with nullcontext(workers) if workers is not None else TrialWorkers(len(seeds)) as pool:
-        pool.split(_trial_solver, (h_blocks, layout is None, pilot_slots, sigma, pilot_power),
-                   seeds, score)
+        pool.split((h_blocks, layout is None, pilot_slots, sigma, pilot_power), seeds, score)
 
     return EstimationResult(
         nmse=errors,

@@ -407,14 +407,15 @@ def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
     Returns rows (sigma, spacing, nmse_db, trials). Each (sigma, scheme) cell
-    is one `run_algorithm1` call over all its trials; the calls and the truth
-    build share the workers forked once for the sweep. Trial seeds derive from
-    the master seed, the scheme, the sigma index, and the trial index.
+    is one `run_algorithm1` call over all its trials. The truth is built in
+    this process before the sweep forks its workers once, for every call.
+    Trial seeds derive from the master seed, the scheme, the sigma index,
+    and the trial index.
     """
     scene = config.scene
     rows = []
+    truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
     with TrialWorkers(config.trials) as workers:
-        truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order, workers)
         for i_sigma, sigma in enumerate(config.sigmas):
             for spacing in sweep_schemes(config):
                 errors = run_algorithm1(

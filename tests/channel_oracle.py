@@ -4,6 +4,8 @@ the one-LED, one-PD scene that the coherence functions take.
 
 `link_gain` evaluates the reflected-gain formula of one LED -> point -> PD
 link on plain floats, one link at a time, with no numpy and no array layout.
+`broadcast_pair_gains` is the points-major gain kernel that `pair_gains`
+replaced, kept as written: the reference its bits are pinned to.
 
 Block q of the schedule aligns element index[q, nr, nt] with pair (nr, nt).
 Its composite association V_q (N, K) holds V_q[n, k] = 1 when element n
@@ -62,6 +64,42 @@ def link_gain(led, led_normal, point, pd, pd_normal, m, fov, c):
     if cos_theta <= 0.0 or cos_phi < math.cos(fov):
         return 0.0
     return c * cos_theta**m * cos_phi / (d1 + d2) ** 2
+
+
+def broadcast_pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
+                          c: float) -> np.ndarray:
+    """Point gains of every (LED, PD) pair via each element point.
+
+    Maps (..., 3) element points to (..., Nr, Nt) gains for LED positions
+    `leds` (Nt, 3) and PD positions `pds` (Nr, 3). A pair's gain is 0 when
+    the LED faces away from the point or the arrival direction falls
+    outside the PD field of view (cos phi < cos fov). `c` is the gain
+    constant.
+
+    The points are split into their x, y and z planes, (..., 1) each, so
+    every leg is three (..., Nt) or (..., Nr) coordinate arrays and each
+    length and cosine a sum of three products. numpy runs those at full
+    width, where a (..., Nt, 3) layout loops over a size-3 inner axis.
+    """
+    pts = np.asarray(points, dtype=float)
+
+    def leg(ends, normal):
+        """Length and cosine toward each point of the legs from `ends`."""
+        ends = np.asarray(ends, dtype=float)
+        x, y, z = (pts[..., k, None] - ends[:, k] for k in range(3))   # (..., len(ends))
+        length = np.sqrt(x * x + y * y + z * z)
+        return length, (x * normal[0] + y * normal[1] + z * normal[2]) / length
+
+    d1, ct = leg(leds, led_normal)                            # (..., Nt)
+    d2, cp = leg(pds, pd_normal)                              # (..., Nr)
+    # m >= 1 (SceneConfig), so a zeroed cosine zeroes its pair's numerator
+    num = np.where(ct > 0.0, ct, 0.0) ** m
+    num = num[..., None, :] * np.where(cp >= math.cos(fov), cp, 0.0)[..., :, None]
+    den = d1[..., None, :] + d2[..., :, None]
+    den *= den
+    num *= c
+    num /= den
+    return num
 
 
 def pair_column(nr, nt, n_pds):

@@ -21,7 +21,13 @@ from oirsvlc import (
     trial_statistics,
 )
 
-from channel_oracle import blockdiag_channel, link_gain, link_scene, recorded_channel_blocks
+from channel_oracle import (
+    blockdiag_channel,
+    broadcast_pair_gains,
+    link_gain,
+    link_scene,
+    recorded_channel_blocks,
+)
 
 STUDY_LED = np.array([1.0, 2.0, 3.0])
 STUDY_ELEM = np.array([1.0, 2.0, 1.5])
@@ -214,6 +220,47 @@ def test_scene_gains_match_one_link_oracle(points, leds, pds, led_normal, pd_nor
                     assert got[i, nr, nt] == 0.0
                 else:
                     assert got[i, nr, nt] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+POINT_SHAPE = (st.tuples(st.integers(1, 40))
+               | st.tuples(st.integers(1, 6), st.integers(1, 70))).map(lambda s: (*s, 3))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shape=POINT_SHAPE, seed=st.integers(0, 2**32 - 1),
+       leds=st.lists(ROOM_POINT, min_size=1, max_size=3),
+       pds=st.lists(ROOM_POINT, min_size=1, max_size=3),
+       led_normal=DIRECTION, pd_normal=DIRECTION, m=st.floats(1, 8),
+       fov=FOV, mode=st.sampled_from(channel.GAIN_MODES))
+def test_pair_gains_keeps_the_broadcast_kernels_bits(shape, seed, leds, pds, led_normal,
+                                                     pd_normal, m, fov, mode):
+    # the same scalar operations in the same order, over another layout:
+    # every gain keeps its bits, and the result is C-contiguous, which the
+    # aperture mean's summation order reads
+    points = np.random.default_rng(seed).uniform(0.0, 1.0, shape) * (4.0, 4.0, 3.0)
+    assume(np.min(np.linalg.norm(points[..., None, :] - np.array(leds + pds), axis=-1)) > 1e-3)
+    c = 1.0 if mode == "unit" else 0.9 * (m + 1.0) * 0.05**2 / (2.0 * math.pi)
+    args = (points, leds, np.divide(led_normal, math.hypot(*led_normal)), pds,
+            np.divide(pd_normal, math.hypot(*pd_normal)), m, fov, c)
+    got = channel.pair_gains(*args)
+    assert np.array_equal(got, broadcast_pair_gains(*args))
+    assert got.shape == (*shape[:-1], len(pds), len(leds)) and got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_leds,n_pds", [(1, 1), (3, 3)])
+@pytest.mark.parametrize("order", [3, 8])
+def test_aperture_gain_keeps_the_broadcast_means_bits(n_leds, n_pds, order):
+    # the mean over each aperture's sub-points adds them one by one for
+    # several pairs and pairwise for one, so both orders are pinned
+    leds = [(1.7, 2, 3), (2.0, 1.6, 3), (2.3, 2.2, 3)][:n_leds]
+    pds = [(1.8, 2, 0), (2.4, 1.9, 0), (2.0, 2.3, 0)][:n_pds]
+    scene = _scene(leds, pds, wall_grid(7, 9), mode="lambertian")
+    centers = element_positions(scene.grid)
+    want = broadcast_pair_gains(channel.aperture_points(scene.grid, centers, order),
+                                scene.led_positions, scene.led_normal, scene.pd_positions,
+                                scene.pd_normal, scene.lambertian_order,
+                                scene.fov_semi_angle, scene.gain_constant).mean(axis=1)
+    assert np.array_equal(channel.aperture_gain(scene, centers, order), want)
 
 
 @pytest.mark.parametrize("model", ["point", "quadrature"])

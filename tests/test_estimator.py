@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oirsvlc import channel, estimator
+from oirsvlc import estimator
 from oirsvlc import (
     ExperimentConfig,
     IdentifiabilityError,
@@ -784,126 +784,23 @@ def test_workers_memory_stays_bounded(monkeypatch, tmp_path):
     assert peaks[16] < 3e6 and abs(peaks[16] - peaks[2]) < 0.5e6
 
 
-def _log_chunk_pids(monkeypatch, log, fail_in_worker=None):
-    """Append the pid of each process that averages an aperture chunk to
-    `log`; a worker's chunk then calls `fail_in_worker`, if given."""
-    caller, real_points = os.getpid(), channel.aperture_points
-
-    def points(*args):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        if fail_in_worker is not None and os.getpid() != caller:
-            fail_in_worker()
-        return real_points(*args)
-
-    log.touch()
-    monkeypatch.setattr(channel, "aperture_points", points)
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("scene,order", [(ExperimentConfig().scene, 8),
-                                         (three_by_three_scene(48, 48, pitch=0.025), 8),
-                                         (three_by_three_scene(48, 48, pitch=0.025), 6)],
-                         ids=["default-9-chunks", "3x3-36-chunks", "3x3-21-chunks"])
-def test_pool_built_truth_equals_the_serial_build(scene, order, cpus, monkeypatch, tmp_path):
-    # the workers of an open pool share the aperture chunks with the caller,
-    # one of 64 or 113 centers (a short last one at order 6), and the tensor
-    # keeps every bit, its shape and its read-only flag
-    serial = build_csi_tensor(scene, "quadrature", order)
-    log = tmp_path / "chunks.txt"
-    _log_chunk_pids(monkeypatch, log)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    with TrialWorkers(8) as workers:
-        pooled = build_csi_tensor(scene, "quadrature", order, workers)
-    assert np.array_equal(pooled, serial)
-    assert pooled.shape == serial.shape and not pooled.flags.writeable
-    pids = [int(pid) for pid in log.read_text().split()]
-    step = channel.APERTURE_CHUNK_POINTS // order**2
-    assert len(pids) == -(-scene.grid.n_elements // step)        # one call per chunk
-    assert len(set(pids) - {os.getpid()}) == cpus - 1             # the worker took its chunk
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_pool_split_of_no_centers_matches_the_serial_gains(monkeypatch):
-    # the serial path returns a (0, Nr, Nt) array for zero centers; a pooled
-    # split of no items used to divide by its zero chunk count inside the
-    # open pool. It does nothing, and the pool serves the next build
+def test_pool_split_of_no_seeds_does_nothing(monkeypatch):
+    # a split of no items used to divide by its zero chunk count inside the
+    # open pool. It returns without a call, and the pool then serves a
+    # run_algorithm1 call with the bits of a call that opens its own
     scene = desk_scene(8, 8)
-    serial = channel.aperture_gain(scene, np.empty((0, 3)), 8)
+    truth = build_csi_tensor(scene)
+    reference = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(4))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    done = []
     with TrialWorkers(8) as workers:
-        pooled = channel.aperture_gain(scene, np.empty((0, 3)), 8, workers)
-        truth = build_csi_tensor(scene, "quadrature", 8, workers)
-    assert pooled.shape == serial.shape == (0, 2, 2)
-    assert np.array_equal(truth, build_csi_tensor(scene, "quadrature", 8))
+        workers.split((), [], lambda *row: done.append(row))
+        shared = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(4),
+                                workers=workers)
+    assert done == []
+    assert np.array_equal(shared.nmse, reference.nmse)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def _exit_3():
-    os._exit(3)
-
-
-def _raise_in_worker():
-    raise ValueError("chunk failed in a worker")
-
-
-@pytest.mark.parametrize("fail,error,match", [(_raise_in_worker, ValueError, "chunk failed"),
-                                              (_exit_3, OirsVlcError, "exited with status 3")],
-                         ids=["raises", "exits"])
-def test_pool_built_truth_fails_with_its_worker(fail, error, match, monkeypatch, tmp_path):
-    # a worker's chunk that raises fails the build with that exception, the
-    # worker's traceback as its cause; a worker that dies fails it with
-    # OirsVlcError. Either way every worker is reaped
-    scene = three_by_three_scene(48, 48, pitch=0.025)
-    _log_chunk_pids(monkeypatch, tmp_path / "chunks.txt", fail)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with pytest.raises(error, match=match) as raised:
-        with TrialWorkers(8) as workers:
-            build_csi_tensor(scene, "quadrature", 8, workers)
-    if error is ValueError:
-        assert "in _raise_in_worker" in str(raised.value.__cause__)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_pool_built_truth_worker_memory_stays_bounded(monkeypatch, tmp_path):
-    # the bound the serial build meets in the calling process
-    # (test_truth_build_and_dense_pass_memory_stays_bounded), met by the
-    # worker: tracemalloc runs before the pool forks and keeps running in the
-    # worker, which resets its peak at its first chunk, once its job is read,
-    # and logs the peak after each chunk's gains
-    scene = three_by_three_scene(48, 48, pitch=0.025)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    log = tmp_path / "peaks.txt"
-    log.touch()
-    caller, reset = os.getpid(), set()
-    real_points, real_gains = channel.aperture_points, SceneConfig.gains
-
-    def points(*args):
-        if os.getpid() not in reset:
-            reset.add(os.getpid())
-            tracemalloc.reset_peak()
-        return real_points(*args)
-
-    def gains(self, pts):
-        value = real_gains(self, pts)
-        if os.getpid() != caller:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{tracemalloc.get_traced_memory()[1]}\n")
-        return value
-
-    monkeypatch.setattr(channel, "aperture_points", points)
-    monkeypatch.setattr(SceneConfig, "gains", gains)
-    tracemalloc.start()
-    try:
-        with TrialWorkers(8) as workers:
-            build_csi_tensor(scene, "quadrature", 8, workers)
-    finally:
-        tracemalloc.stop()
-    peaks = [int(peak) for peak in log.read_text().split()]
-    assert peaks and max(peaks) < 4e6
 
 
 def test_dense_noiseless_nmse_stays_below_the_csv_floor():

@@ -55,10 +55,12 @@ FAST = replace(ExperimentConfig(), grid_rows=8, grid_cols=8, trials=2,
 
 
 def test_nmse_identities():
-    truth = np.arange(1.0, 7.0).reshape(2, 3)
-    assert nmse(truth, truth) == 0.0
-    assert nmse(np.zeros_like(truth), truth) == pytest.approx(1.0, rel=1e-15)
-    assert nmse(2 * truth, truth) == pytest.approx(1.0, rel=1e-15)
+    # at 1e-200 the plain sum of squares underflows to 0
+    for scale in (1.0, 1e-200):
+        truth = np.arange(1.0, 7.0).reshape(2, 3) * scale
+        assert nmse(truth, truth) == 0.0
+        assert nmse(np.zeros_like(truth), truth) == pytest.approx(1.0, rel=1e-15)
+        assert nmse(2 * truth, truth) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_nmse_errors():
@@ -676,6 +678,25 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
             cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert calls == []
         assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+
+
+def test_cli_tiny_gain_constant_sweeps_like_unit_gains(tmp_path):
+    # C = 2.9e-201 loads, and the largest truth gain, 4e-203, squares to 0:
+    # the noiseless NMSE, which does not depend on C, must still be scored.
+    # Only sigma = 0 runs: at sigma 1e-4 the NMSE of these gains, near 1e397,
+    # lies past the float range
+    text = ("scene.grid.rows = 8\nscene.grid.cols = 8\nsweep.trials = 2\nsweep.sigmas = 0\n"
+            "sweep.spacings = 2\npilots.slots = 10\n")
+    rows = {}
+    for name, extra in (("unit", ""),
+                        ("tiny", "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-100\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + extra)
+        assert cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "noise_sweep.csv").read_text().splitlines()
+        rows[name] = [[float(cell) for cell in line.split(",")] for line in lines[1:3]]
+    assert rows["unit"][0][:2] == [0.0, 1.0] and rows["unit"][1][:2] == [0.0, 2.0]
+    assert_allclose(rows["tiny"], rows["unit"], rtol=1e-9, atol=0)
 
 
 def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
