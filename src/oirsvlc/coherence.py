@@ -200,11 +200,11 @@ def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float, angles):
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-6):
-    """Golden-section minimum of f on [lo, hi] to within tol."""
+def _golden_min(f, lo: float, hi: float):
+    """Golden-section minimum of f on [lo, hi] to within 1e-6."""
     x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)

@@ -54,53 +54,6 @@ def nmse_db(value: float) -> float:
 # configuration
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Experiment description, checked when it is made: a bad field raises a
-    `ConfigError` naming its key. `scene` is the MIMO scene with the grid on
-    the y = 0 wall. `single_link` is the one LED/element/PD study scene of the
-    gain and coherence runs; its element is turned to the aligned mirror
-    normal, with the room X axis projected onto the surface as first axis."""
-
-    room: tuple = (4.0, 4.0, 3.0)
-    grid_rows: int = 24
-    grid_cols: int = 24
-    grid_center: tuple = (2.0, 0.0, 1.5)
-    grid_pitch: float = 0.1
-    grid_element_size: float = 0.05
-    grid_reflectivity: float = 0.9
-    led_positions: tuple = ((1.9, 2.0, 3.0), (2.1, 2.0, 3.0))
-    led_normal: tuple = (0.0, 0.0, -1.0)
-    lambertian_order: float = 1.0
-    pd_positions: tuple = ((1.8, 2.0, 0.0), (2.2, 2.0, 0.0))
-    pd_normal: tuple = (0.0, 0.0, 1.0)
-    pd_side: float = 0.05
-    fov_semi_angle: float = math.pi / 2
-    gain_mode: str = "unit"
-    xi_c: float = 0.04
-    coherence_led: tuple = (1.0, 2.0, 3.0)
-    coherence_pd: tuple = (2.0, 2.0, 0.0)
-    coherence_element: tuple = (1.0, 2.0, 1.5)
-    angular_samples: int = 360
-    sigmas: tuple = (0.0, 5e-5, 7e-5, 1e-4, 3e-4, 1e-3)
-    spacings: tuple = (2, 3, 4)
-    trials: int = 100
-    pilot_slots: int = 100
-    pilot_power: float = 1.0
-    master_seed: int = 20240917
-    truth_model: str = "quadrature"
-    quadrature_order: int = 8
-    output_dir: str = "out"
-
-    scene: SceneConfig = field(init=False, compare=False, repr=False)
-    single_link: SceneConfig = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        scene, single_link = _validate(self)
-        object.__setattr__(self, "scene", scene)
-        object.__setattr__(self, "single_link", single_link)
-
-
 def _parse_float(key, text):
     try:
         return float(text)
@@ -140,6 +93,10 @@ def _parse_ints(key, text):
     return tuple(_parse_int(key, p) for p in text.split(",") if p.strip())
 
 
+def _parse_text(key, text):
+    return text
+
+
 def _fmt(parser, value) -> str:
     """The text that `parser` reads back as `value`; an int in a float field
     prints as a float, so a reloaded config hashes as the one written."""
@@ -151,54 +108,77 @@ def _fmt(parser, value) -> str:
     return str(float(value)) if parser is _parse_float else str(value)
 
 
-# key -> (field name, parser)
-_SCHEMA = {
-    "scene.room": ("room", _parse_vec3),
-    "scene.grid.rows": ("grid_rows", _parse_int),
-    "scene.grid.cols": ("grid_cols", _parse_int),
-    "scene.grid.center": ("grid_center", _parse_vec3),
-    "scene.grid.pitch_m": ("grid_pitch", _parse_float),
-    "scene.grid.element_size_m": ("grid_element_size", _parse_float),
-    "scene.grid.reflectivity": ("grid_reflectivity", _parse_float),
-    "scene.led_positions": ("led_positions", _parse_vec3_list),
-    "scene.led_normal": ("led_normal", _parse_vec3),
-    "scene.lambertian_order": ("lambertian_order", _parse_float),
-    "scene.pd_positions": ("pd_positions", _parse_vec3_list),
-    "scene.pd_normal": ("pd_normal", _parse_vec3),
-    "scene.pd_side_m": ("pd_side", _parse_float),
-    "scene.fov_semi_angle_rad": ("fov_semi_angle", _parse_float),
-    "scene.gain_mode": ("gain_mode", lambda k, t: t),
-    "coherence.xi_c": ("xi_c", _parse_float),
-    "coherence.led": ("coherence_led", _parse_vec3),
-    "coherence.pd": ("coherence_pd", _parse_vec3),
-    "coherence.element": ("coherence_element", _parse_vec3),
-    "coherence.angular_samples": ("angular_samples", _parse_int),
-    "sweep.sigmas": ("sigmas", _parse_floats),
-    "sweep.spacings": ("spacings", _parse_ints),
-    "sweep.trials": ("trials", _parse_int),
-    "pilots.slots": ("pilot_slots", _parse_int),
-    "pilots.power": ("pilot_power", _parse_float),
-    "seed": ("master_seed", _parse_int),
-    "truth.model": ("truth_model", lambda k, t: t),
-    "truth.quadrature_order": ("quadrature_order", _parse_int),
-    "output.dir": ("output_dir", lambda k, t: t),
-}
+def _key(default, key, parser, bounds=None, mimo=None):
+    """The field that config `key` sets, read by `parser`. A count's `bounds` are its
+    (smallest, largest) accepted value: a run takes order^2 sub-points per element,
+    that many angles, and that many trials per cell. `mimo` names the scene or grid
+    field that the key sets in the MIMO scene."""
+    return field(default=default, metadata={"key": key, "parser": parser, "bounds": bounds,
+                                            "mimo": mimo})
 
-# count key -> (smallest, largest) accepted value: a run takes order^2
-# sub-points per element, that many angles, and that many trials per cell
-_BOUNDS = {"seed": (0, math.inf), "sweep.trials": (1, 10**6),
-           "coherence.angular_samples": (8, 10**6), "truth.quadrature_order": (1, 64)}
 
-# scene field -> the key that sets it in the MIMO scene, or None where the build places it
-# (the grid's axes): `_scene` builds the scene by it and `_validate` names its errors by it
-_MIMO = {"room": "scene.room", "led_positions": "scene.led_positions",
-         "led_normal": "scene.led_normal", "lambertian_order": "scene.lambertian_order",
-         "pd_positions": "scene.pd_positions", "pd_normal": "scene.pd_normal",
-         "pd_side": "scene.pd_side_m", "fov_semi_angle": "scene.fov_semi_angle_rad",
-         "gain_mode": "scene.gain_mode", "center": "scene.grid.center", "axis_u": None,
-         "axis_v": None, "rows": "scene.grid.rows", "cols": "scene.grid.cols",
-         "element_size": "scene.grid.element_size_m", "element_pitch": "scene.grid.pitch_m",
-         "reflectivity": "scene.grid.reflectivity"}
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Experiment description, checked when it is made: a bad field raises a
+    `ConfigError` naming its key. `scene` is the MIMO scene with the grid on
+    the y = 0 wall. `single_link` is the one LED/element/PD study scene of the
+    gain and coherence runs; its element is turned to the aligned mirror
+    normal, with the room X axis projected onto the surface as first axis."""
+
+    room: tuple = _key((4.0, 4.0, 3.0), "scene.room", _parse_vec3, mimo="room")
+    grid_rows: int = _key(24, "scene.grid.rows", _parse_int, mimo="rows")
+    grid_cols: int = _key(24, "scene.grid.cols", _parse_int, mimo="cols")
+    grid_center: tuple = _key((2.0, 0.0, 1.5), "scene.grid.center", _parse_vec3, mimo="center")
+    grid_pitch: float = _key(0.1, "scene.grid.pitch_m", _parse_float, mimo="element_pitch")
+    grid_element_size: float = _key(0.05, "scene.grid.element_size_m", _parse_float,
+                                    mimo="element_size")
+    grid_reflectivity: float = _key(0.9, "scene.grid.reflectivity", _parse_float,
+                                    mimo="reflectivity")
+    led_positions: tuple = _key(((1.9, 2.0, 3.0), (2.1, 2.0, 3.0)), "scene.led_positions",
+                                _parse_vec3_list, mimo="led_positions")
+    led_normal: tuple = _key((0.0, 0.0, -1.0), "scene.led_normal", _parse_vec3, mimo="led_normal")
+    lambertian_order: float = _key(1.0, "scene.lambertian_order", _parse_float,
+                                   mimo="lambertian_order")
+    pd_positions: tuple = _key(((1.8, 2.0, 0.0), (2.2, 2.0, 0.0)), "scene.pd_positions",
+                               _parse_vec3_list, mimo="pd_positions")
+    pd_normal: tuple = _key((0.0, 0.0, 1.0), "scene.pd_normal", _parse_vec3, mimo="pd_normal")
+    pd_side: float = _key(0.05, "scene.pd_side_m", _parse_float, mimo="pd_side")
+    fov_semi_angle: float = _key(math.pi / 2, "scene.fov_semi_angle_rad", _parse_float,
+                                 mimo="fov_semi_angle")
+    gain_mode: str = _key("unit", "scene.gain_mode", _parse_text, mimo="gain_mode")
+    xi_c: float = _key(0.04, "coherence.xi_c", _parse_float)
+    coherence_led: tuple = _key((1.0, 2.0, 3.0), "coherence.led", _parse_vec3)
+    coherence_pd: tuple = _key((2.0, 2.0, 0.0), "coherence.pd", _parse_vec3)
+    coherence_element: tuple = _key((1.0, 2.0, 1.5), "coherence.element", _parse_vec3)
+    angular_samples: int = _key(360, "coherence.angular_samples", _parse_int, bounds=(8, 10**6))
+    sigmas: tuple = _key((0.0, 5e-5, 7e-5, 1e-4, 3e-4, 1e-3), "sweep.sigmas", _parse_floats)
+    spacings: tuple = _key((2, 3, 4), "sweep.spacings", _parse_ints)
+    trials: int = _key(100, "sweep.trials", _parse_int, bounds=(1, 10**6))
+    pilot_slots: int = _key(100, "pilots.slots", _parse_int)
+    pilot_power: float = _key(1.0, "pilots.power", _parse_float)
+    master_seed: int = _key(20240917, "seed", _parse_int, bounds=(0, math.inf))
+    truth_model: str = _key("quadrature", "truth.model", _parse_text)
+    quadrature_order: int = _key(8, "truth.quadrature_order", _parse_int, bounds=(1, 64))
+    output_dir: str = _key("out", "output.dir", _parse_text)
+
+    scene: SceneConfig = field(init=False, compare=False, repr=False)
+    single_link: SceneConfig = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        scene, single_link = _validate(self)
+        object.__setattr__(self, "scene", scene)
+        object.__setattr__(self, "single_link", single_link)
+
+
+# maps of the keys declared on the fields: key -> (field name, parser), in field order;
+# count key -> (smallest, largest); and MIMO scene field -> the key that sets it, or None
+# where the build places it (the grid's axes), by which `_scene` builds the scene and
+# `_validate` names its errors
+_KEYED = [f for f in fields(ExperimentConfig) if f.init]
+_SCHEMA = {f.metadata["key"]: (f.name, f.metadata["parser"]) for f in _KEYED}
+_BOUNDS = {f.metadata["key"]: f.metadata["bounds"] for f in _KEYED if f.metadata["bounds"]}
+_MIMO = {f.metadata["mimo"]: f.metadata["key"] for f in _KEYED if f.metadata["mimo"]} \
+    | {"axis_u": None, "axis_v": None}
 # the study link's own fields over the MIMO scene's: its LED, element, PD and the normals
 # that set its mirror normal and cosines; no key sets its one element's rows and cols
 _STUDY = {"led_positions": "coherence.led", "center": "coherence.element",
@@ -350,10 +330,15 @@ def _footer(config: ExperimentConfig):
 
 
 def _write_csv(path, header, rows, comments):
+    """Write `rows` under `header`; a NaN or inf cell raises before the file is opened."""
     lines = [header]
     for row in rows:
-        lines.append(",".join(str(int(x)) if isinstance(x, (int, np.integer))
-                              else str(float(x)) for x in row))
+        cells = [str(int(x)) if isinstance(x, (int, np.integer)) else str(float(x)) for x in row]
+        for i, (column, cell) in enumerate(zip(header.split(","), cells)):
+            if cell in ("nan", "inf", "-inf"):
+                raise OirsVlcError(f"{path}: {column} is {cell} in the row that starts "
+                                   f"{','.join(cells[:i + 1])}; a CSV holds finite numbers only")
+        lines.append(",".join(cells))
     lines.extend(comments)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -43,9 +43,9 @@ def normalize(v) -> np.ndarray:
     return a / n
 
 
-def is_unit(v, tol: float = _UNIT_TOL) -> bool:
-    a = as_vec3(v)             # an entry past 1 + tol rules it out before it overflows the norm
-    return bool(np.max(np.abs(a)) <= 1.0 + tol) and abs(np.linalg.norm(a) - 1.0) <= tol
+def is_unit(v) -> bool:
+    a = as_vec3(v)        # an entry past 1 + _UNIT_TOL rules it out before it overflows the norm
+    return bool(np.max(np.abs(a)) <= 1.0 + _UNIT_TOL) and abs(np.linalg.norm(a) - 1.0) <= _UNIT_TOL
 
 
 def alignment_normal(led, element, pd) -> np.ndarray:

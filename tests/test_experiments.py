@@ -335,6 +335,43 @@ def test_every_field_a_scene_check_reads_has_a_key_in_both_scene_maps():
     assert {reads[0] for _, reads in _REJECTIONS} == names       # every field has a check
 
 
+# each key that sets a MIMO scene field: the SceneConfig or OirsGrid field it
+# sets, and a valid value other than its default
+_MIMO_KEYS = {
+    "scene.room": ("room", "4, 4.5, 3"),
+    "scene.grid.rows": ("rows", "20"),
+    "scene.grid.cols": ("cols", "20"),
+    "scene.grid.center": ("center", "2, 0, 1.4"),
+    "scene.grid.pitch_m": ("element_pitch", "0.09"),
+    "scene.grid.element_size_m": ("element_size", "0.04"),
+    "scene.grid.reflectivity": ("reflectivity", "0.8"),
+    "scene.led_positions": ("led_positions", "1.8, 2, 3; 2.2, 2, 3"),
+    "scene.led_normal": ("led_normal", "0, -0.6, -0.8"),
+    "scene.lambertian_order": ("lambertian_order", "2"),
+    "scene.pd_positions": ("pd_positions", "1.7, 2, 0; 2.3, 2, 0"),
+    "scene.pd_normal": ("pd_normal", "0, -0.6, 0.8"),
+    "scene.pd_side_m": ("pd_side", "0.04"),
+    "scene.fov_semi_angle_rad": ("fov_semi_angle", "1.4"),
+    "scene.gain_mode": ("gain_mode", "lambertian"),
+}
+
+
+def test_each_mimo_key_sets_its_scene_field_and_no_other():
+    # the scene map is derived from the keys declared on the config fields:
+    # a key declared with another scene field would build the scene wrongly
+    def values(scene):
+        return {**{f.name: getattr(scene, f.name) for f in fields(SceneConfig)
+                   if f.init and f.name != "grid"},
+                **{f.name: getattr(scene.grid, f.name) for f in fields(OirsGrid) if f.init}}
+
+    assert set(_MIMO_KEYS) == {key for key in experiments._MIMO.values() if key}
+    default = values(ExperimentConfig().scene)
+    for key, (name, text) in _MIMO_KEYS.items():
+        scene = values(loads(f"{key} = {text}").scene)
+        changed = {n for n in default if not np.array_equal(scene[n], default[n])}
+        assert changed == {name}, (key, changed)
+
+
 def test_huge_grid_fails_without_building_its_elements():
     # the room check reads the four corner elements: 10**5 rows at 0.1 m
     # pitch used to build 2.4 M element positions (a 190 MB peak) to refuse
@@ -678,6 +715,25 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
             cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert calls == []
         assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path):
+    # C = 1.4e-159 loads, but at sigma 1e-4 the squared error of these gains,
+    # scaled by the truth, overflows in nmse: the rows read inf, and the sweep
+    # used to write them and exit 0. The overflow warns first, so this test
+    # ignores that warning to reach the write
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
+                   + "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-79\n")
+    with pytest.raises(OirsVlcError, match=r"nmse_db is inf in the row that starts 0\.0001,1,inf;"):
+        cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out" / "noise_sweep.csv").exists()
+    # a NaN is refused too, in any column, before the file is opened
+    path = tmp_path / "n.csv"
+    with pytest.raises(OirsVlcError, match="sigma is nan in the row that starts nan;"):
+        write_noise_sweep_csv(FAST, [(0.0, 1, -300.0, 2), (float("nan"), 2, -3.0, 2)], path)
+    assert not path.exists()
 
 
 def test_cli_tiny_gain_constant_sweeps_like_unit_gains(tmp_path):
