@@ -26,9 +26,10 @@ forked worker processes, `TrialWorkers`, that the noise sweep opens once,
 after its truth build, for every call. A worker's jobs are plain data read
 from a pipe (the Phase II arguments and the seeds); it takes trials from a
 pipe of tokens it shares with the caller and replies through a second pipe
-of its own with its trials' pickled rows or its exception. Phase III and
-every public function run in the calling process. Each trial is scored
-once recovered, so no call holds every trial's full (N, Nr, Nt) estimate.
+of its own with its trials' pickled rows or its exception. A call's first
+failure, in any process, is raised in the caller and closes the pool. Phase
+III and every public function run in the calling process. Each trial is
+scored once recovered, so no call holds every trial's full estimate.
 """
 
 from __future__ import annotations
@@ -162,21 +163,26 @@ def mmse_estimate(gram: np.ndarray, cross: np.ndarray, sigma: float) -> np.ndarr
 def nmse(estimate, truth):
     """Normalized mean square error ||est - truth||_F^2 / ||truth||_F^2.
 
-    When ||truth||_F^2 underflows below the smallest normal float (gains
-    under about 1e-154), both tensors are first divided by max |truth|.
+    When ||truth||_F^2 leaves the normal float range (gains under about
+    1e-154, or large enough to overflow it), both tensors are first divided
+    by max |truth|. An NMSE past the float range raises OirsVlcError.
     """
     est = np.asarray(estimate, dtype=float)
     ref = np.asarray(truth, dtype=float)
     if est.shape != ref.shape:
         raise ShapeError(f"shape mismatch: {est.shape} vs {ref.shape}")
-    denom = float(np.sum(ref**2))
-    if denom < np.finfo(float).tiny:
-        scale = float(np.max(np.abs(ref), initial=0.0))
-        if scale == 0.0:
-            raise ZeroReferenceError("reference tensor is identically zero")
-        est, ref = est / scale, ref / scale
+    with np.errstate(over="ignore"):
         denom = float(np.sum(ref**2))
-    return float(np.sum((est - ref) ** 2)) / denom
+        if not np.finfo(float).tiny <= denom < np.inf:
+            scale = float(np.max(np.abs(ref), initial=0.0))
+            if scale == 0.0:
+                raise ZeroReferenceError("reference tensor is identically zero")
+            est, ref = est / scale, ref / scale
+            denom = float(np.sum(ref**2))
+        error = float(np.sum((est - ref) ** 2)) / denom
+    if not np.isfinite(error):
+        raise OirsVlcError("the NMSE exceeds the float range")
+    return error
 
 
 def spline_weights(sample_pos, target_pos) -> np.ndarray:
@@ -310,8 +316,8 @@ def _trial_solver(h_blocks, dense, pilot_slots, sigma, pilot_power):
 def _take_chunks(args, seeds, chunks, first: int, tokens: int, done):
     """done(i, solve(seeds[i])), solve = _trial_solver(*args), of each trial i
     of chunk `first`, then of each chunk whose token this process takes from
-    `tokens` until none is left. A failure takes and drops the tokens left
-    and is returned as (chunk, exception); None when every chunk taken was done."""
+    `tokens` until none is left. Any failure, an interrupt too, takes and
+    drops the tokens left, so no process starts another trial, and is raised."""
     c = first
     try:
         solve = _trial_solver(*args)
@@ -319,18 +325,17 @@ def _take_chunks(args, seeds, chunks, first: int, tokens: int, done):
             for i in chunks[c]:
                 done(i, solve(seeds[i]))
             c = _take(tokens)
-    except Exception as exc:
+    except BaseException:
         while _take(tokens) is not None:
             pass
-        return c, exc
-    return None
+        raise
 
 
 def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
     """A forked worker: for each job (args, seeds, chunks, first) read from
     `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes,
     and send one pickled reply on `replies_fd`: ({index: row}, None), or with
-    (chunk, exception, its formatted traceback) in place of None. It ends at
+    (exception, its formatted traceback) in place of None. It ends at
     the end of the jobs, after closing the `inherited` pipe ends of the
     caller and earlier workers, and leaves through os._exit, never into the
     stack it was forked from; the status is 0 only at the end of the jobs."""
@@ -346,10 +351,11 @@ def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
                     job = pickle.load(jobs)
                 except EOFError:
                     break
-                rows = {}
-                failure = _take_chunks(*job, tokens, rows.__setitem__)
-                if failure is not None:                   # the caller raises it
-                    failure = (*failure, "".join(traceback.format_exception(failure[1])))
+                rows, failure = {}, None
+                try:
+                    _take_chunks(*job, tokens, rows.__setitem__)
+                except Exception as exc:                  # the caller raises it
+                    failure = (exc, "".join(traceback.format_exception(exc)))
                 pickle.dump((rows, failure), replies, pickle.HIGHEST_PROTOCOL)
                 replies.flush()
         status = 0
@@ -373,8 +379,8 @@ class TrialWorkers:
     its own pipe, is plain data: the arguments of `_trial_solver`, the seeds
     and the chunks. It answers through a second pipe with one pickled reply:
     its trials' rows or its exception. A worker sees the modules as they
-    were when forked. Leaving the context closes every pipe and reaps every
-    worker.
+    were when forked. A failed call closes the pool, as leaving the context
+    does: every pipe is closed and every worker reaped.
     """
 
     def __init__(self, trials: int):
@@ -435,28 +441,30 @@ class TrialWorkers:
         self._workers.append((pid, open(job_write, "wb"), open(reply_read, "rb")))
 
     def _reply(self, worker):
-        """The worker's reply to its job; a worker that exits without one is
-        reaped and dropped, and its reply is an OirsVlcError naming its status."""
+        """The rows of the worker's reply to its job. A worker's failure is
+        raised from its traceback; a worker that exits without a reply is
+        reaped and dropped, and an OirsVlcError naming its status is raised."""
         pid, jobs, replies = worker
         try:
-            return pickle.load(replies)
+            rows, failure = pickle.load(replies)
         except (EOFError, pickle.UnpicklingError):
-            pass
-        self._workers.remove(worker)
-        jobs.close()
-        replies.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        return {}, (-1, OirsVlcError(f"pool worker {pid} exited with status {code} "
-                                     "before reporting"), None)
+            self._workers.remove(worker)
+            jobs.close()
+            replies.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            raise OirsVlcError(f"pool worker {pid} exited with status {code} "
+                               "before reporting") from None
+        if failure is not None:
+            raise failure[0] from _WorkerTraceback(failure[1])
+        return rows
 
     def split(self, args, seeds, done):
         """done(i, solve(seeds[i])) of each trial i (see `_take_chunks`), done in
         the calling process and thread: on the caller's trials as it solves
-        them, on the workers' once every worker replied. A failure stops the
-        process that meets it; the call raises that of the earliest chunk, or
-        first that of a worker that exited without a reply. A failure outside
-        the trials, such as an interrupt, closes the pool. A split of no
-        seeds does nothing."""
+        them, on the workers' once every worker replied. Any failure (a
+        trial's in any process, a worker's exit without a reply, an
+        interrupt) drops the tokens left, is raised, the caller's own first,
+        and closes the pool. A split of no seeds does nothing."""
         if not self._tokens:
             raise OirsVlcError("trial workers used outside their `with` block")
         n_chunks = min(len(seeds), MAX_CHUNKS)
@@ -471,22 +479,13 @@ class TrialWorkers:
             for first, (_, jobs, _) in enumerate(busy, 1):
                 pickle.dump((args, seeds, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
                 jobs.flush()
-            failure = _take_chunks(args, seeds, chunks, 0, self._tokens[0], done)
-            replies = [self._reply(worker) for worker in busy]
+            _take_chunks(args, seeds, chunks, 0, self._tokens[0], done)
+            for worker in busy:
+                for i, row in self._reply(worker).items():
+                    done(i, row)
         except BaseException:
             self.close()
             raise
-        failures = [f for _, f in replies if f is not None]
-        if failure is not None:
-            failures.append((*failure, None))
-        if failures:
-            _, exc, text = min(failures, key=lambda f: f[0])
-            if text is None:
-                raise exc
-            raise exc from _WorkerTraceback(text)
-        for rows, _ in replies:
-            for i, row in rows.items():
-                done(i, row)
 
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
@@ -505,8 +504,8 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     calling process and the forked processes of `workers`, a `TrialWorkers`
     pool that the caller keeps open over many calls; without one, the call
     opens a pool of its own and closes it before it returns or raises; each
-    process takes trials until none is left, and a worker's failure is
-    raised in the caller (see `TrialWorkers.split`). A dense-baseline trial
+    process takes trials until none is left. A failure in any process closes
+    the pool and is raised (see `TrialWorkers.split`). A dense-baseline trial
     is scored on its blocks, which hold every (element, pair) entry once,
     where it is solved; a sampled trial's (Q, Nr, Nt) block estimates come
     back to the calling process, and the calling process recovers and scores

@@ -139,18 +139,17 @@ def _element_centers(grid: OirsGrid, cols, rows) -> np.ndarray:
     return grid.center + np.outer(ou, grid.axis_u) + np.outer(ov, grid.axis_v)
 
 
-def plane_basis_from(normal, hint=(1.0, 0.0, 0.0)):
+def plane_basis_from(normal):
     """Right-handed in-plane axes (u, v) for a plane with the given normal.
 
-    u is the hint direction projected onto the plane; v completes the frame
-    so that u x v equals the normal.
+    u is the room x axis projected onto the plane, or the y axis for a
+    normal along x; v completes the frame so that u x v equals the normal.
     """
     n = normalize(normal)
-    h = as_vec3(hint)
+    h = np.array([1.0, 0.0, 0.0])
     u = h - (h @ n) * n
     if np.linalg.norm(u) < _UNIT_TOL:
-        # hint parallel to the normal; fall back to another axis
-        h = np.array([0.0, 1.0, 0.0]) if abs(n[1]) < 0.9 else np.array([0.0, 0.0, 1.0])
+        h = np.array([0.0, 1.0, 0.0])
         u = h - (h @ n) * n
     u = u / np.linalg.norm(u)
     v = np.cross(n, u)

@@ -624,22 +624,53 @@ def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("bad_seeds", [(0,), (1,), (7,), (0, 1)])
-def test_trial_workers_stay_usable_after_a_failed_call(bad_seeds, monkeypatch):
+def test_a_failed_call_closes_its_pool(bad_seeds, monkeypatch):
     # a singular trial, the caller's first (0), the worker's first (1), one
     # taken from the shared tokens (7) or the first of both processes, fails
-    # its call; a process that fails drops the tokens left, so the next,
-    # shorter call on the same pool takes its own trials and no stale one
+    # its call, and the failure closes the pool: no child outlives the call,
+    # and the next call on the pool raises
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
-    reference = run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14))
     _zero_pilots(monkeypatch, bad_seeds)
     with TrialWorkers(8) as workers:
         with pytest.raises(SingularSystemError):
             run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(8), workers=workers)
-        again = run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14),
-                               workers=workers)
-    assert np.array_equal(again.nmse, reference.nmse)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(OirsVlcError, match="outside their `with` block"):
+            run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14),
+                           workers=workers)
+
+
+def test_an_interrupted_call_stops_its_workers(monkeypatch, tmp_path):
+    # an interrupt in the caller, here in its first recovery, drops the tokens
+    # left, so the worker stops after the trial it is solving; it used to
+    # solve every trial left, 199 of 200 at 10 ms each, before the call raised
+    log = tmp_path / "solves.txt"
+    log.touch()
+    caller = os.getpid()
+
+    def slow_in_worker(*args):
+        if os.getpid() != caller:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(0.01)
+        return mmse_estimate(*args)
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_worker)
+    monkeypatch.setattr(estimator, "interpolate_full", interrupt)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scene = desk_scene(8, 8)
+    with pytest.raises(KeyboardInterrupt):
+        run_algorithm1(scene, build_csi_tensor(scene), 2, pilot_slots=16, sigma=1e-4,
+                       seeds=range(200))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(log.read_text().split()) < 20
 
 
 def test_trial_workers_share_trials_by_speed(monkeypatch, tmp_path):

@@ -55,8 +55,8 @@ FAST = replace(ExperimentConfig(), grid_rows=8, grid_cols=8, trials=2,
 
 
 def test_nmse_identities():
-    # at 1e-200 the plain sum of squares underflows to 0
-    for scale in (1.0, 1e-200):
+    # at 1e-200 the plain sum of squares underflows to 0, at 1e200 it overflows
+    for scale in (1.0, 1e-200, 1e200):
         truth = np.arange(1.0, 7.0).reshape(2, 3) * scale
         assert nmse(truth, truth) == 0.0
         assert nmse(np.zeros_like(truth), truth) == pytest.approx(1.0, rel=1e-15)
@@ -72,6 +72,8 @@ def test_nmse_errors():
         nmse(np.ones(4), np.ones((2, 2)))
     with pytest.raises(ShapeError):         # one trial at a time
         nmse(np.ones((3, 2, 2)), np.ones((2, 2)))
+    with pytest.raises(OirsVlcError, match="exceeds the float range"):
+        nmse(np.full(4, 1e200), np.ones(4))
 
 
 def test_nmse_db_floor():
@@ -717,17 +719,21 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
         assert not (tmp_path / "out" / "noise_sweep.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
-def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path):
+def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
     # C = 1.4e-159 loads, but at sigma 1e-4 the squared error of these gains,
-    # scaled by the truth, overflows in nmse: the rows read inf, and the sweep
-    # used to write them and exit 0. The overflow warns first, so this test
-    # ignores that warning to reach the write
+    # scaled by the truth, overflows in nmse. The sweep used to write inf rows
+    # and exit 0, then to solve every cell before the write refused them; the
+    # first overflowing trial now stops it, in the third of its four cells
+    calls = []
+    real = experiments.run_algorithm1
+    monkeypatch.setattr(experiments, "run_algorithm1",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
                    + "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-79\n")
-    with pytest.raises(OirsVlcError, match=r"nmse_db is inf in the row that starts 0\.0001,1,inf;"):
+    with pytest.raises(OirsVlcError, match="^the NMSE exceeds the float range$"):
         cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert len(calls) == 3
     assert not (tmp_path / "out" / "noise_sweep.csv").exists()
     # a NaN is refused too, in any column, before the file is opened
     path = tmp_path / "n.csv"

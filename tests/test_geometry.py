@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oirsvlc import (
     DegenerateGeometryError,
@@ -146,10 +146,12 @@ def test_grid_arrays_are_read_only():
         grid.normal[1] = 1.0
 
 
-@pytest.mark.parametrize("normal", [(0, 0, 1), (1, 0, 0), (0.6, 0.0, 0.8)])
+@pytest.mark.parametrize("normal", [(0, 0, 1), (1, 0, 0), (0.6, 0.0, 0.8), (-1, 0, 0)])
 def test_plane_basis_right_handed(normal):
     u, v = plane_basis_from(normal)
     assert_allclose(np.cross(u, v), np.asarray(normal, float) / np.linalg.norm(normal),
                     atol=1e-12)
     assert abs(u @ v) <= 1e-12
     assert_allclose([np.linalg.norm(u), np.linalg.norm(v)], [1, 1], atol=1e-12)
+    if normal[1:] == (0, 0):                # the x axis has no projection: u is the y axis
+        assert_array_equal(u, [0.0, 1.0, 0.0])
