@@ -21,7 +21,26 @@ def _fig4(config, path):
     return [f"wrote {path} ({len(rows)} rows), d_c = {d_c:.4f} m"]
 
 
+def _import_numpy_random_without_openssl():
+    """Import numpy.random with OpenSSL's _hashlib blocked, unless it is loaded.
+
+    numpy.random imports secrets, whose hmac imports _hashlib: 3.4 MB of RSS
+    that no sweep uses. Blocked, hmac and hashlib take CPython's builtin
+    digests, as a CPython built without OpenSSL does. Only the CLI blocks it:
+    a library caller may need OpenSSL-only hashlib functions such as scrypt.
+    The sweep's forked workers inherit the import.
+    """
+    if "_hashlib" in sys.modules:
+        return
+    sys.modules["_hashlib"] = None
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        del sys.modules["_hashlib"]
+
+
 def _noise_sweep(config, path):
+    _import_numpy_random_without_openssl()
     rows = xp.run_noise_sweep(config)
     xp.write_noise_sweep_csv(config, rows, path)
     return [f"wrote {path} ({len(rows)} rows, {config.trials} trials/point)"]

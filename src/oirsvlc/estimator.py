@@ -179,7 +179,9 @@ def nmse(estimate, truth):
                 raise ZeroReferenceError("reference tensor is identically zero")
             est, ref = est / scale, ref / scale
             denom = float(np.sum(ref**2))
-        error = float(np.sum((est - ref) ** 2)) / denom
+        diff = est - ref
+        diff *= diff                      # in place: one temporary, same bits as ** 2
+        error = float(np.sum(diff)) / denom
     if not np.isfinite(error):
         raise OirsVlcError("the NMSE exceeds the float range")
     return error

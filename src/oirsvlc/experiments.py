@@ -395,7 +395,8 @@ def run_noise_sweep(config: ExperimentConfig):
     is one `run_algorithm1` call over all its trials. The truth is built in
     this process before the sweep forks its workers once, for every call.
     Trial seeds derive from the master seed, the scheme, the sigma index,
-    and the trial index.
+    and the trial index. An OirsVlcError from a cell is re-raised with its
+    message prefixed by `sigma=<sigma>, spacing=<spacing>: `.
     """
     scene = config.scene
     rows = []
@@ -403,10 +404,15 @@ def run_noise_sweep(config: ExperimentConfig):
     with TrialWorkers(config.trials) as workers:
         for i_sigma, sigma in enumerate(config.sigmas):
             for spacing in sweep_schemes(config):
-                errors = run_algorithm1(
-                    scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
-                    seeds=[(config.master_seed, spacing, i_sigma, trial)
-                           for trial in range(config.trials)], workers=workers).nmse
+                try:
+                    errors = run_algorithm1(
+                        scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
+                        seeds=[(config.master_seed, spacing, i_sigma, trial)
+                               for trial in range(config.trials)], workers=workers).nmse
+                except OirsVlcError as exc:
+                    # same type, traceback and cause; the message names the cell
+                    exc.args = (f"sigma={float(sigma)}, spacing={spacing}: {exc}",)
+                    raise
                 total = 0.0
                 for value in errors.tolist():      # in trial order
                     total += value

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from oirsvlc import (
@@ -74,6 +75,30 @@ def test_nmse_errors():
         nmse(np.ones((3, 2, 2)), np.ones((2, 2)))
     with pytest.raises(OirsVlcError, match="exceeds the float range"):
         nmse(np.full(4, 1e200), np.ones(4))
+
+
+_NMSE_ENTRY = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), scale=st.sampled_from((1.0, 1e-200, 1e200)))
+def test_nmse_keeps_the_bits_of_the_plain_formula(data, scale):
+    # the CSV cells are these bits, so however nmse holds its temporaries it
+    # equals the two-temporary formula exactly. Where the truth's sum of
+    # squares leaves the normal range (always at 1e-200, mostly at 1e200) the
+    # formula runs on both tensors divided by max |truth|
+    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=8), label="shape")
+    truth = data.draw(hnp.arrays(float, shape, elements=_NMSE_ENTRY), label="truth") * scale
+    est = data.draw(hnp.arrays(float, shape, elements=_NMSE_ENTRY), label="est") * scale
+    assume(np.any(truth))
+    with np.errstate(over="ignore", under="ignore"):
+        e, r = est, truth
+        if not np.finfo(float).tiny <= float(np.sum(truth ** 2)) < np.inf:
+            scaled = float(np.max(np.abs(truth)))
+            e, r = est / scaled, truth / scaled
+        expected = float(np.sum((e - r) ** 2)) / float(np.sum(r ** 2))
+    assume(np.isfinite(expected))
+    assert nmse(est, truth) == expected
 
 
 def test_nmse_db_floor():
@@ -723,7 +748,8 @@ def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
     # C = 1.4e-159 loads, but at sigma 1e-4 the squared error of these gains,
     # scaled by the truth, overflows in nmse. The sweep used to write inf rows
     # and exit 0, then to solve every cell before the write refused them; the
-    # first overflowing trial now stops it, in the third of its four cells
+    # first overflowing trial now stops it, in the third of its four cells,
+    # and the message names that cell
     calls = []
     real = experiments.run_algorithm1
     monkeypatch.setattr(experiments, "run_algorithm1",
@@ -731,7 +757,8 @@ def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
                    + "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-79\n")
-    with pytest.raises(OirsVlcError, match="^the NMSE exceeds the float range$"):
+    with pytest.raises(OirsVlcError,
+                       match=r"^sigma=0\.0001, spacing=1: the NMSE exceeds the float range$"):
         cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert len(calls) == 3
     assert not (tmp_path / "out" / "noise_sweep.csv").exists()
@@ -969,7 +996,7 @@ def test_trial_workers_keep_their_pids_across_calls(monkeypatch, tmp_path):
 
 def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
     # a worker that raises in the third of the four cells fails the sweep
-    # with its error, and the sweep leaves no child behind
+    # with its error, named by its cell, and the sweep leaves no child behind
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     caller, seed_of = os.getpid(), {}
     real_statistics, real_estimate = estimator.trial_statistics, estimator.mmse_estimate
@@ -986,7 +1013,8 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
 
     monkeypatch.setattr(estimator, "trial_statistics", statistics)
     monkeypatch.setattr(estimator, "mmse_estimate", failing)
-    with pytest.raises(ZeroReferenceError, match="worker failed mid-sweep") as raised:
+    with pytest.raises(ZeroReferenceError,
+                       match=r"^sigma=0\.0001, spacing=1: worker failed mid-sweep$") as raised:
         run_noise_sweep(FAST)
     assert "in failing" in str(raised.value.__cause__)      # the worker's own frames
     with pytest.raises(ChildProcessError):
@@ -996,7 +1024,8 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
 def test_cli_import_loads_no_scipy(tmp_path):
     # nor concurrent.futures or logging, which cost about 10 ms of set-up, nor
     # (through hashlib, or numpy.random's secrets -> hmac) OpenSSL's _hashlib,
-    # about 3.5 MB of RSS, nor mmap, in the light commands
+    # about 3.3 MB of RSS, nor mmap, in the light commands. The sweep loads
+    # numpy.random with _hashlib blocked (next test)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, oirsvlc.cli; "
          f"[oirsvlc.cli.main([c, '--out', {str(tmp_path)!r}]) "
@@ -1005,6 +1034,40 @@ def test_cli_import_loads_no_scipy(tmp_path):
          "'logging', '_hashlib', 'numpy.random', 'mmap'))))"],
         env=_src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_cli_noise_sweep_loads_no_openssl(tmp_path):
+    # the sweep imports numpy.random with OpenSSL's _hashlib blocked, unless a
+    # caller loaded it first: the block leaves no None in sys.modules, hashlib
+    # and hmac still work on CPython's builtin digests, and the CSV is the one
+    # a process with OpenSSL writes
+    smoke = str(ROOT / "bench" / "configs" / "smoke.cfg")
+
+    def sweep(out, first):
+        script = (f"import sys, {first}oirsvlc.cli; "
+                  f"oirsvlc.cli.main(['noise-sweep', '--config', {smoke!r}, '--out', {str(out)!r}]); "
+                  "import hashlib, hmac; "
+                  "print('_hashlib' in sys.modules, "
+                  "[name for name, module in sys.modules.items() if module is None], "
+                  "hashlib.sha256(b'oirs').hexdigest(), "
+                  "hmac.new(b'key', b'oirs', 'sha256').hexdigest(), "
+                  "hmac.compare_digest(b'oirs', b'oirs'))")
+        run = subprocess.run([sys.executable, "-W", "error", "-c", script], env=_src_env(),
+                             capture_output=True, text=True, check=True)
+        return run.stdout.strip().splitlines()[-1], (out / "noise_sweep.csv").read_bytes()
+
+    plain, plain_csv = sweep(tmp_path / "plain", "")
+    openssl, openssl_csv = sweep(tmp_path / "openssl", "hashlib, ")
+    assert plain.startswith("False [] ") and plain.endswith(" True")
+    assert openssl == "True" + plain[len("False"):]
+    assert plain_csv == openssl_csv
+    # the library blocks nothing: a program that calls the sweep keeps OpenSSL
+    library = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import sys, oirsvlc; "
+         f"oirsvlc.run_noise_sweep(oirsvlc.load_config({smoke!r})); "
+         "print('_hashlib' in sys.modules)"],
+        env=_src_env(), capture_output=True, text=True, check=True).stdout
+    assert library.split()[-1] == "True"
 
 
 def _assert_cli_outputs_match_reference(tmp_path, reference, commands, config_args=()):
