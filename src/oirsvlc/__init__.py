@@ -40,7 +40,6 @@ from .errors import (
 from .estimator import (
     EstimationResult,
     SubarrayLayout,
-    TrialWorkers,
     block_schedule,
     flops_estimate,
     interpolate_full,

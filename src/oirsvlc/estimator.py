@@ -17,26 +17,19 @@ spacing = 1 with more than one LED or PD is the dense baseline: no spatial
 sampling, every element's gain for every pair estimated directly, one block
 per element with a rotating pair assignment.
 
-`run_algorithm1` runs a batch of Monte-Carlo trials, one seed stream each,
-and keeps one number per trial: its NMSE. Phase II reads the received blocks
-Y = H X + sigma Z only through X X^T and X Y^T, so Y is never formed. It
-solves CHUNK_BLOCKS blocks at a time, as `channel.trial_statistics` draws
-them from the trial's seed. The caller shares the trials with a pool of
-forked worker processes, `TrialWorkers`, that the noise sweep opens once,
-after its truth build, for every call. A worker's jobs are plain data read
-from a pipe (the Phase II arguments and the seeds); it takes trials from a
-pipe of tokens it shares with the caller and replies through a second pipe
-of its own with its trials' pickled rows or its exception. A call's first
-failure, in any process, is raised in the caller and closes the pool. Phase
-III and every public function run in the calling process. Each trial is
-scored once recovered, so no call holds every trial's full estimate.
+`run_algorithm1` runs a batch of Monte-Carlo trials in the calling process,
+one seed stream each, and keeps one number per trial: its NMSE. Phase II
+reads the received blocks Y = H X + sigma Z only through X X^T and X Y^T, so
+Y is never formed. It solves CHUNK_BLOCKS blocks at a time, as
+`channel.trial_statistics` draws them from the trial's seed, and each trial
+is scored before the next is drawn. The noise sweep splits its trials into
+fixed shares with `_in_processes`: the caller runs one share, a child forked
+once per sweep runs each other share and replies with its results, and a
+child's failure is raised in the caller.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,13 +51,8 @@ from .errors import (
 from .geometry import OirsGrid
 
 # Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
-# pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per worker
+# pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per process
 CHUNK_BLOCKS = 144
-
-# Token chunks a call's trials are cut into, at most: the 4-byte tokens of a
-# call then take at most 4 kB, so writing them to the empty token pipe never
-# blocks
-MAX_CHUNKS = 1024
 
 
 @dataclass(frozen=True)
@@ -285,242 +273,13 @@ class EstimationResult:
     flops_estimate: int
 
 
-class _WorkerTraceback(Exception):
-    """A worker's formatted traceback, set as the `__cause__` of the
-    exception the caller raises for it, since pickling keeps only an
-    exception's type and args."""
-
-
-def _take(tokens: int):
-    """The chunk of the next token in the non-blocking pipe `tokens`, or None
-    when none is left."""
-    try:
-        token = os.read(tokens, 4)
-    except BlockingIOError:
-        return None
-    return int.from_bytes(token, "little") if token else None
-
-
-def _trial_solver(h_blocks, dense, pilot_slots, sigma, pilot_power):
-    """Phase II of a call's trials by seed, in one pilot buffer: a dense trial's
-    row is its NMSE on its blocks, a sampled one's its (Q, Nr, Nt) estimates."""
-    x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), h_blocks.shape[2], pilot_slots))
-    h_est = np.empty(h_blocks.shape)
-
-    def solve(seed):
-        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma, x):
-            h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
-        return nmse(h_est, h_blocks) if dense else h_est.copy()
-
-    return solve
-
-
-def _take_chunks(args, seeds, chunks, first: int, tokens: int, done):
-    """done(i, solve(seeds[i])), solve = _trial_solver(*args), of each trial i
-    of chunk `first`, then of each chunk whose token this process takes from
-    `tokens` until none is left. Any failure, an interrupt too, takes and
-    drops the tokens left, so no process starts another trial, and is raised."""
-    c = first
-    try:
-        solve = _trial_solver(*args)
-        while c is not None:
-            for i in chunks[c]:
-                done(i, solve(seeds[i]))
-            c = _take(tokens)
-    except BaseException:
-        while _take(tokens) is not None:
-            pass
-        raise
-
-
-def _serve(jobs_fd: int, replies_fd: int, tokens: int, inherited):
-    """A forked worker: for each job (args, seeds, chunks, first) read from
-    `jobs_fd`, solve chunk `first` and the chunks of the tokens it takes,
-    and send one pickled reply on `replies_fd`: ({index: row}, None), or with
-    (exception, its formatted traceback) in place of None. It ends at
-    the end of the jobs, after closing the `inherited` pipe ends of the
-    caller and earlier workers, and leaves through os._exit, never into the
-    stack it was forked from; the status is 0 only at the end of the jobs."""
-    import traceback        # in the worker only: the light commands never load it (44 kB RSS)
-
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        with open(jobs_fd, "rb") as jobs, open(replies_fd, "wb") as replies:
-            while True:
-                try:
-                    job = pickle.load(jobs)
-                except EOFError:
-                    break
-                rows, failure = {}, None
-                try:
-                    _take_chunks(*job, tokens, rows.__setitem__)
-                except Exception as exc:                  # the caller raises it
-                    failure = (exc, "".join(traceback.format_exception(exc)))
-                pickle.dump((rows, failure), replies, pickle.HIGHEST_PROTOCOL)
-                replies.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-class TrialWorkers:
-    """Forked workers for `run_algorithm1` calls, kept from `__enter__` to
-    `__exit__`: one per further CPU this process may run on
-    (`os.sched_getaffinity`), at most `trials` - 1, none where the platform
-    cannot tell. The noise sweep opens them after its truth build, and
-    every call of the sweep reuses them.
-
-    `split` cuts a call's trial seeds into chunks of one trial each
-    (contiguous runs past MAX_CHUNKS), gives the first to the caller and the
-    next one to each worker, and writes a token for each other chunk to a
-    shared non-blocking pipe. Every process then takes tokens until none is
-    left, so the caller, which also recovers and scores every sampled trial,
-    or a process slowed by the host, solves fewer. A worker's job, read from
-    its own pipe, is plain data: the arguments of `_trial_solver`, the seeds
-    and the chunks. It answers through a second pipe with one pickled reply:
-    its trials' rows or its exception. A worker sees the modules as they
-    were when forked. A failed call closes the pool, as leaving the context
-    does: every pipe is closed and every worker reaped.
-    """
-
-    def __init__(self, trials: int):
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:
-            cpus = 1
-        self._forks = max(0, min(cpus, trials) - 1)
-        self._workers = []                        # (pid, job writer, reply reader)
-        self._tokens = ()                         # (read end, write end) while open
-
-    def __enter__(self):
-        self._tokens = os.pipe()
-        os.set_blocking(self._tokens[0], False)
-        try:
-            for _ in range(self._forks):
-                self._fork()
-        except BaseException:
-            self.close()
-            raise
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def close(self):
-        """Close every job pipe, so each worker leaves after its current job,
-        then every reply pipe, reap every worker and close the token pipe;
-        later calls of `split` raise, and closing again does nothing."""
-        workers, self._workers = self._workers, []
-        for _, jobs, replies in workers:
-            try:
-                jobs.close()
-            except OSError:                       # the worker is gone
-                pass
-            replies.close()
-        for pid, _, _ in workers:
-            os.waitpid(pid, 0)
-        tokens, self._tokens = self._tokens, ()
-        for fd in tokens:
-            os.close(fd)
-
-    def _fork(self):
-        job_read, job_write = os.pipe()
-        reply_read, reply_write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (job_read, job_write, reply_read, reply_write):
-                os.close(fd)
-            raise
-        if pid == 0:
-            _serve(job_read, reply_write, self._tokens[0],
-                   [job_write, reply_read, self._tokens[1],
-                    *(f.fileno() for _, *files in self._workers for f in files)])
-        os.close(job_read)
-        os.close(reply_write)
-        self._workers.append((pid, open(job_write, "wb"), open(reply_read, "rb")))
-
-    def _reply(self, worker):
-        """The rows of the worker's reply to its job. A worker's failure is
-        raised from its traceback; a worker that exits without a reply is
-        reaped and dropped, and an OirsVlcError naming its status is raised."""
-        pid, jobs, replies = worker
-        try:
-            rows, failure = pickle.load(replies)
-        except (EOFError, pickle.UnpicklingError):
-            self._workers.remove(worker)
-            jobs.close()
-            replies.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            raise OirsVlcError(f"pool worker {pid} exited with status {code} "
-                               "before reporting") from None
-        if failure is not None:
-            raise failure[0] from _WorkerTraceback(failure[1])
-        return rows
-
-    def split(self, args, seeds, done):
-        """done(i, solve(seeds[i])) of each trial i (see `_take_chunks`), done in
-        the calling process and thread: on the caller's trials as it solves
-        them, on the workers' once every worker replied. Any failure (a
-        trial's in any process, a worker's exit without a reply, an
-        interrupt) drops the tokens left, is raised, the caller's own first,
-        and closes the pool. A split of no seeds does nothing."""
-        if not self._tokens:
-            raise OirsVlcError("trial workers used outside their `with` block")
-        n_chunks = min(len(seeds), MAX_CHUNKS)
-        if n_chunks == 0:
-            return
-        bounds = [len(seeds) * i // n_chunks for i in range(n_chunks + 1)]
-        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        busy = self._workers[:n_chunks - 1]
-        try:
-            os.write(self._tokens[1], b"".join(c.to_bytes(4, "little")
-                                               for c in range(len(busy) + 1, n_chunks)))
-            for first, (_, jobs, _) in enumerate(busy, 1):
-                pickle.dump((args, seeds, chunks, first), jobs, pickle.HIGHEST_PROTOCOL)
-                jobs.flush()
-            _take_chunks(args, seeds, chunks, 0, self._tokens[0], done)
-            for worker in busy:
-                for i, row in self._reply(worker).items():
-                    done(i, row)
-        except BaseException:
-            self.close()
-            raise
-
-
-def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
-                   pilot_slots: int = 100, sigma: float = 0.0,
-                   pilot_power: float = 1.0, seeds=(0,),
-                   workers: TrialWorkers | None = None) -> EstimationResult:
-    """Estimation passes, one per seed: design, per-block estimation, recovery,
-    and the NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see
-    `build_csi_tensor`). The truth (shape, finite, nonnegative, not all
-    zero), sigma (finite, >= 0), pilot_power (finite, > 0) and pilot_slots
-    (>= Nt) are checked before any draw or fork.
-
-    Trial t's pilots and noise come from `seeds[t]` alone, drawn and solved
-    CHUNK_BLOCKS blocks at a time (see `channel.trial_statistics`), so its
-    bits do not depend on the chunk size. The trials are solved by the
-    calling process and the forked processes of `workers`, a `TrialWorkers`
-    pool that the caller keeps open over many calls; without one, the call
-    opens a pool of its own and closes it before it returns or raises; each
-    process takes trials until none is left. A failure in any process closes
-    the pool and is raised (see `TrialWorkers.split`). A dense-baseline trial
-    is scored on its blocks, which hold every (element, pair) entry once,
-    where it is solved; a sampled trial's (Q, Nr, Nt) block estimates come
-    back to the calling process, and the calling process recovers and scores
-    one trial at a time, its own as it solves them. So a call holds at most
-    one full estimate per process, and a trial's result depends on its seed
-    alone, not on the other seeds, the CPU count or which process solved it.
-    sigma = 0 with spacing 1 and the point-model truth recovers the tensor
-    exactly up to round-off.
-    """
-    nt, nr = scene.n_leds, scene.n_pds
+def _check_truth(scene: SceneConfig, truth) -> np.ndarray:
+    """`truth` as a float array, checked to be the scene's (N, Nr, Nt) gains:
+    finite, nonnegative and not all zero."""
     truth = np.asarray(truth, dtype=float)
-    if truth.shape != (scene.grid.n_elements, nr, nt):
-        raise ShapeError(f"truth must be (N, Nr, Nt) = ({scene.grid.n_elements}, {nr}, {nt}), "
+    shape = (scene.grid.n_elements, scene.n_pds, scene.n_leds)
+    if truth.shape != shape:
+        raise ShapeError(f"truth must be (N, Nr, Nt) = ({', '.join(map(str, shape))}), "
                          f"got {truth.shape}")
     if not np.all(np.isfinite(truth)):
         raise ValueError("truth gains must be finite")
@@ -529,6 +288,119 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     if not np.any(truth):
         raise ZeroReferenceError("truth tensor is identically zero: every element "
                                  "lies outside a LED beam or the PD field of view")
+    return truth
+
+
+class _WorkerTraceback(Exception):
+    """A child's formatted traceback, set as the `__cause__` of the exception
+    the caller raises for it, since pickling keeps only an exception's type,
+    args and attributes."""
+
+
+def _in_processes(work, n: int) -> list:
+    """[list(work(k)) for k in range(n)], for `work(k)` an iterable: work(0)
+    runs in this process while each other work(k) runs in a child forked for it.
+
+    A child sends one pickled reply through its own pipe, its list or its
+    exception with the formatted traceback, and leaves through os._exit, never
+    into the stack it was forked from. The caller raises a child's exception
+    from a `_WorkerTraceback` of that text, and an OirsVlcError naming the exit
+    status of a child that exits without a reply. After each item of work(0)
+    the caller reaps every child that has exited, so a child's failure is
+    raised before the caller's next item. Any failure or interrupt in the
+    caller kills and reaps every child not yet reaped.
+    """
+    import os
+    import pickle
+
+    parts = [None] * n
+    children = {}                                     # pid -> (k, reply reader), until reaped
+
+    def reap(pid, status=None):
+        k, replies = children[pid]
+        try:
+            with replies:
+                reply = pickle.load(replies)
+        except (EOFError, pickle.UnpicklingError):
+            reply = None
+        finally:
+            if status is None:
+                status = os.waitpid(pid, 0)[1]
+            del children[pid]
+        if reply is None:
+            raise OirsVlcError(f"worker {pid} exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} before reporting")
+        parts[k], failure = reply
+        if failure is not None:
+            raise failure[0] from _WorkerTraceback(failure[1])
+
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        reply = (list(work(k)), None)
+                    except Exception as exc:          # the caller raises it
+                        import traceback    # in a child only: the light commands never load it
+
+                        reply = (None, (exc, "".join(traceback.format_exception(exc))))
+                    with open(write, "wb") as replies:
+                        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = (k, open(read, "rb"))
+        parts[0] = []
+        for item in work(0):
+            parts[0].append(item)
+            for pid in list(children):                # a child that replied has exited
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    reap(pid, status)
+        for pid in list(children):
+            reap(pid)
+    except BaseException:
+        import signal                                 # on failure only: no cost to a sweep
+
+        for pid, (_, replies) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            replies.close()
+        raise
+    return parts
+
+
+def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
+                   pilot_slots: int = 100, sigma: float = 0.0,
+                   pilot_power: float = 1.0, seeds=(0,)) -> EstimationResult:
+    """Estimation passes, one per seed: design, per-block estimation, recovery,
+    and the NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see
+    `build_csi_tensor`). The truth (shape, finite, nonnegative, not all
+    zero), sigma (finite, >= 0), pilot_power (finite, > 0) and pilot_slots
+    (>= Nt) are checked before any draw.
+
+    Trial t's pilots and noise come from `seeds[t]` alone, drawn and solved
+    CHUNK_BLOCKS blocks at a time (see `channel.trial_statistics`), so its
+    bits do not depend on the chunk size. The trials run in this process, in
+    seed order, and each is scored before the next is drawn: a dense-baseline
+    trial on its blocks, which hold every (element, pair) entry once, a
+    sampled one on its recovered (N, Nr, Nt) estimate. So a call holds one
+    trial's estimate at a time, and a trial's result depends on its seed
+    alone. sigma = 0 with spacing 1 and the point-model truth recovers the
+    tensor exactly up to round-off.
+    """
+    nt, nr = scene.n_leds, scene.n_pds
+    truth = _check_truth(scene, truth)
     _check_sigma(sigma)
     _check_pilots(nt, pilot_slots, pilot_power)
     seeds = list(seeds)
@@ -537,14 +409,14 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     index, layout = block_schedule(scene.grid, nt, nr, spacing)
     pd_index, led_index = np.ix_(range(nr), range(nt))
     h_blocks = truth[index, pd_index, led_index]                      # (Q, Nr, Nt)
+    x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), nt, pilot_slots))
+    h_est = np.empty(h_blocks.shape)
     errors = np.empty(len(seeds))
-
-    def score(t, row):
-        errors[t] = row if layout is None else nmse(interpolate_full(row, layout), truth)
-
-    with nullcontext(workers) if workers is not None else TrialWorkers(len(seeds)) as pool:
-        pool.split((h_blocks, layout is None, pilot_slots, sigma, pilot_power), seeds, score)
-
+    for t, seed in enumerate(seeds):
+        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma, x):
+            h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
+        errors[t] = (nmse(h_est, h_blocks) if layout is None
+                     else nmse(interpolate_full(h_est, layout), truth))
     return EstimationResult(
         nmse=errors,
         flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * len(index)),

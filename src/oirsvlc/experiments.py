@@ -25,7 +25,8 @@ import numpy as np
 from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
 from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
 from .errors import ConfigError, LayoutError, OirsVlcError
-from .estimator import TrialWorkers, _schedule_shape, flops_estimate, run_algorithm1
+from .estimator import (_check_truth, _in_processes, _schedule_shape, flops_estimate,
+                        run_algorithm1)
 from .geometry import OirsGrid, alignment_normal, plane_basis_from
 
 # CPython's builtin digest, as Lib/random.py takes sha512: `hashlib` loads
@@ -388,36 +389,55 @@ def sweep_schemes(config: ExperimentConfig):
     return (1,) + tuple(config.spacings)
 
 
+def _sweep_errors(config: ExperimentConfig, truth, k: int, processes: int):
+    """Per-trial NMSE of trials k, k + processes, k + 2 * processes, ... of each
+    (sigma, scheme) cell, one array per cell, in sweep order."""
+    for i_sigma, sigma in enumerate(config.sigmas):
+        for spacing in sweep_schemes(config):
+            try:
+                errors = run_algorithm1(
+                    config.scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
+                    seeds=[(config.master_seed, spacing, i_sigma, trial)
+                           for trial in range(k, config.trials, processes)]).nmse
+            except OirsVlcError as exc:
+                # same type, traceback and cause; the message names the cell
+                exc.args = (f"sigma={float(sigma)}, spacing={spacing}: {exc}",)
+                raise
+            yield errors
+
+
 def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
-    Returns rows (sigma, spacing, nmse_db, trials). Each (sigma, scheme) cell
-    is one `run_algorithm1` call over all its trials. The truth is built in
-    this process before the sweep forks its workers once, for every call.
-    Trial seeds derive from the master seed, the scheme, the sigma index,
-    and the trial index. An OirsVlcError from a cell is re-raised with its
-    message prefixed by `sigma=<sigma>, spacing=<spacing>: `.
+    Returns rows (sigma, spacing, nmse_db, trials). The truth is built and
+    checked in this process. Then each of K = min(CPUs this process may run
+    on, trials) processes (one where `os.sched_getaffinity` is missing) runs
+    every cell on its fixed share of the trials: process k takes trials k,
+    k + K, k + 2K, ... This process runs share 0, and a child forked once per
+    sweep runs each other share (see `estimator._in_processes`). Trial seeds
+    derive from the master seed, the scheme, the sigma index, and the trial
+    index, so each trial's NMSE, and each row, does not depend on K. An
+    OirsVlcError from a cell is re-raised with its message prefixed by
+    `sigma=<sigma>, spacing=<spacing>: `.
     """
-    scene = config.scene
+    truth = _check_truth(config.scene, build_csi_tensor(config.scene, config.truth_model,
+                                                        config.quadrature_order))
+    try:
+        processes = min(len(os.sched_getaffinity(0)), config.trials)
+    except AttributeError:
+        processes = 1
+    parts = _in_processes(lambda k: _sweep_errors(config, truth, k, processes), processes)
+    errors = np.empty((len(parts[0]), config.trials))
+    for k, part in enumerate(parts):
+        errors[:, k::processes] = part
+    cells = [(sigma, spacing) for sigma in config.sigmas for spacing in sweep_schemes(config)]
     rows = []
-    truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
-    with TrialWorkers(config.trials) as workers:
-        for i_sigma, sigma in enumerate(config.sigmas):
-            for spacing in sweep_schemes(config):
-                try:
-                    errors = run_algorithm1(
-                        scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
-                        seeds=[(config.master_seed, spacing, i_sigma, trial)
-                               for trial in range(config.trials)], workers=workers).nmse
-                except OirsVlcError as exc:
-                    # same type, traceback and cause; the message names the cell
-                    exc.args = (f"sigma={float(sigma)}, spacing={spacing}: {exc}",)
-                    raise
-                total = 0.0
-                for value in errors.tolist():      # in trial order
-                    total += value
-                rows.append((float(sigma), int(spacing),
-                             nmse_db(total / config.trials), int(config.trials)))
+    for (sigma, spacing), row in zip(cells, errors.tolist()):
+        total = 0.0
+        for value in row:                          # in trial order
+            total += value
+        rows.append((float(sigma), int(spacing), nmse_db(total / config.trials),
+                     int(config.trials)))
     return rows
 
 

@@ -22,7 +22,6 @@ from oirsvlc import (
     ShapeError,
     SingularSystemError,
     SubarrayLayout,
-    TrialWorkers,
     ZeroReferenceError,
     block_schedule,
     build_csi_tensor,
@@ -32,6 +31,7 @@ from oirsvlc import (
     nmse,
     recovery_operators,
     run_algorithm1,
+    run_noise_sweep,
     spline_weights,
     trial_statistics,
 )
@@ -461,23 +461,20 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
     assert len(draws) == 1
 
 
-def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch, tmp_path):
+def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch):
     # a NaN, infinite, negative or overflowing (sigma^2 = inf) sigma, a NaN,
     # infinite, non-positive or overflowing (Gram entries = inf) pilot power,
-    # too few pilot slots and an all-zero truth fail before any pilot
-    # is drawn or worker forked (NaN and inf powers used to come back as NaN
-    # NMSE, and sigma = -1 failed only in a worker). A worker's draws reach
-    # the test through an append-mode file, not this process's memory.
+    # too few pilot slots, an all-zero truth and no seeds fail before any
+    # pilot is drawn (NaN and inf powers used to come back as NaN NMSE). A
+    # call never forks, even with two CPUs reported: each draw, those of the
+    # valid call too, is made in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
-    log = tmp_path / "draws.txt"
-    log.touch()
-    forks = []
+    drawers, forks = [], []
 
     def statistics(*args):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {threading.get_ident()}\n")
+        drawers.append((os.getpid(), threading.get_ident()))
         return trial_statistics(*args)
 
     real_fork = os.fork
@@ -488,18 +485,17 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
     bad += [({"pilot_power": value}, ValueError)
             for value in (np.nan, np.inf, 0.0, -1.0, 1e160)]
     bad += [({"pilot_slots": 1}, IdentifiabilityError),
-            ({"truth": np.zeros_like(truth)}, ZeroReferenceError)]
+            ({"truth": np.zeros_like(truth)}, ZeroReferenceError),
+            ({"seeds": []}, ValueError)]
     for spacing in (1, 2):
         for changed, error in bad:
-            kwargs = {"truth": truth, "pilot_slots": 16, "sigma": 1e-4, **changed}
+            kwargs = {"truth": truth, "pilot_slots": 16, "sigma": 1e-4, "seeds": [1, 2],
+                      **changed}
             with pytest.raises(error):
-                run_algorithm1(scene, spacing=spacing, seeds=[1, 2], **kwargs)
-    assert log.read_text() == "" and forks == []
+                run_algorithm1(scene, spacing=spacing, **kwargs)
+    assert drawers == [] and forks == []
     run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[1, 2])
-    drawers = [line.split()[0] for line in log.read_text().splitlines()]
-    assert len(drawers) == 2 and len(set(drawers)) == 2 and len(forks) == 1
-    with pytest.raises(ChildProcessError):     # the worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+    assert drawers == [(os.getpid(), threading.get_ident())] * 2 and forks == []
 
 
 def test_noise_monotonicity_smoke():
@@ -531,44 +527,53 @@ def test_gain_mode_changes_nmse_only_under_noise():
 
 
 @pytest.mark.parametrize("spacing", [1, 2, 3])
-def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
-    # trials split over two CPUs, or over more worker processes than cores,
-    # one trial per token or several (MAX_CHUNKS below the trial count),
-    # still give each seed's one-trial result
+def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing):
+    # a trial's result depends on its seed alone, not on the others of its call
     scene = desk_scene(12, 12)
     truth = build_csi_tensor(scene, "quadrature")
     seeds = [(8, spacing, trial) for trial in range(9)]
     singles = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=[s])
                for s in seeds]
-    for cpus, max_chunks in ((2, estimator.MAX_CHUNKS), (8, estimator.MAX_CHUNKS), (2, 4)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
-                            raising=False)
-        monkeypatch.setattr(estimator, "MAX_CHUNKS", max_chunks)
-        batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
-                               seeds=seeds)
-        assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
-        assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
+    batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=seeds)
+    assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
+    assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
 
 
 def test_run_algorithm1_without_affinity_runs_in_one_process(monkeypatch):
-    # where os.sched_getaffinity is missing the pass never forks, whatever
-    # os.cpu_count says, and each trial keeps its bits
+    # a call never forks: not with two CPUs reported, nor where
+    # os.sched_getaffinity is missing, whatever os.cpu_count says, and each
+    # trial keeps its bits
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forked = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
-                             seeds=range(5)) for spacing in (1, 2)]
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     def no_fork():
         raise AssertionError("the pass forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    for spacing, reference in zip((1, 2), forked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    reported = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
+                               seeds=range(5)) for spacing in (1, 2)]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for spacing, reference in zip((1, 2), reported):
         alone = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4,
                                seeds=range(5))
         assert np.array_equal(alone.nmse, reference.nmse)
+
+
+# The sweep's processes: 8 x 8 grid, a dense and a spacing-2 cell at each of
+# two sigmas, 8 trials per cell
+SWEEP = replace(ExperimentConfig(), grid_rows=8, grid_cols=8, trials=8, sigmas=(0.0, 1e-4),
+                spacings=(2,), pilot_slots=16, angular_samples=16)
+
+
+def _seed(spacing, i_sigma, trial):
+    """The seed of a trial of SWEEP's (sigma, spacing) cell."""
+    return (SWEEP.master_seed, spacing, i_sigma, trial)
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _zero_pilots(monkeypatch, bad_seeds, log=None):
@@ -587,35 +592,34 @@ def _zero_pilots(monkeypatch, bad_seeds, log=None):
 
 def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
     # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
-    # last trial gets them, and whichever of the four processes takes it
-    # raises; the error surfaces in the caller and no child outlives the call
-    _zero_pilots(monkeypatch, (99,))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    scene = desk_scene(8, 8)
-    truth = build_csi_tensor(scene)
-    with pytest.raises(SingularSystemError):
-        run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=[*range(7), 99])
+    # last trial of the first cell gets them, in the last of four processes;
+    # the error, named by its cell, surfaces in the caller, no child outlives
+    # the sweep, and the next sweep runs
+    _cpus(monkeypatch, 4)
+    _zero_pilots(monkeypatch, (_seed(1, 0, 7),))
+    with pytest.raises(SingularSystemError, match="^sigma=0.0, spacing=1: "):
+        run_noise_sweep(SWEEP)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    run_algorithm1(scene, truth, 1, pilot_slots=16, sigma=0.0, seeds=range(8))
+    _zero_pilots(monkeypatch, ())
+    assert len(run_noise_sweep(SWEEP)) == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path):
-    # pickling drops an exception's __cause__ and traceback, so a worker also
+    # pickling drops an exception's __cause__ and traceback, so a child also
     # sends its formatted traceback, which the caller raises as the cause: the
     # formatted exception names numpy's "Singular matrix" wherever the
     # singular trial ran. With two CPUs the second of two trials is the
-    # worker's first
+    # child's
     log = tmp_path / "zeroed.txt"
     log.touch()
-    _zero_pilots(monkeypatch, (99,), log)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    scene = desk_scene(8, 8)
+    _cpus(monkeypatch, cpus)
+    _zero_pilots(monkeypatch, (_seed(1, 0, 1),), log)
     with pytest.raises(SingularSystemError) as raised:
-        run_algorithm1(scene, build_csi_tensor(scene), 1, pilot_slots=16, sigma=0.0,
-                       seeds=[0, 99])
+        run_noise_sweep(replace(SWEEP, trials=2))
     assert "Singular matrix" in "".join(traceback.format_exception(raised.value))
     zeroed_in = {int(pid) for pid in log.read_text().split()}
     assert (zeroed_in == {os.getpid()}) == (cpus == 1) and len(zeroed_in) == 1
@@ -625,33 +629,27 @@ def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path
 
 @pytest.mark.parametrize("bad_seeds", [(0,), (1,), (7,), (0, 1)])
 def test_a_failed_call_closes_its_pool(bad_seeds, monkeypatch):
-    # a singular trial, the caller's first (0), the worker's first (1), one
-    # taken from the shared tokens (7) or the first of both processes, fails
-    # its call, and the failure closes the pool: no child outlives the call,
-    # and the next call on the pool raises
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    scene = desk_scene(8, 8)
-    truth = build_csi_tensor(scene)
-    _zero_pilots(monkeypatch, bad_seeds)
-    with TrialWorkers(8) as workers:
-        with pytest.raises(SingularSystemError):
-            run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(8), workers=workers)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        with pytest.raises(OirsVlcError, match="outside their `with` block"):
-            run_algorithm1(scene, truth, 2, pilot_slots=16, seeds=range(10, 14),
-                           workers=workers)
+    # a singular trial of the second cell, the caller's first (0), the
+    # child's first (1), the child's last (7) or the first of both
+    # processes, fails the sweep, and no child outlives it
+    _cpus(monkeypatch, 2)
+    _zero_pilots(monkeypatch, [_seed(2, 0, trial) for trial in bad_seeds])
+    with pytest.raises(SingularSystemError, match="^sigma=0.0, spacing=2: "):
+        run_noise_sweep(SWEEP)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_an_interrupted_call_stops_its_workers(monkeypatch, tmp_path):
-    # an interrupt in the caller, here in its first recovery, drops the tokens
-    # left, so the worker stops after the trial it is solving; it used to
-    # solve every trial left, 199 of 200 at 10 ms each, before the call raised
+    # an interrupt in the caller, here in its first recovery, kills the
+    # child in the trial it is solving; a child left to finish would make
+    # 200 solves (100 trials in each of two cells) at 10 ms each before the
+    # sweep raised
     log = tmp_path / "solves.txt"
     log.touch()
     caller = os.getpid()
 
-    def slow_in_worker(*args):
+    def slow_in_child(*args):
         if os.getpid() != caller:
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{os.getpid()}\n")
@@ -659,65 +657,42 @@ def test_an_interrupted_call_stops_its_workers(monkeypatch, tmp_path):
         return mmse_estimate(*args)
 
     def interrupt(*args):
-        raise KeyboardInterrupt
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return interpolate_full(*args)
 
-    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_worker)
+    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_child)
     monkeypatch.setattr(estimator, "interpolate_full", interrupt)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    scene = desk_scene(8, 8)
+    _cpus(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
-        run_algorithm1(scene, build_csi_tensor(scene), 2, pilot_slots=16, sigma=1e-4,
-                       seeds=range(200))
+        run_noise_sweep(replace(SWEEP, trials=200, sigmas=(1e-4,)))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert len(log.read_text().split()) < 20
 
 
-def test_trial_workers_share_trials_by_speed(monkeypatch, tmp_path):
-    # a worker slowed to 50 ms a trial leaves the trials it has not taken to
-    # the caller, which takes them from the shared tokens; each trial keeps
-    # its bits whoever solves it
-    scene = desk_scene(8, 8)
-    truth = build_csi_tensor(scene)
-    reference = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(8))
-    log = tmp_path / "solvers.txt"
-    log.touch()
-    caller = os.getpid()
-
-    def slow_in_worker(*args):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        if os.getpid() != caller:
-            time.sleep(0.05)
-        return mmse_estimate(*args)
-
-    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_worker)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    shared = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(8))
-    assert np.array_equal(shared.nmse, reference.nmse)
-    solvers = [int(pid) for pid in log.read_text().split()]     # one solve per trial
-    assert len(solvers) == 8 and 1 <= len(solvers) - solvers.count(caller) < 4
-
-
 @pytest.mark.parametrize("spacing", [1, 2])
 def test_run_algorithm1_worker_that_dies_unreported_fails_the_call(spacing, monkeypatch):
-    # a worker that exits without its reply loses the rows of the trials it
-    # took; the call must raise, naming the exit status, and never read
-    # those trials as an NMSE of 0 (-300 dB in the CSV). The worker dies in
-    # its first trial, the call's second
-    scene = desk_scene(8, 8)
-    truth = build_csi_tensor(scene)
-    caller = os.getpid()
+    # a child that exits without its reply loses the rows of its trials; the
+    # sweep must raise, naming the exit status, and never read those trials
+    # as an NMSE of 0 (-300 dB in the CSV). The child dies in its first trial
+    # of the first cell with this spacing
+    caller, seed_of = os.getpid(), {}
+
+    def statistics(h_blocks, seed, *args):
+        seed_of["now"] = seed
+        return trial_statistics(h_blocks, seed, *args)
 
     def dying(*args):
-        if os.getpid() != caller:
+        if os.getpid() != caller and seed_of["now"][1] == spacing:
             os._exit(3)
         return mmse_estimate(*args)
 
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
     monkeypatch.setattr(estimator, "mmse_estimate", dying)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 2)
     with pytest.raises(OirsVlcError, match="exited with status 3"):
-        run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=range(6))
+        run_noise_sweep(SWEEP)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -747,15 +722,12 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_truth_build_and_dense_pass_memory_stays_bounded(monkeypatch):
-    # tracemalloc peaks on a 48 x 48 grid with 3 LEDs and 3 PDs and two
-    # reported CPUs. Built over the whole grid at once, the order-8 truth
-    # peaked near 72 MB; a chunk takes about 2.4. Each dense trial is scored
-    # by the process that solves it, so a call holds one trial's buffers per
-    # process and never all trials' estimates: 16 seeds peak like 2 (the
-    # estimates of 16 trials alone would take 5.3 MB). tracemalloc sees the
-    # calling process, which solves the first group of trials.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+def test_truth_build_and_dense_pass_memory_stays_bounded():
+    # tracemalloc peaks on a 48 x 48 grid with 3 LEDs and 3 PDs. Built over
+    # the whole grid at once, the order-8 truth peaked near 72 MB; a chunk
+    # takes about 2.4. Each dense trial is scored before the next is drawn,
+    # so a call holds one trial's buffers and never all trials' estimates:
+    # 16 seeds peak like 2 (the estimates of 16 trials alone would take 5.3 MB)
     scene = three_by_three_scene(48, 48, pitch=0.025)
     truth = build_csi_tensor(scene, "quadrature", 8)
 
@@ -772,13 +744,17 @@ def test_truth_build_and_dense_pass_memory_stays_bounded(monkeypatch):
 
 def test_workers_memory_stays_bounded(monkeypatch, tmp_path):
     # the bounds the calling process meets in the test above, met by the
-    # forked worker of each call. tracemalloc runs before the pool forks and
-    # keeps running in the worker; a worker resets its peak at its first
-    # `nmse` (one per dense trial, after its solve) and logs the peak after
-    # each, to a file, since its memory is not this process's
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    scene = three_by_three_scene(48, 48, pitch=0.025)
-    truth = build_csi_tensor(scene, "quadrature", 8)
+    # forked child of a sweep of that scene (a dense and a spacing-3 cell),
+    # which solves 1 of 2 or 8 of 16 trials per cell. tracemalloc runs before
+    # the sweep forks and keeps running in the child; the child resets its
+    # peak at its first `nmse` (one per trial, after its solve), dropping the
+    # caller's truth build, and logs the peak after each, to a file, since
+    # its memory is not this process's
+    _cpus(monkeypatch, 2)
+    config = replace(ExperimentConfig(), grid_rows=48, grid_cols=48, grid_pitch=0.025,
+                     grid_element_size=0.0125, sigmas=(1e-3,), spacings=(3,),
+                     led_positions=((1.8, 2.0, 3.0), (2.0, 2.0, 3.0), (2.2, 2.0, 3.0)),
+                     pd_positions=((1.6, 2.0, 0.0), (2.0, 2.0, 0.0), (2.4, 2.0, 0.0)))
     log = tmp_path / "peaks.txt"
     log.touch()
     caller, reset = os.getpid(), set()
@@ -795,41 +771,24 @@ def test_workers_memory_stays_bounded(monkeypatch, tmp_path):
         return value
 
     monkeypatch.setattr(estimator, "nmse", logged_nmse)
-    run_algorithm1(scene, truth, 1, sigma=1e-3, seeds=range(2))     # warm caches
+    run_noise_sweep(replace(config, trials=2))                   # warm caches
     peaks = {}
     tracemalloc.start()
     try:
         for trials in (2, 16):
             log.write_text("")
-            run_algorithm1(scene, truth, 1, sigma=1e-3, seeds=range(trials))
+            run_noise_sweep(replace(config, trials=trials))
             by_pid = {}
             for line in log.read_text().splitlines():
                 pid, peak = map(int, line.split())
                 if pid != caller:
                     by_pid[pid] = max(by_pid.get(pid, 0), peak)
-            assert len(by_pid) == 1                    # one worker, which solved a trial
+            assert len(by_pid) == 1                    # one child, which solved a trial
             peaks[trials] = by_pid.popitem()[1]
     finally:
         tracemalloc.stop()
-    assert peaks[2] < 2e6                              # the worker's one trial
+    assert peaks[2] < 2e6                              # the child's one trial
     assert peaks[16] < 3e6 and abs(peaks[16] - peaks[2]) < 0.5e6
-
-
-def test_pool_split_of_no_seeds_does_nothing(monkeypatch):
-    # a split of no items used to divide by its zero chunk count inside the
-    # open pool. It returns without a call, and the pool then serves a
-    # run_algorithm1 call with the bits of a call that opens its own
-    scene = desk_scene(8, 8)
-    truth = build_csi_tensor(scene)
-    reference = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(4))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    done = []
-    with TrialWorkers(8) as workers:
-        workers.split((), [], lambda *row: done.append(row))
-        shared = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=range(4),
-                                workers=workers)
-    assert done == []
-    assert np.array_equal(shared.nmse, reference.nmse)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

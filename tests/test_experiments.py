@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -25,15 +26,12 @@ from oirsvlc import (
     OirsVlcError,
     SceneConfig,
     ShapeError,
-    TrialWorkers,
     ZeroReferenceError,
-    build_csi_tensor,
     dumps,
     load_config,
     loads,
     nmse,
     nmse_db,
-    run_algorithm1,
     run_coherence,
     run_fig4,
     run_noise_sweep,
@@ -356,7 +354,7 @@ def test_every_field_a_scene_check_reads_has_a_key_in_both_scene_maps():
     for changes, reads in _REJECTIONS:
         exc = _rejected(changes)
         assert exc.fields == reads, (changes, exc)
-        # the pool sends a worker's exception back through pickle
+        # a forked child of the sweep sends its exception back through pickle
         again = pickle.loads(pickle.dumps(exc))
         assert (type(again), str(again), again.fields) == (type(exc), str(exc), exc.fields)
     assert {reads[0] for _, reads in _REJECTIONS} == names       # every field has a check
@@ -640,15 +638,27 @@ def test_run_noise_sweep_schema_and_exact_recovery_row():
     assert all(r[3] == FAST.trials for r in rows)
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_run_noise_sweep_rows_do_not_depend_on_cpu_count(cpus, monkeypatch):
-    # each trial draws from its own seed stream, however the trials are split
+    # each trial draws from its own seed stream, however the trials are
+    # split: with 5 trials the shares of 2, 3 and 4 processes are uneven, and
+    # every row keeps the bits of the one-process sweep
     config = replace(FAST, trials=5, sigmas=(0.0, 1e-4, 1e-3))
+    real_fork = os.fork
+
+    def no_fork():
+        raise AssertionError("the sweep forked")
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
     reference = run_noise_sweep(config)
+    monkeypatch.setattr(os, "fork", real_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert run_noise_sweep(config) == reference
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_files_footer_and_summary(tmp_path):
@@ -727,11 +737,14 @@ def test_cli_seed_changes_noise_sweep(tmp_path):
 def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     # every MIMO element lies outside the 0.62 rad field of view, which still
     # takes in the study link's 0.59 rad arrival: NMSE is undefined, and the
-    # sweep stops before its first pilot draw. At 0.05 rad the study link is
-    # dark too, and the config fails at load
-    calls = []
-    real = estimator.trial_statistics
+    # sweep stops in this process after its truth build, before it forks or
+    # draws a pilot, though two CPUs are reported. At 0.05 rad the study link
+    # is dark too, and the config fails at load
+    calls, forks = [], []
+    real, real_fork = estimator.trial_statistics, os.fork
     monkeypatch.setattr(estimator, "trial_statistics", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = tmp_path / "dark.cfg"
     for fov, error, match in (
             (0.62, ZeroReferenceError, "outside a LED beam or the PD field of view"),
@@ -740,7 +753,7 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
                        + f"scene.fov_semi_angle_rad = {fov}\n")
         with pytest.raises(error, match=match):
             cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert calls == []
+        assert calls == [] and forks == []
         assert not (tmp_path / "out" / "noise_sweep.csv").exists()
 
 
@@ -905,10 +918,12 @@ def test_bench_traced_functions_exist():
 
 
 def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
-    # bench/child.py keeps one span stack, so every function it traces must
-    # run in the process and on the thread that called the sweep, also when
-    # the trials of a call are solved by forked workers; Phase III runs once
-    # per sampled trial. Workers cannot report back through this process's
+    # bench/child.py keeps one span stack, and its spans are those of the
+    # calling process. So in each process of a sweep every function it traces
+    # runs on one thread, and the caller's traced calls are exactly its share:
+    # run_algorithm1 once per cell, Phase III once per sampled trial of its
+    # trials 0 and 2 of 3. Over all processes, Phase III runs once per
+    # sampled trial. A child cannot report back through this process's
     # memory, so each call appends "<key> <pid> <thread id>" to a file.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     traced = runpy.run_path(str(ROOT / "bench" / "child.py"))["TRACED"]
@@ -932,64 +947,68 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path)
                 if original is not None and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name,
                                         recording(f"{module_name}.{name}", original))
-    run_noise_sweep(FAST)
-    calls = {}
+    config = replace(FAST, trials=3)
+    run_noise_sweep(config)
+    threads, calls = {}, {}
     for line in log.read_text().splitlines():
         key, pid, thread = line.split()
-        calls.setdefault(key, []).append((int(pid), int(thread)))
-    solvers = {pid for pid, _ in calls.pop("estimator.mmse_estimate")}
-    assert len(solvers) > 1                   # the trials did run in worker processes
-    assert {t for ids in calls.values() for t in ids} == {(os.getpid(),
-                                                           threading.get_ident())}
-    assert len(calls["estimator.interpolate_full"]) == \
-        FAST.trials * len(FAST.sigmas) * len(FAST.spacings)
-    with pytest.raises(ChildProcessError):     # every worker was reaped
+        threads.setdefault(int(pid), set()).add(int(thread))
+        calls.setdefault(key, []).append(int(pid))
+    assert len(threads) == 2 and all(len(ids) == 1 for ids in threads.values())
+    assert threads[os.getpid()] == {threading.get_ident()}
+    assert len(set(calls["estimator.mmse_estimate"])) == 2     # the trials ran in two processes
+    cells = len(config.sigmas) * (len(config.spacings) + 1)
+    sampled = len(config.sigmas) * len(config.spacings)
+    assert calls["estimator.run_algorithm1"].count(os.getpid()) == cells
+    assert calls["estimator.interpolate_full"].count(os.getpid()) == 2 * sampled
+    assert len(calls["estimator.interpolate_full"]) == config.trials * sampled
+    with pytest.raises(ChildProcessError):     # the child was reaped
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_noise_sweep_forks_its_workers_once(monkeypatch):
-    # one worker per further CPU, forked once for the whole sweep and not for
-    # each of its (sigma, scheme) cells
+    # one child per further CPU, forked once for the whole sweep and not for
+    # each of its (sigma, scheme) cells; none where os.sched_getaffinity is
+    # missing, whatever os.cpu_count says
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     real_fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     reference = run_noise_sweep(FAST)
     assert forks == [os.getpid()]
     monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert run_noise_sweep(FAST) == reference and forks == [os.getpid()]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_trial_workers_keep_their_pids_across_calls(monkeypatch, tmp_path):
-    # every call made with one pool is solved by the same forked workers; the
-    # calling process marks each call's end in the log the workers append to
+def test_a_child_failure_stops_the_sweep_before_the_callers_next_cell(monkeypatch, tmp_path):
+    # the caller checks its child after each of its cells: a child that fails
+    # in its first cell fails the sweep, named by its cell, while the caller,
+    # slowed in its first cell until the child has failed, still has cells
+    # to run, and the sweep leaves no child behind
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    scene = FAST.scene
-    truth = build_csi_tensor(scene)
-    log = tmp_path / "solvers.txt"
-    log.touch()
-    real_statistics = estimator.trial_statistics
+    caller, cells, failed = os.getpid(), [], tmp_path / "failed"
+    real = experiments.run_algorithm1
 
-    def statistics(h_blocks, seed, *args):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real_statistics(h_blocks, seed, *args)
+    def cell(*args, **kwargs):
+        if os.getpid() != caller:
+            failed.touch()
+            raise ZeroReferenceError("a child failed in its first cell")
+        cells.append(args[2])
+        if len(cells) == 1:
+            deadline = time.monotonic() + 30
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)                 # the child sends its failure and exits
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(estimator, "trial_statistics", statistics)
-    with TrialWorkers(4) as workers:
-        for spacing in (1, 2, 1):
-            run_algorithm1(scene, truth, spacing, pilot_slots=10, sigma=1e-4,
-                           seeds=range(4), workers=workers)
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write("end\n")
-    calls = [{int(pid) for pid in call.split()} - {os.getpid()}
-             for call in log.read_text().split("end\n")[:-1]]
-    assert len(calls) == 3 and len(calls[0]) == 1
-    assert calls[1] == calls[0] and calls[2] == calls[0]
-    workers.close()                         # closing twice closes no other descriptor
-    with pytest.raises(OirsVlcError, match="outside their `with` block"):
-        run_algorithm1(scene, truth, 1, pilot_slots=10, seeds=range(4), workers=workers)
+    monkeypatch.setattr(experiments, "run_algorithm1", cell)
+    with pytest.raises(ZeroReferenceError,
+                       match=r"^sigma=0\.0, spacing=1: a child failed in its first cell$"):
+        run_noise_sweep(FAST)
+    assert failed.exists()
+    assert 1 <= len(cells) < len(FAST.sigmas) * (len(FAST.spacings) + 1)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
