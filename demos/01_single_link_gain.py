@@ -35,7 +35,7 @@ absolute = replace(ExperimentConfig(), gain_mode="lambertian").single_link
 print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
       f"{absolute.gains(element)[0, 0]:.3e}")
 for order in (1, 2, 4, 8, 16):
-    g = build_csi_tensor(scene, "quadrature", order)[0, 0, 0]
+    g = build_csi_tensor(scene, order)[0, 0, 0]
     print(f"aperture average, {order}x{order} sub-points: {g:.8f} "
           f"(vs point {abs(g - g_point) / g_point:.2e} relative)")
 

@@ -13,7 +13,7 @@ from oirsvlc import ExperimentConfig, block_schedule, build_csi_tensor, nmse_db,
 
 config = ExperimentConfig()
 scene = config.scene
-truth = build_csi_tensor(scene, config.truth_model, config.quadrature_order)
+truth = build_csi_tensor(scene, 8)
 sigma = 1e-4
 trials = 20
 

@@ -160,13 +160,16 @@ class SceneConfig:
                               "pd_side", "lambertian_order", "reflectivity", "gain_mode")
         object.__setattr__(self, "gain_constant", c)
         # the grid by its corner elements: no grid size builds every element.
-        # The grid fields that place them; a one-element grid's corner is its center
+        # The grid fields that place them; a one-element grid's corner is its center.
+        # A grid wider than the float range has inf or nan corners, outside the room
         grid = ("center", "axis_u", "axis_v", "rows", "cols", "element_pitch")
-        corners = _element_centers(self.grid, [0, self.grid.cols - 1], [0, self.grid.rows - 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners = _element_centers(self.grid, [0, self.grid.cols - 1],
+                                       [0, self.grid.rows - 1])
         for name, reads, pts in (("led_positions", ("led_positions",), leds),
                                  ("pd_positions", ("pd_positions",), pds),
                                  ("grid", grid if self.grid.n_elements > 1 else grid[:1], corners)):
-            if np.any(pts < -1e-9) or np.any(pts > self.room + 1e-9):
+            if not np.all((pts >= -1e-9) & (pts <= self.room + 1e-9)):
                 raise with_fields(ValueError(f"{name} must lie inside the room extents"),
                                   *reads, "room")
         for name, pts in (("led_positions", leds), ("pd_positions", pds)):
@@ -207,21 +210,15 @@ def aperture_gain(scene: SceneConfig, centers, order: int) -> np.ndarray:
     return gains
 
 
-def build_csi_tensor(scene: SceneConfig, model: str = "point",
-                     quadrature_order: int = 8) -> np.ndarray:
+def build_csi_tensor(scene: SceneConfig, order: int = 1) -> np.ndarray:
     """Ground-truth CSI: the read-only (N, Nr, Nt) gains of every element for
-    every (PD, LED) pair.
-
-    model="point" evaluates each link at the element center; "quadrature"
-    averages the point model over each element's square aperture with the
-    given midpoint order. Each element is taken as aligned (its mirror
-    normal set by the reflection law for the link being evaluated), which
-    the point-source bound leaves implicit. Both fill the result one chunk
-    of elements at a time through `aperture_gain`, in the calling process.
+    every (PD, LED) pair, each averaged over the element's square aperture by
+    the midpoint rule of `order` (order 1: the gain at the element center).
+    Each element is taken as aligned (its mirror normal set by the reflection
+    law for the link being evaluated), which the point-source bound leaves
+    implicit. Filled a chunk of elements at a time by `aperture_gain`, in the
+    calling process.
     """
-    if model not in ("point", "quadrature"):
-        raise ValueError(f"unknown truth model {model!r}")
-    order = 1 if model == "point" else int(quadrature_order)
     gains = aperture_gain(scene, element_positions(scene.grid), order)
     gains.flags.writeable = False
     return gains

@@ -117,17 +117,25 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     m = scene.lambertian_order
     ds = d1 + d2
 
-    s1 = (m / (d1 * ct)) * n1 + (1.0 / (d2 * cp)) * n2 \
-        - (m / d1 + 2.0 / ds) * lr - (1.0 / d2 + 2.0 / ds) * ur
+    # a huge Lambertian order overflows a factor to inf, and inf times the
+    # zeros of an outer product is nan: refused below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = (m / (d1 * ct)) * n1 + (1.0 / (d2 * cp)) * n2 \
+            - (m / d1 + 2.0 / ds) * lr - (1.0 / d2 + 2.0 / ds) * ur
 
-    # Hessian of the log gain; adding s1 s1^T turns it into hess(h)/h.
-    hess_ln = (-m / (d1 * ct) ** 2) * np.outer(n1, n1) \
-        - (1.0 / (d2 * cp) ** 2) * np.outer(n2, n2) \
-        + (2.0 * m / d1**2 + 2.0 / (d1 * ds) + 2.0 / ds**2) * np.outer(lr, lr) \
-        + (2.0 / d2**2 + 2.0 / (d2 * ds) + 2.0 / ds**2) * np.outer(ur, ur) \
-        + (2.0 / ds**2) * (np.outer(lr, ur) + np.outer(ur, lr)) \
-        - (m / d1**2 + 1.0 / d2**2 + 2.0 / (d1 * ds) + 2.0 / (d2 * ds)) * np.eye(3)
-    return TaylorCoeffs(s1, hess_ln + np.outer(s1, s1))
+        # Hessian of the log gain; adding s1 s1^T turns it into hess(h)/h.
+        hess_ln = (-m / (d1 * ct) ** 2) * np.outer(n1, n1) \
+            - (1.0 / (d2 * cp) ** 2) * np.outer(n2, n2) \
+            + (2.0 * m / d1**2 + 2.0 / (d1 * ds) + 2.0 / ds**2) * np.outer(lr, lr) \
+            + (2.0 / d2**2 + 2.0 / (d2 * ds) + 2.0 / ds**2) * np.outer(ur, ur) \
+            + (2.0 / ds**2) * (np.outer(lr, ur) + np.outer(ur, lr)) \
+            - (m / d1**2 + 1.0 / d2**2 + 2.0 / (d1 * ds) + 2.0 / (d2 * ds)) * np.eye(3)
+        s2 = hess_ln + np.outer(s1, s1)
+    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
+        raise with_fields(ValueError("growth-rate coefficients exceed the float range"),
+                          "lambertian_order", "led_positions", "center", "pd_positions",
+                          "led_normal", "pd_normal")
+    return TaylorCoeffs(s1, s2)
 
 
 def _terms(coeffs: TaylorCoeffs, shifts):

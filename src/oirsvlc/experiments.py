@@ -420,8 +420,8 @@ def run_noise_sweep(config: ExperimentConfig):
     OirsVlcError from a cell is re-raised with its message prefixed by
     `sigma=<sigma>, spacing=<spacing>: `.
     """
-    truth = _check_truth(config.scene, build_csi_tensor(config.scene, config.truth_model,
-                                                        config.quadrature_order))
+    order = 1 if config.truth_model == "point" else config.quadrature_order
+    truth = _check_truth(config.scene, build_csi_tensor(config.scene, order))
     try:
         processes = min(len(os.sched_getaffinity(0)), config.trials)
     except AttributeError:

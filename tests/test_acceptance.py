@@ -13,6 +13,7 @@ within 2 % above it, the simulation check of the closed form.
 
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from oirsvlc.cli import main as cli_main
 from channel_oracle import blockdiag_channel, link_scene, recorded_channel_blocks
 
 MID_SIGMA_GAP_DB = 3.0
+SMOKE = Path(__file__).resolve().parent.parent / "bench" / "configs" / "smoke.cfg"
 
 
 def _report(criterion, ok, detail):
@@ -232,7 +234,7 @@ def test_criterion_4_model_identity(monkeypatch):
 def test_criterion_5_exact_recovery():
     t0 = time.monotonic()
     scene = ExperimentConfig().scene
-    result = run_algorithm1(scene, build_csi_tensor(scene, "point"), spacing=1,
+    result = run_algorithm1(scene, build_csi_tensor(scene), spacing=1,
                             pilot_slots=100, sigma=0.0, seeds=[1])
     elapsed = time.monotonic() - t0
     ok = result.nmse[0] <= 1e-18 and elapsed < 5.0
@@ -306,11 +308,7 @@ def test_criterion_8_interpolation_properties():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    cfg = tmp_path / "fast.cfg"
-    cfg.write_text(
-        "scene.grid.rows = 8\nscene.grid.cols = 8\nsweep.trials = 2\n"
-        "sweep.sigmas = 0, 0.0001\nsweep.spacings = 2\npilots.slots = 10\n"
-        "coherence.angular_samples = 16\n")
+    # the smoke config: an 8 x 8 grid, 2 trials per cell, every command in seconds
     outputs = {"fig4": "fig4.csv", "noise-sweep": "noise_sweep.csv",
                "overhead": "overhead.csv", "coherence": "coherence.csv"}
     identical = {}
@@ -318,7 +316,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         blobs = []
         for run in ("x", "y"):
             out = tmp_path / f"{command}-{run}"
-            code = cli_main([command, "--config", str(cfg), "--seed", "7",
+            code = cli_main([command, "--config", str(SMOKE), "--seed", "7",
                              "--out", str(out)])
             assert code == 0
             blobs.append((out / filename).read_bytes())

@@ -89,7 +89,7 @@ def study_grid(element_size=0.05):
 def element_gain(grid, order, led=STUDY_LED, pd=STUDY_PD, fov=math.pi / 2):
     """Quadrature gain of the one element of `grid` for one LED and one PD."""
     scene = _scene([led], [pd], grid, fov)
-    return build_csi_tensor(scene, "quadrature", order)[0, 0, 0]
+    return build_csi_tensor(scene, order)[0, 0, 0]
 
 
 def test_point_gain_lambertian_constant():
@@ -97,8 +97,8 @@ def test_point_gain_lambertian_constant():
     scene = _scene([STUDY_LED], [STUDY_PD], study_grid(), mode="lambertian")
     assert scene.gains(STUDY_ELEM)[0, 0] == pytest.approx(
         study_gain() * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
-    unit = build_csi_tensor(_scene([STUDY_LED], [STUDY_PD], study_grid()), "quadrature", 3)
-    lamb = build_csi_tensor(scene, "quadrature", 3)
+    unit = build_csi_tensor(_scene([STUDY_LED], [STUDY_PD], study_grid()), 3)
+    lamb = build_csi_tensor(scene, 3)
     assert_allclose(lamb, unit * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rtol=1e-12)
 
 
@@ -146,31 +146,33 @@ def wall_grid(rows, cols, center=(2, 0, 1.5)):
 def test_build_csi_tensor_single_link():
     grid = wall_grid(1, 1)
     scene = _scene([(1, 2, 3)], [(2, 2, 0)], grid)
-    tensor = build_csi_tensor(scene, "point")
+    tensor = build_csi_tensor(scene)
     assert tensor.shape == (1, 1, 1)
     assert tensor[0, 0, 0] == pytest.approx(
         link_gain((1, 2, 3), DOWN, grid.center, (2, 2, 0), UP, 1.0, math.pi / 2, 1.0),
         rel=1e-14)
     with pytest.raises(ValueError):           # the truth is read-only
         tensor[0, 0, 0] = 1.0
+    with pytest.raises(TypeError):            # an order is an int; none is truncated
+        build_csi_tensor(scene, 2.5)
 
 
 def test_build_csi_tensor_fov_zero_row():
     # two elements, one of them outside the PD field of view
     grid = wall_grid(2, 1, center=(2, 0, 1.5))
     scene = _scene([(2, 2, 3)], [(2, 2, 0)], grid, fov=math.radians(53))
-    tensor = build_csi_tensor(scene, "point")
+    tensor = build_csi_tensor(scene)
     assert tensor.shape == (2, 1, 1)
     # lower element (z = 1.45): arrival angle ~54.1 deg > fov; upper ~52.2 deg
     assert tensor[0, 0, 0] == 0.0
     assert tensor[1, 0, 0] > 0.0
 
 
-@pytest.mark.parametrize("model,order", [("point", 1), ("quadrature", 4)])
-def test_build_csi_tensor_against_per_link_loop(model, order):
+@pytest.mark.parametrize("order", [1, 4], ids=["point-1", "quadrature-4"])
+def test_build_csi_tensor_against_per_link_loop(order):
     grid = wall_grid(2, 2)
     scene = _scene([(1.9, 2, 3), (2.1, 2, 3)], [(1.8, 2, 0), (2.2, 2, 0)], grid)
-    tensor = build_csi_tensor(scene, model, quadrature_order=order)
+    tensor = build_csi_tensor(scene, order)
     for nt in range(2):
         for nr in range(2):
             for i in range(2):
@@ -263,28 +265,28 @@ def test_aperture_gain_keeps_the_broadcast_means_bits(n_leds, n_pds, order):
     assert np.array_equal(channel.aperture_gain(scene, centers, order), want)
 
 
-@pytest.mark.parametrize("model", ["point", "quadrature"])
+@pytest.mark.parametrize("order", [1, 3], ids=["point", "quadrature"])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(led_order=st.permutations(range(3)), pd_order=st.permutations(range(2)))
-def test_relabelling_leds_and_pds_permutes_csi_columns(model, led_order, pd_order):
+def test_relabelling_leds_and_pds_permutes_csi_columns(order, led_order, pd_order):
     # relabelling permutes the (Nr, Nt) pair axes and nothing else
     leds = np.array([(1.7, 2, 3), (2.0, 1.6, 3), (2.3, 2.2, 3)])
     pds = np.array([(1.8, 2, 0), (2.4, 1.9, 0)])
     grid = wall_grid(3, 4)
-    base = build_csi_tensor(_scene(leds, pds, grid), model, 3)
-    moved = build_csi_tensor(_scene(leds[led_order], pds[pd_order], grid), model, 3)
+    base = build_csi_tensor(_scene(leds, pds, grid), order)
+    moved = build_csi_tensor(_scene(leds[led_order], pds[pd_order], grid), order)
     assert np.array_equal(moved, base[:, pd_order][:, :, led_order])
 
 
-@pytest.mark.parametrize("model,order", [("point", 1), ("quadrature", 3)])
-def test_build_csi_tensor_does_not_depend_on_the_chunk_size(model, order, monkeypatch):
+@pytest.mark.parametrize("order", [1, 3], ids=["point-1", "quadrature-3"])
+def test_build_csi_tensor_does_not_depend_on_the_chunk_size(order, monkeypatch):
     # one element per chunk, an odd number (5) of the 63 elements, and all of them
     scene = _scene([(1.7, 2, 3), (2.0, 1.6, 3), (2.3, 2.2, 3)],
                    [(1.8, 2, 0), (2.4, 1.9, 0)], wall_grid(7, 9))
     results = []
     for elements in (1, 5, 63):
         monkeypatch.setattr(channel, "APERTURE_CHUNK_POINTS", elements * order**2)
-        results.append(build_csi_tensor(scene, model, order))
+        results.append(build_csi_tensor(scene, order))
         assert not results[-1].flags.writeable
     assert results[0].shape == (63, 2, 3)
     assert all(np.array_equal(r, results[0]) for r in results[1:])

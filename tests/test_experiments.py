@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -48,9 +48,9 @@ from oirsvlc.experiments import (
     write_overhead_csv,
 )
 
-FAST = replace(ExperimentConfig(), grid_rows=8, grid_cols=8, trials=2,
-               sigmas=(0.0, 1e-4), spacings=(2,), pilot_slots=10,
-               angular_samples=16)
+ROOT = Path(__file__).resolve().parent.parent
+SMOKE = ROOT / "bench" / "configs" / "smoke.cfg"   # the fast config of criterion 9
+FAST = load_config(SMOKE)
 
 
 def test_nmse_identities():
@@ -76,24 +76,28 @@ def test_nmse_errors():
 
 
 _NMSE_ENTRY = st.floats(-1e3, 1e3, allow_subnormal=False)
+# a truth and an estimate of one shape, 0-d included
+_NMSE_PAIR = hnp.array_shapes(min_dims=0, max_dims=3, max_side=8).flatmap(
+    lambda shape: st.tuples(*[hnp.arrays(float, shape, elements=_NMSE_ENTRY)] * 2))
 
 
+@example(pair=(np.array(28.917546928863203), np.array(170.54570591764423)), scale=1.0)
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), scale=st.sampled_from((1.0, 1e-200, 1e200)))
-def test_nmse_keeps_the_bits_of_the_plain_formula(data, scale):
+@given(pair=_NMSE_PAIR, scale=st.sampled_from((1.0, 1e-200, 1e200)))
+def test_nmse_keeps_the_bits_of_the_plain_formula(pair, scale):
     # the CSV cells are these bits, so however nmse holds its temporaries it
     # equals the two-temporary formula exactly. Where the truth's sum of
     # squares leaves the normal range (always at 1e-200, mostly at 1e200) the
-    # formula runs on both tensors divided by max |truth|
-    shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, max_side=8), label="shape")
-    truth = data.draw(hnp.arrays(float, shape, elements=_NMSE_ENTRY), label="truth") * scale
-    est = data.draw(hnp.arrays(float, shape, elements=_NMSE_ENTRY), label="est") * scale
+    # formula runs on both tensors divided by max |truth|. A 0-d pair times
+    # `scale` is two numpy scalars, whose ** 2 calls libm pow and can miss
+    # the exact square by a bit, so the formula runs on arrays of one or more dims
+    truth, est = (x * scale for x in pair)
     assume(np.any(truth))
     with np.errstate(over="ignore", under="ignore"):
-        e, r = est, truth
-        if not np.finfo(float).tiny <= float(np.sum(truth ** 2)) < np.inf:
-            scaled = float(np.max(np.abs(truth)))
-            e, r = est / scaled, truth / scaled
+        e, r = np.atleast_1d(est, truth)
+        if not np.finfo(float).tiny <= float(np.sum(r ** 2)) < np.inf:
+            scaled = float(np.max(np.abs(r)))
+            e, r = e / scaled, r / scaled
         expected = float(np.sum((e - r) ** 2)) / float(np.sum(r ** 2))
     assume(np.isfinite(expected))
     assert nmse(est, truth) == expected
@@ -131,6 +135,8 @@ _LAYOUT = ("sweep.spacings, scene.grid.rows, scene.grid.cols, scene.led_position
            "scene.pd_positions")
 _DARK = ("scene.fov_semi_angle_rad, coherence.pd, coherence.element and scene.pd_normal")
 _GAIN = "scene.pd_side_m, scene.lambertian_order, scene.grid.reflectivity and scene.gain_mode"
+_TAYLOR = ("scene.lambertian_order, coherence.led, coherence.element, coherence.pd, "
+           "scene.led_normal and scene.pd_normal")
 
 
 def test_config_rejects_unknown_and_invalid_keys():
@@ -235,6 +241,11 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e154", "scene.pd_side_m", _GAIN),
         ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e-200", "scene.pd_side_m", _GAIN),
         ("scene.gain_mode = lambertian\nscene.pd_side_m = 9e153", "scene.pd_side_m", _GAIN),
+        # past the float range, these used to raise a RuntimeWarning: inf times
+        # the zeros of an outer product in the study link's growth-rate
+        # coefficients, and in the grid's corner centers
+        ("scene.lambertian_order = 8.98846567431158e+307", "scene.lambertian_order", _TAYLOR),
+        ("scene.grid.pitch_m = 1.563211421619405e+307", "scene.grid.center", _GRID_IN_ROOM),
     ]
     for text, key, *reads in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
@@ -541,6 +552,8 @@ def _key_and_value(draw):
     return key, name, draw(shape(getattr(ExperimentConfig, name)))
 
 
+@example(("scene.lambertian_order", "lambertian_order", 8.98846567431158e+307))
+@example(("scene.grid.pitch_m", "grid_pitch", 1.563211421619405e+307))
 @settings(max_examples=400, deadline=None)
 @given(_key_and_value())
 def test_config_round_trip_keeps_every_accepted_value(key_name_value):
@@ -565,8 +578,7 @@ def test_config_round_trip_keeps_every_accepted_value(key_name_value):
 
 
 def test_config_hash_is_the_sha256_of_dumps():
-    smoke = load_config(ROOT / "bench" / "configs" / "smoke.cfg")
-    for cfg in (ExperimentConfig(), smoke):
+    for cfg in (ExperimentConfig(), FAST):
         assert config_hash(cfg) == hashlib.sha256(dumps(cfg).encode()).hexdigest()
 
 
@@ -657,8 +669,6 @@ def test_run_noise_sweep_rows_do_not_depend_on_cpu_count(cpus, monkeypatch):
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert run_noise_sweep(config) == reference
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_files_footer_and_summary(tmp_path):
@@ -696,40 +706,11 @@ def test_resolve_output_dir_precedence(monkeypatch):
     assert resolve_output_dir(cfg, "from_flag") == "from_flag"
 
 
-def _cfg_file(tmp_path):
-    path = tmp_path / "fast.cfg"
-    path.write_text(
-        "scene.grid.rows = 8\nscene.grid.cols = 8\nsweep.trials = 2\n"
-        "sweep.sigmas = 0, 0.0001\nsweep.spacings = 2\npilots.slots = 10\n"
-        "coherence.angular_samples = 16\n")
-    return str(path)
-
-
-@pytest.mark.parametrize("command,filename", [
-    ("fig4", "fig4.csv"),
-    ("noise-sweep", "noise_sweep.csv"),
-    ("overhead", "overhead.csv"),
-    ("coherence", "coherence.csv"),
-])
-def test_cli_runs_deterministically(tmp_path, command, filename):
-    cfg = _cfg_file(tmp_path)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    assert cli_main([command, "--config", cfg, "--seed", "11",
-                     "--out", str(out_a)]) == 0
-    assert cli_main([command, "--config", cfg, "--seed", "11",
-                     "--out", str(out_b)]) == 0
-    bytes_a = (out_a / filename).read_bytes()
-    bytes_b = (out_b / filename).read_bytes()
-    assert bytes_a == bytes_b and len(bytes_a) > 0
-
-
 def test_cli_seed_changes_noise_sweep(tmp_path):
-    cfg = _cfg_file(tmp_path)
     out_a = tmp_path / "s1"
     out_b = tmp_path / "s2"
-    cli_main(["noise-sweep", "--config", cfg, "--seed", "1", "--out", str(out_a)])
-    cli_main(["noise-sweep", "--config", cfg, "--seed", "2", "--out", str(out_b)])
+    cli_main(["noise-sweep", "--config", str(SMOKE), "--seed", "1", "--out", str(out_a)])
+    cli_main(["noise-sweep", "--config", str(SMOKE), "--seed", "2", "--out", str(out_b)])
     assert (out_a / "noise_sweep.csv").read_bytes() != \
         (out_b / "noise_sweep.csv").read_bytes()
 
@@ -749,8 +730,7 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     for fov, error, match in (
             (0.62, ZeroReferenceError, "outside a LED beam or the PD field of view"),
             (0.05, ConfigError, "^scene.fov_semi_angle_rad: ")):
-        cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
-                       + f"scene.fov_semi_angle_rad = {fov}\n")
+        cfg.write_text(SMOKE.read_text() + f"scene.fov_semi_angle_rad = {fov}\n")
         with pytest.raises(error, match=match):
             cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert calls == [] and forks == []
@@ -768,8 +748,7 @@ def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "run_algorithm1",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(Path(_cfg_file(tmp_path)).read_text()
-                   + "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-79\n")
+    cfg.write_text(SMOKE.read_text() + "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-79\n")
     with pytest.raises(OirsVlcError,
                        match=r"^sigma=0\.0001, spacing=1: the NMSE exceeds the float range$"):
         cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -808,7 +787,7 @@ def test_cli_negative_seed_raises_and_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "run_algorithm1",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     with pytest.raises(ConfigError, match="^seed: "):
-        cli_main(["noise-sweep", "--config", _cfg_file(tmp_path), "--seed", "-1",
+        cli_main(["noise-sweep", "--config", str(SMOKE), "--seed", "-1",
                   "--out", str(tmp_path / "out")])
     assert calls == []
     assert not (tmp_path / "out").exists()
@@ -819,7 +798,7 @@ def test_cli_checks_the_config_once(tmp_path, monkeypatch):
     calls = []
     real = experiments._validate
     monkeypatch.setattr(experiments, "_validate", lambda config: calls.append(1) or real(config))
-    assert cli_main(["overhead", "--config", _cfg_file(tmp_path), "--seed", "11",
+    assert cli_main(["overhead", "--config", str(SMOKE), "--seed", "11",
                      "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 
@@ -833,12 +812,10 @@ def test_cli_output_dir_fails_before_the_sweep(tmp_path, monkeypatch):
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     (tmp_path / "f").write_text("")
     with pytest.raises(OSError):
-        cli_main(["noise-sweep", "--config", _cfg_file(tmp_path),
+        cli_main(["noise-sweep", "--config", str(SMOKE),
                   "--out", str(tmp_path / "f" / "sub")])
     assert calls == []
 
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # bench/child.py still traces these, though the package no longer has them
 STALE_TRACED = {("estimator", "design_layout"), ("channel", "point_gain")}
@@ -872,12 +849,11 @@ def test_noise_sweep_forks_cleanly_under_warnings_as_errors(tmp_path):
     # -W error and writes the bytes of a run with BLAS pinned to one thread
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     free = {k: v for k, v in _src_env().items() if k not in pins}
-    smoke = str(ROOT / "bench" / "configs" / "smoke.cfg")
     written = []
     for name, flags, env in (("free", ["-W", "error"], free),
                              ("pinned", [], {**free, **dict.fromkeys(pins, "1")})):
         run = subprocess.run([sys.executable, *flags, "-m", "oirsvlc.cli", "noise-sweep",
-                              "--config", smoke, "--out", str(tmp_path / name)],
+                              "--config", str(SMOKE), "--out", str(tmp_path / name)],
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert "multi-threaded" not in run.stderr
@@ -962,8 +938,6 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path)
     assert calls["estimator.run_algorithm1"].count(os.getpid()) == cells
     assert calls["estimator.interpolate_full"].count(os.getpid()) == 2 * sampled
     assert len(calls["estimator.interpolate_full"]) == config.trials * sampled
-    with pytest.raises(ChildProcessError):     # the child was reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_noise_sweep_forks_its_workers_once(monkeypatch):
@@ -978,8 +952,6 @@ def test_noise_sweep_forks_its_workers_once(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert run_noise_sweep(FAST) == reference and forks == [os.getpid()]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_child_failure_stops_the_sweep_before_the_callers_next_cell(monkeypatch, tmp_path):
@@ -1009,8 +981,6 @@ def test_a_child_failure_stops_the_sweep_before_the_callers_next_cell(monkeypatc
         run_noise_sweep(FAST)
     assert failed.exists()
     assert 1 <= len(cells) < len(FAST.sigmas) * (len(FAST.spacings) + 1)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
@@ -1036,8 +1006,6 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
                        match=r"^sigma=0\.0001, spacing=1: worker failed mid-sweep$") as raised:
         run_noise_sweep(FAST)
     assert "in failing" in str(raised.value.__cause__)      # the worker's own frames
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
@@ -1060,7 +1028,7 @@ def test_cli_noise_sweep_loads_no_openssl(tmp_path):
     # caller loaded it first: the block leaves no None in sys.modules, hashlib
     # and hmac still work on CPython's builtin digests, and the CSV is the one
     # a process with OpenSSL writes
-    smoke = str(ROOT / "bench" / "configs" / "smoke.cfg")
+    smoke = str(SMOKE)
 
     def sweep(out, first):
         script = (f"import sys, {first}oirsvlc.cli; "
@@ -1106,7 +1074,7 @@ def test_cli_outputs_match_smoke_reference(tmp_path):
     _assert_cli_outputs_match_reference(
         tmp_path, "smoke", [("coherence", "coherence.csv"), ("fig4", "fig4.csv"),
                             ("noise-sweep", "noise_sweep.csv"), ("overhead", "overhead.csv")],
-        ("--config", str(ROOT / "bench" / "configs" / "smoke.cfg")))
+        ("--config", str(SMOKE)))
 
 
 def test_cli_light_outputs_match_default_reference(tmp_path):
@@ -1126,5 +1094,5 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
 def test_cli_env_output_dir(tmp_path, monkeypatch):
     target = tmp_path / "env_out"
     monkeypatch.setenv("OIRS_OUT_DIR", str(target))
-    assert cli_main(["overhead", "--config", _cfg_file(tmp_path)]) == 0
+    assert cli_main(["overhead", "--config", str(SMOKE)]) == 0
     assert (target / "overhead.csv").exists()
