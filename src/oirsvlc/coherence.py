@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import SceneConfig
+from .channel import MAX_SCALE, SceneConfig
 from .errors import (DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError,
                      with_fields)
 from .geometry import _frozen, as_vec3, is_unit
@@ -101,6 +101,12 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     its ZeroGainError reads the point as the grid center.
     """
     lr, ur = _legs(scene, as_vec3(point))
+    # the expansion squares the path length d1 + d2, so each leg must stay below
+    # MAX_SCALE / 2; math.hypot measures a longer one without overflow
+    for leg, end, name in ((lr, "led_positions", "LED"), (ur, "pd_positions", "PD")):
+        if not math.hypot(*leg) < MAX_SCALE / 2:
+            raise with_fields(ValueError(f"the {name}-to-element distance must be below "
+                                         f"{MAX_SCALE / 2:.3g} m"), end, "center")
     d1 = float(np.linalg.norm(lr))
     d2 = float(np.linalg.norm(ur))
     lr = lr / d1

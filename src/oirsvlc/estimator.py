@@ -396,8 +396,11 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     trial on its blocks, which hold every (element, pair) entry once, a
     sampled one on its recovered (N, Nr, Nt) estimate. So a call holds one
     trial's estimate at a time, and a trial's result depends on its seed
-    alone. sigma = 0 with spacing 1 and the point-model truth recovers the
-    tensor exactly up to round-off.
+    alone. The schedule index is freed once the blocks are gathered, and a
+    trial's pilot buffer before it is scored: while scoring, a call holds
+    the truth, the (Q, Nr, Nt) blocks and estimates, a sampled trial's
+    recovered estimate, and `nmse`'s one temporary. sigma = 0 with spacing 1
+    and the point-model truth recovers the tensor exactly up to round-off.
     """
     nt, nr = scene.n_leds, scene.n_pds
     truth = _check_truth(scene, truth)
@@ -409,15 +412,17 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     index, layout = block_schedule(scene.grid, nt, nr, spacing)
     pd_index, led_index = np.ix_(range(nr), range(nt))
     h_blocks = truth[index, pd_index, led_index]                      # (Q, Nr, Nt)
-    x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), nt, pilot_slots))
+    del index                                     # Phase I's schedule: the blocks hold it now
     h_est = np.empty(h_blocks.shape)
     errors = np.empty(len(seeds))
     for t, seed in enumerate(seeds):
+        x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), nt, pilot_slots))
         for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma, x):
             h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
+        del x                                     # freed before the trial is scored
         errors[t] = (nmse(h_est, h_blocks) if layout is None
                      else nmse(interpolate_full(h_est, layout), truth))
     return EstimationResult(
         nmse=errors,
-        flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * len(index)),
+        flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * len(h_blocks)),
     )

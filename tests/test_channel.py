@@ -320,7 +320,7 @@ def _drawn(h_blocks, seed, slots, power, sigma):
     return x, list(trial_statistics(h_blocks, seed, slots, power, sigma, x))
 
 
-def test_rx_statistics_noiseless_and_deterministic():
+def test_trial_statistics_noiseless_and_deterministic():
     # each block's statistics are its own products of the pilots drawn into x
     H = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
     Hs = np.stack([H, 2 * H, -H])
@@ -340,7 +340,7 @@ def test_rx_statistics_noiseless_and_deterministic():
             next(trial_statistics(Hs, 1, 4, 1.0, 0.0, np.empty(shape)))
 
 
-def test_rx_statistics_noise_variance():
+def test_trial_statistics_noise_variance():
     # with H = 0 each cross term is sigma * sum_p x_p z_p ~ N(0, sigma^2 G)
     blocks, slots = 100000, 4
     x, [(_, gram, cross)] = _drawn(np.zeros((blocks, 1, 1)), 123, slots, 0.5, 0.7)
@@ -350,7 +350,7 @@ def test_rx_statistics_noise_variance():
     assert abs(z.mean()) <= 0.02
 
 
-def test_rx_statistics_hold_no_noise_across_a_yield():
+def test_trial_statistics_hold_no_noise_across_a_yield():
     # a chunk's noise Z, (chunk, Nr, P) = 512 kB here, is freed before its
     # statistics, 0.5 kB, are yielded. A first, untraced trial loads what
     # seeding imports
@@ -390,7 +390,7 @@ def test_generate_pilots_rejects_bad_power(power):
 
 
 @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
-def test_rx_statistics_rejects_bad_sigma(sigma):
+def test_trial_statistics_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
         _drawn(np.zeros((1, 2, 2)), 0, 4, 1.0, sigma)
 

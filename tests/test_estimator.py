@@ -710,6 +710,38 @@ def test_truth_build_and_dense_pass_memory_stays_bounded():
     assert sixteen < 3e6 and abs(sixteen - two) < 0.5e6
 
 
+def test_a_trial_is_scored_with_only_its_blocks_and_estimates_alive(monkeypatch):
+    # bytes held at each `nmse` call, counted from the call's start. The
+    # schedule index is freed once the blocks are gathered, and the pilot
+    # buffer (144 x 3 x 100 float64, 346 kB) before the trial is scored. So a
+    # dense trial is scored beside its blocks and estimates, two (N, Nr, Nt)
+    # arrays (166 kB each here), and a spacing-3 trial beside its recovered
+    # estimate and 256-block arrays
+    scene = three_by_three_scene(48, 48, pitch=0.025)
+    truth = build_csi_tensor(scene)
+    slots = 100
+    half_pilots = estimator.CHUNK_BLOCKS * scene.n_leds * slots * 8 / 2
+    for spacing in (1, 3):
+        run_algorithm1(scene, truth, spacing, slots, 1e-3, seeds=range(2))   # warm caches
+    real_nmse = estimator.nmse
+    held = []
+
+    def traced_nmse(*args):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return real_nmse(*args)
+
+    monkeypatch.setattr(estimator, "nmse", traced_nmse)
+    for spacing, arrays in ((1, 2), (3, 1)):
+        held.clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_algorithm1(scene, truth, spacing, slots, 1e-3, seeds=range(2))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2 and max(held) < arrays * truth.nbytes + half_pilots
+
+
 def test_workers_memory_stays_bounded(monkeypatch, tmp_path):
     # the bounds the calling process meets in the test above, met by the
     # forked child of a sweep of that scene (a dense and a spacing-3 cell),

@@ -225,6 +225,13 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("coherence.led = 1e300, 2, 3", "coherence.led", "coherence.led and scene.room"),
         ("coherence.element = -1.7e308, 1.7e308, 1.7e308", "coherence.element",
          "coherence.element and scene.room"),
+        # in a room that holds it, an end 1e170 m from the element overflowed the
+        # leg's norm in the study link's Taylor expansion; without -W error the
+        # config failed as "coherence: incidence cosine ...", naming no key
+        ("scene.room = 1e200, 1e200, 1e200\ncoherence.led = 1e170, 2, 3", "coherence.led",
+         "coherence.led and coherence.element"),
+        ("scene.room = 1e200, 1e200, 1e200\ncoherence.pd = 1e170, 2, 0", "coherence.pd",
+         "coherence.pd and coherence.element"),
         # one past the largest count: order^2 sub-points per element, that
         # many angles, that many trials per cell
         ("truth.quadrature_order = 65", "truth.quadrature_order"),
