@@ -46,6 +46,9 @@ GAIN_MODES = ("unit", "lambertian")
 # aperture sub-points evaluated at a time: 64 elements at order 8, so each
 # (points, Nr, Nt) gain temporary of a 3 x 3 scene stays near 0.3 MB
 APERTURE_CHUNK_POINTS = 1 << 12
+# Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
+# pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per process
+CHUNK_BLOCKS = 144
 # Largest Gram entry bound P*(2p)^2, ridge term sigma^2 and gain constant C
 # accepted, the first two formed by multiplication (`**` raises on overflow).
 # At the square root of the float64 maximum their sum, the cross terms
@@ -247,17 +250,18 @@ def _check_sigma(sigma: float):
 
 
 def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
-                     sigma: float, x: np.ndarray):
+                     sigma: float):
     """Yield (b, G, X Y^T) of one trial's (Q, Nr, Nt) channel blocks H a chunk
     at a time, from block b: what the ridge solve reads of the received
     blocks Y = H X + sigma Z, which are never formed. G = X X^T is
     (chunk, Nt, Nt) and X Y^T = G H^T + sigma X Z^T is (chunk, Nt, Nr).
 
-    The pilots X, i.i.d. uniform on [0, 2*power] (mean `power`), are drawn
-    into the caller's (chunk, Nt, pilot_slots) buffer `x`: nonnegative under
-    the intensity-modulation constraint, and X X^T well conditioned with high
-    probability. The noise Z is i.i.d. standard normal. The pilots, sigma and
-    the shape of `x` are checked once, before the first draw.
+    The pilots X, i.i.d. uniform on [0, 2*power] (mean `power`), are
+    nonnegative under the intensity-modulation constraint, and X X^T is well
+    conditioned with high probability. They are drawn into one buffer of
+    min(Q, CHUNK_BLOCKS) blocks, freed when the generator is exhausted. The
+    noise Z is i.i.d. standard normal. The pilots and sigma are checked
+    once, before the first draw.
 
     The trial reads one stream, `default_rng(seed)`: the pilots of every
     block, then its noise in C order only when sigma > 0, through two cursors
@@ -274,13 +278,12 @@ def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
     q_blocks, n_pds, nt = np.shape(h_blocks)
     _check_pilots(nt, pilot_slots, power)
     _check_sigma(sigma)
-    if np.ndim(x) != 3 or len(x) < 1 or np.shape(x)[1:] != (nt, pilot_slots):
-        raise ShapeError(f"pilot buffer {np.shape(x)} must be (>= 1, {nt}, {pilot_slots})")
+    x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
     seq = np.random.SeedSequence(seed)
     pilots = np.random.Generator(np.random.PCG64(seq))
     noise = (np.random.Generator(np.random.PCG64(seq).advance(q_blocks * nt * pilot_slots))
              if sigma > 0.0 else None)
-    for b in range(0, q_blocks, len(x)):
+    for b in range(0, q_blocks, CHUNK_BLOCKS):
         xb = pilots.random(out=x[:q_blocks - b])
         xb *= 2.0 * power
         gram = xb @ np.swapaxes(xb.copy(), -1, -2)            # gemm, not syrk: see above

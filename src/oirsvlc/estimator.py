@@ -20,8 +20,8 @@ per element with a rotating pair assignment.
 `run_algorithm1` runs a batch of Monte-Carlo trials in the calling process,
 one seed stream each, and keeps one number per trial: its NMSE. Phase II
 reads the received blocks Y = H X + sigma Z only through X X^T and X Y^T, so
-Y is never formed. It solves CHUNK_BLOCKS blocks at a time, as
-`channel.trial_statistics` draws them from the trial's seed, and each trial
+Y is never formed. It solves each chunk of blocks as
+`channel.trial_statistics` draws it from the trial's seed, and each trial
 is scored before the next is drawn. The noise sweep splits its trials into
 fixed shares with `_in_processes`: the caller runs one share, a child forked
 once per sweep runs each other share and replies with its results, and a
@@ -49,10 +49,6 @@ from .errors import (
     ZeroReferenceError,
 )
 from .geometry import OirsGrid
-
-# Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
-# pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per process
-CHUNK_BLOCKS = 144
 
 
 @dataclass(frozen=True)
@@ -390,15 +386,15 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     (>= Nt) are checked before any draw.
 
     Trial t's pilots and noise come from `seeds[t]` alone, drawn and solved
-    CHUNK_BLOCKS blocks at a time (see `channel.trial_statistics`), so its
-    bits do not depend on the chunk size. The trials run in this process, in
+    a chunk of blocks at a time by `channel.trial_statistics`, so its bits
+    do not depend on the chunk size. The trials run in this process, in
     seed order, and each is scored before the next is drawn: a dense-baseline
     trial on its blocks, which hold every (element, pair) entry once, a
     sampled one on its recovered (N, Nr, Nt) estimate. So a call holds one
     trial's estimate at a time, and a trial's result depends on its seed
-    alone. The schedule index is freed once the blocks are gathered, and a
-    trial's pilot buffer before it is scored: while scoring, a call holds
-    the truth, the (Q, Nr, Nt) blocks and estimates, a sampled trial's
+    alone. The schedule index is freed once the blocks are gathered, and the
+    pilots with the exhausted `trial_statistics`: while scoring, a call
+    holds the truth, the (Q, Nr, Nt) blocks and estimates, a sampled trial's
     recovered estimate, and `nmse`'s one temporary. sigma = 0 with spacing 1
     and the point-model truth recovers the tensor exactly up to round-off.
     """
@@ -416,10 +412,8 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     h_est = np.empty(h_blocks.shape)
     errors = np.empty(len(seeds))
     for t, seed in enumerate(seeds):
-        x = np.empty((min(len(h_blocks), CHUNK_BLOCKS), nt, pilot_slots))
-        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma, x):
+        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma):
             h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
-        del x                                     # freed before the trial is scored
         errors[t] = (nmse(h_est, h_blocks) if layout is None
                      else nmse(interpolate_full(h_est, layout), truth))
     return EstimationResult(

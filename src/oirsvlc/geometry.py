@@ -115,12 +115,13 @@ class OirsGrid:
         """Whether each of the (..., 3) points lies on an element's square
         aperture, within 1e-9 m of the grid plane."""
         rel = np.asarray(points, dtype=float) - self.center
-        hit = np.abs(rel @ self.normal) <= 1e-9
-        for axis, count in ((self.axis_u, self.cols), (self.axis_v, self.rows)):
-            # position in pitches from the first element, and the nearest element
-            t = rel @ axis / self.element_pitch + (count - 1) / 2.0
-            nearest = np.clip(np.round(t), 0, count - 1)
-            hit &= np.abs(t - nearest) * self.element_pitch <= self.element_size / 2.0 + 1e-9
+        with np.errstate(over="ignore", invalid="ignore"):    # inf or nan offset: no aperture
+            hit = np.abs(rel @ self.normal) <= 1e-9
+            for axis, count in ((self.axis_u, self.cols), (self.axis_v, self.rows)):
+                # position in pitches from the first element, and the nearest element
+                t = rel @ axis / self.element_pitch + (count - 1) / 2.0
+                nearest = np.clip(np.round(t), 0, count - 1)
+                hit &= np.abs(t - nearest) * self.element_pitch <= self.element_size / 2.0 + 1e-9
         return hit
 
 

@@ -11,6 +11,7 @@ at xi_c = 0.04). The exact-gain spread along the same direction must lie
 within 2 % above it, the simulation check of the closed form.
 """
 
+import runpy
 import statistics
 import time
 from pathlib import Path
@@ -34,11 +35,13 @@ from oirsvlc import (
     taylor_coeffs,
 )
 from oirsvlc.cli import main as cli_main
+from oirsvlc.experiments import write_noise_sweep_csv
 
 from channel_oracle import blockdiag_channel, link_scene, recorded_channel_blocks
 
 MID_SIGMA_GAP_DB = 3.0
-SMOKE = Path(__file__).resolve().parent.parent / "bench" / "configs" / "smoke.cfg"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SMOKE = BENCH / "configs" / "smoke.cfg"
 
 
 def _report(criterion, ok, detail):
@@ -256,7 +259,7 @@ def test_criterion_6_overhead_accounting():
                           f"csi params spacing 2: {table[2]} = N*Nt*Nr/4")
 
 
-def test_criterion_7_noise_sweep_behavior():
+def test_criterion_7_noise_sweep_behavior(tmp_path):
     t0 = time.monotonic()
     config = ExperimentConfig()
     assert config.trials >= 100
@@ -280,6 +283,15 @@ def test_criterion_7_noise_sweep_behavior():
                           f"baseline {at_mid[1]:.1f} dB, gaps s2 {gap2:+.2f} dB "
                           f"(<=3), s3 {at_mid[3] - at_mid[1]:+.2f} dB, "
                           f"s4 {gap4:+.2f} dB (> s2), {elapsed:.0f}s")
+    # the sweep's CSV matches the recorded reference; bench/check.py is run
+    # from source so that nothing is written under bench/
+    check = runpy.run_path(str(BENCH / "check.py"))
+    assert config.master_seed == check["RECORDED_SEED"]
+    write_noise_sweep_csv(config, rows, tmp_path / "noise_sweep.csv")
+    problems = check["compare"]((tmp_path / "noise_sweep.csv").read_text(),
+                                (BENCH / "reference" / "default" / "noise_sweep.csv").read_text(),
+                                check["RECORDED_SEED"])
+    assert problems == []
 
 
 def test_criterion_8_interpolation_properties():

@@ -13,7 +13,6 @@ from oirsvlc import (
     IdentifiabilityError,
     OirsGrid,
     SceneConfig,
-    ShapeError,
     block_schedule,
     build_csi_tensor,
     element_positions,
@@ -313,15 +312,19 @@ def test_run_algorithm1_gather_matches_blockdiag_oracle(monkeypatch):
 
 
 def _drawn(h_blocks, seed, slots, power, sigma):
-    """The pilot buffer and the (b, G, X Y^T) chunks of one trial_statistics
-    call with a buffer of every block."""
+    """The pilots and the (b, G, X Y^T) chunks of one trial_statistics call.
+    The pilots are its documented stream, 2 * power * default_rng(seed).random
+    of (Q, Nt, slots), pinned by the yielded Gram matrices."""
+    chunks = list(trial_statistics(h_blocks, seed, slots, power, sigma))
     q, _, nt = h_blocks.shape
-    x = np.empty((q, nt, slots))
-    return x, list(trial_statistics(h_blocks, seed, slots, power, sigma, x))
+    x = 2 * power * np.random.default_rng(seed).random((q, nt, slots))
+    gram = np.concatenate([gram for _, gram, _ in chunks])
+    assert_allclose(gram, x @ np.swapaxes(x, -1, -2), rtol=1e-14)
+    return x, chunks
 
 
 def test_trial_statistics_noiseless_and_deterministic():
-    # each block's statistics are its own products of the pilots drawn into x
+    # each block's statistics are its own products of its pilots
     H = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
     Hs = np.stack([H, 2 * H, -H])
     x, [(b, grams, crosses)] = _drawn(Hs, 1, 4, 1.0, 0.0)
@@ -334,57 +337,59 @@ def test_trial_statistics_noiseless_and_deterministic():
     assert np.array_equal(noisy_grams, grams) and not np.array_equal(c1, crosses)
     assert np.array_equal(c1, _drawn(Hs, 1, 4, 1.0, 0.3)[1][0][2])
     assert not np.array_equal(c1, _drawn(Hs, 2, 4, 1.0, 0.3)[1][0][2])
-    # the buffer holds at least one block of Nt x pilot_slots pilots
-    for shape in ((3, 3, 4), (3, 2, 5), (0, 2, 4), (2, 4)):
-        with pytest.raises(ShapeError):
-            next(trial_statistics(Hs, 1, 4, 1.0, 0.0, np.empty(shape)))
 
 
 def test_trial_statistics_noise_variance():
     # with H = 0 each cross term is sigma * sum_p x_p z_p ~ N(0, sigma^2 G)
     blocks, slots = 100000, 4
-    x, [(_, gram, cross)] = _drawn(np.zeros((blocks, 1, 1)), 123, slots, 0.5, 0.7)
+    x, chunks = _drawn(np.zeros((blocks, 1, 1)), 123, slots, 0.5, 0.7)
+    gram, cross = (np.concatenate(parts) for parts in list(zip(*chunks))[1:])
     assert_allclose(gram[:, 0, 0], np.sum(x[:, 0] ** 2, axis=-1), rtol=1e-14)
     z = cross[:, 0, 0] / np.sqrt(0.49 * gram[:, 0, 0])
     assert abs(z.var() - 1.0) <= 0.02
     assert abs(z.mean()) <= 0.02
 
 
-def test_trial_statistics_hold_no_noise_across_a_yield():
+def test_trial_statistics_hold_no_noise_across_a_yield(monkeypatch):
     # a chunk's noise Z, (chunk, Nr, P) = 512 kB here, is freed before its
-    # statistics, 0.5 kB, are yielded. A first, untraced trial loads what
-    # seeding imports
-    h, x = np.zeros((2, 64, 1)), np.empty((1, 1, 1000))
-    list(trial_statistics(h, 0, 1000, 1.0, 1.0, x))
+    # statistics, 0.5 kB, and the 8 kB pilot buffer are yielded, and the
+    # buffer is freed once the trial is exhausted: less than half of it
+    # stays. A first, untraced trial loads what seeding imports
+    monkeypatch.setattr(channel, "CHUNK_BLOCKS", 1)
+    h = np.zeros((2, 64, 1))
+    list(trial_statistics(h, 0, 1000, 1.0, 1.0))
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
         held = [tracemalloc.get_traced_memory()[0]
-                for _ in trial_statistics(h, 0, 1000, 1.0, 1.0, x)]
+                for _ in trial_statistics(h, 0, 1000, 1.0, 1.0)]
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(held) == 2 and max(held) < 100e3
+    assert abs(after - before) < 4e3
 
 
-def test_generate_pilots_range_and_mean():
+def test_trial_statistics_pilots_range_and_mean():
     x, _ = _drawn(np.zeros((1, 1, 1)), 0, 4, 0.5, 0.0)
     assert np.all(x >= 0) and np.all(x <= 1.0)
     big, _ = _drawn(np.zeros((1, 1, 1)), 7, 100000, 0.5, 0.0)
     assert abs(big.mean() - 0.5) / 0.5 <= 0.02
 
 
-def test_generate_pilots_full_rank():
+def test_trial_statistics_pilots_full_rank():
     for seed in range(1000):
         x, _ = _drawn(np.zeros((1, 1, 4)), seed, 100, 1.0, 0.0)
         assert np.linalg.matrix_rank(x[0]) == 4
 
 
-def test_generate_pilots_identifiability():
+def test_trial_statistics_pilots_identifiability():
     with pytest.raises(IdentifiabilityError):
         _drawn(np.zeros((1, 1, 3)), 0, 2, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
-def test_generate_pilots_rejects_bad_power(power):
+def test_trial_statistics_rejects_bad_power(power):
     with pytest.raises(ValueError):
         _drawn(np.zeros((1, 2, 2)), 0, 4, power, 0.0)
 
@@ -410,10 +415,8 @@ def test_advanced_cursor_continues_the_uniform_stream(seed):
     for n in (1, 7, 1000):
         ref = np.random.default_rng(seed)
         x_ref, z_ref = ref.random(n), ref.standard_normal(n)
-        x = np.empty((min(n, 144), 1, 1))
-        starts, grams, crosses = zip(*trial_statistics(np.zeros((n, 1, 1)), seed, 1, 0.5,
-                                                       1.0, x))
-        assert starts == tuple(range(0, n, 144))
+        starts, grams, crosses = zip(*trial_statistics(np.zeros((n, 1, 1)), seed, 1, 0.5, 1.0))
+        assert starts == tuple(range(0, n, channel.CHUNK_BLOCKS))
         assert np.array_equal(np.concatenate(grams).ravel(), x_ref * x_ref)
         assert np.array_equal(np.concatenate(crosses).ravel(), x_ref * z_ref)
 
@@ -442,22 +445,21 @@ def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
         seen = []
         checks.clear()
 
-        def record(h_blocks, seed, pilot_slots, power, sigma, x):
-            for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, power, sigma, x):
-                seen.append((h_blocks[b:b + len(gram)], x[:len(gram)].copy(), gram, cross))
+        def record(h_blocks, seed, pilot_slots, power, sigma):
+            for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, power, sigma):
+                seen.append((h_blocks[b:b + len(gram)], gram, cross))
                 yield b, gram, cross
 
-        monkeypatch.setattr(estimator, "CHUNK_BLOCKS", chunk)
+        monkeypatch.setattr(channel, "CHUNK_BLOCKS", chunk)
         monkeypatch.setattr(estimator, "trial_statistics", record)
         run_algorithm1(scene, truth, 1, pilot_slots=6, sigma=0.1, seeds=[(3, 1)])
         assert len(seen) == -(-35 // chunk)
         assert checks == ["_check_pilots", "_check_sigma"]
-        h, x, gram, cross = (np.concatenate(parts) for parts in zip(*seen))
-        assert np.array_equal(x, x_ref)
+        h, gram, cross = (np.concatenate(parts) for parts in zip(*seen))
         y_ref = h @ x_ref + 0.1 * z_ref
         assert_allclose(gram, x_ref @ np.swapaxes(x_ref, -1, -2), rtol=1e-14)
         assert_allclose(cross, x_ref @ np.swapaxes(y_ref, -1, -2), rtol=1e-12)
-    # drawn into a buffer of every block, one chunk, the pilots keep their bits
+    # the documented stream, one chunk of every block, keeps the pilots' bits
     x, _ = _drawn(np.zeros((35, 3, 2)), (3, 1), 6, 1.0, 0.1)
     assert np.array_equal(x, x_ref)
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oirsvlc import estimator
+from oirsvlc import channel, estimator
 from oirsvlc import (
     ExperimentConfig,
     IdentifiabilityError,
@@ -239,8 +239,7 @@ def test_noiseless_ridge_returns_truth_on_sample_lattice():
     index, layout = block_schedule(scene.grid, 2, 2, 2)
     tensor = build_csi_tensor(scene)
     blocks = tensor[index, np.arange(2)[:, None], np.arange(2)]
-    [(_, gram, cross)] = trial_statistics(blocks, 4, 16, 1.0, 0.0,
-                                          np.empty((layout.n_blocks, 2, 16)))
+    [(_, gram, cross)] = trial_statistics(blocks, 4, 16, 1.0, 0.0)
     est = mmse_estimate(gram, cross, 0.0)
     for nr in range(2):
         for nt in range(2):
@@ -674,7 +673,7 @@ def test_run_algorithm1_does_not_depend_on_the_chunk_size(scene, spacing, monkey
     truth = build_csi_tensor(scene, 3)
     results = []
     for chunk in (3, scene.grid.n_elements):
-        monkeypatch.setattr(estimator, "CHUNK_BLOCKS", chunk)
+        monkeypatch.setattr(channel, "CHUNK_BLOCKS", chunk)
         results.append(run_algorithm1(scene, truth, spacing, pilot_slots=8, sigma=1e-3,
                                       seeds=[7, (7, 1)]))
     assert np.array_equal(results[0].nmse, results[1].nmse)
@@ -713,14 +712,15 @@ def test_truth_build_and_dense_pass_memory_stays_bounded():
 def test_a_trial_is_scored_with_only_its_blocks_and_estimates_alive(monkeypatch):
     # bytes held at each `nmse` call, counted from the call's start. The
     # schedule index is freed once the blocks are gathered, and the pilot
-    # buffer (144 x 3 x 100 float64, 346 kB) before the trial is scored. So a
-    # dense trial is scored beside its blocks and estimates, two (N, Nr, Nt)
-    # arrays (166 kB each here), and a spacing-3 trial beside its recovered
-    # estimate and 256-block arrays
+    # buffer (144 x 3 x 100 float64, 346 kB) with the trial's exhausted
+    # `trial_statistics`, before the trial is scored. So a dense trial is
+    # scored beside its blocks and estimates, two (N, Nr, Nt) arrays (166 kB
+    # each here), and a spacing-3 trial beside its recovered estimate and
+    # 256-block arrays
     scene = three_by_three_scene(48, 48, pitch=0.025)
     truth = build_csi_tensor(scene)
     slots = 100
-    half_pilots = estimator.CHUNK_BLOCKS * scene.n_leds * slots * 8 / 2
+    half_pilots = channel.CHUNK_BLOCKS * scene.n_leds * slots * 8 / 2
     for spacing in (1, 3):
         run_algorithm1(scene, truth, spacing, slots, 1e-3, seeds=range(2))   # warm caches
     real_nmse = estimator.nmse

@@ -232,6 +232,10 @@ def test_config_rejects_unknown_and_invalid_keys():
          "coherence.led and coherence.element"),
         ("scene.room = 1e200, 1e200, 1e200\ncoherence.pd = 1e170, 2, 0", "coherence.pd",
          "coherence.pd and coherence.element"),
+        # its offset from the grid overflowed a product in the aperture check
+        # into a RuntimeWarning before this error
+        ("scene.room = 1.7e308, 1.7e308, 1.7e308\ncoherence.led = 1.7e308, 1.7e308, 1.7e308",
+         "coherence.led", "coherence.led and coherence.element"),
         # one past the largest count: order^2 sub-points per element, that
         # many angles, that many trials per cell
         ("truth.quadrature_order = 65", "truth.quadrature_order"),
