@@ -9,11 +9,10 @@ unit vectors point from the LED/PD toward the element, which makes both
 cosines positive in the downlink geometry.
 
 C = 1 in "unit" mode; "lambertian" mode uses rho * (m + 1) * A_pd / (2 pi)
-for absolute gains. `SceneConfig` computes C once, as `gain_constant`, and
-refuses a C that underflows to 0 or exceeds MAX_SCALE. Growth rates, coherence
-distances and noiseless NMSE do not depend on C. NMSE under noise does: the
-noise sigma is absolute in gain units, so the same sigma buries the far
-smaller "lambertian" gains.
+for absolute gains. `SceneConfig` computes C once, as `gain_constant`.
+Growth rates, coherence distances and noiseless NMSE do not depend on C.
+NMSE under noise does: the noise sigma is absolute in gain units, so the
+same sigma buries the far smaller "lambertian" gains.
 
 `trial_statistics` is the observation model: it draws a trial's uniform
 nonnegative pilots X and, when sigma > 0, its Gaussian noise Z, and yields
@@ -34,7 +33,10 @@ from .errors import (
     with_fields,
 )
 from .geometry import (
+    MAX_LENGTH,
+    MIN_LENGTH,
     OirsGrid,
+    _check_range,
     _element_centers,
     _frozen,
     as_vec3,
@@ -49,12 +51,6 @@ APERTURE_CHUNK_POINTS = 1 << 12
 # Phase II blocks drawn and solved at a time: one chunk of a 3 x 3 scene's
 # pilots or noise at 100 slots (144 x 3 x 100 float64) is 0.35 MB per process
 CHUNK_BLOCKS = 144
-# Largest Gram entry bound P*(2p)^2, ridge term sigma^2 and gain constant C
-# accepted, the first two formed by multiplication (`**` raises on overflow).
-# At the square root of the float64 maximum their sum, the cross terms
-# G H^T + sigma X Z^T, the steps of the ridge solve and the squares of gains
-# up to C stay finite.
-MAX_SCALE = math.sqrt(np.finfo(np.float64).max)
 
 
 def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
@@ -129,9 +125,9 @@ class SceneConfig:
     gain_constant: float = field(init=False, repr=False)   # C of the module docstring
 
     def __post_init__(self):
-        object.__setattr__(self, "room", _frozen(as_vec3(self.room)))
-        if np.any(self.room <= 0.0):
-            raise with_fields(ValueError("room extents must be positive"), "room")
+        for extent in np.ravel(self.room):        # a length, before it is read as coordinates
+            _check_range(extent, MIN_LENGTH, MAX_LENGTH, "room")
+        object.__setattr__(self, "room", _frozen(as_vec3(self.room, "room")))
         leds = np.atleast_2d(np.asarray(self.led_positions, dtype=float))
         pds = np.atleast_2d(np.asarray(self.pd_positions, dtype=float))
         for name, pts, n in (("led_positions", leds, "Nt"), ("pd_positions", pds, "Nr")):
@@ -140,35 +136,23 @@ class SceneConfig:
         object.__setattr__(self, "led_positions", _frozen(leds))
         object.__setattr__(self, "pd_positions", _frozen(pds))
         for name in ("led_normal", "pd_normal"):
-            vec = as_vec3(getattr(self, name))
+            vec = as_vec3(getattr(self, name), name)
             if not is_unit(vec):
                 raise with_fields(DegenerateGeometryError(f"{name} must be a unit vector"), name)
             object.__setattr__(self, name, _frozen(vec))
         if self.gain_mode not in GAIN_MODES:
             raise with_fields(ValueError(f"gain_mode must be one of {GAIN_MODES}"), "gain_mode")
-        if self.pd_side <= 0.0:
-            raise with_fields(ValueError("pd_side must be positive"), "pd_side")
-        if self.lambertian_order < 1.0:
-            raise with_fields(ValueError("lambertian_order must be >= 1"), "lambertian_order")
+        _check_range(self.pd_side, MIN_LENGTH, MAX_LENGTH, "pd_side")
+        _check_range(self.lambertian_order, 1.0, 1e3, "lambertian_order")
         if not 0.0 < self.fov_semi_angle <= math.pi / 2:
             raise with_fields(ValueError("fov_semi_angle must lie in (0, pi/2]"), "fov_semi_angle")
-        try:
-            c = (self.grid.reflectivity * (self.lambertian_order + 1.0) * self.pd_side**2
-                 / (2.0 * math.pi) if self.gain_mode == "lambertian" else 1.0)
-        except OverflowError:                     # `**` raises past the float range
-            c = math.inf
-        if not 0.0 < c <= MAX_SCALE:
-            raise with_fields(ValueError(f"gain constant rho (m + 1) pd_side^2 / (2 pi) = {c:g} "
-                                         f"must lie in (0, {MAX_SCALE:.3g}]"),
-                              "pd_side", "lambertian_order", "reflectivity", "gain_mode")
-        object.__setattr__(self, "gain_constant", c)
+        object.__setattr__(self, "gain_constant", (
+            self.grid.reflectivity * (self.lambertian_order + 1.0) * self.pd_side**2
+            / (2.0 * math.pi) if self.gain_mode == "lambertian" else 1.0))
         # the grid by its corner elements: no grid size builds every element.
-        # The grid fields that place them; a one-element grid's corner is its center.
-        # A grid wider than the float range has inf or nan corners, outside the room
+        # The grid fields that place them; a one-element grid's corner is its center
         grid = ("center", "axis_u", "axis_v", "rows", "cols", "element_pitch")
-        with np.errstate(over="ignore", invalid="ignore"):
-            corners = _element_centers(self.grid, [0, self.grid.cols - 1],
-                                       [0, self.grid.rows - 1])
+        corners = _element_centers(self.grid, [0, self.grid.cols - 1], [0, self.grid.rows - 1])
         for name, reads, pts in (("led_positions", ("led_positions",), leds),
                                  ("pd_positions", ("pd_positions",), pds),
                                  ("grid", grid if self.grid.n_elements > 1 else grid[:1], corners)):
@@ -228,25 +212,17 @@ def build_csi_tensor(scene: SceneConfig, order: int = 1) -> np.ndarray:
 
 
 def _check_pilots(n_leds: int, n_slots: int, power: float):
-    """Raise unless `n_slots` pilots of finite positive mean `power` can identify
-    `n_leds` LED gains with Gram entries of at most MAX_SCALE (`fields`: the arguments read)."""
+    """Raise unless `n_slots` pilots can identify `n_leds` LED gains and their
+    mean `power` lies in its range (`fields`: the arguments read)."""
     if n_slots < n_leds:
         raise with_fields(IdentifiabilityError(
             f"{n_slots} pilot slots cannot identify {n_leds} LED gains"), "n_slots", "n_leds")
-    if not (math.isfinite(power) and power > 0.0):
-        raise with_fields(ValueError("pilot power must be positive and finite"), "power")
-    if not (n_slots <= MAX_SCALE and n_slots * (2.0 * power) * (2.0 * power) <= MAX_SCALE):
-        raise with_fields(ValueError(f"pilot power {power:g} makes the Gram bound slots * "
-                                     f"(2 * power)^2 exceed {MAX_SCALE:.3g}"), "power", "n_slots")
+    _check_range(power, 1e-6, 1e6, "power")
 
 
 def _check_sigma(sigma: float):
-    """Raise unless the noise level `sigma` is finite and nonnegative, and
-    sigma^2 at most MAX_SCALE."""
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError("sigma must be finite and >= 0")
-    if not sigma * sigma <= MAX_SCALE:
-        raise ValueError(f"sigma {sigma:g} makes the ridge term sigma^2 exceed {MAX_SCALE:.3g}")
+    """Raise unless the noise level `sigma` lies in its range."""
+    _check_range(sigma, 0.0, 1e3, "sigma")
 
 
 def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,

@@ -25,10 +25,10 @@ from functools import partial
 
 import numpy as np
 
-from .channel import MAX_SCALE, SceneConfig
+from .channel import SceneConfig
 from .errors import (DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError,
                      with_fields)
-from .geometry import _frozen, as_vec3, is_unit
+from .geometry import MIN_LENGTH, _frozen, as_vec3, is_unit
 
 _COS_EPS = 1e-9
 
@@ -56,13 +56,14 @@ class TaylorCoeffs:
 
 def _legs(scene: SceneConfig, points):
     """LED-to-point and PD-to-point vectors of (..., 3) element points in a
-    one-LED, one-PD scene."""
+    one-LED, one-PD scene, each at least MIN_LENGTH long."""
     if scene.n_leds != 1 or scene.n_pds != 1:
         raise ShapeError("a coherence study takes a scene with one LED and one PD")
     lr = points - scene.led_positions[0]
     ur = points - scene.pd_positions[0]
-    if not (np.any(lr, axis=-1).all() and np.any(ur, axis=-1).all()):
-        raise DegenerateGeometryError("an element point coincides with the LED or the PD")
+    if not np.all(np.linalg.norm([lr, ur], axis=-1) >= MIN_LENGTH):
+        raise DegenerateGeometryError(f"an element point lies within {MIN_LENGTH:g} m of the "
+                                      "LED or the PD")
     return lr, ur
 
 
@@ -101,12 +102,6 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     its ZeroGainError reads the point as the grid center.
     """
     lr, ur = _legs(scene, as_vec3(point))
-    # the expansion squares the path length d1 + d2, so each leg must stay below
-    # MAX_SCALE / 2; math.hypot measures a longer one without overflow
-    for leg, end, name in ((lr, "led_positions", "LED"), (ur, "pd_positions", "PD")):
-        if not math.hypot(*leg) < MAX_SCALE / 2:
-            raise with_fields(ValueError(f"the {name}-to-element distance must be below "
-                                         f"{MAX_SCALE / 2:.3g} m"), end, "center")
     d1 = float(np.linalg.norm(lr))
     d2 = float(np.linalg.norm(ur))
     lr = lr / d1
@@ -123,25 +118,17 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     m = scene.lambertian_order
     ds = d1 + d2
 
-    # a huge Lambertian order overflows a factor to inf, and inf times the
-    # zeros of an outer product is nan: refused below, without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        s1 = (m / (d1 * ct)) * n1 + (1.0 / (d2 * cp)) * n2 \
-            - (m / d1 + 2.0 / ds) * lr - (1.0 / d2 + 2.0 / ds) * ur
+    s1 = (m / (d1 * ct)) * n1 + (1.0 / (d2 * cp)) * n2 \
+        - (m / d1 + 2.0 / ds) * lr - (1.0 / d2 + 2.0 / ds) * ur
 
-        # Hessian of the log gain; adding s1 s1^T turns it into hess(h)/h.
-        hess_ln = (-m / (d1 * ct) ** 2) * np.outer(n1, n1) \
-            - (1.0 / (d2 * cp) ** 2) * np.outer(n2, n2) \
-            + (2.0 * m / d1**2 + 2.0 / (d1 * ds) + 2.0 / ds**2) * np.outer(lr, lr) \
-            + (2.0 / d2**2 + 2.0 / (d2 * ds) + 2.0 / ds**2) * np.outer(ur, ur) \
-            + (2.0 / ds**2) * (np.outer(lr, ur) + np.outer(ur, lr)) \
-            - (m / d1**2 + 1.0 / d2**2 + 2.0 / (d1 * ds) + 2.0 / (d2 * ds)) * np.eye(3)
-        s2 = hess_ln + np.outer(s1, s1)
-    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
-        raise with_fields(ValueError("growth-rate coefficients exceed the float range"),
-                          "lambertian_order", "led_positions", "center", "pd_positions",
-                          "led_normal", "pd_normal")
-    return TaylorCoeffs(s1, s2)
+    # Hessian of the log gain; adding s1 s1^T turns it into hess(h)/h.
+    hess_ln = (-m / (d1 * ct) ** 2) * np.outer(n1, n1) \
+        - (1.0 / (d2 * cp) ** 2) * np.outer(n2, n2) \
+        + (2.0 * m / d1**2 + 2.0 / (d1 * ds) + 2.0 / ds**2) * np.outer(lr, lr) \
+        + (2.0 / d2**2 + 2.0 / (d2 * ds) + 2.0 / ds**2) * np.outer(ur, ur) \
+        + (2.0 / ds**2) * (np.outer(lr, ur) + np.outer(ur, lr)) \
+        - (m / d1**2 + 1.0 / d2**2 + 2.0 / (d1 * ds) + 2.0 / (d2 * ds)) * np.eye(3)
+    return TaylorCoeffs(s1, hess_ln + np.outer(s1, s1))
 
 
 def _terms(coeffs: TaylorCoeffs, shifts):

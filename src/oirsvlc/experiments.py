@@ -110,10 +110,11 @@ def _fmt(parser, value) -> str:
 
 
 def _key(default, key, parser, bounds=None, mimo=None):
-    """The field that config `key` sets, read by `parser`. A count's `bounds` are its
-    (smallest, largest) accepted value: a run takes order^2 sub-points per element,
-    that many angles, and that many trials per cell. `mimo` names the scene or grid
-    field that the key sets in the MIMO scene."""
+    """The field that config `key` sets, read by `parser`. `bounds` are its (smallest,
+    largest) accepted value, for a key whose range no scene or pilot check declares: a
+    run takes order^2 sub-points per element, that many angles, that many trials per
+    cell, and a (chunk, Nt, slots) pilot buffer. `mimo` names the scene or grid field
+    that the key sets in the MIMO scene."""
     return field(default=default, metadata={"key": key, "parser": parser, "bounds": bounds,
                                             "mimo": mimo})
 
@@ -147,7 +148,7 @@ class ExperimentConfig:
     fov_semi_angle: float = _key(math.pi / 2, "scene.fov_semi_angle_rad", _parse_float,
                                  mimo="fov_semi_angle")
     gain_mode: str = _key("unit", "scene.gain_mode", _parse_text, mimo="gain_mode")
-    xi_c: float = _key(0.04, "coherence.xi_c", _parse_float)
+    xi_c: float = _key(0.04, "coherence.xi_c", _parse_float, bounds=(1e-6, 1.0))
     coherence_led: tuple = _key((1.0, 2.0, 3.0), "coherence.led", _parse_vec3)
     coherence_pd: tuple = _key((2.0, 2.0, 0.0), "coherence.pd", _parse_vec3)
     coherence_element: tuple = _key((1.0, 2.0, 1.5), "coherence.element", _parse_vec3)
@@ -155,7 +156,7 @@ class ExperimentConfig:
     sigmas: tuple = _key((0.0, 5e-5, 7e-5, 1e-4, 3e-4, 1e-3), "sweep.sigmas", _parse_floats)
     spacings: tuple = _key((2, 3, 4), "sweep.spacings", _parse_ints)
     trials: int = _key(100, "sweep.trials", _parse_int, bounds=(1, 10**6))
-    pilot_slots: int = _key(100, "pilots.slots", _parse_int)
+    pilot_slots: int = _key(100, "pilots.slots", _parse_int, bounds=(1, 10**4))
     pilot_power: float = _key(1.0, "pilots.power", _parse_float)
     master_seed: int = _key(20240917, "seed", _parse_int, bounds=(0, math.inf))
     truth_model: str = _key("quadrature", "truth.model", _parse_text)
@@ -172,7 +173,7 @@ class ExperimentConfig:
 
 
 # maps of the keys declared on the fields: key -> (field name, parser), in field order;
-# count key -> (smallest, largest); and MIMO scene field -> the key that sets it, or None
+# bounded key -> (smallest, largest); and MIMO scene field -> the key that sets it, or None
 # where the build places it (the grid's axes), by which `_scene` builds the scene and
 # `_validate` names its errors
 _KEYED = [f for f in fields(ExperimentConfig) if f.init]
@@ -222,9 +223,6 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
             counts = value if parser is _parse_ints else (value,)
             if not all(type(v) is int for v in counts):        # a bool is not a count
                 bad(key, "counts must be integers")
-            if key in _BOUNDS and not _BOUNDS[key][0] <= value <= _BOUNDS[key][1]:
-                lo, hi = _BOUNDS[key]
-                bad(key, f"must be >= {lo}" if value < lo else f"must lie in [{lo}, {hi}]")
         elif kind is not str:
             try:
                 array = np.asarray(value)
@@ -236,6 +234,8 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
                 bad(key, "holds a sequence where a number belongs")
             if parser(key, _fmt(parser, value)) != value:
                 bad(key, f"{value!r} would be written as {_fmt(parser, value)!r}, another value")
+        if key in _BOUNDS and not _BOUNDS[key][0] <= value <= _BOUNDS[key][1]:
+            bad(key, "must lie in [{}, {}]".format(*_BOUNDS[key]))
     if min(config.spacings, default=2) < 2:
         bad("sweep.spacings", "must be >= 2: the dense baseline (spacing 1) always runs first")
     if len(set(config.spacings)) < len(config.spacings):
@@ -250,8 +250,6 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
     except (ValueError, OirsVlcError) as exc:
         reject(exc, {"n_slots": "pilots.slots", "n_leds": "scene.led_positions",
                      "power": "pilots.power"})
-    if config.xi_c <= 0:
-        bad("coherence.xi_c", "must be positive")
     if config.truth_model not in ("point", "quadrature"):
         bad("truth.model", "must be 'point' or 'quadrature'")
     if not config.output_dir:

@@ -15,15 +15,27 @@ import numpy as np
 from .errors import DegenerateGeometryError, with_fields
 
 _UNIT_TOL = 1e-9
+# meters: the range of every length a scene declares (room extents, element
+# pitch, PD side, study-link legs); each coordinate lies within +-MAX_LENGTH
+MIN_LENGTH, MAX_LENGTH = 1e-6, 1e4
 
 
-def as_vec3(v) -> np.ndarray:
-    """Coerce to a float (3,) array, requiring finite entries."""
+def _check_range(value: float, lo: float, hi: float, name: str):
+    """Raise a ValueError carrying the field `name` unless `value` lies in
+    [lo, hi]; NaN lies in no range."""
+    if not lo <= value <= hi:
+        raise with_fields(ValueError(f"{name} must lie in [{lo}, {hi}]"), name)
+
+
+def as_vec3(v, name: str | None = None) -> np.ndarray:
+    """Coerce to a float (3,) array of coordinates within +-MAX_LENGTH m; a
+    rejection carries the field `name`, if given."""
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("coordinates must be finite")
+    if not np.all(np.abs(a) <= MAX_LENGTH):
+        exc = ValueError(f"coordinates must lie in [{-MAX_LENGTH}, {MAX_LENGTH}]")
+        raise with_fields(exc, name) if name else exc
     return a
 
 
@@ -35,8 +47,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def normalize(v) -> np.ndarray:
     """Return v / ||v||; a zero vector has no direction."""
-    a = as_vec3(v)
-    a = a / max(1.0, np.max(np.abs(a)) / 1e150)   # by 1.0 unless a square could overflow
+    return _unit(as_vec3(v))
+
+
+def _unit(a: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(a)
     if n <= 0.0:
         raise DegenerateGeometryError("cannot normalize a zero vector")
@@ -44,8 +58,7 @@ def normalize(v) -> np.ndarray:
 
 
 def is_unit(v) -> bool:
-    a = as_vec3(v)        # an entry past 1 + _UNIT_TOL rules it out before it overflows the norm
-    return bool(np.max(np.abs(a)) <= 1.0 + _UNIT_TOL) and abs(np.linalg.norm(a) - 1.0) <= _UNIT_TOL
+    return bool(abs(np.linalg.norm(as_vec3(v)) - 1.0) <= _UNIT_TOL)
 
 
 def alignment_normal(led, element, pd) -> np.ndarray:
@@ -56,8 +69,10 @@ def alignment_normal(led, element, pd) -> np.ndarray:
     bisector degenerates when the two rays are antiparallel (grazing
     configuration), which raises DegenerateGeometryError.
     """
-    to_led = normalize(as_vec3(led) - as_vec3(element))
-    to_pd = normalize(as_vec3(pd) - as_vec3(element))
+    element = as_vec3(element, "center")
+    # each ray joins two in-range points, so an entry may reach twice the range
+    to_led = _unit(as_vec3(led, "led_positions") - element)
+    to_pd = _unit(as_vec3(pd, "pd_positions") - element)
     s = to_led + to_pd
     if np.linalg.norm(s) < _UNIT_TOL:
         raise DegenerateGeometryError("incident and reflected rays are antiparallel")
@@ -85,9 +100,9 @@ class OirsGrid:
     normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _frozen(as_vec3(self.center)))
+        object.__setattr__(self, "center", _frozen(as_vec3(self.center, "center")))
         for name in ("axis_u", "axis_v"):
-            vec = as_vec3(getattr(self, name))
+            vec = as_vec3(getattr(self, name), name)
             if not is_unit(vec):
                 raise with_fields(DegenerateGeometryError(f"{name} must be a unit vector"), name)
             object.__setattr__(self, name, _frozen(vec))
@@ -99,13 +114,11 @@ class OirsGrid:
         for name in ("rows", "cols"):
             if not 1 <= getattr(self, name) <= top:
                 raise with_fields(ValueError(f"{name} must lie in [1, {top}]"), name)
-        if self.element_pitch <= 0.0:
-            raise with_fields(ValueError("element_pitch must be positive"), "element_pitch")
+        _check_range(self.element_pitch, MIN_LENGTH, MAX_LENGTH, "element_pitch")
         if not 0.0 < self.element_size <= self.element_pitch:
             raise with_fields(ValueError("element_size must lie in (0, element_pitch]"),
                               "element_size", "element_pitch")
-        if not 0.0 < self.reflectivity <= 1.0:
-            raise with_fields(ValueError("reflectivity must lie in (0, 1]"), "reflectivity")
+        _check_range(self.reflectivity, 1e-3, 1.0, "reflectivity")
 
     @property
     def n_elements(self) -> int:
@@ -115,13 +128,12 @@ class OirsGrid:
         """Whether each of the (..., 3) points lies on an element's square
         aperture, within 1e-9 m of the grid plane."""
         rel = np.asarray(points, dtype=float) - self.center
-        with np.errstate(over="ignore", invalid="ignore"):    # inf or nan offset: no aperture
-            hit = np.abs(rel @ self.normal) <= 1e-9
-            for axis, count in ((self.axis_u, self.cols), (self.axis_v, self.rows)):
-                # position in pitches from the first element, and the nearest element
-                t = rel @ axis / self.element_pitch + (count - 1) / 2.0
-                nearest = np.clip(np.round(t), 0, count - 1)
-                hit &= np.abs(t - nearest) * self.element_pitch <= self.element_size / 2.0 + 1e-9
+        hit = np.abs(rel @ self.normal) <= 1e-9
+        for axis, count in ((self.axis_u, self.cols), (self.axis_v, self.rows)):
+            # position in pitches from the first element, and the nearest element
+            t = rel @ axis / self.element_pitch + (count - 1) / 2.0
+            nearest = np.clip(np.round(t), 0, count - 1)
+            hit &= np.abs(t - nearest) * self.element_pitch <= self.element_size / 2.0 + 1e-9
         return hit
 
 

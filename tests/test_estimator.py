@@ -461,8 +461,8 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
 
 
 def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch):
-    # a NaN, infinite, negative or overflowing (sigma^2 = inf) sigma, a NaN,
-    # infinite, non-positive or overflowing (Gram entries = inf) pilot power,
+    # a NaN, infinite, negative or too large sigma, a NaN, infinite,
+    # non-positive or too large pilot power (each past its range),
     # too few pilot slots, an all-zero truth and no seeds fail before any
     # pilot is drawn (NaN and inf powers used to come back as NaN NMSE). A
     # call never forks, even with two CPUs reported: each draw, those of the

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 import os
 import pickle
 import re
@@ -21,6 +22,7 @@ from numpy.testing import assert_allclose
 
 from oirsvlc import (
     ConfigError,
+    DegenerateGeometryError,
     ExperimentConfig,
     OirsGrid,
     OirsVlcError,
@@ -36,6 +38,7 @@ from oirsvlc import (
     run_fig4,
     run_noise_sweep,
     run_overhead_report,
+    taylor_coeffs,
 )
 from oirsvlc import estimator, experiments
 from oirsvlc.cli import main as cli_main
@@ -134,9 +137,6 @@ _ON_APERTURE = (", scene.grid.center, scene.grid.rows, scene.grid.cols, scene.gr
 _LAYOUT = ("sweep.spacings, scene.grid.rows, scene.grid.cols, scene.led_positions and "
            "scene.pd_positions")
 _DARK = ("scene.fov_semi_angle_rad, coherence.pd, coherence.element and scene.pd_normal")
-_GAIN = "scene.pd_side_m, scene.lambertian_order, scene.grid.reflectivity and scene.gain_mode"
-_TAYLOR = ("scene.lambertian_order, coherence.led, coherence.element, coherence.pd, "
-           "scene.led_normal and scene.pd_normal")
 
 
 def test_config_rejects_unknown_and_invalid_keys():
@@ -207,35 +207,36 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("output.dir =", "output.dir"),
         ("output.dir = a\tb", "output.dir"),          # control characters
         ("output.dir = out\x7f", "output.dir"),
-        # the Gram entries P * (2p)^2 and the ridge term sigma^2 would overflow:
-        # every row came out NaN, or the sweep died after the truth build
-        ("pilots.power = 1e160", "pilots.power", "pilots.power and pilots.slots"),
+        # past the pilot power's and sigma's ranges: the Gram entries P * (2p)^2
+        # and the ridge term sigma^2 used to overflow, every row came out NaN,
+        # or the sweep died after the truth build
+        ("pilots.power = 1e160", "pilots.power"),
         ("sweep.sigmas = 0, 1e160", "sweep.sigmas"),
+        # a pilot power of 1e-300 made the first cell's Gram matrix singular
+        ("pilots.power = 1e-300", "pilots.power"),
         # changed alone, each used to be named only by another key of its check
         ("scene.grid.rows = 40", "scene.grid.center", _GRID_IN_ROOM),
         ("scene.room = 2, 2, 2", "scene.led_positions", "scene.led_positions and scene.room"),
-        (f"pilots.slots = {10**160}", "pilots.power", "pilots.power and pilots.slots"),
-        # past the float range: used to raise OverflowError
-        (f"pilots.slots = {10**400}", "pilots.power", "pilots.power and pilots.slots"),
+        # past the slot count's range: 10**7 slots would have asked a sweep for
+        # a 23 GB pilot buffer, and 10**400 used to raise OverflowError
+        ("pilots.slots = 10000000", "pilots.slots"),
+        (f"pilots.slots = {10**160}", "pilots.slots"),
+        (f"pilots.slots = {10**400}", "pilots.slots"),
         ("scene.grid.pitch_m = 0.01", "scene.grid.element_size_m",
          "scene.grid.element_size_m and scene.grid.pitch_m"),
-        # squared in the norm, these used to overflow into a RuntimeWarning
+        # past the coordinate range; squared in the norm, these used to
+        # overflow into a RuntimeWarning
         ("scene.led_normal = 1e200, 0, 1", "scene.led_normal"),
         ("scene.pd_normal = 0, -1e300, 1e300", "scene.pd_normal"),
-        ("coherence.led = 1e300, 2, 3", "coherence.led", "coherence.led and scene.room"),
-        ("coherence.element = -1.7e308, 1.7e308, 1.7e308", "coherence.element",
-         "coherence.element and scene.room"),
-        # in a room that holds it, an end 1e170 m from the element overflowed the
-        # leg's norm in the study link's Taylor expansion; without -W error the
-        # config failed as "coherence: incidence cosine ...", naming no key
-        ("scene.room = 1e200, 1e200, 1e200\ncoherence.led = 1e170, 2, 3", "coherence.led",
-         "coherence.led and coherence.element"),
-        ("scene.room = 1e200, 1e200, 1e200\ncoherence.pd = 1e170, 2, 0", "coherence.pd",
-         "coherence.pd and coherence.element"),
-        # its offset from the grid overflowed a product in the aperture check
-        # into a RuntimeWarning before this error
+        ("coherence.led = 1e300, 2, 3", "coherence.led"),
+        ("coherence.element = -1.7e308, 1.7e308, 1.7e308", "coherence.element"),
+        # past the room's range: an end 1e170 m from the element in a room of
+        # 1e200 used to overflow the leg's norm in the study link's Taylor
+        # expansion, and an end at 1.7e308 a product in the aperture check
+        ("scene.room = 1e200, 1e200, 1e200\ncoherence.led = 1e170, 2, 3", "scene.room"),
+        ("scene.room = 1e200, 1e200, 1e200\ncoherence.pd = 1e170, 2, 0", "scene.room"),
         ("scene.room = 1.7e308, 1.7e308, 1.7e308\ncoherence.led = 1.7e308, 1.7e308, 1.7e308",
-         "coherence.led", "coherence.led and coherence.element"),
+         "scene.room"),
         # one past the largest count: order^2 sub-points per element, that
         # many angles, that many trials per cell
         ("truth.quadrature_order = 65", "truth.quadrature_order"),
@@ -245,18 +246,21 @@ def test_config_rejects_unknown_and_invalid_keys():
         # gain is 0, and d_c used to be reported for a link with no light
         ("scene.fov_semi_angle_rad = 0.3", "scene.fov_semi_angle_rad", _DARK),
         ("scene.fov_semi_angle_rad = 1e-300", "scene.fov_semi_angle_rad", _DARK),
-        # the gain constant rho (m + 1) pd_side^2 / (2 pi) overflowed (a bare
-        # OverflowError at 1e200; NaN fig4 rows at 1e154) or underflowed to 0;
-        # at 9e153 it is 2.3e307, and the sweep's NMSE squares overflowed to NaN
-        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e200", "scene.pd_side_m", _GAIN),
-        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e154", "scene.pd_side_m", _GAIN),
-        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e-200", "scene.pd_side_m", _GAIN),
-        ("scene.gain_mode = lambertian\nscene.pd_side_m = 9e153", "scene.pd_side_m", _GAIN),
-        # past the float range, these used to raise a RuntimeWarning: inf times
-        # the zeros of an outer product in the study link's growth-rate
-        # coefficients, and in the grid's corner centers
-        ("scene.lambertian_order = 8.98846567431158e+307", "scene.lambertian_order", _TAYLOR),
-        ("scene.grid.pitch_m = 1.563211421619405e+307", "scene.grid.center", _GRID_IN_ROOM),
+        # past the PD side's range: the gain constant rho (m + 1) pd_side^2 / (2 pi)
+        # overflowed (a bare OverflowError at 1e200; NaN fig4 rows at 1e154) or
+        # underflowed to 0; at 9e153 it is 2.3e307, and the sweep's NMSE squares
+        # overflowed to NaN
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e200", "scene.pd_side_m"),
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e154", "scene.pd_side_m"),
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 1e-200", "scene.pd_side_m"),
+        ("scene.gain_mode = lambertian\nscene.pd_side_m = 9e153", "scene.pd_side_m"),
+        # past the Lambertian order's and the pitch's ranges, these used to raise
+        # a RuntimeWarning: inf times the zeros of an outer product in the study
+        # link's growth-rate coefficients, and in the grid's corner centers
+        ("scene.lambertian_order = 8.98846567431158e+307", "scene.lambertian_order"),
+        ("scene.grid.pitch_m = 1.563211421619405e+307", "scene.grid.pitch_m"),
+        # past the threshold's range: fig4 used to exit 0 with d_c_m=inf in its CSV
+        ("coherence.xi_c = 1e308", "coherence.xi_c"),
     ]
     for text, key, *reads in table:
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
@@ -295,18 +299,56 @@ def test_constructor_and_replace_check_the_config():
             ExperimentConfig(**changes)
 
 
-def test_counts_are_bounded_by_the_work_they_imply():
-    # each bounded count is accepted at both ends and refused one past either
-    for name, key, lo, hi in (("quadrature_order", "truth.quadrature_order", 1, 64),
-                              ("angular_samples", "coherence.angular_samples", 8, 10**6),
-                              ("trials", "sweep.trials", 1, 10**6)):
-        for value in (lo, hi):
-            assert getattr(ExperimentConfig(**{name: value}), name) == value
-        for value, message in ((lo - 1, f"must be >= {lo}"), (hi + 1, f"must lie in [{lo}, {hi}]"),
-                               (2**70, f"must lie in [{lo}, {hi}]")):
-            with pytest.raises(ConfigError, match=f"^{re.escape(f'{key}: {message}')}$"):
-                ExperimentConfig(**{name: value})
+# every declared range: its key, its ends, the changes that set a value, and
+# the changes that let each end load, or None where another check refuses it
+_RANGES = [
+    ("truth.quadrature_order", 1, 64, lambda v: {"quadrature_order": v}, {}, {}),
+    ("coherence.angular_samples", 8, 10**6, lambda v: {"angular_samples": v}, {}, {}),
+    ("sweep.trials", 1, 10**6, lambda v: {"trials": v}, {}, {}),
+    ("pilots.slots", 1, 10**4, lambda v: {"pilot_slots": v},
+     {"led_positions": ((1.9, 2.0, 3.0),)}, {}),
+    ("coherence.xi_c", 1e-6, 1.0, lambda v: {"xi_c": v}, {}, {}),
+    ("scene.room", 1e-6, 1e4, lambda v: {"room": (4.0, v, 3.0)}, None, {}),
+    ("scene.grid.pitch_m", 1e-6, 1e4, lambda v: {"grid_pitch": v}, {"grid_element_size": 1e-6},
+     {"grid_rows": 2, "grid_cols": 2, "grid_center": (5e3, 0.0, 5e3), "room": (1e4, 4.0, 1e4),
+      "spacings": (2,)}),
+    ("scene.pd_side_m", 1e-6, 1e4, lambda v: {"pd_side": v, "gain_mode": "lambertian"}, {}, {}),
+    ("scene.grid.reflectivity", 1e-3, 1.0, lambda v: {"grid_reflectivity": v}, {}, {}),
+    ("scene.lambertian_order", 1.0, 1e3, lambda v: {"lambertian_order": v}, {}, {}),
+    ("pilots.power", 1e-6, 1e6, lambda v: {"pilot_power": v}, {}, {}),
+    ("sweep.sigmas", 0.0, 1e3, lambda v: {"sigmas": (v,)}, {}, {}),
+    # coordinates: an end must lie in the room as well
+    ("coherence.led", -1e4, 1e4, lambda v: {"coherence_led": (v, 2.0, 3.0)}, None,
+     {"room": (1e4, 4.0, 3.0)}),
+    ("scene.grid.center", -1e4, 1e4, lambda v: {"grid_center": (2.0, 0.0, v)}, None, None),
+]
+
+
+def test_each_declared_range_accepts_its_ends_and_refuses_past_them():
+    # a range accepts each end that no other check refuses, and its key refuses
+    # one step past either end: one count, or one float, past it. A count is
+    # bounded by the work it implies: order^2 sub-points per element, that many
+    # angles, trials per cell, and a (chunk, Nt, slots) pilot buffer
+    for key, lo, hi, put, *changes in _RANGES:
+        for end, extra in zip((lo, hi), changes):
+            if extra is not None:
+                config = ExperimentConfig(**put(end) | extra)
+                assert all(getattr(config, name) == value for name, value in put(end).items())
+        past = [lo - 1, hi + 1, 2**70] if type(lo) is int else \
+            [math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+        for value in past:
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: ") as raised:
+                ExperimentConfig(**put(value))
+            assert str(raised.value).endswith(f"must lie in [{lo}, {hi}]"), str(raised.value)
+    assert {key for key, *_ in _RANGES} >= set(experiments._BOUNDS) - {"seed"}
     assert ExperimentConfig(master_seed=2**70).master_seed == 2**70       # a seed has no maximum
+    # a study-link leg shorter than 1e-6 m has no Taylor expansion; at
+    # x = 0 the leg is exactly the point's x
+    study = replace(ExperimentConfig().single_link, led_positions=((0.0, 2.0, 3.0),),
+                    led_normal=(1.0, 0.0, 0.0))
+    taylor_coeffs(study, (1e-6, 2.0, 3.0))
+    with pytest.raises(DegenerateGeometryError, match="within 1e-06 m of the LED"):
+        taylor_coeffs(study, (math.nextafter(1e-6, 0.0), 2.0, 3.0))
 
 
 _GRID = dict(center=(2.0, 0.0, 1.5), axis_u=(1.0, 0.0, 0.0), axis_v=(0.0, 0.0, 1.0), rows=4,
@@ -335,8 +377,7 @@ _REJECTIONS = [
     ({"pd_side": 0.0}, ("pd_side",)),
     ({"lambertian_order": 0.5}, ("lambertian_order",)),
     ({"fov_semi_angle": 0.0}, ("fov_semi_angle",)),
-    ({"gain_mode": "lambertian", "pd_side": 1e-200},
-     ("pd_side", "lambertian_order", "reflectivity", "gain_mode")),
+    ({"gain_mode": "lambertian", "pd_side": 1e-200}, ("pd_side",)),
     ({"led_positions": ((1.0, 5.0, 3.0),)}, ("led_positions", "room")),
     ({"pd_positions": ((1.0, 2.0, -1.0),)}, ("pd_positions", "room")),
     ({"grid": _GRID | {"center": (0.1, 0.0, 1.5)}},
@@ -506,16 +547,22 @@ def test_config_round_trip_keeps_every_accepted_output_dir(output_dir):
     assert loads(dumps(config)) == config
 
 
+# the ends of every float range, and one step past each
+_ENDS = sorted({x for _, lo, hi, *_ in _RANGES if type(lo) is float
+                for x in (lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))})
+
+
 def _numbers(default):
     """Values for a float field: its default (as an int where it is one),
     floats near it, ints (also ones that no float holds), -0.0, subnormals,
-    nan, inf, floats of any size, and a pair where a number belongs (which
-    makes the sequence it is drawn into ragged)."""
+    nan, inf, the ends of every range and one step past them, floats of any
+    size, and a pair where a number belongs (which makes the sequence it is
+    drawn into ragged)."""
     near = st.floats(*sorted((0.5 * default, 1.5 * default))) if default else st.just(0.0)
     exact = st.sampled_from([default, int(default)] if default == int(default) else [default])
     return st.one_of(exact, near, st.integers(-3, 30), st.integers(2**53 + 1, 2**80),
                      st.just(-0.0), st.floats(-2.2e-308, 2.2e-308),
-                     st.sampled_from([np.nan, np.inf, -np.inf]),
+                     st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from(_ENDS),
                      st.floats(allow_nan=False, allow_infinity=False),
                      st.tuples(exact, exact))
 
@@ -563,8 +610,6 @@ def _key_and_value(draw):
     return key, name, draw(shape(getattr(ExperimentConfig, name)))
 
 
-@example(("scene.lambertian_order", "lambertian_order", 8.98846567431158e+307))
-@example(("scene.grid.pitch_m", "grid_pitch", 1.563211421619405e+307))
 @settings(max_examples=400, deadline=None)
 @given(_key_and_value())
 def test_config_round_trip_keeps_every_accepted_value(key_name_value):
@@ -748,8 +793,14 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
         assert not (tmp_path / "out" / "noise_sweep.csv").exists()
 
 
+# a narrow beam (m = 300) turned 30 degrees from the vertical, away from the
+# grid's wall: the largest truth gain of an 8 x 8 grid is 1.2e-196, and the
+# squares of the gains sum to 0
+_DIM_BEAM = "scene.lambertian_order = 300\nscene.led_normal = 0, 0.5, -0.8660254037844386\n"
+
+
 def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
-    # C = 1.4e-159 loads, but at sigma 1e-4 the squared error of these gains,
+    # the dim beam loads, but at sigma 1e-4 the squared error of its gains,
     # scaled by the truth, overflows in nmse. The sweep used to write inf rows
     # and exit 0, then to solve every cell before the write refused them; the
     # first overflowing trial now stops it, in the third of its four cells,
@@ -758,8 +809,8 @@ def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
     real = experiments.run_algorithm1
     monkeypatch.setattr(experiments, "run_algorithm1",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(SMOKE.read_text() + "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-79\n")
+    cfg = tmp_path / "dim.cfg"
+    cfg.write_text(SMOKE.read_text() + _DIM_BEAM)
     with pytest.raises(OirsVlcError,
                        match=r"^sigma=0\.0001, spacing=1: the NMSE exceeds the float range$"):
         cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -773,15 +824,14 @@ def test_cli_infinite_nmse_raises_and_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_cli_tiny_gain_constant_sweeps_like_unit_gains(tmp_path):
-    # C = 2.9e-201 loads, and the largest truth gain, 4e-203, squares to 0:
-    # the noiseless NMSE, which does not depend on C, must still be scored.
-    # Only sigma = 0 runs: at sigma 1e-4 the NMSE of these gains, near 1e397,
-    # lies past the float range
+    # the dim beam's gains square to 0, in unit mode and scaled by the
+    # lambertian mode's C = 0.11 alike: the noiseless NMSE, which does not
+    # depend on C, must still be scored. Only sigma = 0 runs: at sigma 1e-4
+    # the NMSE of these gains lies past the float range
     text = ("scene.grid.rows = 8\nscene.grid.cols = 8\nsweep.trials = 2\nsweep.sigmas = 0\n"
-            "sweep.spacings = 2\npilots.slots = 10\n")
+            "sweep.spacings = 2\npilots.slots = 10\n" + _DIM_BEAM)
     rows = {}
-    for name, extra in (("unit", ""),
-                        ("tiny", "scene.gain_mode = lambertian\nscene.pd_side_m = 1e-100\n")):
+    for name, extra in (("unit", ""), ("tiny", "scene.gain_mode = lambertian\n")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(text + extra)
         assert cli_main(["noise-sweep", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
@@ -1100,6 +1150,14 @@ def test_cli_light_outputs_match_default_reference(tmp_path):
 def test_demo_runs(demo, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)         # demo 04 writes ./out
     runpy.run_path(str(demo), run_name="__main__")
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "bench" / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_bench_config_loads(path):
+    # a check that refused a benchmark config would fail only the benchmark
+    # run; the test reads bench/ and writes nothing there
+    assert load_config(path).scene.grid.n_elements > 0
 
 
 def test_cli_env_output_dir(tmp_path, monkeypatch):
