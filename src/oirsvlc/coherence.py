@@ -14,21 +14,20 @@ coherence length is the spread |r2 - r1| of the two boundary points of
 |xi| <= xi_c nearest the origin: sqrt(B^2/A^2 + 4 xi_c/|A|) while the
 quadratic stays within the band (B^2 <= 4|A| xi_c), and the tangent-line
 bound 2 xi_c / |B| otherwise. The coherence distance of a surface is the
-minimum coherence length over its in-plane directions.
-"""
+minimum coherence length over its in-plane directions, in closed form (an
+infimum where the length jumps at a branch edge)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .channel import SceneConfig
 from .errors import (DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError,
                      with_fields)
-from .geometry import MIN_LENGTH, _frozen, as_vec3, is_unit
+from .geometry import MAX_LENGTH, MIN_LENGTH, _frozen, as_vec3, is_unit
 
 _COS_EPS = 1e-9
 
@@ -68,12 +67,12 @@ def _legs(scene: SceneConfig, points):
 
 
 def _shifts(shifts) -> np.ndarray:
-    """Coerce to a float (..., 3) array of finite shifts or directions."""
+    """Coerce to a float (..., 3) array of in-range shifts or directions."""
     d = np.asarray(shifts, dtype=float)
     if d.shape[-1:] != (3,):
         raise ShapeError(f"expected (..., 3) shifts, got shape {d.shape}")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("shifts must be finite")
+    if not np.all(np.abs(d) <= 2.0 * MAX_LENGTH):       # the span of two in-range coordinates
+        raise ValueError(f"shifts must lie in [{-2.0 * MAX_LENGTH}, {2.0 * MAX_LENGTH}]")
     return d
 
 
@@ -99,7 +98,8 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
 
     Requires both incidence cosines strictly positive; the coefficients
     diverge as either approaches zero. A zero gain has no log-gain to expand:
-    its ZeroGainError reads the point as the grid center.
+    its ZeroGainError names the PD's field of view, or else the beam whose
+    cos(theta)^m underflows, and reads the point as the grid center.
     """
     lr, ur = _legs(scene, as_vec3(point))
     d1 = float(np.linalg.norm(lr))
@@ -112,9 +112,11 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     cp = float(n2 @ ur)
     if ct <= _COS_EPS or cp <= _COS_EPS:
         raise SingularGeometryError("incidence cosine too small for a Taylor expansion")
-    if scene.gains(point)[0, 0] <= 0.0:        # the PD's field of view misses the LED's light
-        raise with_fields(ZeroGainError("fov_semi_angle leaves the link dark, with no log-gain"),
-                          "fov_semi_angle", "pd_positions", "center", "pd_normal")
+    if scene.gains(point)[0, 0] <= 0.0:
+        reads = (("fov_semi_angle", "pd_positions", "center", "pd_normal")
+                 if cp < math.cos(scene.fov_semi_angle) else
+                 ("lambertian_order", "led_normal", "led_positions", "center"))
+        raise with_fields(ZeroGainError(f"{reads[0]} leaves the link dark: no log-gain"), *reads)
     m = scene.lambertian_order
     ds = d1 + d2
 
@@ -198,52 +200,40 @@ def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float, angles):
     return coherence_length_1d(quadratic, linear, xi_c)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float):
-    """Golden-section minimum of f on [lo, hi] to within 1e-6."""
-    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-6:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
 def coherence_distance(scene: SceneConfig, point, plane_axes, xi_c: float,
                        angular_samples: int = 360) -> CoherenceReport:
-    """Minimum coherence length over a surface's in-plane directions at `point`.
-
-    plane_axes are two orthonormal in-plane directions of the reflecting
-    surface. A uniform angular grid seeds a golden-section refinement around
-    the best cell (1e-6 rad); the refined direction is appended to the
-    reported profile.
-    """
+    """Minimum coherence length over the directions cos(a) u + sin(a) v of a
+    surface with orthonormal axes u, v (`plane_axes`) at `point`, appended to a
+    uniform angular grid's profile. B = b(t) / sqrt(1 + t^2) and A = q(t) / (1 + t^2)
+    in t = tan(a), so the minimum lies at a = pi/2, at the largest |B|, at a root of
+    f'q - 2 f q' with f = (1 + t^2)(b^2 + 4 xi_c |q|), or at a simple root of
+    b^2 - 4 xi_c |q|: a branch edge, where it is the tangent side's infimum 2 xi_c / |B|."""
     if angular_samples < 8:
         raise ValueError("need at least 8 angular samples")
     u, v = (as_vec3(ax) for ax in plane_axes)
     if not (is_unit(u) and is_unit(v)) or abs(u @ v) > 1e-9:
         raise ValueError("plane_axes must be orthonormal")
     coeffs = taylor_coeffs(scene, point)
-    angles = np.pi * np.arange(angular_samples) / angular_samples
-    lengths = coherence_profile(coeffs, (u, v), xi_c, angles)
-    profile = list(zip(angles.tolist(), lengths.tolist()))
+    p, r = coeffs.s1 @ u, coeffs.s1 @ v
+    b, q = np.poly1d([r, p]), np.poly1d([v @ coeffs.S2 @ v, 2.0 * u @ coeffs.S2 @ v,
+                                         u @ coeffs.S2 @ u]) / 2.0
+    stationary, edges = [], []
+    for sign in (1.0, -1.0):                    # |q| = sign * q
+        f = np.poly1d([1.0, 0.0, 1.0]) * (b * b + 4.0 * xi_c * sign * q)
+        stationary.extend((f.deriv() * q - 2.0 * f * q.deriv()).roots)
+        g = b * b - 4.0 * xi_c * sign * q      # sign * q >= 0 at its roots
+        if g.order < 2 or g.coeffs[1] ** 2 > 4.0 * g.coeffs[0] * g.coeffs[2]:    # simple roots
+            edges.extend(g.roots)
+    stationary, edges = (np.real([t for t in ts if np.isreal(t)]) for ts in (stationary, edges))
+    inner = np.concatenate([np.pi * np.arange(angular_samples) / angular_samples,
+                            [np.pi / 2, math.atan2(r, p)], np.arctan(stationary)]) % np.pi
+    angles = np.concatenate([inner, np.arctan(edges) % np.pi])
+    lengths = np.concatenate([coherence_profile(coeffs, (u, v), xi_c, inner),
+                              coherence_length_1d(0.0, b(edges) / np.hypot(1.0, edges), xi_c)])
+    profile = list(zip(angles[:angular_samples].tolist(), lengths[:angular_samples].tolist()))
     k = int(np.argmin(lengths))
     best_angle, best_len = angles[k], lengths[k]
     if math.isfinite(best_len):
-        step = math.pi / angular_samples
-        ref_angle, ref_len = _golden_min(partial(coherence_profile, coeffs, (u, v), xi_c),
-                                         best_angle - step, best_angle + step)
-        if ref_len < best_len:
-            best_angle, best_len = ref_angle, ref_len
         profile.append((float(best_angle), float(best_len)))
     direction = math.cos(best_angle) * u + math.sin(best_angle) * v
     assert abs(direction @ np.cross(u, v)) <= 1e-9, "argmin direction left the surface plane"

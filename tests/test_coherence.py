@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -165,6 +165,19 @@ def test_coherence_functions_take_one_led_one_pd_and_a_point_off_both():
                  lambda: coherence_distance(mimo, point, axes, 0.04, 64)):
         with pytest.raises(ShapeError):
             call()
+
+
+def test_shifts_lie_in_the_span_of_two_in_range_coordinates():
+    # a shift is the difference of two points within +-1e4 m; past it the
+    # products used to overflow into a RuntimeWarning
+    scene, point = study_link()
+    coeffs = taylor_coeffs(scene, point)
+    for fn, args in ((growth_rate_exact, (scene, point)), (growth_rate_taylor, (coeffs,))):
+        for axis in np.eye(3):
+            assert np.isfinite(fn(*args, 2e4 * axis))
+            for past in (math.nextafter(2e4, math.inf), 1e200, math.nan):
+                with pytest.raises(ValueError, match=r"shifts must lie in \[-20000.0, 20000.0\]"):
+                    fn(*args, past * axis)
 
 
 def test_growth_rate_taylor_basics():
@@ -355,13 +368,41 @@ def test_coherence_distance_certificate():
         assert abs(growth_rate_taylor(c, r * e)) <= xi_c + 1e-9
 
 
-def test_coherence_distance_angular_convergence():
+def test_coherence_distance_does_not_depend_on_angular_samples():
+    # the grid only sets the reported profile: the minimum is the closed form's
     scene, point = study_link()
     axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
                                              scene.pd_positions[0]))
-    d64 = coherence_distance(scene, point, axes, 0.04, 64).d_c
     d512 = coherence_distance(scene, point, axes, 0.04, 512).d_c
-    assert abs(d64 - d512) / d512 <= 0.01
+    for samples in (8, 64):
+        assert coherence_distance(scene, point, axes, 0.04, samples).d_c == \
+            pytest.approx(d512, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(led=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 3.5)),
+       element=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 2.5)),
+       pd=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 3.5)),
+       m=st.sampled_from([1.0, 2.0, 5.0]), xi_c=st.sampled_from([0.01, 0.04, 0.2]))
+# a minimum that is an infimum at a branch edge, which no direction attains
+@example(led=(2.319437940213735, 0.54809876445178), element=(2.054059240464118, 1.3888213954054267),
+         pd=(0.5191941860559843, 1.0183006003448365), m=5.0, xi_c=0.2)
+def test_coherence_distance_is_the_profile_infimum(led, element, pd, m, xi_c):
+    # a study link: LED on the ceiling, PD on the floor, element on the
+    # y = 0 wall turned to the aligned mirror normal. The closed form is no
+    # larger than a fine grid's minimum, no sampled direction reads below it,
+    # and the profile beside its direction comes back to it: at a branch edge
+    # from the tangent side only
+    led, element, pd = (*led, 3.0), (element[0], 0.0, element[1]), (*pd, 0.0)
+    scene, point = link_scene(led, element, pd, DOWN, UP, m=m)
+    axes = plane_basis_from(alignment_normal(led, point, pd))
+    report = coherence_distance(scene, point, axes, xi_c, 360)
+    fine = coherence_profile(report.coeffs, axes, xi_c, np.pi * np.arange(20000) / 20000)
+    assert report.d_c <= fine.min() * (1 + 1e-12)
+    assert np.all(fine >= report.d_c * (1 - 1e-12))
+    angle = report.per_direction_lengths[-1][0]
+    beside = coherence_profile(report.coeffs, axes, xi_c, [angle - 1e-9, angle + 1e-9])
+    assert np.min(np.abs(beside - report.d_c)) <= 1e-9 * report.d_c
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -137,6 +137,7 @@ _ON_APERTURE = (", scene.grid.center, scene.grid.rows, scene.grid.cols, scene.gr
 _LAYOUT = ("sweep.spacings, scene.grid.rows, scene.grid.cols, scene.led_positions and "
            "scene.pd_positions")
 _DARK = ("scene.fov_semi_angle_rad, coherence.pd, coherence.element and scene.pd_normal")
+_BEAM = ("scene.lambertian_order, scene.led_normal, coherence.led and coherence.element")
 
 
 def test_config_rejects_unknown_and_invalid_keys():
@@ -246,6 +247,10 @@ def test_config_rejects_unknown_and_invalid_keys():
         # gain is 0, and d_c used to be reported for a link with no light
         ("scene.fov_semi_angle_rad = 0.3", "scene.fov_semi_angle_rad", _DARK),
         ("scene.fov_semi_angle_rad = 1e-300", "scene.fov_semi_angle_rad", _DARK),
+        # inside the field of view, the beam cos(70 deg)^1000 underflows to 0:
+        # the link is dark, and the field of view used to be blamed
+        ("scene.lambertian_order = 1000\nscene.led_normal = 0, 0.9396926207859083, "
+         "-0.3420201433256688", "scene.lambertian_order", _BEAM),
         # past the PD side's range: the gain constant rho (m + 1) pd_side^2 / (2 pi)
         # overflowed (a bare OverflowError at 1e200; NaN fig4 rows at 1e154) or
         # underflowed to 0; at 9e153 it is 2.3e307, and the sweep's NMSE squares
@@ -1072,14 +1077,15 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
 def test_cli_import_loads_no_scipy(tmp_path):
     # nor concurrent.futures or logging, which cost about 10 ms of set-up, nor
     # (through hashlib, or numpy.random's secrets -> hmac) OpenSSL's _hashlib,
-    # about 3.3 MB of RSS, nor mmap, in the light commands. The sweep loads
-    # numpy.random with _hashlib blocked (next test)
+    # about 3.3 MB of RSS, nor mmap, nor numpy.polynomial, about 3 ms of import
+    # (the closed-form d_c takes np.poly1d and np.roots), in the light commands.
+    # The sweep loads numpy.random with _hashlib blocked (next test)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, oirsvlc.cli; "
          f"[oirsvlc.cli.main([c, '--out', {str(tmp_path)!r}]) "
          "for c in ('overhead', 'coherence', 'fig4')]; "
          "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'concurrent', "
-         "'logging', '_hashlib', 'numpy.random', 'mmap'))))"],
+         "'logging', '_hashlib', 'numpy.random', 'numpy.polynomial', 'mmap'))))"],
         env=_src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
 
