@@ -15,7 +15,8 @@ coherence length is the spread |r2 - r1| of the two boundary points of
 quadratic stays within the band (B^2 <= 4|A| xi_c), and the tangent-line
 bound 2 xi_c / |B| otherwise. The coherence distance of a surface is the
 minimum coherence length over its in-plane directions, in closed form (an
-infimum where the length jumps at a branch edge)."""
+infimum where the length jumps at a branch edge). A study is a one-LED,
+one-PD `SceneConfig`: its grid's center is the element, its axes the surface."""
 
 from __future__ import annotations
 
@@ -27,9 +28,10 @@ import numpy as np
 from .channel import SceneConfig
 from .errors import (DegenerateGeometryError, ShapeError, SingularGeometryError, ZeroGainError,
                      with_fields)
-from .geometry import MAX_LENGTH, MIN_LENGTH, _frozen, as_vec3, is_unit
+from .geometry import MAX_LENGTH, MIN_LENGTH, _check_range, _frozen, as_vec3
 
 _COS_EPS = 1e-9
+XI_C_RANGE, ANGULAR_SAMPLES_RANGE = (1e-6, 1.0), (8, 10**6)     # declared input ranges
 
 
 @dataclass(frozen=True)
@@ -76,15 +78,15 @@ def _shifts(shifts) -> np.ndarray:
     return d
 
 
-def growth_rate_exact(scene: SceneConfig, point, shifts):
-    """Exact relative gain change of a one-LED, one-PD scene when the
-    element point moves by each of the (..., 3) `shifts`; returns (...).
+def growth_rate_exact(scene: SceneConfig, shifts):
+    """Exact relative gain change of a one-LED, one-PD scene when its
+    element moves by each of the (..., 3) `shifts`; returns (...).
 
     Both gains are evaluated for the same fixed link configuration (the
     element's mirror orientation is not re-aligned under the shift); the
     gain constant cancels in the ratio, so no gain mode enters.
     """
-    point, shifts = as_vec3(point), _shifts(shifts)
+    point, shifts = scene.grid.center, _shifts(shifts)
     points = np.concatenate([point[None], (point + shifts).reshape(-1, 3)])
     _legs(scene, points)
     h = scene.gains(points)[:, 0, 0]
@@ -93,15 +95,15 @@ def growth_rate_exact(scene: SceneConfig, point, shifts):
     return ((h[1:] - h[0]) / h[0]).reshape(shifts.shape[:-1])[()]
 
 
-def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
-    """Closed-form growth-rate coefficients of a one-LED, one-PD scene at a point.
+def taylor_coeffs(scene: SceneConfig) -> TaylorCoeffs:
+    """Closed-form growth-rate coefficients of a one-LED, one-PD scene at its element.
 
     Requires both incidence cosines strictly positive; the coefficients
     diverge as either approaches zero. A zero gain has no log-gain to expand:
     its ZeroGainError names the PD's field of view, or else the beam whose
-    cos(theta)^m underflows, and reads the point as the grid center.
+    cos(theta)^m underflows.
     """
-    lr, ur = _legs(scene, as_vec3(point))
+    lr, ur = _legs(scene, scene.grid.center)
     d1 = float(np.linalg.norm(lr))
     d2 = float(np.linalg.norm(ur))
     lr = lr / d1
@@ -112,7 +114,7 @@ def taylor_coeffs(scene: SceneConfig, point) -> TaylorCoeffs:
     cp = float(n2 @ ur)
     if ct <= _COS_EPS or cp <= _COS_EPS:
         raise SingularGeometryError("incidence cosine too small for a Taylor expansion")
-    if scene.gains(point)[0, 0] <= 0.0:
+    if scene.gains(scene.grid.center)[0, 0] <= 0.0:
         reads = (("fov_semi_angle", "pd_positions", "center", "pd_normal")
                  if cp < math.cos(scene.fov_semi_angle) else
                  ("lambertian_order", "led_normal", "led_positions", "center"))
@@ -200,20 +202,20 @@ def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float, angles):
     return coherence_length_1d(quadratic, linear, xi_c)
 
 
-def coherence_distance(scene: SceneConfig, point, plane_axes, xi_c: float,
+def coherence_distance(scene: SceneConfig, xi_c: float,
                        angular_samples: int = 360) -> CoherenceReport:
-    """Minimum coherence length over the directions cos(a) u + sin(a) v of a
-    surface with orthonormal axes u, v (`plane_axes`) at `point`, appended to a
+    """Minimum coherence length over the directions cos(a) u + sin(a) v of the
+    surface of a one-LED, one-PD scene, spanned by its grid's axes u and v, appended to a
     uniform angular grid's profile. B = b(t) / sqrt(1 + t^2) and A = q(t) / (1 + t^2)
     in t = tan(a), so the minimum lies at a = pi/2, at the largest |B|, at a root of
     f'q - 2 f q' with f = (1 + t^2)(b^2 + 4 xi_c |q|), or at a simple root of
     b^2 - 4 xi_c |q|: a branch edge, where it is the tangent side's infimum 2 xi_c / |B|."""
-    if angular_samples < 8:
-        raise ValueError("need at least 8 angular samples")
-    u, v = (as_vec3(ax) for ax in plane_axes)
-    if not (is_unit(u) and is_unit(v)) or abs(u @ v) > 1e-9:
-        raise ValueError("plane_axes must be orthonormal")
-    coeffs = taylor_coeffs(scene, point)
+    _check_range(xi_c, *XI_C_RANGE, "xi_c")
+    if not isinstance(angular_samples, (int, np.integer)):
+        raise TypeError("angular_samples must be an integer")
+    _check_range(angular_samples, *ANGULAR_SAMPLES_RANGE, "angular_samples")
+    u, v = scene.grid.axis_u, scene.grid.axis_v
+    coeffs = taylor_coeffs(scene)
     p, r = coeffs.s1 @ u, coeffs.s1 @ v
     b, q = np.poly1d([r, p]), np.poly1d([v @ coeffs.S2 @ v, 2.0 * u @ coeffs.S2 @ v,
                                          u @ coeffs.S2 @ u]) / 2.0
@@ -236,5 +238,5 @@ def coherence_distance(scene: SceneConfig, point, plane_axes, xi_c: float,
     if math.isfinite(best_len):
         profile.append((float(best_angle), float(best_len)))
     direction = math.cos(best_angle) * u + math.sin(best_angle) * v
-    assert abs(direction @ np.cross(u, v)) <= 1e-9, "argmin direction left the surface plane"
+    assert abs(direction @ scene.grid.normal) <= 1e-9, "argmin direction left the surface plane"
     return CoherenceReport(float(best_len), direction, xi_c, coeffs, tuple(profile))

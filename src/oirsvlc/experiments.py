@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
-from .coherence import CoherenceReport, coherence_distance, growth_rate_taylor, taylor_coeffs
+from .coherence import (ANGULAR_SAMPLES_RANGE, XI_C_RANGE, CoherenceReport, coherence_distance,
+                        growth_rate_taylor, taylor_coeffs)
 from .errors import ConfigError, LayoutError, OirsVlcError
 from .estimator import (_check_truth, _in_processes, _schedule_shape, flops_estimate,
                         run_algorithm1)
@@ -148,11 +149,12 @@ class ExperimentConfig:
     fov_semi_angle: float = _key(math.pi / 2, "scene.fov_semi_angle_rad", _parse_float,
                                  mimo="fov_semi_angle")
     gain_mode: str = _key("unit", "scene.gain_mode", _parse_text, mimo="gain_mode")
-    xi_c: float = _key(0.04, "coherence.xi_c", _parse_float, bounds=(1e-6, 1.0))
+    xi_c: float = _key(0.04, "coherence.xi_c", _parse_float, bounds=XI_C_RANGE)
     coherence_led: tuple = _key((1.0, 2.0, 3.0), "coherence.led", _parse_vec3)
     coherence_pd: tuple = _key((2.0, 2.0, 0.0), "coherence.pd", _parse_vec3)
     coherence_element: tuple = _key((1.0, 2.0, 1.5), "coherence.element", _parse_vec3)
-    angular_samples: int = _key(360, "coherence.angular_samples", _parse_int, bounds=(8, 10**6))
+    angular_samples: int = _key(360, "coherence.angular_samples", _parse_int,
+                                bounds=ANGULAR_SAMPLES_RANGE)
     sigmas: tuple = _key((0.0, 5e-5, 7e-5, 1e-4, 3e-4, 1e-3), "sweep.sigmas", _parse_floats)
     spacings: tuple = _key((2, 3, 4), "sweep.spacings", _parse_ints)
     trials: int = _key(100, "sweep.trials", _parse_int, bounds=(1, 10**6))
@@ -267,7 +269,7 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
         u, v = plane_basis_from(alignment_normal(config.coherence_led, config.coherence_element,
                                                  config.coherence_pd))
         single = _scene(config, study, axis_u=u, axis_v=v, rows=1, cols=1)
-        taylor_coeffs(single, single.grid.center)          # refuses a dark link too
+        taylor_coeffs(single)                              # refuses a dark link too
     except (ValueError, OirsVlcError) as exc:
         reject(exc, study)
     for spacing in sweep_schemes(config):
@@ -345,9 +347,7 @@ def _write_csv(path, header, rows, comments):
 
 def run_coherence(config: ExperimentConfig):
     """Coherence report of the single-link geometry over its mirror plane."""
-    scene = config.single_link
-    return coherence_distance(scene, scene.grid.center, (scene.grid.axis_u, scene.grid.axis_v),
-                              config.xi_c, config.angular_samples)
+    return coherence_distance(config.single_link, config.xi_c, config.angular_samples)
 
 
 def write_coherence_csv(config: ExperimentConfig, report: CoherenceReport, path):

@@ -1,6 +1,6 @@
 """Test oracles: the gain of one link written out with `math`, and Phase I's
 block-diagonal association model; and `link_scene`, which holds one link in
-the one-LED, one-PD scene that the coherence functions take.
+the one-LED, one-PD scene that the coherence functions study.
 
 `link_gain` evaluates the reflected-gain formula of one LED -> point -> PD
 link on plain floats, one link at a time, with no numpy and no array layout.
@@ -20,30 +20,31 @@ import math
 
 import numpy as np
 
-from oirsvlc import OirsGrid, SceneConfig, channel, estimator, run_algorithm1
+from oirsvlc import (OirsGrid, SceneConfig, alignment_normal, channel, estimator,
+                     plane_basis_from, run_algorithm1)
 
 
 def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mode="unit"):
-    """(scene, point): a one-LED, one-PD scene of the link LED -> point -> PD,
-    and the point in that scene.
+    """The one-LED, one-PD scene of the link LED -> point -> PD: a coherence study.
 
     A scene's room has its origin at (0, 0, 0) and must contain every
     position, so a link with negative coordinates moves by whole meters along
     those axes; gains, growth rates and Taylor coefficients do not change
     under translation, and a link with no negative coordinate keeps its
     coordinates. The room ends at the next whole meter past the link. The one
-    5 cm element lies on the horizontal plane through the point.
+    5 cm element, the grid's center, is turned to the aligned mirror normal
+    with the axes of `plane_basis_from`, as in `ExperimentConfig.single_link`.
     """
     pts = np.array([led, point, pd], dtype=float)
     pts += np.maximum(0.0, -np.floor(pts.min(axis=0)))
     led, point, pd = pts
-    grid = OirsGrid(center=point, axis_u=(1, 0, 0), axis_v=(0, 1, 0),
+    u, v = plane_basis_from(alignment_normal(led, point, pd))
+    grid = OirsGrid(center=point, axis_u=u, axis_v=v,
                     rows=1, cols=1, element_size=0.05, element_pitch=0.05)
-    scene = SceneConfig(room=np.floor(pts.max(axis=0)) + 1.0, led_positions=[led],
-                        led_normal=led_normal, lambertian_order=m, pd_positions=[pd],
-                        pd_normal=pd_normal, pd_side=0.05, fov_semi_angle=fov, grid=grid,
-                        gain_mode=mode)
-    return scene, point
+    return SceneConfig(room=np.floor(pts.max(axis=0)) + 1.0, led_positions=[led],
+                       led_normal=led_normal, lambertian_order=m, pd_positions=[pd],
+                       pd_normal=pd_normal, pd_side=0.05, fov_semi_angle=fov, grid=grid,
+                       gain_mode=mode)
 
 
 def link_gain(led, led_normal, point, pd, pd_normal, m, fov, c):

@@ -49,11 +49,11 @@ def _report(criterion, ok, detail):
     return ok
 
 
-def _exact_edge(scene, point, direction, xi_c):
-    """Nearest r > 0 with |growth_rate_exact(scene, point, r * direction)| = xi_c,
+def _exact_edge(scene, direction, xi_c):
+    """Nearest r > 0 with |growth_rate_exact(scene, r * direction)| = xi_c,
     by bracket growth plus bisection on the exact gain (no Taylor form)."""
     def inside(r):
-        return abs(growth_rate_exact(scene, point, r * direction)) <= xi_c
+        return abs(growth_rate_exact(scene, r * direction)) <= xi_c
 
     lo, hi = 0.0, 1e-3
     while inside(hi):
@@ -86,8 +86,8 @@ def test_criterion_1_coherence_distance():
                   np.max(np.abs(direction + y_axis)))
 
     scene = config.single_link
-    exact = _exact_edge(scene, scene.grid.center, direction, config.xi_c) \
-        + _exact_edge(scene, scene.grid.center, -direction, config.xi_c)
+    exact = _exact_edge(scene, direction, config.xi_c) \
+        + _exact_edge(scene, -direction, config.xi_c)
 
     ok = closed_err <= 1e-9 and dir_err <= 1e-6 \
         and report.d_c <= exact <= 1.02 * report.d_c and elapsed < 1.0
@@ -118,7 +118,8 @@ def test_criterion_2_growth_rate_coefficients():
     ratios = []
     checked = 0
     while checked < 1000:
-        link = scene, point = _random_link(rng)
+        scene = _random_link(rng)
+        point = scene.grid.center
         lr = point - scene.led_positions[0]
         ur = point - scene.pd_positions[0]
         cos_theta = scene.led_normal @ lr / np.linalg.norm(lr)
@@ -126,13 +127,13 @@ def test_criterion_2_growth_rate_coefficients():
         if scene.gains(point)[0, 0] <= 1e-6 or cos_theta < 0.05 or cos_phi < 0.05:
             continue
         checked += 1
-        coeffs = taylor_coeffs(*link)
+        coeffs = taylor_coeffs(scene)
         # central stencil at r1 on each axis, five-point stencil at r2 (with
         # xi(0) = 0), then the remainder along `direction`: one call per link
         r1, r2 = 1e-5, 3e-3
         steps = [r1 * axes, -r1 * axes, r2 * axes, -r2 * axes, 2 * r2 * axes, -2 * r2 * axes]
         along = np.array([0.08 * direction, 0.04 * direction])
-        xi = growth_rate_exact(*link, np.concatenate(steps + [along]))
+        xi = growth_rate_exact(scene, np.concatenate(steps + [along]))
         plus1, minus1, plus2, minus2, plus4, minus4 = xi[:18].reshape(6, 3)
         s1 = coeffs.s1                      # s1 @ e on each axis
         fd = (plus1 - minus1) / (2 * r1)

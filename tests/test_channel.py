@@ -37,8 +37,8 @@ UP = (0.0, 0.0, 1.0)
 
 def one_link_gain(led, point, pd, led_normal, pd_normal, **kw):
     """Unit-constant gain of one LED -> point -> PD link, from its one-link scene."""
-    scene, point = link_scene(led, point, pd, led_normal, pd_normal, **kw)
-    return float(scene.gains(point)[0, 0])
+    scene = link_scene(led, point, pd, led_normal, pd_normal, **kw)
+    return float(scene.gains(scene.grid.center)[0, 0])
 
 
 def study_gain():

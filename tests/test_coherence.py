@@ -16,14 +16,13 @@ from oirsvlc import (
     SingularGeometryError,
     TaylorCoeffs,
     ZeroGainError,
-    alignment_normal,
+    coherence,
     coherence_distance,
     coherence_length_1d,
     coherence_profile,
     growth_rate_exact,
     growth_rate_taylor,
     normalize,
-    plane_basis_from,
     taylor_coeffs,
 )
 
@@ -47,7 +46,8 @@ def random_link(rng):
     return link_scene(led, elem, pd, n1, n2, m=m)
 
 
-def usable(scene, point):
+def usable(scene):
+    point = scene.grid.center
     lr = point - scene.led_positions[0]
     ur = point - scene.pd_positions[0]
     cos_theta = scene.led_normal @ lr / np.linalg.norm(lr)
@@ -56,24 +56,24 @@ def usable(scene, point):
 
 
 def test_growth_rate_zero_shift():
-    assert growth_rate_exact(*study_link(), [0, 0, 0]) == 0.0
+    assert growth_rate_exact(study_link(), [0, 0, 0]) == 0.0
 
 
 def test_growth_rate_matches_double_evaluation():
     # independent evaluation of the defining ratio from two plain gains
-    scene, point = study_link()
+    scene = study_link()
     shift = np.array([0.05, 0.0, 0.0])
-    h0 = scene.gains(point)[0, 0]
-    h1 = scene.gains(point + shift)[0, 0]
-    assert growth_rate_exact(scene, point, shift) == pytest.approx((h1 - h0) / h0, rel=1e-14)
+    h0 = scene.gains(scene.grid.center)[0, 0]
+    h1 = scene.gains(scene.grid.center + shift)[0, 0]
+    assert growth_rate_exact(scene, shift) == pytest.approx((h1 - h0) / h0, rel=1e-14)
 
 
 def test_growth_rate_odd_leading_term():
     # xi(d) + xi(-d) is second order: it shrinks ~4x when the shift halves
-    link = study_link()
+    scene = study_link()
     d = np.array([0.02, 0.01, 0.015])
-    s1 = abs(growth_rate_exact(*link, d) + growth_rate_exact(*link, -d))
-    s2 = abs(growth_rate_exact(*link, d / 2) + growth_rate_exact(*link, -d / 2))
+    s1 = abs(growth_rate_exact(scene, d) + growth_rate_exact(scene, -d))
+    s2 = abs(growth_rate_exact(scene, d / 2) + growth_rate_exact(scene, -d / 2))
     assert 2.0 <= s1 / s2 <= 8.0
 
 
@@ -86,13 +86,13 @@ def test_growth_rate_scale_invariant():
         scene = replace(ExperimentConfig(), gain_mode=mode).single_link
         point = scene.grid.center
         h0, h1 = (float(scene.gains(p)[0, 0]) for p in (point, point + d))
-        assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(unit, point, d), rel=1e-12)
+        assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(unit, d), rel=1e-12)
 
 
 def test_growth_rate_zero_gain():
     dead = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(10))
     with pytest.raises(ZeroGainError):
-        growth_rate_exact(*dead, [0.01, 0, 0])
+        growth_rate_exact(dead, [0.01, 0, 0])
 
 
 def test_taylor_coeffs_zero_gain():
@@ -101,17 +101,17 @@ def test_taylor_coeffs_zero_gain():
     # error carries the fields of the check that the config names keys by
     dead = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(10))
     with pytest.raises(ZeroGainError) as raised:
-        taylor_coeffs(*dead)
+        taylor_coeffs(dead)
     assert raised.value.fields == ("fov_semi_angle", "pd_positions", "center", "pd_normal")
     # the same link seen through a 50 degree field of view expands
     lit = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(50))
-    assert np.all(np.isfinite(taylor_coeffs(*lit).s1))
+    assert np.all(np.isfinite(taylor_coeffs(lit).s1))
 
 
 def test_taylor_coeffs_symmetric_normal_incidence():
     # L = U one meter above R, both normals aimed: the gain along z is
     # 1/(2(1-dz))^2, so xi(dz) = 2 dz + 3 dz^2 + ...: s1_z = 2, S2_zz = 6
-    c = taylor_coeffs(*link_scene([0, 0, 1], [0, 0, 0], [0, 0, 1], DOWN, DOWN))
+    c = taylor_coeffs(link_scene([0, 0, 1], [0, 0, 0], [0, 0, 1], DOWN, DOWN))
     assert_allclose(c.s1, [0, 0, 2.0], atol=1e-12)
     assert c.S2[2, 2] == pytest.approx(6.0, rel=1e-12)
 
@@ -120,49 +120,45 @@ def test_taylor_coeffs_match_finite_differences():
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 100:
-        link = random_link(rng)
-        if not usable(*link):
+        scene = random_link(rng)
+        if not usable(scene):
             continue
         checked += 1
-        c = taylor_coeffs(*link)
+        c = taylor_coeffs(scene)
         r = 1e-5
         for e in np.eye(3):
-            fd = (growth_rate_exact(*link, r * e) - growth_rate_exact(*link, -r * e)) / (2 * r)
+            fd = (growth_rate_exact(scene, r * e) - growth_rate_exact(scene, -r * e)) / (2 * r)
             assert fd == pytest.approx(c.s1 @ e, rel=1e-5, abs=1e-8)
         r = 3e-3                # five-point stencil; xi(0) = 0
         for e in np.eye(3):
-            fd = (16 * (growth_rate_exact(*link, r * e) + growth_rate_exact(*link, -r * e))
-                  - (growth_rate_exact(*link, 2 * r * e)
-                     + growth_rate_exact(*link, -2 * r * e))) / (12 * r**2)
+            fd = (16 * (growth_rate_exact(scene, r * e) + growth_rate_exact(scene, -r * e))
+                  - (growth_rate_exact(scene, 2 * r * e)
+                     + growth_rate_exact(scene, -2 * r * e))) / (12 * r**2)
             assert fd == pytest.approx(e @ c.S2 @ e, rel=1e-4, abs=1e-4)
 
 
 def test_taylor_coeffs_singular_geometry():
     # grazing emission: cos(theta) ~ 0
-    link = link_scene([0, 0, 1], [1, 0, 1 - 1e-12], [2, 0, 0], DOWN, UP)
+    scene = link_scene([0, 0, 1], [1, 0, 1 - 1e-12], [2, 0, 0], DOWN, UP)
     with pytest.raises(SingularGeometryError):
-        taylor_coeffs(*link)
+        taylor_coeffs(scene)
 
 
 def test_coherence_functions_take_one_led_one_pd_and_a_point_off_both():
-    # an element point on the LED or the PD has a zero-length leg
-    scene, point = study_link()
+    # an element on the LED or the PD has a zero-length leg: no study scene
+    # holds it, and no shift moves the element onto either
+    scene = study_link()
     led, pd = scene.led_positions[0], scene.pd_positions[0]
-    axes = (np.eye(3)[0], np.eye(3)[1])
     for at in (led, pd):
         with pytest.raises(DegenerateGeometryError):
-            taylor_coeffs(scene, at)
+            link_scene(led, at, pd, DOWN, UP)
         with pytest.raises(DegenerateGeometryError):
-            growth_rate_exact(scene, at, [0.01, 0, 0])
-        with pytest.raises(DegenerateGeometryError):
-            growth_rate_exact(scene, point, at - point)          # shifted onto it
-        with pytest.raises(DegenerateGeometryError):
-            coherence_distance(scene, at, axes, 0.04, 64)
+            growth_rate_exact(scene, at - scene.grid.center)
     # the MIMO scene has two LEDs and two PDs: no single link to study
     mimo = ExperimentConfig().scene
-    for call in (lambda: taylor_coeffs(mimo, point),
-                 lambda: growth_rate_exact(mimo, point, [0.01, 0, 0]),
-                 lambda: coherence_distance(mimo, point, axes, 0.04, 64)):
+    for call in (lambda: taylor_coeffs(mimo),
+                 lambda: growth_rate_exact(mimo, [0.01, 0, 0]),
+                 lambda: coherence_distance(mimo, 0.04, 64)):
         with pytest.raises(ShapeError):
             call()
 
@@ -170,9 +166,9 @@ def test_coherence_functions_take_one_led_one_pd_and_a_point_off_both():
 def test_shifts_lie_in_the_span_of_two_in_range_coordinates():
     # a shift is the difference of two points within +-1e4 m; past it the
     # products used to overflow into a RuntimeWarning
-    scene, point = study_link()
-    coeffs = taylor_coeffs(scene, point)
-    for fn, args in ((growth_rate_exact, (scene, point)), (growth_rate_taylor, (coeffs,))):
+    scene = study_link()
+    coeffs = taylor_coeffs(scene)
+    for fn, args in ((growth_rate_exact, (scene,)), (growth_rate_taylor, (coeffs,))):
         for axis in np.eye(3):
             assert np.isfinite(fn(*args, 2e4 * axis))
             for past in (math.nextafter(2e4, math.inf), 1e200, math.nan):
@@ -188,12 +184,12 @@ def test_growth_rate_taylor_basics():
 
 def test_taylor_remainder_third_order():
     # remainder shrinks ~8x per halving on the study geometry along x
-    link = study_link()
-    c = taylor_coeffs(*link)
+    scene = study_link()
+    c = taylor_coeffs(scene)
     e = np.array([1.0, 0, 0])
     rem = {}
     for r in (0.08, 0.04, 0.02):
-        rem[r] = abs(growth_rate_exact(*link, r * e) - growth_rate_taylor(c, r * e))
+        rem[r] = abs(growth_rate_exact(scene, r * e) - growth_rate_taylor(c, r * e))
     assert 4.0 <= rem[0.08] / rem[0.04] <= 16.0
     assert 4.0 <= rem[0.04] / rem[0.02] <= 16.0
 
@@ -294,18 +290,17 @@ def test_coherence_profile_linear_coeffs():
 
 def test_array_forms_equal_one_at_a_time_calls():
     # a batch runs each entry through the same sums as a lone call, bit for bit
-    scene, point = study_link()
-    coeffs = taylor_coeffs(scene, point)
+    scene = study_link()
+    coeffs = taylor_coeffs(scene)
     rng = np.random.default_rng(8)
     shifts = rng.uniform(-0.2, 0.2, (2, 7, 3))
     for batch in (shifts[0], shifts):
-        for fn, args in ((growth_rate_exact, (scene, point)), (growth_rate_taylor, (coeffs,))):
+        for fn, args in ((growth_rate_exact, (scene,)), (growth_rate_taylor, (coeffs,))):
             got = fn(*args, batch)
             assert got.shape == batch.shape[:-1]
             one = np.reshape([fn(*args, d) for d in batch.reshape(-1, 3)], got.shape)
             assert np.array_equal(got, one)
-    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
-                                             scene.pd_positions[0]))
+    axes = (scene.grid.axis_u, scene.grid.axis_v)
     angles = np.pi * np.arange(360) / 360
     lengths = coherence_profile(coeffs, axes, 0.04, angles)
     assert np.array_equal(lengths, [coherence_profile(coeffs, axes, 0.04, a) for a in angles])
@@ -317,7 +312,7 @@ def test_array_forms_equal_one_at_a_time_calls():
     batch = coherence_length_1d(A, B, xi)
     assert np.array_equal(batch, [coherence_length_1d(a, b, x) for a, b, x in zip(A, B, xi)])
     with pytest.raises(ShapeError):
-        growth_rate_exact(scene, point, np.zeros((4, 2)))
+        growth_rate_exact(scene, np.zeros((4, 2)))
 
 
 _COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1e-13, 1e-300]),
@@ -340,21 +335,15 @@ def test_coherence_distance_study_geometry():
     # frozen value for the aligned single-element surface; the worst
     # direction is the in-plane axis orthogonal to the mirror normal's
     # vertical plane (the room y axis)
-    scene, point = study_link()
-    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
-                                             scene.pd_positions[0]))
-    report = coherence_distance(scene, point, axes, 0.04, 360)
+    report = coherence_distance(study_link(), 0.04, 360)
     assert report.d_c == pytest.approx(0.4631576655, abs=1e-9)
     assert_allclose(np.abs(report.argmin_direction), [0, 1, 0], atol=1e-6)
 
 
 def test_coherence_distance_certificate():
     # the growth rate stays within the band across the certified interval
-    scene, point = study_link()
-    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
-                                             scene.pd_positions[0]))
     xi_c = 0.04
-    report = coherence_distance(scene, point, axes, xi_c, 360)
+    report = coherence_distance(study_link(), xi_c, 360)
     e = report.argmin_direction
     c = report.coeffs
 
@@ -370,33 +359,37 @@ def test_coherence_distance_certificate():
 
 def test_coherence_distance_does_not_depend_on_angular_samples():
     # the grid only sets the reported profile: the minimum is the closed form's
-    scene, point = study_link()
-    axes = plane_basis_from(alignment_normal(scene.led_positions[0], point,
-                                             scene.pd_positions[0]))
-    d512 = coherence_distance(scene, point, axes, 0.04, 512).d_c
+    scene = study_link()
+    d512 = coherence_distance(scene, 0.04, 512).d_c
     for samples in (8, 64):
-        assert coherence_distance(scene, point, axes, 0.04, samples).d_c == \
+        assert coherence_distance(scene, 0.04, samples).d_c == \
             pytest.approx(d512, rel=1e-12, abs=0.0)
 
 
+# a study link: LED on the ceiling, PD on the floor, element on the y = 0
+# wall, its scene's grid turned to the aligned mirror normal
+_WALL_LINK = dict(led=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 3.5)),
+                  element=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 2.5)),
+                  pd=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 3.5)),
+                  m=st.sampled_from([1.0, 2.0, 5.0]), xi_c=st.sampled_from([0.01, 0.04, 0.2]))
+
+
+def wall_link(led, element, pd, m):
+    return link_scene((*led, 3.0), (element[0], 0.0, element[1]), (*pd, 0.0), DOWN, UP, m=m)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(led=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 3.5)),
-       element=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 2.5)),
-       pd=st.tuples(st.floats(0.5, 3.5), st.floats(0.5, 3.5)),
-       m=st.sampled_from([1.0, 2.0, 5.0]), xi_c=st.sampled_from([0.01, 0.04, 0.2]))
+@given(**_WALL_LINK)
 # a minimum that is an infimum at a branch edge, which no direction attains
 @example(led=(2.319437940213735, 0.54809876445178), element=(2.054059240464118, 1.3888213954054267),
          pd=(0.5191941860559843, 1.0183006003448365), m=5.0, xi_c=0.2)
 def test_coherence_distance_is_the_profile_infimum(led, element, pd, m, xi_c):
-    # a study link: LED on the ceiling, PD on the floor, element on the
-    # y = 0 wall turned to the aligned mirror normal. The closed form is no
-    # larger than a fine grid's minimum, no sampled direction reads below it,
-    # and the profile beside its direction comes back to it: at a branch edge
-    # from the tangent side only
-    led, element, pd = (*led, 3.0), (element[0], 0.0, element[1]), (*pd, 0.0)
-    scene, point = link_scene(led, element, pd, DOWN, UP, m=m)
-    axes = plane_basis_from(alignment_normal(led, point, pd))
-    report = coherence_distance(scene, point, axes, xi_c, 360)
+    # the closed form is no larger than a fine grid's minimum, no sampled
+    # direction reads below it, and the profile beside its direction comes
+    # back to it: at a branch edge from the tangent side only
+    scene = wall_link(led, element, pd, m)
+    axes = (scene.grid.axis_u, scene.grid.axis_v)
+    report = coherence_distance(scene, xi_c, 360)
     fine = coherence_profile(report.coeffs, axes, xi_c, np.pi * np.arange(20000) / 20000)
     assert report.d_c <= fine.min() * (1 + 1e-12)
     assert np.all(fine >= report.d_c * (1 - 1e-12))
@@ -405,28 +398,56 @@ def test_coherence_distance_is_the_profile_infimum(led, element, pd, m, xi_c):
     assert np.min(np.abs(beside - report.d_c)) <= 1e-9 * report.d_c
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**_WALL_LINK, alpha=st.floats(0.0, 2.0 * math.pi))
+def test_coherence_distance_does_not_depend_on_the_surface_frame(led, element, pd, m, xi_c,
+                                                                 alpha):
+    # turning the grid's axes by alpha about its normal moves every profile
+    # angle, but the distance and its direction stay where they are
+    scene = wall_link(led, element, pd, m)
+    u, v = scene.grid.axis_u, scene.grid.axis_v
+    c, s = math.cos(alpha), math.sin(alpha)
+    turned = replace(scene, grid=replace(scene.grid, axis_u=c * u + s * v, axis_v=-s * u + c * v))
+    report, other = (coherence_distance(x, xi_c, 360) for x in (scene, turned))
+    assert other.d_c == pytest.approx(report.d_c, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(np.cross(other.argmin_direction, report.argmin_direction)) <= 1e-9
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        shift=st.tuples(*[st.floats(-5, 5)] * 3))
 def test_coherence_distance_rigid_translation(seed, shift):
     # moving LED, element and PD together changes no distance or angle
     rng = np.random.default_rng(seed)
-    scene, point = random_link(rng)
-    assume(usable(scene, point))
-    led, pd = scene.led_positions[0], scene.pd_positions[0]
-    axes = plane_basis_from(alignment_normal(led, point, pd))
+    scene = random_link(rng)
+    assume(usable(scene))
+    led, point, pd = scene.led_positions[0], scene.grid.center, scene.pd_positions[0]
     moved = link_scene(led + shift, point + shift, pd + shift, scene.led_normal,
                        scene.pd_normal, scene.lambertian_order)
-    d_c = coherence_distance(scene, point, axes, 0.04, 64).d_c
-    assert coherence_distance(*moved, axes, 0.04, 64).d_c == pytest.approx(d_c, rel=1e-9)
+    d_c = coherence_distance(scene, 0.04, 64).d_c
+    assert coherence_distance(moved, 0.04, 64).d_c == pytest.approx(d_c, rel=1e-9)
 
 
-def test_coherence_distance_validates_inputs():
-    link = study_link()
-    with pytest.raises(ValueError):
-        coherence_distance(*link, (np.eye(3)[0], np.eye(3)[1]), 0.04, 4)
-    with pytest.raises(ValueError):
-        coherence_distance(*link, (np.eye(3)[0], np.eye(3)[0]), 0.04, 64)
+def test_coherence_distance_validates_inputs(monkeypatch):
+    # each input lies in its declared range, ends included, and is refused one
+    # step past it, before any profile work and with no warning on the way
+    scene = study_link()
+    for xi_c, samples in ((1e-6, 64), (1.0, 64), (0.04, 8)):
+        assert math.isfinite(coherence_distance(scene, xi_c, samples).d_c)
+
+    def no_work(*args):
+        raise AssertionError("profile work began before the inputs were checked")
+    monkeypatch.setattr(coherence, "taylor_coeffs", no_work)
+    monkeypatch.setattr(coherence, "coherence_profile", no_work)
+    for xi_c in (math.nextafter(1e-6, 0.0), math.nextafter(1.0, 2.0), 0.0, math.nan, math.inf,
+                 1e300):
+        with pytest.raises(ValueError, match=r"^xi_c must lie in \[1e-06, 1.0\]$"):
+            coherence_distance(scene, xi_c, 64)
+    for samples in (7, 10**6 + 1):
+        with pytest.raises(ValueError, match=r"^angular_samples must lie in \[8, 1000000\]$"):
+            coherence_distance(scene, 0.04, samples)
+    with pytest.raises(TypeError, match="angular_samples must be an integer"):
+        coherence_distance(scene, 0.04, 64.0)
 
 
 def test_report_invariants():

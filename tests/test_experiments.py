@@ -348,12 +348,15 @@ def test_each_declared_range_accepts_its_ends_and_refuses_past_them():
     assert {key for key, *_ in _RANGES} >= set(experiments._BOUNDS) - {"seed"}
     assert ExperimentConfig(master_seed=2**70).master_seed == 2**70       # a seed has no maximum
     # a study-link leg shorter than 1e-6 m has no Taylor expansion; at
-    # x = 0 the leg is exactly the point's x
+    # x = 0 the leg is exactly the element's x
     study = replace(ExperimentConfig().single_link, led_positions=((0.0, 2.0, 3.0),),
                     led_normal=(1.0, 0.0, 0.0))
-    taylor_coeffs(study, (1e-6, 2.0, 3.0))
+
+    def at(x):
+        return replace(study, grid=replace(study.grid, center=(x, 2.0, 3.0)))
+    taylor_coeffs(at(1e-6))
     with pytest.raises(DegenerateGeometryError, match="within 1e-06 m of the LED"):
-        taylor_coeffs(study, (math.nextafter(1e-6, 0.0), 2.0, 3.0))
+        taylor_coeffs(at(math.nextafter(1e-6, 0.0)))
 
 
 _GRID = dict(center=(2.0, 0.0, 1.5), axis_u=(1.0, 0.0, 0.0), axis_v=(0.0, 0.0, 1.0), rows=4,
