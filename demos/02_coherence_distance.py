@@ -32,6 +32,7 @@ print(f"worst direction: ({d[0]:+.4f}, {d[1]:+.4f}, {d[2]:+.4f})")
 
 print("\nper-direction coherence length over the mirror plane:")
 print(f"{'angle [deg]':>12} {'length [m]':>12}")
+# the profile is a read-only (N, 2) array of (angle_rad, length_m) rows
 for angle, length in report.per_direction_lengths[:360:30]:
     print(f"{np.degrees(angle):>12.1f} {length:>12.4f}")
 

@@ -178,15 +178,16 @@ class CoherenceReport:
     argmin_direction: np.ndarray
     xi_c: float
     coeffs: TaylorCoeffs
-    per_direction_lengths: tuple      # ((angle_rad, length_m), ...)
+    per_direction_lengths: np.ndarray      # read-only (N, 2) rows of (angle_rad, length_m)
 
     def __post_init__(self):
         object.__setattr__(self, "argmin_direction",
                            _frozen(as_vec3(self.argmin_direction)))
-        lengths = [length for _, length in self.per_direction_lengths]
-        if not lengths:
-            raise ValueError("per_direction_lengths must not be empty")
-        best = min(lengths)
+        profile = _frozen(self.per_direction_lengths)
+        if profile.ndim != 2 or profile.shape[1] != 2 or not len(profile):
+            raise ValueError("per_direction_lengths must be a non-empty (N, 2) array")
+        object.__setattr__(self, "per_direction_lengths", profile)
+        best = profile[:, 1].min()
         if self.d_c != best and not (math.isfinite(best)
                                      and abs(self.d_c - best) <= 1e-12 * max(1.0, abs(best))):
             raise ValueError("d_c must equal the minimum per-direction length")
@@ -232,11 +233,11 @@ def coherence_distance(scene: SceneConfig, xi_c: float,
     angles = np.concatenate([inner, np.arctan(edges) % np.pi])
     lengths = np.concatenate([coherence_profile(coeffs, (u, v), xi_c, inner),
                               coherence_length_1d(0.0, b(edges) / np.hypot(1.0, edges), xi_c)])
-    profile = list(zip(angles[:angular_samples].tolist(), lengths[:angular_samples].tolist()))
+    profile = np.column_stack([angles[:angular_samples], lengths[:angular_samples]])
     k = int(np.argmin(lengths))
     best_angle, best_len = angles[k], lengths[k]
     if math.isfinite(best_len):
-        profile.append((float(best_angle), float(best_len)))
+        profile = np.vstack([profile, [(best_angle, best_len)]])
     direction = math.cos(best_angle) * u + math.sin(best_angle) * v
     assert abs(direction @ scene.grid.normal) <= 1e-9, "argmin direction left the surface plane"
-    return CoherenceReport(float(best_len), direction, xi_c, coeffs, tuple(profile))
+    return CoherenceReport(float(best_len), direction, xi_c, coeffs, profile)

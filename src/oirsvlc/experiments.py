@@ -198,7 +198,8 @@ def _scene(config, keys, **placed) -> SceneConfig:
 
 
 def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
-    """Check every key of `config`; return its MIMO and single-link scenes."""
+    """Check every key of `config`, setting each field to the value loads() reads from
+    what dumps() writes; return its MIMO and single-link scenes."""
     def bad(key, msg, reads=(), lead="the check reads"):
         if len(reads) > 1:                # a check of several keys lists them
             msg = f"{msg}; {lead} {', '.join(reads[:-1])} and {reads[-1]}"
@@ -213,30 +214,17 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
 
     for key, (name, parser) in _SCHEMA.items():
         value = getattr(config, name)
-        kind = type(getattr(ExperimentConfig, name))        # of the default
-        if kind in (tuple, str) and not isinstance(value, kind):     # a list would not reload
-            bad(key, f"must be a {kind.__name__}, not {type(value).__name__}")
-        if parser is _parse_vec3_list and not all(isinstance(v, tuple) and len(v) == 3
-                                                  for v in value):
-            bad(key, "must be a tuple of x, y, z tuples")
-        if parser is _parse_floats and not value:
-            bad(key, "must not be empty")
-        if parser in (_parse_int, _parse_ints):
-            counts = value if parser is _parse_ints else (value,)
-            if not all(type(v) is int for v in counts):        # a bool is not a count
-                bad(key, "counts must be integers")
-        elif kind is not str:
-            try:
-                array = np.asarray(value)
-            except ValueError:              # ragged: a sequence beside a number
-                bad(key, "holds a sequence where a number belongs")
-            if not (array.dtype.kind in "biuf" and np.all(np.isfinite(array))):
-                bad(key, "values must be finite numbers")
-            if array.ndim != (kind is tuple) + (parser is _parse_vec3_list):
-                bad(key, "holds a sequence where a number belongs")
-            if parser(key, _fmt(parser, value)) != value:
-                bad(key, f"{value!r} would be written as {_fmt(parser, value)!r}, another value")
-        if key in _BOUNDS and not _BOUNDS[key][0] <= value <= _BOUNDS[key][1]:
+        try:        # a sequence where a number belongs, text, or an int past float or str
+            loaded = parser(key, _fmt(parser, value))
+            same = bool(loaded == value)
+        except (TypeError, ValueError, OverflowError):
+            same = False
+        if not same:                      # the value itself may have no repr (10**5000)
+            bad(key, f"dumps() would not write this {type(value).__name__} back as itself")
+        # hold what loads() reads: a numpy int, a 0-d array or a Fraction equal to it would
+        # carry its own arithmetic into the run, and fail there or differ from the footer's config
+        object.__setattr__(config, name, loaded)
+        if key in _BOUNDS and not _BOUNDS[key][0] <= loaded <= _BOUNDS[key][1]:
             bad(key, "must lie in [{}, {}]".format(*_BOUNDS[key]))
     if min(config.spacings, default=2) < 2:
         bad("sweep.spacings", "must be >= 2: the dense baseline (spacing 1) always runs first")
@@ -352,7 +340,9 @@ def run_coherence(config: ExperimentConfig):
 
 def write_coherence_csv(config: ExperimentConfig, report: CoherenceReport, path):
     comments = (f"# d_c_m={float(report.d_c)}",) + _footer(config)
-    _write_csv(path, "angle_rad,length_m", report.per_direction_lengths, comments)
+    # rows of Python floats from one list per column: iterating ndarray rows is slower
+    _write_csv(path, "angle_rad,length_m", zip(*report.per_direction_lengths.T.tolist()),
+               comments)
 
 
 def run_fig4(config: ExperimentConfig):
@@ -429,14 +419,9 @@ def run_noise_sweep(config: ExperimentConfig):
     for k, part in enumerate(parts):
         errors[:, k::processes] = part
     cells = [(sigma, spacing) for sigma in config.sigmas for spacing in sweep_schemes(config)]
-    rows = []
-    for (sigma, spacing), row in zip(cells, errors.tolist()):
-        total = 0.0
-        for value in row:                          # in trial order
-            total += value
-        rows.append((float(sigma), int(spacing), nmse_db(total / config.trials),
-                     int(config.trials)))
-    return rows
+    totals = np.cumsum(errors, axis=1)[:, -1]      # summed in trial order, as a loop would
+    return [(float(sigma), int(spacing), nmse_db(float(total) / config.trials), int(config.trials))
+            for (sigma, spacing), total in zip(cells, totals)]
 
 
 def write_noise_sweep_csv(config: ExperimentConfig, rows, path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -459,6 +460,24 @@ def test_report_invariants():
                           coeffs=TaylorCoeffs([1, 0, 0], np.zeros((3, 3))),
                           per_direction_lengths=((0.0, 0.4), (1.0, 0.7)))
     assert rep.d_c == 0.4
+
+
+def test_coherence_profile_is_one_read_only_array():
+    # at 10^5 angles the report keeps about 1.6 MB of array, where (angle,
+    # length) tuples of Python floats kept about 11 MB
+    scene = study_link()
+    coherence_distance(scene, 0.04, 64)            # imports and first-call caches
+    tracemalloc.start()
+    try:
+        report = coherence_distance(scene, 0.04, 10**5)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    profile = report.per_direction_lengths
+    assert type(profile) is np.ndarray and profile.dtype == float
+    assert profile.shape == (10**5 + 1, 2) and not profile.flags.writeable
+    assert profile[-1, 1] == report.d_c
+    assert kept < 2e6, kept
 
 
 def test_taylor_coeffs_validation():

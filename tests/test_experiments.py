@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -529,6 +530,11 @@ def test_config_round_trip():
                          ({"room": (4, (4, 4), 3)}, "scene.room"),
                          ({"led_positions": ((1.9, (2.0,), 3.0), (2.1, 2.0, 3.0))},
                           "scene.led_positions"),
+                         # a value dumps() cannot write at all, and 1-element arrays
+                         # where numbers belong
+                         ({"master_seed": 10**5000}, "seed"),
+                         ({"sigmas": (np.array([1e-4]),)}, "sweep.sigmas"),
+                         ({"room": (np.array([4.0]), 4.0, 3.0)}, "scene.room"),
                          ({"sigmas": (0, 1)}, None),
                          ({"lambertian_order": 1}, None),
                          ({"room": (4, 4, 3)}, None),
@@ -542,6 +548,37 @@ def test_config_round_trip():
         assert key is None, changes
         again = loads(dumps(cfg))
         assert again == cfg and config_hash(again) == config_hash(cfg), changes
+
+
+def test_every_float_key_refuses_nan_infinities_and_ints_past_the_float_range():
+    # NaN reads back as another value, and an int past the float range has no
+    # float to write; an infinity reads back as itself, so a declared range
+    # refuses it. Each is refused with its key named, as a key's first number
+    def first_number(default, x):
+        return (first_number(default[0], x),) + default[1:] if type(default) is tuple else x
+    for key, (name, parser) in experiments._SCHEMA.items():
+        default = getattr(ExperimentConfig, name)
+        if parser in (experiments._parse_int, experiments._parse_ints, experiments._parse_text):
+            continue
+        for value in (math.nan, math.inf, -math.inf, 10**400, -10**400):
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+                ExperimentConfig(**{name: first_number(default, value)})
+
+
+def test_a_config_holds_its_values_as_loads_reads_them():
+    # a value that dumps() writes back as an equal one is held as loads()
+    # reads it, so a run computes with its footer's config. Kept as given, a
+    # numpy int of pilot slots overflowed PCG64.advance mid-sweep, a 0-d array
+    # of grid rows could not be hashed, a Fraction could not be a range() end,
+    # and a Fraction Lambertian order gave other rows than its reloaded config
+    for changes in [{"grid_rows": np.int64(24)}, {"grid_rows": np.array(24)},
+                    {"pilot_slots": np.int64(100)}, {"trials": Fraction(100)},
+                    {"master_seed": np.uint32(7)}, {"lambertian_order": Fraction(2)},
+                    {"xi_c": np.float64(0.04)}, {"pilot_power": True},
+                    {"spacings": np.array([2])}, {"room": (4, np.int64(4), 3.0)},
+                    {"led_positions": ((1.9, 2, np.float64(3.0)), (2.1, 2.0, 3.0))}]:
+        config = ExperimentConfig(**changes)
+        assert repr(config) == repr(loads(dumps(config))), changes
 
 
 @settings(max_examples=150, deadline=None)
@@ -562,13 +599,14 @@ _ENDS = sorted({x for _, lo, hi, *_ in _RANGES if type(lo) is float
 
 def _numbers(default):
     """Values for a float field: its default (as an int where it is one),
-    floats near it, ints (also ones that no float holds), -0.0, subnormals,
-    nan, inf, the ends of every range and one step past them, floats of any
-    size, and a pair where a number belongs (which makes the sequence it is
-    drawn into ragged)."""
+    floats near it, ints (also ones that no float holds), numpy float and int
+    scalars, -0.0, subnormals, nan, inf, the ends of every range and one step
+    past them, floats of any size, and a pair where a number belongs (which
+    makes the sequence it is drawn into ragged)."""
     near = st.floats(*sorted((0.5 * default, 1.5 * default))) if default else st.just(0.0)
     exact = st.sampled_from([default, int(default)] if default == int(default) else [default])
     return st.one_of(exact, near, st.integers(-3, 30), st.integers(2**53 + 1, 2**80),
+                     st.one_of(exact, near).map(np.float64), st.integers(-3, 30).map(np.int64),
                      st.just(-0.0), st.floats(-2.2e-308, 2.2e-308),
                      st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from(_ENDS),
                      st.floats(allow_nan=False, allow_infinity=False),
@@ -576,9 +614,10 @@ def _numbers(default):
 
 
 def _counts(default):
-    """Values for a count field: near its default, small and very large ints."""
-    return st.one_of(st.integers(default - 3, default + 3), st.integers(-3, 30),
-                     st.integers(2**60, 2**70))
+    """Values for a count field: near its default, as an int or a numpy int,
+    and small and very large ints."""
+    near = st.integers(default - 3, default + 3)
+    return st.one_of(near, near.map(np.int64), st.integers(-3, 30), st.integers(2**60, 2**70))
 
 
 def _tuples(item, lengths):
