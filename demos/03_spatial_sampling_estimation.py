@@ -9,7 +9,8 @@ natural cubic splines, cutting blocks and pilots by spacing^2.
 
 import numpy as np
 
-from oirsvlc import ExperimentConfig, block_schedule, build_csi_tensor, nmse_db, run_algorithm1
+from oirsvlc import (ExperimentConfig, block_schedule, build_csi_tensor, flops_estimate, nmse_db,
+                     run_algorithm1)
 
 config = ExperimentConfig()
 scene = config.scene
@@ -24,14 +25,14 @@ print(f"{'scheme':>12} {'blocks':>7} {'params':>7} {'flops':>9} {'NMSE [dB]':>10
 
 for spacing in (1, 2, 3, 4):
     # one call runs all trials, each from its own seed stream
-    result = run_algorithm1(scene, truth, spacing, config.pilot_slots, sigma,
+    errors = run_algorithm1(scene, truth, spacing, config.pilot_slots, sigma,
                             config.pilot_power,
                             seeds=[(1234, spacing, trial) for trial in range(trials)])
     blocks = len(block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)[0])
+    flops = flops_estimate(scene.n_leds, scene.n_pds, config.pilot_slots, blocks)  # per trial
     label = "baseline" if spacing == 1 else f"spacing {spacing}"
     print(f"{label:>12} {blocks:>7} {blocks * scene.n_leds * scene.n_pds:>7} "
-          f"{result.flops_estimate // trials:>9} "
-          f"{nmse_db(float(np.mean(result.nmse))):>10.2f}")
+          f"{flops:>9} {nmse_db(float(np.mean(errors))):>10.2f}")
 
 print("\nsample pitch 0.2 m (spacing 2) stays inside the 0.46 m coherence")
 print("distance: accuracy within ~2 dB of the baseline at a quarter of the")

@@ -38,7 +38,6 @@ from .errors import (
     ZeroReferenceError,
 )
 from .estimator import (
-    EstimationResult,
     SubarrayLayout,
     block_schedule,
     flops_estimate,

@@ -22,6 +22,7 @@ what the ridge solve reads of the received blocks Y = H X + sigma Z.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,13 +212,15 @@ def build_csi_tensor(scene: SceneConfig, order: int = 1) -> np.ndarray:
     return gains
 
 
-def _check_pilots(n_leds: int, n_slots: int, power: float):
-    """Raise unless `n_slots` pilots can identify `n_leds` LED gains and their
-    mean `power` lies in its range (`fields`: the arguments read)."""
+def _check_pilots(n_leds: int, n_slots: int, power: float) -> int:
+    """`n_slots` as a Python int, checked to identify `n_leds` LED gains, with
+    the mean `power` in its range (`fields`: the arguments read)."""
+    n_slots = operator.index(n_slots)
     if n_slots < n_leds:
         raise with_fields(IdentifiabilityError(
             f"{n_slots} pilot slots cannot identify {n_leds} LED gains"), "n_slots", "n_leds")
     _check_range(power, 1e-6, 1e6, "power")
+    return n_slots
 
 
 def _check_sigma(sigma: float):
@@ -252,7 +255,7 @@ def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
     before the chunk is yielded.
     """
     q_blocks, n_pds, nt = np.shape(h_blocks)
-    _check_pilots(nt, pilot_slots, power)
+    pilot_slots = _check_pilots(nt, pilot_slots, power)
     _check_sigma(sigma)
     x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
     seq = np.random.SeedSequence(seed)

@@ -255,20 +255,6 @@ def flops_estimate(n_leds: int, n_pds: int, pilot_slots: int, blocks: int) -> in
     return blocks * pilot_slots * n_leds**2 * (n_leds + 2 * n_pds)
 
 
-@dataclass(frozen=True)
-class EstimationResult:
-    """Output of one estimation call over T trials.
-
-    `nmse` is the (T,) per-trial NMSE, in seed order, of estimates that are
-    not clamped before scoring (under noise some entries may be slightly
-    negative; clamping would bias the comparison). `flops_estimate` covers
-    all T trials.
-    """
-
-    nmse: np.ndarray
-    flops_estimate: int
-
-
 def _check_truth(scene: SceneConfig, truth) -> np.ndarray:
     """`truth` as a float array, checked to be the scene's (N, Nr, Nt) gains:
     finite, nonnegative and not all zero."""
@@ -378,12 +364,14 @@ def _in_processes(work, n: int) -> list:
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
                    pilot_slots: int = 100, sigma: float = 0.0,
-                   pilot_power: float = 1.0, seeds=(0,)) -> EstimationResult:
-    """Estimation passes, one per seed: design, per-block estimation, recovery,
-    and the NMSE vs `truth`, the scene's (N, Nr, Nt) gains (see
-    `build_csi_tensor`). The truth (shape, finite, nonnegative, not all
-    zero), sigma (finite, >= 0), pilot_power (finite, > 0) and pilot_slots
-    (>= Nt) are checked before any draw.
+                   pilot_power: float = 1.0, seeds=(0,)) -> np.ndarray:
+    """Per-trial NMSE, a (T,) array in seed order, of one estimation pass per
+    seed: design, per-block estimation, recovery, and the NMSE vs `truth`,
+    the scene's (N, Nr, Nt) gains (see `build_csi_tensor`). Estimates are
+    scored unclamped: under noise some entries may be slightly negative, and
+    clamping would bias the comparison. The truth (shape, finite, nonnegative,
+    not all zero), sigma (finite, >= 0), pilot_power (finite, > 0) and
+    pilot_slots (an integer >= Nt) are checked before any draw.
 
     Trial t's pilots and noise come from `seeds[t]` alone, drawn and solved
     a chunk of blocks at a time by `channel.trial_statistics`, so its bits
@@ -401,7 +389,7 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     nt, nr = scene.n_leds, scene.n_pds
     truth = _check_truth(scene, truth)
     _check_sigma(sigma)
-    _check_pilots(nt, pilot_slots, pilot_power)
+    pilot_slots = _check_pilots(nt, pilot_slots, pilot_power)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must name at least one trial")
@@ -416,7 +404,4 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
             h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
         errors[t] = (nmse(h_est, h_blocks) if layout is None
                      else nmse(interpolate_full(h_est, layout), truth))
-    return EstimationResult(
-        nmse=errors,
-        flops_estimate=flops_estimate(nt, nr, pilot_slots, len(seeds) * len(h_blocks)),
-    )
+    return errors

@@ -386,7 +386,7 @@ def _sweep_errors(config: ExperimentConfig, truth, k: int, processes: int):
                 errors = run_algorithm1(
                     config.scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
                     seeds=[(config.master_seed, spacing, i_sigma, trial)
-                           for trial in range(k, config.trials, processes)]).nmse
+                           for trial in range(k, config.trials, processes)])
             except OirsVlcError as exc:
                 # same type, traceback and cause; the message names the cell
                 exc.args = (f"sigma={float(sigma)}, spacing={spacing}: {exc}",)

@@ -1,6 +1,7 @@
 """Test oracles: the gain of one link written out with `math`, and Phase I's
-block-diagonal association model; and `link_scene`, which holds one link in
-the one-LED, one-PD scene that the coherence functions study.
+block-diagonal association model; `link_scene`, which holds one link in
+the one-LED, one-PD scene that the coherence functions study; and
+`exact_edge`, a coherence length's boundary on the exact gain.
 
 `link_gain` evaluates the reflected-gain formula of one LED -> point -> PD
 link on plain floats, one link at a time, with no numpy and no array layout.
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from oirsvlc import (OirsGrid, SceneConfig, alignment_normal, channel, estimator,
-                     plane_basis_from, run_algorithm1)
+                     growth_rate_exact, plane_basis_from, run_algorithm1)
 
 
 def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mode="unit"):
@@ -161,3 +162,20 @@ def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
         run_algorithm1(scene, truth, spacing, pilot_slots=10, seeds=[0])
     [blocks] = seen
     return blocks
+
+
+def exact_edge(scene, directions, xi_c, reach=2.0, samples=400):
+    """Nearest r in (0, reach] with |growth_rate_exact(scene, r * e)| = xi_c
+    along each (..., 3) direction e, on the exact gain (no Taylor form): the
+    first of `samples` evenly spaced radii outside the band, then bisection
+    from the radius before it. `reach` where no radius leaves the band."""
+    e = np.asarray(directions, dtype=float)
+    radii = reach * np.arange(1, samples + 1) / samples
+    outside = np.abs(growth_rate_exact(scene, radii.reshape((-1,) + (1,) * e.ndim) * e)) > xi_c
+    first = np.argmax(outside, axis=0)
+    lo, hi = np.where(first > 0, radii[first - 1], 0.0), radii[first]
+    for _ in range(32):                    # the reach / samples bracket to about 1e-12 m
+        mid = 0.5 * (lo + hi)
+        inside = np.abs(growth_rate_exact(scene, mid[..., None] * e)) <= xi_c
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return np.where(outside.any(axis=0), 0.5 * (lo + hi), reach)

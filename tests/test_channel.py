@@ -337,6 +337,12 @@ def test_trial_statistics_noiseless_and_deterministic():
     assert np.array_equal(noisy_grams, grams) and not np.array_equal(c1, crosses)
     assert np.array_equal(c1, _drawn(Hs, 1, 4, 1.0, 0.3)[1][0][2])
     assert not np.array_equal(c1, _drawn(Hs, 2, 4, 1.0, 0.3)[1][0][2])
+    # a numpy integer count draws as the Python int it holds: the noise
+    # cursor's offset Q * Nt * P cannot wrap (np.int64 used to overflow it)
+    [want] = _drawn(Hs, 1, 100, 1.0, 0.3)[1]
+    for slots in (np.int32(100), np.int64(100)):
+        [got] = _drawn(Hs, 1, slots, 1.0, 0.3)[1]
+        assert all(map(np.array_equal, want, got))                  # b, G and X Y^T
 
 
 def test_trial_statistics_noise_variance():

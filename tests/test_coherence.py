@@ -27,7 +27,7 @@ from oirsvlc import (
     taylor_coeffs,
 )
 
-from channel_oracle import link_scene
+from channel_oracle import exact_edge, link_scene
 
 DOWN = (0.0, 0.0, -1.0)
 UP = (0.0, 0.0, 1.0)
@@ -412,6 +412,69 @@ def test_coherence_distance_does_not_depend_on_the_surface_frame(led, element, p
     report, other = (coherence_distance(x, xi_c, 360) for x in (scene, turned))
     assert other.d_c == pytest.approx(report.d_c, rel=1e-12, abs=0.0)
     assert np.linalg.norm(np.cross(other.argmin_direction, report.argmin_direction)) <= 1e-9
+
+
+# exact d_c / closed-form d_c by branch and xi_c: the README table's ranges,
+# widened by 0.05, the tangent branch's lower end (where the closed form is
+# a lower bound) by 0.01
+_EXACT_OVER_CLOSED = {("quadratic", 0.01): (0.868, 1.134), ("quadratic", 0.04): (0.803, 1.178),
+                      ("quadratic", 0.2): (0.864, 1.2), ("tangent", 0.01): (0.99, 1.172),
+                      ("tangent", 0.04): (0.99, 1.196), ("tangent", 0.2): (0.994, 1.19)}
+
+
+def _edge_margins(coeffs, directions, xi_c):
+    """B^2 / (4 |A| xi_c) of each (..., 3) direction: past 1 the tangent
+    branch sets its coherence length, at or below 1 the quadratic one."""
+    b = directions @ coeffs.s1
+    a = np.einsum("...i,ij,...j->...", directions, coeffs.S2, directions) / 2.0
+    with np.errstate(divide="ignore"):
+        return b * b / (4.0 * np.abs(a) * xi_c)
+
+
+def _exact_distance(scene, xi_c):
+    """Least exact-gain spread over the surface's directions: 60 directions
+    3 degrees apart, then 21 within 2 degrees of the least of them."""
+    u, v = scene.grid.axis_u, scene.grid.axis_v
+
+    def spread(angles):
+        d = np.cos(angles)[:, None] * u + np.sin(angles)[:, None] * v
+        return np.sum(exact_edge(scene, [d, -d], xi_c), axis=0)
+
+    coarse = spread(np.pi * np.arange(60) / 60)
+    fine = spread(np.pi * np.argmin(coarse) / 60 + np.radians(np.linspace(-2.0, 2.0, 21)))
+    return min(coarse.min(), fine.min())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_WALL_LINK)
+# quadratic-branch links, which few draws reach, one at each xi_c
+@example(led=(1.1, 2.1), element=(1.4, 1.4), pd=(1.4, 1.4), m=1.0, xi_c=0.01)
+@example(led=(1.4, 1.5), element=(3.2, 1.7), pd=(2.8, 2.5), m=1.0, xi_c=0.04)
+@example(led=(2.5, 2.9), element=(2.5, 0.5), pd=(2.8, 2.8), m=5.0, xi_c=0.2)
+def test_closed_form_distance_tracks_the_exact_gain_off_the_branch_edge(led, element, pd, m,
+                                                                        xi_c):
+    # the paper's closed form against the exact gain, on links clear of a
+    # branch edge, where the nearest crossing jumps (by up to 2 sqrt(2)) for
+    # the exact gain and the model at different directions:
+    # - tangent: edge margin >= 1.25 at the minimum, 1.75 at xi_c = 0.2,
+    #   whose larger spread moves the exact gain's edge further;
+    # - quadratic: margin <= 0.8 in every direction, and d_c at most a
+    #   quarter of the shorter leg, within the reach of a second-order form
+    scene = wall_link(led, element, pd, m)
+    report = coherence_distance(scene, xi_c, 360)
+    margin = _edge_margins(report.coeffs, report.argmin_direction, xi_c)
+    u, v = scene.grid.axis_u, scene.grid.axis_v
+    angles = np.pi * np.arange(360)[:, None] / 360
+    widest = _edge_margins(report.coeffs, np.cos(angles) * u + np.sin(angles) * v, xi_c).max()
+    legs = np.linalg.norm(scene.grid.center - [scene.led_positions[0], scene.pd_positions[0]],
+                          axis=1)
+    if margin >= (1.75 if xi_c == 0.2 else 1.25):
+        branch = "tangent"
+    else:
+        assume(widest <= 0.8 and report.d_c <= legs.min() / 4.0)
+        branch = "quadratic"
+    low, high = _EXACT_OVER_CLOSED[branch, xi_c]
+    assert low <= _exact_distance(scene, xi_c) / report.d_c <= high
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

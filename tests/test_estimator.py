@@ -383,10 +383,10 @@ def test_flops_estimate_values():
 
 def test_run_algorithm1_exact_recovery_dense():
     scene = desk_scene(8, 8)
-    result = run_algorithm1(scene, build_csi_tensor(scene), 1, pilot_slots=20,
+    errors = run_algorithm1(scene, build_csi_tensor(scene), 1, pilot_slots=20,
                             sigma=0.0, seeds=[3])
-    assert result.nmse.shape == (1,) and result.nmse[0] <= 1e-18
-    assert result.flops_estimate == flops_estimate(2, 2, 20, 64)     # one block per element
+    assert errors.shape == (1,) and errors[0] <= 1e-18
+    assert len(block_schedule(scene.grid, 2, 2, 1)[0]) == 64          # one block per element
 
 
 def test_run_algorithm1_noiseless_sampling_hits_samples():
@@ -394,23 +394,26 @@ def test_run_algorithm1_noiseless_sampling_hits_samples():
     # scores the recovery of the exact samples
     scene = desk_scene(8, 8)
     tensor = build_csi_tensor(scene)
-    result = run_algorithm1(scene, tensor, 2, pilot_slots=16, sigma=0.0, seeds=[9, 10])
+    errors = run_algorithm1(scene, tensor, 2, pilot_slots=16, sigma=0.0, seeds=[9, 10])
     index, layout = block_schedule(scene.grid, 2, 2, 2)
     pd_index, led_index = np.ix_(range(2), range(2))
     exact = nmse(interpolate_full(tensor[index, pd_index, led_index], layout), tensor)
-    assert result.nmse.shape == (2,) and exact > 0.0
-    assert_allclose(result.nmse, exact, rtol=1e-9, atol=0)
-    assert result.flops_estimate == flops_estimate(2, 2, 16, 2 * 16)  # 16 blocks per trial
+    assert errors.shape == (2,) and exact > 0.0
+    assert_allclose(errors, exact, rtol=1e-9, atol=0)
+    assert len(index) == 16                                           # 16 blocks per trial
 
 
 def test_run_algorithm1_deterministic():
+    # a seed repeats its bits, and a numpy integer slot count runs as the
+    # Python int it holds (np.int64 used to overflow the noise cursor)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene, 8)
     a = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[(5, 1)])
-    b = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[(5, 1)])
-    assert np.array_equal(a.nmse, b.nmse)
+    for slots in (16, np.int64(16), np.int32(16)):
+        b = run_algorithm1(scene, truth, 2, pilot_slots=slots, sigma=1e-4, seeds=[(5, 1)])
+        assert np.array_equal(a, b)
     c = run_algorithm1(scene, truth, 2, pilot_slots=16, sigma=1e-4, seeds=[(5, 2)])
-    assert not np.array_equal(a.nmse, c.nmse)
+    assert not np.array_equal(a, c)
 
 
 def test_run_algorithm1_identifiability():
@@ -462,11 +465,11 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
 
 def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch):
     # a NaN, infinite, negative or too large sigma, a NaN, infinite,
-    # non-positive or too large pilot power (each past its range),
-    # too few pilot slots, an all-zero truth and no seeds fail before any
-    # pilot is drawn (NaN and inf powers used to come back as NaN NMSE). A
-    # call never forks, even with two CPUs reported: each draw, those of the
-    # valid call too, is made in this process
+    # non-positive or too large pilot power (each past its range), too few
+    # pilot slots or a float count of them, an all-zero truth and no seeds
+    # fail before any pilot is drawn (NaN and inf powers used to come back
+    # as NaN NMSE). A call never forks, even with two CPUs reported: each
+    # draw, those of the valid call too, is made in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
     truth = build_csi_tensor(scene)
@@ -484,6 +487,7 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
     bad += [({"pilot_power": value}, ValueError)
             for value in (np.nan, np.inf, 0.0, -1.0, 1e160)]
     bad += [({"pilot_slots": 1}, IdentifiabilityError),
+            ({"pilot_slots": 16.0}, TypeError),
             ({"truth": np.zeros_like(truth)}, ZeroReferenceError),
             ({"seeds": []}, ValueError)]
     for spacing in (1, 2):
@@ -504,7 +508,7 @@ def test_noise_monotonicity_smoke():
     levels = []
     for sigma in (1e-4, 1e-3):
         vals = run_algorithm1(scene, truth, 2, pilot_slots=100, sigma=sigma,
-                              seeds=[(77, trial) for trial in range(30)]).nmse
+                              seeds=[(77, trial) for trial in range(30)])
         levels.append(np.mean(vals))
     assert levels[0] < levels[1]
 
@@ -518,24 +522,34 @@ def test_gain_mode_changes_nmse_only_under_noise():
         scene = config.scene
         truth = build_csi_tensor(scene, 8)
         for sigma in (0.0, 1e-4):
-            result = run_algorithm1(scene, truth, 2, config.pilot_slots, sigma,
+            errors = run_algorithm1(scene, truth, 2, config.pilot_slots, sigma,
                                     config.pilot_power, seeds=range(5))
-            mean_nmse[mode, sigma] = np.mean(result.nmse)
+            mean_nmse[mode, sigma] = np.mean(errors)
     assert mean_nmse["lambertian", 0.0] == pytest.approx(mean_nmse["unit", 0.0], rel=1e-9)
     assert 10 * np.log10(mean_nmse["lambertian", 1e-4] / mean_nmse["unit", 1e-4]) > 20.0
 
 
 @pytest.mark.parametrize("spacing", [1, 2, 3])
-def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing):
-    # a trial's result depends on its seed alone, not on the others of its call
+def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
+    # a trial's result depends on its seed alone, not on the others of its
+    # call, and a batch solves what its singles solve: per trial, the blocks
+    # that `run_overhead_report` counts its flops on
     scene = desk_scene(12, 12)
     truth = build_csi_tensor(scene, 8)
     seeds = [(8, spacing, trial) for trial in range(9)]
+    solved = []
+
+    def statistics(h_blocks, *args):
+        solved.append(len(h_blocks))
+        return trial_statistics(h_blocks, *args)
+
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
     singles = [run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=[s])
                for s in seeds]
     batch = run_algorithm1(scene, truth, spacing, pilot_slots=16, sigma=1e-4, seeds=seeds)
-    assert np.array_equal(batch.nmse, np.concatenate([r.nmse for r in singles]))
-    assert batch.flops_estimate == sum(r.flops_estimate for r in singles)
+    assert np.array_equal(batch, np.concatenate(singles))
+    blocks = estimator._schedule_shape(scene.grid, 2, 2, spacing)[0]
+    assert solved[9:] == solved[:9] == [blocks] * 9
 
 
 # The sweep's processes: 8 x 8 grid, a dense and a spacing-2 cell at each of
@@ -676,7 +690,7 @@ def test_run_algorithm1_does_not_depend_on_the_chunk_size(scene, spacing, monkey
         monkeypatch.setattr(channel, "CHUNK_BLOCKS", chunk)
         results.append(run_algorithm1(scene, truth, spacing, pilot_slots=8, sigma=1e-3,
                                       seeds=[7, (7, 1)]))
-    assert np.array_equal(results[0].nmse, results[1].nmse)
+    assert np.array_equal(results[0], results[1])
 
 
 def _traced_peak(call):
@@ -797,6 +811,6 @@ def test_dense_noiseless_nmse_stays_below_the_csv_floor():
     config = ExperimentConfig()
     scene = config.scene
     truth = build_csi_tensor(scene, 8)
-    result = run_algorithm1(scene, truth, 1, config.pilot_slots, 0.0, config.pilot_power,
+    errors = run_algorithm1(scene, truth, 1, config.pilot_slots, 0.0, config.pilot_power,
                             seeds=[(config.master_seed, 1, 0, trial) for trial in range(5)])
-    assert 10 * np.log10(np.mean(result.nmse)) <= -303.0
+    assert 10 * np.log10(np.mean(errors)) <= -303.0
