@@ -7,7 +7,7 @@ the point-source gain, compare it with the aperture-averaged gain, and sweep
 the element along the mirror surface to see how slowly the gain changes.
 """
 
-from dataclasses import replace
+import math
 
 import numpy as np
 
@@ -31,9 +31,12 @@ print(f"mirror normal from the reflection law: "
 g_point = scene.gains(element)[0, 0]
 print(f"\npoint-source gain (unit constant): {g_point:.6f}")
 
-absolute = replace(ExperimentConfig(), gain_mode="lambertian").single_link
-print(f"absolute gain, 0.9-reflective element, 5 cm PD: "
-      f"{absolute.gains(element)[0, 0]:.3e}")
+# absolute scale is the noise sweep's alone: its "lambertian" mode multiplies
+# the unit gains by the Lambertian constant C = rho (m + 1) A_pd / (2 pi)
+config = ExperimentConfig()
+c = config.grid_reflectivity * (config.lambertian_order + 1.0) * config.pd_side**2 / (2 * math.pi)
+print(f"absolute gain, 0.9-reflective element, 5 cm PD: C x unit = {c:.3e} x {g_point:.6f} "
+      f"= {c * g_point:.3e}")
 for order in (1, 2, 4, 8, 16):
     g = build_csi_tensor(scene, order)[0, 0, 0]
     print(f"aperture average, {order}x{order} sub-points: {g:.8f} "

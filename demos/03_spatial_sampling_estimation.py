@@ -26,7 +26,6 @@ print(f"{'scheme':>12} {'blocks':>7} {'params':>7} {'flops':>9} {'NMSE [dB]':>10
 for spacing in (1, 2, 3, 4):
     # one call runs all trials, each from its own seed stream
     errors = run_algorithm1(scene, truth, spacing, config.pilot_slots, sigma,
-                            config.pilot_power,
                             seeds=[(1234, spacing, trial) for trial in range(trials)])
     blocks = len(block_schedule(scene.grid, scene.n_leds, scene.n_pds, spacing)[0])
     flops = flops_estimate(scene.n_leds, scene.n_pds, config.pilot_slots, blocks)  # per trial

@@ -2,28 +2,23 @@
 received statistics of one trial's pilot blocks.
 
 The reflected gain of one LED -> element -> PD link is
-C * cos(theta)^m * cos(phi) / (d1 + d2)^2 inside the receiver field of view
+cos(theta)^m * cos(phi) / (d1 + d2)^2 inside the receiver field of view
 and zero outside, where theta is the emission angle at the LED, phi the
 incidence angle at the PD, and d1, d2 the two leg lengths. The directed
 unit vectors point from the LED/PD toward the element, which makes both
-cosines positive in the downlink geometry.
-
-C = 1 in "unit" mode; "lambertian" mode uses rho * (m + 1) * A_pd / (2 pi)
-for absolute gains. `SceneConfig` computes C once, as `gain_constant`.
-Growth rates, coherence distances and noiseless NMSE do not depend on C.
-NMSE under noise does: the noise sigma is absolute in gain units, so the
-same sigma buries the far smaller "lambertian" gains.
+cosines positive in the downlink geometry. The kernel has unit gain: only
+the noise sweep reads absolute scale (see `experiments`).
 
 `trial_statistics` is the observation model: it draws a trial's uniform
-nonnegative pilots X and, when sigma > 0, its Gaussian noise Z, and yields
-what the ridge solve reads of the received blocks Y = H X + sigma Z.
+nonnegative pilots X on [0, 2] and, when sigma > 0, its Gaussian noise Z,
+and yields what the ridge solve reads of the received blocks Y = H X + sigma Z.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +40,6 @@ from .geometry import (
     is_unit,
 )
 
-GAIN_MODES = ("unit", "lambertian")
 # aperture sub-points evaluated at a time: 64 elements at order 8, so each
 # (points, Nr, Nt) gain temporary of a 3 x 3 scene stays near 0.3 MB
 APERTURE_CHUNK_POINTS = 1 << 12
@@ -54,15 +48,13 @@ APERTURE_CHUNK_POINTS = 1 << 12
 CHUNK_BLOCKS = 144
 
 
-def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
-               c: float) -> np.ndarray:
+def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float) -> np.ndarray:
     """Point gains of every (LED, PD) pair via each element point.
 
     Maps (..., 3) element points to C-contiguous (..., Nr, Nt) gains for LED
     positions `leds` (Nt, 3) and PD positions `pds` (Nr, 3). A pair's gain
     is 0 when the LED faces away from the point or the arrival direction
-    falls outside the PD field of view (cos phi < cos fov). `c` is the gain
-    constant.
+    falls outside the PD field of view (cos phi < cos fov).
 
     The ends lead: every leg is three (Nt, ...) or (Nr, ...) coordinate
     planes and the gains are (Nr, Nt, ...), so each length, cosine and
@@ -88,7 +80,6 @@ def pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
     num = num[None] * np.where(cp >= math.cos(fov), cp, 0.0)[:, None]
     den = d1[None] + d2[:, None]
     den *= den
-    num *= c
     num /= den
     return np.ascontiguousarray(np.moveaxis(num, (0, 1), (-2, -1)))
 
@@ -119,11 +110,8 @@ class SceneConfig:
     lambertian_order: float
     pd_positions: np.ndarray      # (Nr, 3)
     pd_normal: np.ndarray
-    pd_side: float
     fov_semi_angle: float
     grid: OirsGrid
-    gain_mode: str = "unit"
-    gain_constant: float = field(init=False, repr=False)   # C of the module docstring
 
     def __post_init__(self):
         for extent in np.ravel(self.room):        # a length, before it is read as coordinates
@@ -141,15 +129,9 @@ class SceneConfig:
             if not is_unit(vec):
                 raise with_fields(DegenerateGeometryError(f"{name} must be a unit vector"), name)
             object.__setattr__(self, name, _frozen(vec))
-        if self.gain_mode not in GAIN_MODES:
-            raise with_fields(ValueError(f"gain_mode must be one of {GAIN_MODES}"), "gain_mode")
-        _check_range(self.pd_side, MIN_LENGTH, MAX_LENGTH, "pd_side")
         _check_range(self.lambertian_order, 1.0, 1e3, "lambertian_order")
         if not 0.0 < self.fov_semi_angle <= math.pi / 2:
             raise with_fields(ValueError("fov_semi_angle must lie in (0, pi/2]"), "fov_semi_angle")
-        object.__setattr__(self, "gain_constant", (
-            self.grid.reflectivity * (self.lambertian_order + 1.0) * self.pd_side**2
-            / (2.0 * math.pi) if self.gain_mode == "lambertian" else 1.0))
         # the grid by its corner elements: no grid size builds every element.
         # The grid fields that place them; a one-element grid's corner is its center
         grid = ("center", "axis_u", "axis_v", "rows", "cols", "element_pitch")
@@ -177,8 +159,7 @@ class SceneConfig:
     def gains(self, points) -> np.ndarray:
         """pair_gains of this scene's LEDs and PDs: (..., 3) -> (..., Nr, Nt)."""
         return pair_gains(points, self.led_positions, self.led_normal, self.pd_positions,
-                          self.pd_normal, self.lambertian_order, self.fov_semi_angle,
-                          self.gain_constant)
+                          self.pd_normal, self.lambertian_order, self.fov_semi_angle)
 
 
 def aperture_gain(scene: SceneConfig, centers, order: int) -> np.ndarray:
@@ -212,14 +193,13 @@ def build_csi_tensor(scene: SceneConfig, order: int = 1) -> np.ndarray:
     return gains
 
 
-def _check_pilots(n_leds: int, n_slots: int, power: float) -> int:
-    """`n_slots` as a Python int, checked to identify `n_leds` LED gains, with
-    the mean `power` in its range (`fields`: the arguments read)."""
+def _check_pilots(n_leds: int, n_slots: int) -> int:
+    """`n_slots` as a Python int, checked to identify `n_leds` LED gains
+    (`fields`: the arguments read)."""
     n_slots = operator.index(n_slots)
     if n_slots < n_leds:
         raise with_fields(IdentifiabilityError(
             f"{n_slots} pilot slots cannot identify {n_leds} LED gains"), "n_slots", "n_leds")
-    _check_range(power, 1e-6, 1e6, "power")
     return n_slots
 
 
@@ -228,19 +208,19 @@ def _check_sigma(sigma: float):
     _check_range(sigma, 0.0, 1e3, "sigma")
 
 
-def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
-                     sigma: float):
+def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, sigma: float):
     """Yield (b, G, X Y^T) of one trial's (Q, Nr, Nt) channel blocks H a chunk
     at a time, from block b: what the ridge solve reads of the received
     blocks Y = H X + sigma Z, which are never formed. G = X X^T is
     (chunk, Nt, Nt) and X Y^T = G H^T + sigma X Z^T is (chunk, Nt, Nr).
 
-    The pilots X, i.i.d. uniform on [0, 2*power] (mean `power`), are
-    nonnegative under the intensity-modulation constraint, and X X^T is well
-    conditioned with high probability. They are drawn into one buffer of
-    min(Q, CHUNK_BLOCKS) blocks, freed when the generator is exhausted. The
-    noise Z is i.i.d. standard normal. The pilots and sigma are checked
-    once, before the first draw.
+    The pilots X, i.i.d. uniform on [0, 2] (mean 1), are nonnegative under
+    the intensity-modulation constraint, and X X^T is well conditioned with
+    high probability. Pilots of mean p would scale G by p^2 and the noise
+    term by p, so their ridge estimate is this one's at sigma / p. They are
+    drawn into one buffer of min(Q, CHUNK_BLOCKS) blocks, freed when the
+    generator is exhausted. The noise Z is i.i.d. standard normal. The slot
+    count and sigma are checked once, before the first draw.
 
     The trial reads one stream, `default_rng(seed)`: the pilots of every
     block, then its noise in C order only when sigma > 0, through two cursors
@@ -255,7 +235,7 @@ def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
     before the chunk is yielded.
     """
     q_blocks, n_pds, nt = np.shape(h_blocks)
-    pilot_slots = _check_pilots(nt, pilot_slots, power)
+    pilot_slots = _check_pilots(nt, pilot_slots)
     _check_sigma(sigma)
     x = np.empty((min(q_blocks, CHUNK_BLOCKS), nt, pilot_slots))
     seq = np.random.SeedSequence(seed)
@@ -264,7 +244,7 @@ def trial_statistics(h_blocks: np.ndarray, seed, pilot_slots: int, power: float,
              if sigma > 0.0 else None)
     for b in range(0, q_blocks, CHUNK_BLOCKS):
         xb = pilots.random(out=x[:q_blocks - b])
-        xb *= 2.0 * power
+        xb *= 2.0
         gram = xb @ np.swapaxes(xb.copy(), -1, -2)            # gemm, not syrk: see above
         cross = gram @ np.swapaxes(h_blocks[b:b + len(xb)], -1, -2)
         if noise is not None:

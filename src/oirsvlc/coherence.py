@@ -83,8 +83,8 @@ def growth_rate_exact(scene: SceneConfig, shifts):
     element moves by each of the (..., 3) `shifts`; returns (...).
 
     Both gains are evaluated for the same fixed link configuration (the
-    element's mirror orientation is not re-aligned under the shift); the
-    gain constant cancels in the ratio, so no gain mode enters.
+    element's mirror orientation is not re-aligned under the shift); any
+    gain constant would cancel in the ratio.
     """
     point, shifts = scene.grid.center, _shifts(shifts)
     points = np.concatenate([point[None], (point + shifts).reshape(-1, 3)])

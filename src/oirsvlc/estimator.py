@@ -363,15 +363,14 @@ def _in_processes(work, n: int) -> list:
 
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
-                   pilot_slots: int = 100, sigma: float = 0.0,
-                   pilot_power: float = 1.0, seeds=(0,)) -> np.ndarray:
+                   pilot_slots: int = 100, sigma: float = 0.0, seeds=(0,)) -> np.ndarray:
     """Per-trial NMSE, a (T,) array in seed order, of one estimation pass per
     seed: design, per-block estimation, recovery, and the NMSE vs `truth`,
     the scene's (N, Nr, Nt) gains (see `build_csi_tensor`). Estimates are
     scored unclamped: under noise some entries may be slightly negative, and
     clamping would bias the comparison. The truth (shape, finite, nonnegative,
-    not all zero), sigma (finite, >= 0), pilot_power (finite, > 0) and
-    pilot_slots (an integer >= Nt) are checked before any draw.
+    not all zero), sigma (in [0, 1e3]) and pilot_slots (an integer >= Nt)
+    are checked before any draw. The pilots are uniform on [0, 2].
 
     Trial t's pilots and noise come from `seeds[t]` alone, drawn and solved
     a chunk of blocks at a time by `channel.trial_statistics`, so its bits
@@ -389,7 +388,7 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     nt, nr = scene.n_leds, scene.n_pds
     truth = _check_truth(scene, truth)
     _check_sigma(sigma)
-    pilot_slots = _check_pilots(nt, pilot_slots, pilot_power)
+    pilot_slots = _check_pilots(nt, pilot_slots)
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must name at least one trial")
@@ -400,7 +399,7 @@ def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,
     h_est = np.empty(h_blocks.shape)
     errors = np.empty(len(seeds))
     for t, seed in enumerate(seeds):
-        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, pilot_power, sigma):
+        for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, sigma):
             h_est[b:b + len(gram)] = mmse_estimate(gram, cross, sigma)
         errors[t] = (nmse(h_est, h_blocks) if layout is None
                      else nmse(interpolate_full(h_est, layout), truth))

@@ -12,6 +12,12 @@ Four runners emit CSV: the single-link gain sweep (fig4.csv), the coherence
 profile (coherence.csv), the NMSE-versus-noise sweep (noise_sweep.csv), and
 the parameter/complexity overhead table (overhead.csv). Identical config and
 seed reproduce byte-identical files.
+
+Only the noise sweep reads absolute scale; the scenes, the gain kernel and Phase II
+have unit gains and pilots of mean 1. In "lambertian" mode it scales its truth by
+C = rho (m + 1) A_pd / (2 pi) (Kahn & Barry, Proc. IEEE 1997), A_pd = `scene.pd_side_m`^2:
+a run then equals the unit one at sigma / C, up to the ridge term sigma^2. Pilots of
+power p scale G by p^2 and the noise term by p, so each cell runs at sigma / p.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import numpy as np
 from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, build_csi_tensor
 from .coherence import (ANGULAR_SAMPLES_RANGE, XI_C_RANGE, CoherenceReport, coherence_distance,
                         growth_rate_taylor, taylor_coeffs)
-from .errors import ConfigError, LayoutError, OirsVlcError
+from .errors import ConfigError, LayoutError, OirsVlcError, ZeroReferenceError
 from .estimator import (_check_truth, _in_processes, _schedule_shape, flops_estimate,
                         run_algorithm1)
-from .geometry import OirsGrid, alignment_normal, plane_basis_from
+from .geometry import MAX_LENGTH, MIN_LENGTH, OirsGrid, alignment_normal, plane_basis_from
 
 # CPython's builtin digest, as Lib/random.py takes sha512: `hashlib` loads
 # OpenSSL's libcrypto (3.5 MB of peak RSS on x86_64 Linux), which nothing
@@ -114,8 +120,9 @@ def _key(default, key, parser, bounds=None, mimo=None):
     """The field that config `key` sets, read by `parser`. `bounds` are its (smallest,
     largest) accepted value, for a key whose range no scene or pilot check declares: a
     run takes order^2 sub-points per element, that many angles, that many trials per
-    cell, and a (chunk, Nt, slots) pilot buffer. `mimo` names the scene or grid field
-    that the key sets in the MIMO scene."""
+    cell, and a (chunk, Nt, slots) pilot buffer; the PD side, the reflectivity and the
+    pilot power set the noise sweep's absolute scale alone. `mimo` names the scene or
+    grid field that the key sets in the MIMO scene."""
     return field(default=default, metadata={"key": key, "parser": parser, "bounds": bounds,
                                             "mimo": mimo})
 
@@ -136,7 +143,7 @@ class ExperimentConfig:
     grid_element_size: float = _key(0.05, "scene.grid.element_size_m", _parse_float,
                                     mimo="element_size")
     grid_reflectivity: float = _key(0.9, "scene.grid.reflectivity", _parse_float,
-                                    mimo="reflectivity")
+                                    bounds=(1e-3, 1.0))
     led_positions: tuple = _key(((1.9, 2.0, 3.0), (2.1, 2.0, 3.0)), "scene.led_positions",
                                 _parse_vec3_list, mimo="led_positions")
     led_normal: tuple = _key((0.0, 0.0, -1.0), "scene.led_normal", _parse_vec3, mimo="led_normal")
@@ -145,10 +152,10 @@ class ExperimentConfig:
     pd_positions: tuple = _key(((1.8, 2.0, 0.0), (2.2, 2.0, 0.0)), "scene.pd_positions",
                                _parse_vec3_list, mimo="pd_positions")
     pd_normal: tuple = _key((0.0, 0.0, 1.0), "scene.pd_normal", _parse_vec3, mimo="pd_normal")
-    pd_side: float = _key(0.05, "scene.pd_side_m", _parse_float, mimo="pd_side")
+    pd_side: float = _key(0.05, "scene.pd_side_m", _parse_float, bounds=(MIN_LENGTH, MAX_LENGTH))
     fov_semi_angle: float = _key(math.pi / 2, "scene.fov_semi_angle_rad", _parse_float,
                                  mimo="fov_semi_angle")
-    gain_mode: str = _key("unit", "scene.gain_mode", _parse_text, mimo="gain_mode")
+    gain_mode: str = _key("unit", "scene.gain_mode", _parse_text)
     xi_c: float = _key(0.04, "coherence.xi_c", _parse_float, bounds=XI_C_RANGE)
     coherence_led: tuple = _key((1.0, 2.0, 3.0), "coherence.led", _parse_vec3)
     coherence_pd: tuple = _key((2.0, 2.0, 0.0), "coherence.pd", _parse_vec3)
@@ -159,7 +166,7 @@ class ExperimentConfig:
     spacings: tuple = _key((2, 3, 4), "sweep.spacings", _parse_ints)
     trials: int = _key(100, "sweep.trials", _parse_int, bounds=(1, 10**6))
     pilot_slots: int = _key(100, "pilots.slots", _parse_int, bounds=(1, 10**4))
-    pilot_power: float = _key(1.0, "pilots.power", _parse_float)
+    pilot_power: float = _key(1.0, "pilots.power", _parse_float, bounds=(1e-6, 1e6))
     master_seed: int = _key(20240917, "seed", _parse_int, bounds=(0, math.inf))
     truth_model: str = _key("quadrature", "truth.model", _parse_text)
     quadrature_order: int = _key(8, "truth.quadrature_order", _parse_int, bounds=(1, 64))
@@ -235,11 +242,16 @@ def _validate(config: ExperimentConfig) -> tuple[SceneConfig, SceneConfig]:
             _check_sigma(sigma)
         except ValueError as exc:
             bad("sweep.sigmas", str(exc))
+        try:                              # the noise level its cells run at
+            _check_sigma(sigma / config.pilot_power)
+        except ValueError as exc:
+            bad("sweep.sigmas", f"{sigma} / pilots.power: {exc}", ("sweep.sigmas", "pilots.power"))
     try:
-        _check_pilots(len(config.led_positions), config.pilot_slots, config.pilot_power)
+        _check_pilots(len(config.led_positions), config.pilot_slots)
     except (ValueError, OirsVlcError) as exc:
-        reject(exc, {"n_slots": "pilots.slots", "n_leds": "scene.led_positions",
-                     "power": "pilots.power"})
+        reject(exc, {"n_slots": "pilots.slots", "n_leds": "scene.led_positions"})
+    if config.gain_mode not in ("unit", "lambertian"):
+        bad("scene.gain_mode", "must be 'unit' or 'lambertian'")
     if config.truth_model not in ("point", "quadrature"):
         bad("truth.model", "must be 'point' or 'quadrature'")
     if not config.output_dir:
@@ -379,12 +391,12 @@ def sweep_schemes(config: ExperimentConfig):
 
 def _sweep_errors(config: ExperimentConfig, truth, k: int, processes: int):
     """Per-trial NMSE of trials k, k + processes, k + 2 * processes, ... of each
-    (sigma, scheme) cell, one array per cell, in sweep order."""
+    (sigma, scheme) cell, one array per cell, in sweep order, run at sigma / p."""
     for i_sigma, sigma in enumerate(config.sigmas):
         for spacing in sweep_schemes(config):
             try:
                 errors = run_algorithm1(
-                    config.scene, truth, spacing, config.pilot_slots, sigma, config.pilot_power,
+                    config.scene, truth, spacing, config.pilot_slots, sigma / config.pilot_power,
                     seeds=[(config.master_seed, spacing, i_sigma, trial)
                            for trial in range(k, config.trials, processes)])
             except OirsVlcError as exc:
@@ -397,19 +409,29 @@ def _sweep_errors(config: ExperimentConfig, truth, k: int, processes: int):
 def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
-    Returns rows (sigma, spacing, nmse_db, trials). The truth is built and
-    checked in this process. Then each of K = min(CPUs this process may run
-    on, trials) processes (one where `os.sched_getaffinity` is missing) runs
-    every cell on its fixed share of the trials: process k takes trials k,
-    k + K, k + 2K, ... This process runs share 0, and a child forked once per
-    sweep runs each other share (see `estimator._in_processes`). Trial seeds
-    derive from the master seed, the scheme, the sigma index, and the trial
-    index, so each trial's NMSE, and each row, does not depend on K. An
-    OirsVlcError from a cell is re-raised with its message prefixed by
-    `sigma=<sigma>, spacing=<spacing>: `.
+    Returns rows (sigma, spacing, nmse_db, trials). The truth is built,
+    scaled by C and checked in this process; an all-zero one names its keys.
+    Then each of K = min(CPUs this process may run on, trials) processes (one
+    where `os.sched_getaffinity` is missing) runs every cell, at sigma / p
+    (see the module docstring), on its fixed share of the trials: process k
+    takes trials k, k + K, k + 2K, ... This process runs share 0, and a
+    child forked once per sweep runs each other share (see
+    `estimator._in_processes`). Trial seeds derive from the master seed, the
+    scheme, the sigma index, and the trial index, so each trial's NMSE, and
+    each row, does not depend on K. An OirsVlcError from a cell is re-raised
+    with its message prefixed by `sigma=<sigma>, spacing=<spacing>: `.
     """
     order = 1 if config.truth_model == "point" else config.quadrature_order
-    truth = _check_truth(config.scene, build_csi_tensor(config.scene, order))
+    truth = build_csi_tensor(config.scene, order)
+    if config.gain_mode == "lambertian":               # unit mode copies nothing
+        truth = truth * (config.grid_reflectivity * (config.lambertian_order + 1.0)
+                         * config.pd_side**2 / (2.0 * math.pi))
+    try:
+        truth = _check_truth(config.scene, truth)
+    except ZeroReferenceError as exc:                  # same type and traceback
+        exc.args = ("scene.fov_semi_angle_rad, with scene.lambertian_order, scene.led_normal, "
+                    f"scene.led_positions, scene.pd_positions and scene.pd_normal: {exc}",)
+        raise
     try:
         processes = min(len(os.sched_getaffinity(0)), config.trials)
     except AttributeError:

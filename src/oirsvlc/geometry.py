@@ -16,7 +16,7 @@ from .errors import DegenerateGeometryError, with_fields
 
 _UNIT_TOL = 1e-9
 # meters: the range of every length a scene declares (room extents, element
-# pitch, PD side, study-link legs); each coordinate lies within +-MAX_LENGTH
+# pitch, study-link legs); each coordinate lies within +-MAX_LENGTH
 MIN_LENGTH, MAX_LENGTH = 1e-6, 1e4
 
 
@@ -96,7 +96,6 @@ class OirsGrid:
     cols: int
     element_size: float
     element_pitch: float
-    reflectivity: float = 0.9
     normal: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -118,7 +117,6 @@ class OirsGrid:
         if not 0.0 < self.element_size <= self.element_pitch:
             raise with_fields(ValueError("element_size must lie in (0, element_pitch]"),
                               "element_size", "element_pitch")
-        _check_range(self.reflectivity, 1e-3, 1.0, "reflectivity")
 
     @property
     def n_elements(self) -> int:

@@ -1,7 +1,9 @@
 """Test oracles: the gain of one link written out with `math`, and Phase I's
 block-diagonal association model; `link_scene`, which holds one link in
-the one-LED, one-PD scene that the coherence functions study; and
-`exact_edge`, a coherence length's boundary on the exact gain.
+the one-LED, one-PD scene that the coherence functions study;
+`exact_edge`, a coherence length's boundary on the exact gain; and
+`powered_statistics`, Phase II's received statistics under pilots of any
+mean power.
 
 `link_gain` evaluates the reflected-gain formula of one LED -> point -> PD
 link on plain floats, one link at a time, with no numpy and no array layout.
@@ -25,7 +27,7 @@ from oirsvlc import (OirsGrid, SceneConfig, alignment_normal, channel, estimator
                      growth_rate_exact, plane_basis_from, run_algorithm1)
 
 
-def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mode="unit"):
+def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2):
     """The one-LED, one-PD scene of the link LED -> point -> PD: a coherence study.
 
     A scene's room has its origin at (0, 0, 0) and must contain every
@@ -44,12 +46,11 @@ def link_scene(led, point, pd, led_normal, pd_normal, m=1.0, fov=math.pi / 2, mo
                     rows=1, cols=1, element_size=0.05, element_pitch=0.05)
     return SceneConfig(room=np.floor(pts.max(axis=0)) + 1.0, led_positions=[led],
                        led_normal=led_normal, lambertian_order=m, pd_positions=[pd],
-                       pd_normal=pd_normal, pd_side=0.05, fov_semi_angle=fov, grid=grid,
-                       gain_mode=mode)
+                       pd_normal=pd_normal, fov_semi_angle=fov, grid=grid)
 
 
-def link_gain(led, led_normal, point, pd, pd_normal, m, fov, c):
-    """c cos^m(theta) cos(phi) / (d1 + d2)^2 of one LED -> point -> PD link.
+def link_gain(led, led_normal, point, pd, pd_normal, m, fov):
+    """cos^m(theta) cos(phi) / (d1 + d2)^2 of one LED -> point -> PD link.
 
     theta is the angle at the LED between its normal and the point, phi the
     angle at the PD between its normal and the point, d1 and d2 the two leg
@@ -65,18 +66,17 @@ def link_gain(led, led_normal, point, pd, pd_normal, m, fov, c):
     cos_phi = sum(v * float(n) for v, n in zip(to_pd, pd_normal)) / d2
     if cos_theta <= 0.0 or cos_phi < math.cos(fov):
         return 0.0
-    return c * cos_theta**m * cos_phi / (d1 + d2) ** 2
+    return cos_theta**m * cos_phi / (d1 + d2) ** 2
 
 
-def broadcast_pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov: float,
-                          c: float) -> np.ndarray:
+def broadcast_pair_gains(points, leds, led_normal, pds, pd_normal, m: float,
+                         fov: float) -> np.ndarray:
     """Point gains of every (LED, PD) pair via each element point.
 
     Maps (..., 3) element points to (..., Nr, Nt) gains for LED positions
     `leds` (Nt, 3) and PD positions `pds` (Nr, 3). A pair's gain is 0 when
     the LED faces away from the point or the arrival direction falls
-    outside the PD field of view (cos phi < cos fov). `c` is the gain
-    constant.
+    outside the PD field of view (cos phi < cos fov).
 
     The points are split into their x, y and z planes, (..., 1) each, so
     every leg is three (..., Nt) or (..., Nr) coordinate arrays and each
@@ -99,7 +99,6 @@ def broadcast_pair_gains(points, leds, led_normal, pds, pd_normal, m: float, fov
     num = num[..., None, :] * np.where(cp >= math.cos(fov), cp, 0.0)[..., :, None]
     den = d1[..., None, :] + d2[..., :, None]
     den *= den
-    num *= c
     num /= den
     return num
 
@@ -162,6 +161,23 @@ def recorded_channel_blocks(monkeypatch, scene, truth, spacing):
         run_algorithm1(scene, truth, spacing, pilot_slots=10, seeds=[0])
     [blocks] = seen
     return blocks
+
+
+def powered_statistics(power):
+    """`channel.trial_statistics` with pilots of mean `power`: i.i.d. uniform
+    on [0, 2 * power], so Y = H X + sigma Z has its noise at a fixed absolute
+    level while X scales. Drawn from the same stream, the pilots of every
+    block and then their noise, as one chunk of all Q blocks."""
+    def statistics(h_blocks, seed, pilot_slots, sigma):
+        q, n_pds, n_leds = np.shape(h_blocks)
+        rng = np.random.default_rng(seed)
+        x = 2.0 * power * rng.random((q, n_leds, pilot_slots))
+        gram = x @ np.swapaxes(x, -1, -2)
+        cross = gram @ np.swapaxes(h_blocks, -1, -2)
+        if sigma > 0.0:
+            cross += sigma * (x @ np.swapaxes(rng.standard_normal((q, n_pds, pilot_slots)), -1, -2))
+        yield 0, gram, cross
+    return statistics
 
 
 def exact_edge(scene, directions, xi_c, reach=2.0, samples=400):

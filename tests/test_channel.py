@@ -91,16 +91,6 @@ def element_gain(grid, order, led=STUDY_LED, pd=STUDY_PD, fov=math.pi / 2):
     return build_csi_tensor(scene, order)[0, 0, 0]
 
 
-def test_point_gain_lambertian_constant():
-    # a "lambertian" scene scales the unit point gain by rho (m + 1) A_pd / (2 pi)
-    scene = _scene([STUDY_LED], [STUDY_PD], study_grid(), mode="lambertian")
-    assert scene.gains(STUDY_ELEM)[0, 0] == pytest.approx(
-        study_gain() * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rel=1e-12)
-    unit = build_csi_tensor(_scene([STUDY_LED], [STUDY_PD], study_grid()), 3)
-    lamb = build_csi_tensor(scene, 3)
-    assert_allclose(lamb, unit * 0.9 * 2.0 * 0.05**2 / (2 * math.pi), rtol=1e-12)
-
-
 def test_quadrature_gain_order_one_is_point_gain():
     assert element_gain(study_grid(), 1) == \
         pytest.approx(study_gain(), rel=0, abs=0)
@@ -110,7 +100,7 @@ def test_quadrature_gain_constant_integrand():
     # identically-zero field over the aperture: exact for every order
     grid = OirsGrid(center=(0, 0, 1), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     rows=1, cols=1, element_size=0.05,
-                    element_pitch=0.1, reflectivity=1.0)
+                    element_pitch=0.1)
     vals = [element_gain(grid, k, led=(0, 0, 2), pd=(1, 0, 0), fov=math.radians(10))
             for k in (1, 2, 5)]
     assert vals == [0.0, 0.0, 0.0]
@@ -129,11 +119,11 @@ def test_quadrature_gain_approaches_point_gain():
     assert errs[0] >= 2 * errs[1] and errs[1] >= 2 * errs[2]
 
 
-def _scene(led_positions, pd_positions, grid, fov=math.pi / 2, mode="unit"):
+def _scene(led_positions, pd_positions, grid, fov=math.pi / 2):
     return SceneConfig(room=(4, 4, 3), led_positions=led_positions,
                        led_normal=DOWN, lambertian_order=1.0,
-                       pd_positions=pd_positions, pd_normal=UP, pd_side=0.05,
-                       fov_semi_angle=fov, grid=grid, gain_mode=mode)
+                       pd_positions=pd_positions, pd_normal=UP,
+                       fov_semi_angle=fov, grid=grid)
 
 
 def wall_grid(rows, cols, center=(2, 0, 1.5)):
@@ -148,7 +138,7 @@ def test_build_csi_tensor_single_link():
     tensor = build_csi_tensor(scene)
     assert tensor.shape == (1, 1, 1)
     assert tensor[0, 0, 0] == pytest.approx(
-        link_gain((1, 2, 3), DOWN, grid.center, (2, 2, 0), UP, 1.0, math.pi / 2, 1.0),
+        link_gain((1, 2, 3), DOWN, grid.center, (2, 2, 0), UP, 1.0, math.pi / 2),
         rel=1e-14)
     with pytest.raises(ValueError):           # the truth is read-only
         tensor[0, 0, 0] = 1.0
@@ -181,7 +171,7 @@ def test_build_csi_tensor_against_per_link_loop(order):
                     offs = ((np.arange(order) + 0.5) / order - 0.5) * grid.element_size
                     want = np.mean([link_gain(scene.led_positions[nt], DOWN,
                                               center + a * grid.axis_u + b * grid.axis_v,
-                                              scene.pd_positions[nr], UP, 1.0, math.pi / 2, 1.0)
+                                              scene.pd_positions[nr], UP, 1.0, math.pi / 2)
                                     for a in offs for b in offs])
                     got = tensor[i * 2 + j, nr, nt]
                     assert got == pytest.approx(want, rel=1e-12)
@@ -198,25 +188,21 @@ FOV = st.just(math.pi / 2) | st.floats(0, math.pi / 2, exclude_min=True)
        leds=st.lists(ROOM_POINT, min_size=1, max_size=3),
        pds=st.lists(ROOM_POINT, min_size=1, max_size=3),
        led_normal=DIRECTION, pd_normal=DIRECTION, m=st.floats(1, 4),
-       fov=FOV, mode=st.sampled_from(channel.GAIN_MODES))
-def test_scene_gains_match_one_link_oracle(points, leds, pds, led_normal, pd_normal,
-                                           m, fov, mode):
+       fov=FOV)
+def test_scene_gains_match_one_link_oracle(points, leds, pds, led_normal, pd_normal, m, fov):
     # every (point, PD, LED) entry against the formula written out link by link
     assume(min(math.dist(p, q) for p in points for q in leds + pds) > 1e-3)
     scene = SceneConfig(room=(4, 4, 3), led_positions=leds,
                         led_normal=np.divide(led_normal, math.hypot(*led_normal)),
                         lambertian_order=m, pd_positions=pds,
                         pd_normal=np.divide(pd_normal, math.hypot(*pd_normal)),
-                        pd_side=0.05, fov_semi_angle=fov, grid=wall_grid(1, 1),
-                        gain_mode=mode)
-    c = 1.0 if mode == "unit" else 0.9 * (m + 1.0) * 0.05**2 / (2.0 * math.pi)
+                        fov_semi_angle=fov, grid=wall_grid(1, 1))
     got = scene.gains(points)
     assert got.shape == (len(points), len(pds), len(leds))
     for i, point in enumerate(points):
         for nr, pd in enumerate(pds):
             for nt, led in enumerate(leds):
-                want = link_gain(led, scene.led_normal, point, pd, scene.pd_normal,
-                                 m, fov, c)
+                want = link_gain(led, scene.led_normal, point, pd, scene.pd_normal, m, fov)
                 if want == 0.0:           # a cut-off applies: exactly zero
                     assert got[i, nr, nt] == 0.0
                 else:
@@ -232,17 +218,16 @@ POINT_SHAPE = (st.tuples(st.integers(1, 40))
        leds=st.lists(ROOM_POINT, min_size=1, max_size=3),
        pds=st.lists(ROOM_POINT, min_size=1, max_size=3),
        led_normal=DIRECTION, pd_normal=DIRECTION, m=st.floats(1, 8),
-       fov=FOV, mode=st.sampled_from(channel.GAIN_MODES))
+       fov=FOV)
 def test_pair_gains_keeps_the_broadcast_kernels_bits(shape, seed, leds, pds, led_normal,
-                                                     pd_normal, m, fov, mode):
+                                                     pd_normal, m, fov):
     # the same scalar operations in the same order, over another layout:
     # every gain keeps its bits, and the result is C-contiguous, which the
     # aperture mean's summation order reads
     points = np.random.default_rng(seed).uniform(0.0, 1.0, shape) * (4.0, 4.0, 3.0)
     assume(np.min(np.linalg.norm(points[..., None, :] - np.array(leds + pds), axis=-1)) > 1e-3)
-    c = 1.0 if mode == "unit" else 0.9 * (m + 1.0) * 0.05**2 / (2.0 * math.pi)
     args = (points, leds, np.divide(led_normal, math.hypot(*led_normal)), pds,
-            np.divide(pd_normal, math.hypot(*pd_normal)), m, fov, c)
+            np.divide(pd_normal, math.hypot(*pd_normal)), m, fov)
     got = channel.pair_gains(*args)
     assert np.array_equal(got, broadcast_pair_gains(*args))
     assert got.shape == (*shape[:-1], len(pds), len(leds)) and got.flags.c_contiguous
@@ -255,12 +240,12 @@ def test_aperture_gain_keeps_the_broadcast_means_bits(n_leds, n_pds, order):
     # several pairs and pairwise for one, so both orders are pinned
     leds = [(1.7, 2, 3), (2.0, 1.6, 3), (2.3, 2.2, 3)][:n_leds]
     pds = [(1.8, 2, 0), (2.4, 1.9, 0), (2.0, 2.3, 0)][:n_pds]
-    scene = _scene(leds, pds, wall_grid(7, 9), mode="lambertian")
+    scene = _scene(leds, pds, wall_grid(7, 9))
     centers = element_positions(scene.grid)
     want = broadcast_pair_gains(channel.aperture_points(scene.grid, centers, order),
                                 scene.led_positions, scene.led_normal, scene.pd_positions,
                                 scene.pd_normal, scene.lambertian_order,
-                                scene.fov_semi_angle, scene.gain_constant).mean(axis=1)
+                                scene.fov_semi_angle).mean(axis=1)
     assert np.array_equal(channel.aperture_gain(scene, centers, order), want)
 
 
@@ -311,13 +296,13 @@ def test_run_algorithm1_gather_matches_blockdiag_oracle(monkeypatch):
 # The received (rx) statistics and the pilot draw, both of trial_statistics
 
 
-def _drawn(h_blocks, seed, slots, power, sigma):
+def _drawn(h_blocks, seed, slots, sigma):
     """The pilots and the (b, G, X Y^T) chunks of one trial_statistics call.
-    The pilots are its documented stream, 2 * power * default_rng(seed).random
-    of (Q, Nt, slots), pinned by the yielded Gram matrices."""
-    chunks = list(trial_statistics(h_blocks, seed, slots, power, sigma))
+    The pilots are its documented stream, 2 * default_rng(seed).random of
+    (Q, Nt, slots), pinned by the yielded Gram matrices."""
+    chunks = list(trial_statistics(h_blocks, seed, slots, sigma))
     q, _, nt = h_blocks.shape
-    x = 2 * power * np.random.default_rng(seed).random((q, nt, slots))
+    x = 2 * np.random.default_rng(seed).random((q, nt, slots))
     gram = np.concatenate([gram for _, gram, _ in chunks])
     assert_allclose(gram, x @ np.swapaxes(x, -1, -2), rtol=1e-14)
     return x, chunks
@@ -327,28 +312,28 @@ def test_trial_statistics_noiseless_and_deterministic():
     # each block's statistics are its own products of its pilots
     H = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, -1.0]])
     Hs = np.stack([H, 2 * H, -H])
-    x, [(b, grams, crosses)] = _drawn(Hs, 1, 4, 1.0, 0.0)
+    x, [(b, grams, crosses)] = _drawn(Hs, 1, 4, 0.0)
     assert b == 0 and grams.shape == (3, 2, 2) and crosses.shape == (3, 2, 3)
     for q in range(3):
         assert_allclose(grams[q], x[q] @ x[q].T)
         assert_allclose(crosses[q], x[q] @ (Hs[q] @ x[q]).T)
     # noise leaves the pilots as they were; a seed repeats its draws, another does not
-    _, [(_, noisy_grams, c1)] = _drawn(Hs, 1, 4, 1.0, 0.3)
+    _, [(_, noisy_grams, c1)] = _drawn(Hs, 1, 4, 0.3)
     assert np.array_equal(noisy_grams, grams) and not np.array_equal(c1, crosses)
-    assert np.array_equal(c1, _drawn(Hs, 1, 4, 1.0, 0.3)[1][0][2])
-    assert not np.array_equal(c1, _drawn(Hs, 2, 4, 1.0, 0.3)[1][0][2])
+    assert np.array_equal(c1, _drawn(Hs, 1, 4, 0.3)[1][0][2])
+    assert not np.array_equal(c1, _drawn(Hs, 2, 4, 0.3)[1][0][2])
     # a numpy integer count draws as the Python int it holds: the noise
     # cursor's offset Q * Nt * P cannot wrap (np.int64 used to overflow it)
-    [want] = _drawn(Hs, 1, 100, 1.0, 0.3)[1]
+    [want] = _drawn(Hs, 1, 100, 0.3)[1]
     for slots in (np.int32(100), np.int64(100)):
-        [got] = _drawn(Hs, 1, slots, 1.0, 0.3)[1]
+        [got] = _drawn(Hs, 1, slots, 0.3)[1]
         assert all(map(np.array_equal, want, got))                  # b, G and X Y^T
 
 
 def test_trial_statistics_noise_variance():
     # with H = 0 each cross term is sigma * sum_p x_p z_p ~ N(0, sigma^2 G)
     blocks, slots = 100000, 4
-    x, chunks = _drawn(np.zeros((blocks, 1, 1)), 123, slots, 0.5, 0.7)
+    x, chunks = _drawn(np.zeros((blocks, 1, 1)), 123, slots, 0.7)
     gram, cross = (np.concatenate(parts) for parts in list(zip(*chunks))[1:])
     assert_allclose(gram[:, 0, 0], np.sum(x[:, 0] ** 2, axis=-1), rtol=1e-14)
     z = cross[:, 0, 0] / np.sqrt(0.49 * gram[:, 0, 0])
@@ -363,12 +348,12 @@ def test_trial_statistics_hold_no_noise_across_a_yield(monkeypatch):
     # stays. A first, untraced trial loads what seeding imports
     monkeypatch.setattr(channel, "CHUNK_BLOCKS", 1)
     h = np.zeros((2, 64, 1))
-    list(trial_statistics(h, 0, 1000, 1.0, 1.0))
+    list(trial_statistics(h, 0, 1000, 1.0))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         held = [tracemalloc.get_traced_memory()[0]
-                for _ in trial_statistics(h, 0, 1000, 1.0, 1.0)]
+                for _ in trial_statistics(h, 0, 1000, 1.0)]
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -377,33 +362,27 @@ def test_trial_statistics_hold_no_noise_across_a_yield(monkeypatch):
 
 
 def test_trial_statistics_pilots_range_and_mean():
-    x, _ = _drawn(np.zeros((1, 1, 1)), 0, 4, 0.5, 0.0)
-    assert np.all(x >= 0) and np.all(x <= 1.0)
-    big, _ = _drawn(np.zeros((1, 1, 1)), 7, 100000, 0.5, 0.0)
-    assert abs(big.mean() - 0.5) / 0.5 <= 0.02
+    x, _ = _drawn(np.zeros((1, 1, 1)), 0, 4, 0.0)
+    assert np.all(x >= 0) and np.all(x <= 2.0)
+    big, _ = _drawn(np.zeros((1, 1, 1)), 7, 100000, 0.0)
+    assert abs(big.mean() - 1.0) <= 0.02
 
 
 def test_trial_statistics_pilots_full_rank():
     for seed in range(1000):
-        x, _ = _drawn(np.zeros((1, 1, 4)), seed, 100, 1.0, 0.0)
+        x, _ = _drawn(np.zeros((1, 1, 4)), seed, 100, 0.0)
         assert np.linalg.matrix_rank(x[0]) == 4
 
 
 def test_trial_statistics_pilots_identifiability():
     with pytest.raises(IdentifiabilityError):
-        _drawn(np.zeros((1, 1, 3)), 0, 2, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("power", [0.0, -1.0, math.nan, math.inf])
-def test_trial_statistics_rejects_bad_power(power):
-    with pytest.raises(ValueError):
-        _drawn(np.zeros((1, 2, 2)), 0, 4, power, 0.0)
+        _drawn(np.zeros((1, 1, 3)), 0, 2, 0.0)
 
 
 @pytest.mark.parametrize("sigma", [-1.0, math.nan, math.inf])
 def test_trial_statistics_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
-        _drawn(np.zeros((1, 2, 2)), 0, 4, 1.0, sigma)
+        _drawn(np.zeros((1, 2, 2)), 0, 4, sigma)
 
 
 @pytest.mark.parametrize("seed", [7, (3, 1)], ids=["int", "tuple"])
@@ -421,10 +400,10 @@ def test_advanced_cursor_continues_the_uniform_stream(seed):
     for n in (1, 7, 1000):
         ref = np.random.default_rng(seed)
         x_ref, z_ref = ref.random(n), ref.standard_normal(n)
-        starts, grams, crosses = zip(*trial_statistics(np.zeros((n, 1, 1)), seed, 1, 0.5, 1.0))
+        starts, grams, crosses = zip(*trial_statistics(np.zeros((n, 1, 1)), seed, 1, 1.0))
         assert starts == tuple(range(0, n, channel.CHUNK_BLOCKS))
-        assert np.array_equal(np.concatenate(grams).ravel(), x_ref * x_ref)
-        assert np.array_equal(np.concatenate(crosses).ravel(), x_ref * z_ref)
+        assert np.array_equal(np.concatenate(grams).ravel(), (2 * x_ref) ** 2)
+        assert np.array_equal(np.concatenate(crosses).ravel(), 2 * x_ref * z_ref)
 
 
 def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
@@ -451,8 +430,8 @@ def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
         seen = []
         checks.clear()
 
-        def record(h_blocks, seed, pilot_slots, power, sigma):
-            for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, power, sigma):
+        def record(h_blocks, seed, pilot_slots, sigma):
+            for b, gram, cross in trial_statistics(h_blocks, seed, pilot_slots, sigma):
                 seen.append((h_blocks[b:b + len(gram)], gram, cross))
                 yield b, gram, cross
 
@@ -466,7 +445,7 @@ def test_pilots_and_noise_share_one_generator_stream(monkeypatch):
         assert_allclose(gram, x_ref @ np.swapaxes(x_ref, -1, -2), rtol=1e-14)
         assert_allclose(cross, x_ref @ np.swapaxes(y_ref, -1, -2), rtol=1e-12)
     # the documented stream, one chunk of every block, keeps the pilots' bits
-    x, _ = _drawn(np.zeros((35, 3, 2)), (3, 1), 6, 1.0, 0.1)
+    x, _ = _drawn(np.zeros((35, 3, 2)), (3, 1), 6, 0.1)
     assert np.array_equal(x, x_ref)
 
 
@@ -496,4 +475,4 @@ def test_scene_rejects_beam_outside_link_domain(m, fov):
     with pytest.raises(ValueError):
         SceneConfig(room=(4, 4, 3), led_positions=[(1, 2, 3)], led_normal=DOWN,
                     lambertian_order=m, pd_positions=[(2, 2, 0)], pd_normal=UP,
-                    pd_side=0.05, fov_semi_angle=fov, grid=wall_grid(2, 2))
+                    fov_semi_angle=fov, grid=wall_grid(2, 2))

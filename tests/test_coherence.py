@@ -78,18 +78,6 @@ def test_growth_rate_odd_leading_term():
     assert 2.0 <= s1 / s2 <= 8.0
 
 
-def test_growth_rate_scale_invariant():
-    # the gain constant cancels in the ratio: the study scene's gains give
-    # the unit-mode growth_rate_exact value in either gain mode
-    d = np.array([0.03, -0.02, 0.04])
-    unit = ExperimentConfig().single_link
-    for mode in ("unit", "lambertian"):
-        scene = replace(ExperimentConfig(), gain_mode=mode).single_link
-        point = scene.grid.center
-        h0, h1 = (float(scene.gains(p)[0, 0]) for p in (point, point + d))
-        assert (h1 - h0) / h0 == pytest.approx(growth_rate_exact(unit, d), rel=1e-12)
-
-
 def test_growth_rate_zero_gain():
     dead = link_scene([0, 0, 2], [0, 0, 1], [1, 0, 0], DOWN, UP, fov=math.radians(10))
     with pytest.raises(ZeroGainError):

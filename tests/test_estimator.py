@@ -50,7 +50,7 @@ def desk_scene(rows=24, cols=24):
                        led_positions=[(1.9, 2, 3), (2.1, 2, 3)],
                        led_normal=(0, 0, -1), lambertian_order=1.0,
                        pd_positions=[(1.8, 2, 0), (2.2, 2, 0)],
-                       pd_normal=(0, 0, 1), pd_side=0.05,
+                       pd_normal=(0, 0, 1),
                        fov_semi_angle=np.pi / 2, grid=wall_grid(rows, cols))
 
 
@@ -63,7 +63,7 @@ def three_by_three_scene(rows, cols, pitch=0.1):
                        led_positions=[(1.8, 2, 3), (2.0, 2, 3), (2.2, 2, 3)],
                        led_normal=(0, 0, -1), lambertian_order=1.0,
                        pd_positions=[(1.6, 2, 0), (2.0, 2, 0), (2.4, 2, 0)],
-                       pd_normal=(0, 0, 1), pd_side=0.05,
+                       pd_normal=(0, 0, 1),
                        fov_semi_angle=np.pi / 2, grid=grid)
 
 
@@ -112,7 +112,7 @@ def test_block_schedule_angle_selective_and_blockdiag_identity(monkeypatch):
                         led_positions=[(1.8, 2, 3), (2, 2, 3), (2.2, 2, 3)],
                         led_normal=(0, 0, -1), lambertian_order=1.0,
                         pd_positions=[(1.8, 2, 0), (2.2, 2, 0)],
-                        pd_normal=(0, 0, 1), pd_side=0.05,
+                        pd_normal=(0, 0, 1),
                         fov_semi_angle=np.pi / 2, grid=wall_grid(6, 6))
     tensor = build_csi_tensor(scene)
     for spacing in (1, 3):
@@ -239,7 +239,7 @@ def test_noiseless_ridge_returns_truth_on_sample_lattice():
     index, layout = block_schedule(scene.grid, 2, 2, 2)
     tensor = build_csi_tensor(scene)
     blocks = tensor[index, np.arange(2)[:, None], np.arange(2)]
-    [(_, gram, cross)] = trial_statistics(blocks, 4, 16, 1.0, 0.0)
+    [(_, gram, cross)] = trial_statistics(blocks, 4, 16, 0.0)
     est = mmse_estimate(gram, cross, 0.0)
     for nr in range(2):
         for nt in range(2):
@@ -426,7 +426,7 @@ def test_run_algorithm1_rejects_truth_of_another_scene(monkeypatch):
     scene = desk_scene(8, 8)
     one_pd = SceneConfig(room=(4, 4, 3), led_positions=scene.led_positions,
                          led_normal=(0, 0, -1), lambertian_order=1.0,
-                         pd_positions=[(2, 2, 0)], pd_normal=(0, 0, 1), pd_side=0.05,
+                         pd_positions=[(2, 2, 0)], pd_normal=(0, 0, 1),
                          fov_semi_angle=np.pi / 2, grid=wall_grid(8, 8))
     wrong = [build_csi_tensor(desk_scene(24, 24)),      # element count
              build_csi_tensor(one_pd),                  # PD count
@@ -464,11 +464,9 @@ def test_run_algorithm1_rejects_bad_truth_before_drawing_pilots(monkeypatch):
 
 
 def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch):
-    # a NaN, infinite, negative or too large sigma, a NaN, infinite,
-    # non-positive or too large pilot power (each past its range), too few
+    # a NaN, infinite, negative or too large sigma (past its range), too few
     # pilot slots or a float count of them, an all-zero truth and no seeds
-    # fail before any pilot is drawn (NaN and inf powers used to come back
-    # as NaN NMSE). A call never forks, even with two CPUs reported: each
+    # fail before any pilot is drawn. A call never forks, even with two CPUs reported: each
     # draw, those of the valid call too, is made in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     scene = desk_scene(8, 8)
@@ -484,8 +482,6 @@ def test_run_algorithm1_rejects_bad_parameters_before_drawing_pilots(monkeypatch
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     bad = [({"sigma": value}, ValueError)
            for value in (np.nan, np.inf, -np.inf, -1.0, 1e160)]
-    bad += [({"pilot_power": value}, ValueError)
-            for value in (np.nan, np.inf, 0.0, -1.0, 1e160)]
     bad += [({"pilot_slots": 1}, IdentifiabilityError),
             ({"pilot_slots": 16.0}, TypeError),
             ({"truth": np.zeros_like(truth)}, ZeroReferenceError),
@@ -511,22 +507,6 @@ def test_noise_monotonicity_smoke():
                               seeds=[(77, trial) for trial in range(30)])
         levels.append(np.mean(vals))
     assert levels[0] < levels[1]
-
-
-def test_gain_mode_changes_nmse_only_under_noise():
-    # sigma is absolute in gain units: the modes agree at sigma = 0, while at
-    # sigma = 1e-4 the far smaller "lambertian" gains drown in the noise
-    mean_nmse = {}
-    for mode in ("unit", "lambertian"):
-        config = replace(ExperimentConfig(), gain_mode=mode)
-        scene = config.scene
-        truth = build_csi_tensor(scene, 8)
-        for sigma in (0.0, 1e-4):
-            errors = run_algorithm1(scene, truth, 2, config.pilot_slots, sigma,
-                                    config.pilot_power, seeds=range(5))
-            mean_nmse[mode, sigma] = np.mean(errors)
-    assert mean_nmse["lambertian", 0.0] == pytest.approx(mean_nmse["unit", 0.0], rel=1e-9)
-    assert 10 * np.log10(mean_nmse["lambertian", 1e-4] / mean_nmse["unit", 1e-4]) > 20.0
 
 
 @pytest.mark.parametrize("spacing", [1, 2, 3])
@@ -811,6 +791,6 @@ def test_dense_noiseless_nmse_stays_below_the_csv_floor():
     config = ExperimentConfig()
     scene = config.scene
     truth = build_csi_tensor(scene, 8)
-    errors = run_algorithm1(scene, truth, 1, config.pilot_slots, 0.0, config.pilot_power,
+    errors = run_algorithm1(scene, truth, 1, config.pilot_slots, 0.0,
                             seeds=[(config.master_seed, 1, 0, trial) for trial in range(5)])
     assert 10 * np.log10(np.mean(errors)) <= -303.0

@@ -30,6 +30,7 @@ from oirsvlc import (
     SceneConfig,
     ShapeError,
     ZeroReferenceError,
+    build_csi_tensor,
     dumps,
     load_config,
     loads,
@@ -51,6 +52,8 @@ from oirsvlc.experiments import (
     write_noise_sweep_csv,
     write_overhead_csv,
 )
+
+from channel_oracle import powered_statistics
 
 ROOT = Path(__file__).resolve().parent.parent
 SMOKE = ROOT / "bench" / "configs" / "smoke.cfg"   # the fast config of criterion 9
@@ -216,6 +219,9 @@ def test_config_rejects_unknown_and_invalid_keys():
         ("sweep.sigmas = 0, 1e160", "sweep.sigmas"),
         # a pilot power of 1e-300 made the first cell's Gram matrix singular
         ("pilots.power = 1e-300", "pilots.power"),
+        # each cell runs at sigma / p, so the default 1e-3 at p = 1e-6 is a
+        # noise of 1000.0000000000001, past sigma's range; it used to load
+        ("pilots.power = 1e-6", "sweep.sigmas", "sweep.sigmas and pilots.power"),
         # changed alone, each used to be named only by another key of its check
         ("scene.grid.rows = 40", "scene.grid.center", _GRID_IN_ROOM),
         ("scene.room = 2, 2, 2", "scene.led_positions", "scene.led_positions and scene.room"),
@@ -321,7 +327,7 @@ _RANGES = [
     ("scene.pd_side_m", 1e-6, 1e4, lambda v: {"pd_side": v, "gain_mode": "lambertian"}, {}, {}),
     ("scene.grid.reflectivity", 1e-3, 1.0, lambda v: {"grid_reflectivity": v}, {}, {}),
     ("scene.lambertian_order", 1.0, 1e3, lambda v: {"lambertian_order": v}, {}, {}),
-    ("pilots.power", 1e-6, 1e6, lambda v: {"pilot_power": v}, {}, {}),
+    ("pilots.power", 1e-6, 1e6, lambda v: {"pilot_power": v}, {"sigmas": (0.0, 1e-4)}, {}),
     ("sweep.sigmas", 0.0, 1e3, lambda v: {"sigmas": (v,)}, {}, {}),
     # coordinates: an end must lie in the room as well
     ("coherence.led", -1e4, 1e4, lambda v: {"coherence_led": (v, 2.0, 3.0)}, None,
@@ -361,7 +367,7 @@ def test_each_declared_range_accepts_its_ends_and_refuses_past_them():
 
 
 _GRID = dict(center=(2.0, 0.0, 1.5), axis_u=(1.0, 0.0, 0.0), axis_v=(0.0, 0.0, 1.0), rows=4,
-             cols=4, element_size=0.05, element_pitch=0.1, reflectivity=0.9)
+             cols=4, element_size=0.05, element_pitch=0.1)
 _ONE = dict(_GRID, rows=1, cols=1)
 
 
@@ -376,17 +382,13 @@ _REJECTIONS = [
     ({"cols": 0}, ("cols",)),
     ({"element_pitch": 0.0}, ("element_pitch",)),
     ({"element_size": 0.2}, ("element_size", "element_pitch")),
-    ({"reflectivity": 0.0}, ("reflectivity",)),
     ({"room": (4.0, 0.0, 3.0)}, ("room",)),
     ({"led_positions": np.zeros((0, 3))}, ("led_positions",)),
     ({"pd_positions": np.zeros((1, 2))}, ("pd_positions",)),
     ({"led_normal": (0.0, 0.0, 2.0)}, ("led_normal",)),
     ({"pd_normal": (0.0, 0.0, 0.5)}, ("pd_normal",)),
-    ({"gain_mode": "absolute"}, ("gain_mode",)),
-    ({"pd_side": 0.0}, ("pd_side",)),
     ({"lambertian_order": 0.5}, ("lambertian_order",)),
     ({"fov_semi_angle": 0.0}, ("fov_semi_angle",)),
-    ({"gain_mode": "lambertian", "pd_side": 1e-200}, ("pd_side",)),
     ({"led_positions": ((1.0, 5.0, 3.0),)}, ("led_positions", "room")),
     ({"pd_positions": ((1.0, 2.0, -1.0),)}, ("pd_positions", "room")),
     ({"grid": _GRID | {"center": (0.1, 0.0, 1.5)}},
@@ -441,15 +443,12 @@ _MIMO_KEYS = {
     "scene.grid.center": ("center", "2, 0, 1.4"),
     "scene.grid.pitch_m": ("element_pitch", "0.09"),
     "scene.grid.element_size_m": ("element_size", "0.04"),
-    "scene.grid.reflectivity": ("reflectivity", "0.8"),
     "scene.led_positions": ("led_positions", "1.8, 2, 3; 2.2, 2, 3"),
     "scene.led_normal": ("led_normal", "0, -0.6, -0.8"),
     "scene.lambertian_order": ("lambertian_order", "2"),
     "scene.pd_positions": ("pd_positions", "1.7, 2, 0; 2.3, 2, 0"),
     "scene.pd_normal": ("pd_normal", "0, -0.6, 0.8"),
-    "scene.pd_side_m": ("pd_side", "0.04"),
     "scene.fov_semi_angle_rad": ("fov_semi_angle", "1.4"),
-    "scene.gain_mode": ("gain_mode", "lambertian"),
 }
 
 
@@ -774,6 +773,67 @@ def test_run_noise_sweep_rows_do_not_depend_on_cpu_count(cpus, monkeypatch):
     assert run_noise_sweep(config) == reference
 
 
+def test_a_pilot_power_runs_each_cell_at_sigma_over_p(monkeypatch):
+    # pilots of mean p scale G by p^2 and the noise term by p: the sweep's
+    # cells at power p, run at sigma / p, give each trial the NMSE of Phase II
+    # with pilots on [0, 2p] at sigma. p = 1 is the same computation
+    config = replace(FAST, trials=4, sigmas=(1e-4, 1e-3))
+    truth = build_csi_tensor(config.scene, config.quadrature_order)
+    for power in (1e-3, 0.5, 1.0, 2.0, 1e3):
+        got = list(experiments._sweep_errors(replace(config, pilot_power=power), truth, 0, 1))
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "trial_statistics", powered_statistics(power))
+            want = list(experiments._sweep_errors(config, truth, 0, 1))
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            if power == 1.0:
+                assert np.array_equal(g, w)
+            assert_allclose(g, w, rtol=1e-9, atol=0)
+
+
+def _sweep_truth(config, monkeypatch):
+    """The truth that a one-trial `run_noise_sweep` of `config` hands to `run_algorithm1`."""
+    seen = []
+    real = experiments.run_algorithm1
+
+    def record(scene, truth, *args, **kwargs):
+        seen.append(truth)
+        return real(scene, truth, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_algorithm1", record)
+    run_noise_sweep(replace(config, trials=1, sigmas=(0.0,)))
+    assert all(t is seen[0] for t in seen)
+    return seen[0]
+
+
+def test_the_lambertian_sweep_truth_is_c_times_the_unit_truth(monkeypatch):
+    # C = rho (m + 1) A_pd / (2 pi) multiplies the unit truth, and only the
+    # sweep reads it; unit mode passes the built, read-only truth, uncopied
+    config = replace(FAST, grid_reflectivity=0.5, lambertian_order=2.0, pd_side=0.1)
+    unit = _sweep_truth(config, monkeypatch)
+    assert np.array_equal(unit, build_csi_tensor(config.scene, config.quadrature_order))
+    assert not unit.flags.writeable
+    lamb = _sweep_truth(replace(config, gain_mode="lambertian"), monkeypatch)
+    assert_allclose(lamb, unit * 0.5 * 3.0 * 0.1**2 / (2 * math.pi), rtol=1e-12, atol=0)
+
+
+def test_gain_mode_changes_sweep_nmse_only_under_noise():
+    # sigma is absolute in gain units: the modes agree at sigma = 0, while at
+    # sigma = 1e-4 the far smaller "lambertian" gains (C = 7.2e-4) drown in
+    # the noise. A lambertian run is the unit one at sigma / C up to the
+    # ridge term sigma^2, which moves the noisy rows by 0.09 dB here
+    c = 0.9 * 2.0 * 0.05**2 / (2 * math.pi)
+    lamb = run_noise_sweep(replace(FAST, gain_mode="lambertian"))
+    unit = run_noise_sweep(FAST)
+    scaled = run_noise_sweep(replace(FAST, sigmas=(0.0, 1e-4 / c)))
+    for l_row, u_row, s_row in zip(lamb, unit, scaled):
+        if l_row[0] == 0.0:
+            assert l_row == pytest.approx(u_row, rel=1e-9, abs=1e-9)
+        else:
+            assert l_row[2] - u_row[2] > 20.0
+            assert abs(l_row[2] - s_row[2]) < 0.2
+
+
 def test_csv_files_footer_and_summary(tmp_path):
     cfg = FAST
     report = run_coherence(cfg)
@@ -822,16 +882,19 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     # every MIMO element lies outside the 0.62 rad field of view, which still
     # takes in the study link's 0.59 rad arrival: NMSE is undefined, and the
     # sweep stops in this process after its truth build, before it forks or
-    # draws a pilot, though two CPUs are reported. At 0.05 rad the study link
-    # is dark too, and the config fails at load
+    # draws a pilot, though two CPUs are reported, naming the keys that set
+    # the truth. At 0.05 rad the study link is dark too, and the config fails
+    # at load
     calls, forks = [], []
     real, real_fork = estimator.trial_statistics, os.fork
     monkeypatch.setattr(estimator, "trial_statistics", lambda *a: calls.append(1) or real(*a))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = tmp_path / "dark.cfg"
+    dark = re.escape("scene.fov_semi_angle_rad, with scene.lambertian_order, scene.led_normal, "
+                     "scene.led_positions, scene.pd_positions and scene.pd_normal: truth tensor")
     for fov, error, match in (
-            (0.62, ZeroReferenceError, "outside a LED beam or the PD field of view"),
+            (0.62, ZeroReferenceError, f"^{dark} .*outside a LED beam or the PD field of view$"),
             (0.05, ConfigError, "^scene.fov_semi_angle_rad: ")):
         cfg.write_text(SMOKE.read_text() + f"scene.fov_semi_angle_rad = {fov}\n")
         with pytest.raises(error, match=match):

@@ -115,10 +115,6 @@ def test_grid_rejects_bad_scalars():
         OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                  rows=2, cols=2, element_size=0.2,
                  element_pitch=0.1)
-    with pytest.raises(ValueError):
-        OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                 rows=2, cols=2, element_size=0.1,
-                 element_pitch=0.1, reflectivity=0.0)
 
 
 def test_grid_covers_its_apertures_only():
