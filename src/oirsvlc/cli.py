@@ -28,7 +28,7 @@ def _import_numpy_random_without_openssl():
     that no sweep uses. Blocked, hmac and hashlib take CPython's builtin
     digests, as a CPython built without OpenSSL does. Only the CLI blocks it:
     a library caller may need OpenSSL-only hashlib functions such as scrypt.
-    The sweep's forked workers inherit the import.
+    The sweep's children inherit the import.
     """
     if "_hashlib" in sys.modules:
         return

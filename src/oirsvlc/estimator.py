@@ -22,10 +22,7 @@ one seed stream each, and keeps one number per trial: its NMSE. Phase II
 reads the received blocks Y = H X + sigma Z only through X X^T and X Y^T, so
 Y is never formed. It solves each chunk of blocks as
 `channel.trial_statistics` draws it from the trial's seed, and each trial
-is scored before the next is drawn. The noise sweep splits its trials into
-fixed shares with `_in_processes`: the caller runs one share, a child forked
-once per sweep runs each other share and replies with its results, and a
-child's failure is raised in the caller.
+is scored before the next is drawn.
 """
 
 from __future__ import annotations
@@ -271,95 +268,6 @@ def _check_truth(scene: SceneConfig, truth) -> np.ndarray:
         raise ZeroReferenceError("truth tensor is identically zero: every element "
                                  "lies outside a LED beam or the PD field of view")
     return truth
-
-
-class _WorkerTraceback(Exception):
-    """A child's formatted traceback, set as the `__cause__` of the exception
-    the caller raises for it, since pickling keeps only an exception's type,
-    args and attributes."""
-
-
-def _in_processes(work, n: int) -> list:
-    """[list(work(k)) for k in range(n)], for `work(k)` an iterable: work(0)
-    runs in this process while each other work(k) runs in a child forked for it.
-
-    A child sends one pickled reply through its own pipe, its list or its
-    exception with the formatted traceback, and leaves through os._exit, never
-    into the stack it was forked from. The caller raises a child's exception
-    from a `_WorkerTraceback` of that text, and an OirsVlcError naming the exit
-    status of a child that exits without a reply. After each item of work(0)
-    the caller reaps every child that has exited, so a child's failure is
-    raised before the caller's next item. Any failure or interrupt in the
-    caller kills and reaps every child not yet reaped.
-    """
-    import os
-    import pickle
-
-    parts = [None] * n
-    children = {}                                     # pid -> (k, reply reader), until reaped
-
-    def reap(pid, status=None):
-        k, replies = children[pid]
-        try:
-            with replies:
-                reply = pickle.load(replies)
-        except (EOFError, pickle.UnpicklingError):
-            reply = None
-        finally:
-            if status is None:
-                status = os.waitpid(pid, 0)[1]
-            del children[pid]
-        if reply is None:
-            raise OirsVlcError(f"worker {pid} exited with status "
-                               f"{os.waitstatus_to_exitcode(status)} before reporting")
-        parts[k], failure = reply
-        if failure is not None:
-            raise failure[0] from _WorkerTraceback(failure[1])
-
-    try:
-        for k in range(1, n):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read)
-                    try:
-                        reply = (list(work(k)), None)
-                    except Exception as exc:          # the caller raises it
-                        import traceback    # in a child only: the light commands never load it
-
-                        reply = (None, (exc, "".join(traceback.format_exception(exc))))
-                    with open(write, "wb") as replies:
-                        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children[pid] = (k, open(read, "rb"))
-        parts[0] = []
-        for item in work(0):
-            parts[0].append(item)
-            for pid in list(children):                # a child that replied has exited
-                done, status = os.waitpid(pid, os.WNOHANG)
-                if done:
-                    reap(pid, status)
-        for pid in list(children):
-            reap(pid)
-    except BaseException:
-        import signal                                 # on failure only: no cost to a sweep
-
-        for pid, (_, replies) in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            replies.close()
-        raise
-    return parts
 
 
 def run_algorithm1(scene: SceneConfig, truth: np.ndarray, spacing: int,

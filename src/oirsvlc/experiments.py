@@ -32,8 +32,7 @@ from .channel import SceneConfig, _check_pilots, _check_sigma, aperture_gain, bu
 from .coherence import (ANGULAR_SAMPLES_RANGE, XI_C_RANGE, CoherenceReport, coherence_distance,
                         growth_rate_taylor, taylor_coeffs)
 from .errors import ConfigError, LayoutError, OirsVlcError, ZeroReferenceError
-from .estimator import (_check_truth, _in_processes, _schedule_shape, flops_estimate,
-                        run_algorithm1)
+from .estimator import _check_truth, _schedule_shape, flops_estimate, run_algorithm1
 from .geometry import MAX_LENGTH, MIN_LENGTH, OirsGrid, alignment_normal, plane_basis_from
 
 # CPython's builtin digest, as Lib/random.py takes sha512: `hashlib` loads
@@ -406,19 +405,112 @@ def _sweep_errors(config: ExperimentConfig, truth, k: int, processes: int):
             yield errors
 
 
+class _ChildTraceback(Exception):
+    """A child's formatted traceback, set as the `__cause__` of the exception
+    the caller raises for it, since pickling keeps only an exception's type,
+    args and attributes."""
+
+
+def _errors_in_processes(config: ExperimentConfig, truth) -> np.ndarray:
+    """The sweep's per-trial NMSE, a (cells, trials) array in sweep order.
+
+    Each of K = min(CPUs this process may run on, trials) processes (one where
+    `os.sched_getaffinity` is missing) runs every cell on its fixed share of the
+    trials: process k takes trials k, k + K, k + 2K, ... (`_sweep_errors`). This
+    process runs share 0 and writes its row of each cell as the cell ends. A child
+    forked once per sweep runs each other share, sends one pickled reply through
+    its own pipe, its (cells, share) NMSE or its exception with the formatted
+    traceback, and leaves through os._exit, never into the stack it was forked
+    from. The caller writes a child's columns [:, k::K] when it reaps it, raises
+    a child's exception from a `_ChildTraceback` of that text, and an
+    OirsVlcError naming the exit status of a child that exits without a reply.
+    After each of its own cells the caller reaps every child that has exited, so
+    a child's failure is raised before the caller's next cell. Any failure or
+    interrupt in the caller kills and reaps every child not yet reaped.
+    """
+    import pickle
+
+    try:
+        processes = min(len(os.sched_getaffinity(0)), config.trials)
+    except AttributeError:
+        processes = 1
+    errors = np.empty((len(config.sigmas) * len(sweep_schemes(config)), config.trials))
+    children = {}                                     # pid -> (k, reply reader), until reaped
+
+    def reap(pid, status=None):
+        k, replies = children[pid]
+        try:
+            with replies:
+                reply = pickle.load(replies)
+        except (EOFError, pickle.UnpicklingError):
+            reply = None
+        finally:
+            if status is None:
+                status = os.waitpid(pid, 0)[1]
+            del children[pid]
+        if reply is None:
+            raise OirsVlcError(f"child {pid} exited with status "
+                               f"{os.waitstatus_to_exitcode(status)} before reporting")
+        share, failure = reply
+        if failure is not None:
+            raise failure[0] from _ChildTraceback(failure[1])
+        errors[:, k::processes] = share
+
+    try:
+        for k in range(1, processes):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read)
+                    try:
+                        reply = (list(_sweep_errors(config, truth, k, processes)), None)
+                    except Exception as exc:          # the caller raises it
+                        import traceback    # in a child only: the light commands never load it
+
+                        reply = (None, (exc, "".join(traceback.format_exception(exc))))
+                    with open(write, "wb") as replies:
+                        pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children[pid] = (k, open(read, "rb"))
+        for cell, share in enumerate(_sweep_errors(config, truth, 0, processes)):
+            errors[cell, ::processes] = share
+            for pid in list(children):                # a child that replied has exited
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    reap(pid, status)
+        for pid in list(children):
+            reap(pid)
+    except BaseException:
+        import signal                                 # on failure only: no cost to a sweep
+
+        for pid, (_, replies) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            replies.close()
+        raise
+    return errors
+
+
 def run_noise_sweep(config: ExperimentConfig):
     """Trial-averaged NMSE for every (sigma, scheme) pair.
 
     Returns rows (sigma, spacing, nmse_db, trials). The truth is built,
     scaled by C and checked in this process; an all-zero one names its keys.
-    Then each of K = min(CPUs this process may run on, trials) processes (one
-    where `os.sched_getaffinity` is missing) runs every cell, at sigma / p
-    (see the module docstring), on its fixed share of the trials: process k
-    takes trials k, k + K, k + 2K, ... This process runs share 0, and a
-    child forked once per sweep runs each other share (see
-    `estimator._in_processes`). Trial seeds derive from the master seed, the
-    scheme, the sigma index, and the trial index, so each trial's NMSE, and
-    each row, does not depend on K. An OirsVlcError from a cell is re-raised
+    Then `_errors_in_processes` splits the trials into fixed shares, one per
+    process, each of which runs every cell at sigma / p (see the module
+    docstring). Trial seeds derive from the master seed, the scheme, the sigma
+    index, and the trial index, so each trial's NMSE, and each row, does not
+    depend on the number of processes. An OirsVlcError from a cell is re-raised
     with its message prefixed by `sigma=<sigma>, spacing=<spacing>: `.
     """
     order = 1 if config.truth_model == "point" else config.quadrature_order
@@ -432,14 +524,7 @@ def run_noise_sweep(config: ExperimentConfig):
         exc.args = ("scene.fov_semi_angle_rad, with scene.lambertian_order, scene.led_normal, "
                     f"scene.led_positions, scene.pd_positions and scene.pd_normal: {exc}",)
         raise
-    try:
-        processes = min(len(os.sched_getaffinity(0)), config.trials)
-    except AttributeError:
-        processes = 1
-    parts = _in_processes(lambda k: _sweep_errors(config, truth, k, processes), processes)
-    errors = np.empty((len(parts[0]), config.trials))
-    for k, part in enumerate(parts):
-        errors[:, k::processes] = part
+    errors = _errors_in_processes(config, truth)
     cells = [(sigma, spacing) for sigma in config.sigmas for spacing in sweep_schemes(config)]
     totals = np.cumsum(errors, axis=1)[:, -1]      # summed in trial order, as a loop would
     return [(float(sigma), int(spacing), nmse_db(float(total) / config.trials), int(config.trials))

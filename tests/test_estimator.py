@@ -1,9 +1,6 @@
 import os
 import threading
-import time
-import traceback
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from oirsvlc import (
     IdentifiabilityError,
     LayoutError,
     OirsGrid,
-    OirsVlcError,
     SceneConfig,
     ShapeError,
     SingularSystemError,
@@ -31,7 +27,6 @@ from oirsvlc import (
     nmse,
     recovery_operators,
     run_algorithm1,
-    run_noise_sweep,
     spline_weights,
     trial_statistics,
 )
@@ -532,132 +527,6 @@ def test_run_algorithm1_one_call_equals_one_call_per_seed(spacing, monkeypatch):
     assert solved[9:] == solved[:9] == [blocks] * 9
 
 
-# The sweep's processes: 8 x 8 grid, a dense and a spacing-2 cell at each of
-# two sigmas, 8 trials per cell
-SWEEP = replace(ExperimentConfig(), grid_rows=8, grid_cols=8, trials=8, sigmas=(0.0, 1e-4),
-                spacings=(2,), pilot_slots=16, angular_samples=16)
-
-
-def _seed(spacing, i_sigma, trial):
-    """The seed of a trial of SWEEP's (sigma, spacing) cell."""
-    return (SWEEP.master_seed, spacing, i_sigma, trial)
-
-
-def _cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-
-
-def _zero_pilots(monkeypatch, bad_seeds, log=None):
-    """Make the trials of `bad_seeds` read what all-zero pilots give: all-zero
-    Gram matrices and cross terms, singular at sigma = 0. Each such trial
-    appends the pid of its process to `log`, if given."""
-    def statistics(h_blocks, seed, *args):
-        if seed in bad_seeds and log is not None:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-        for b, gram, cross in trial_statistics(h_blocks, seed, *args):
-            yield (b, 0.0 * gram, 0.0 * cross) if seed in bad_seeds else (b, gram, cross)
-
-    monkeypatch.setattr(estimator, "trial_statistics", statistics)
-
-
-def test_run_algorithm1_worker_error_reaches_caller(monkeypatch):
-    # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
-    # last trial of the first cell gets them, in the last of four processes;
-    # the error, named by its cell, surfaces in the caller, no child outlives
-    # the sweep, and the next sweep runs
-    _cpus(monkeypatch, 4)
-    _zero_pilots(monkeypatch, (_seed(1, 0, 7),))
-    with pytest.raises(SingularSystemError, match="^sigma=0.0, spacing=1: "):
-        run_noise_sweep(SWEEP)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    _zero_pilots(monkeypatch, ())
-    assert len(run_noise_sweep(SWEEP)) == 4
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_run_algorithm1_worker_error_keeps_its_cause(cpus, monkeypatch, tmp_path):
-    # pickling drops an exception's __cause__ and traceback, so a child also
-    # sends its formatted traceback, which the caller raises as the cause: the
-    # formatted exception names numpy's "Singular matrix" wherever the
-    # singular trial ran. With two CPUs the second of two trials is the
-    # child's
-    log = tmp_path / "zeroed.txt"
-    log.touch()
-    _cpus(monkeypatch, cpus)
-    _zero_pilots(monkeypatch, (_seed(1, 0, 1),), log)
-    with pytest.raises(SingularSystemError) as raised:
-        run_noise_sweep(replace(SWEEP, trials=2))
-    assert "Singular matrix" in "".join(traceback.format_exception(raised.value))
-    zeroed_in = {int(pid) for pid in log.read_text().split()}
-    assert (zeroed_in == {os.getpid()}) == (cpus == 1) and len(zeroed_in) == 1
-
-
-@pytest.mark.parametrize("bad_seeds", [(0,), (1,), (7,), (0, 1)])
-def test_a_failed_call_closes_its_pool(bad_seeds, monkeypatch):
-    # a singular trial of the second cell, the caller's first (0), the
-    # child's first (1), the child's last (7) or the first of both
-    # processes, fails the sweep, and no child outlives it
-    _cpus(monkeypatch, 2)
-    _zero_pilots(monkeypatch, [_seed(2, 0, trial) for trial in bad_seeds])
-    with pytest.raises(SingularSystemError, match="^sigma=0.0, spacing=2: "):
-        run_noise_sweep(SWEEP)
-
-
-def test_an_interrupted_call_stops_its_workers(monkeypatch, tmp_path):
-    # an interrupt in the caller, here in its first recovery, kills the
-    # child in the trial it is solving; a child left to finish would make
-    # 200 solves (100 trials in each of two cells) at 10 ms each before the
-    # sweep raised
-    log = tmp_path / "solves.txt"
-    log.touch()
-    caller = os.getpid()
-
-    def slow_in_child(*args):
-        if os.getpid() != caller:
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            time.sleep(0.01)
-        return mmse_estimate(*args)
-
-    def interrupt(*args):
-        if os.getpid() == caller:
-            raise KeyboardInterrupt
-        return interpolate_full(*args)
-
-    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_child)
-    monkeypatch.setattr(estimator, "interpolate_full", interrupt)
-    _cpus(monkeypatch, 2)
-    with pytest.raises(KeyboardInterrupt):
-        run_noise_sweep(replace(SWEEP, trials=200, sigmas=(1e-4,)))
-    assert len(log.read_text().split()) < 20
-
-
-@pytest.mark.parametrize("spacing", [1, 2])
-def test_run_algorithm1_worker_that_dies_unreported_fails_the_call(spacing, monkeypatch):
-    # a child that exits without its reply loses the rows of its trials; the
-    # sweep must raise, naming the exit status, and never read those trials
-    # as an NMSE of 0 (-300 dB in the CSV). The child dies in its first trial
-    # of the first cell with this spacing
-    caller, seed_of = os.getpid(), {}
-
-    def statistics(h_blocks, seed, *args):
-        seed_of["now"] = seed
-        return trial_statistics(h_blocks, seed, *args)
-
-    def dying(*args):
-        if os.getpid() != caller and seed_of["now"][1] == spacing:
-            os._exit(3)
-        return mmse_estimate(*args)
-
-    monkeypatch.setattr(estimator, "trial_statistics", statistics)
-    monkeypatch.setattr(estimator, "mmse_estimate", dying)
-    _cpus(monkeypatch, 2)
-    with pytest.raises(OirsVlcError, match="exited with status 3"):
-        run_noise_sweep(SWEEP)
-
-
 @pytest.mark.parametrize("scene,spacing", [(three_by_three_scene(14, 14), 1),
                                            (three_by_three_scene(14, 14), 3),
                                            (desk_scene(14, 14), 2)],
@@ -734,55 +603,6 @@ def test_a_trial_is_scored_with_only_its_blocks_and_estimates_alive(monkeypatch)
         finally:
             tracemalloc.stop()
         assert len(held) == 2 and max(held) < arrays * truth.nbytes + half_pilots
-
-
-def test_workers_memory_stays_bounded(monkeypatch, tmp_path):
-    # the bounds the calling process meets in the test above, met by the
-    # forked child of a sweep of that scene (a dense and a spacing-3 cell),
-    # which solves 1 of 2 or 8 of 16 trials per cell. tracemalloc runs before
-    # the sweep forks and keeps running in the child; the child resets its
-    # peak at its first `nmse` (one per trial, after its solve), dropping the
-    # caller's truth build, and logs the peak after each, to a file, since
-    # its memory is not this process's
-    _cpus(monkeypatch, 2)
-    config = replace(ExperimentConfig(), grid_rows=48, grid_cols=48, grid_pitch=0.025,
-                     grid_element_size=0.0125, sigmas=(1e-3,), spacings=(3,),
-                     led_positions=((1.8, 2.0, 3.0), (2.0, 2.0, 3.0), (2.2, 2.0, 3.0)),
-                     pd_positions=((1.6, 2.0, 0.0), (2.0, 2.0, 0.0), (2.4, 2.0, 0.0)))
-    log = tmp_path / "peaks.txt"
-    log.touch()
-    caller, reset = os.getpid(), set()
-    real_nmse = estimator.nmse
-
-    def logged_nmse(*args):
-        if os.getpid() not in reset:
-            reset.add(os.getpid())
-            tracemalloc.reset_peak()
-        value = real_nmse(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {peak}\n")
-        return value
-
-    monkeypatch.setattr(estimator, "nmse", logged_nmse)
-    run_noise_sweep(replace(config, trials=2))                   # warm caches
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for trials in (2, 16):
-            log.write_text("")
-            run_noise_sweep(replace(config, trials=trials))
-            by_pid = {}
-            for line in log.read_text().splitlines():
-                pid, peak = map(int, line.split())
-                if pid != caller:
-                    by_pid[pid] = max(by_pid.get(pid, 0), peak)
-            assert len(by_pid) == 1                    # one child, which solved a trial
-            peaks[trials] = by_pid.popitem()[1]
-    finally:
-        tracemalloc.stop()
-    assert peaks[2] < 2e6                              # the child's one trial
-    assert peaks[16] < 3e6 and abs(peaks[16] - peaks[2]) < 0.5e6
 
 
 def test_dense_noiseless_nmse_stays_below_the_csv_floor():

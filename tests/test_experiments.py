@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import importlib
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import traceback
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -29,8 +31,11 @@ from oirsvlc import (
     OirsVlcError,
     SceneConfig,
     ShapeError,
+    SingularSystemError,
     ZeroReferenceError,
     build_csi_tensor,
+    interpolate_full,
+    mmse_estimate,
     dumps,
     load_config,
     loads,
@@ -41,6 +46,7 @@ from oirsvlc import (
     run_noise_sweep,
     run_overhead_report,
     taylor_coeffs,
+    trial_statistics,
 )
 from oirsvlc import estimator, experiments
 from oirsvlc.cli import main as cli_main
@@ -752,6 +758,35 @@ def test_run_noise_sweep_schema_and_exact_recovery_row():
     assert all(r[3] == FAST.trials for r in rows)
 
 
+# The sweep's processes: 8 x 8 grid, a dense and a spacing-2 cell at each of
+# two sigmas, 8 trials per cell
+SWEEP = replace(ExperimentConfig(), grid_rows=8, grid_cols=8, trials=8, sigmas=(0.0, 1e-4),
+                spacings=(2,), pilot_slots=16, angular_samples=16)
+
+
+def _seed(spacing, i_sigma, trial):
+    """The seed of a trial of SWEEP's (sigma, spacing) cell."""
+    return (SWEEP.master_seed, spacing, i_sigma, trial)
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _zero_pilots(monkeypatch, bad_seeds, log=None):
+    """Make the trials of `bad_seeds` read what all-zero pilots give: all-zero
+    Gram matrices and cross terms, singular at sigma = 0. Each such trial
+    appends the pid of its process to `log`, if given."""
+    def statistics(h_blocks, seed, *args):
+        if seed in bad_seeds and log is not None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+        for b, gram, cross in trial_statistics(h_blocks, seed, *args):
+            yield (b, 0.0 * gram, 0.0 * cross) if seed in bad_seeds else (b, gram, cross)
+
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_run_noise_sweep_rows_do_not_depend_on_cpu_count(cpus, monkeypatch):
     # each trial draws from its own seed stream, however the trials are
@@ -767,8 +802,7 @@ def test_run_noise_sweep_rows_do_not_depend_on_cpu_count(cpus, monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     reference = run_noise_sweep(config)
     monkeypatch.setattr(os, "fork", real_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
+    _cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert run_noise_sweep(config) == reference
 
@@ -889,7 +923,7 @@ def test_cli_zero_gain_scene_raises_and_writes_nothing(tmp_path, monkeypatch):
     real, real_fork = estimator.trial_statistics, os.fork
     monkeypatch.setattr(estimator, "trial_statistics", lambda *a: calls.append(1) or real(*a))
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 2)
     cfg = tmp_path / "dark.cfg"
     dark = re.escape("scene.fov_semi_angle_rad, with scene.lambertian_order, scene.led_normal, "
                      "scene.led_positions, scene.pd_positions and scene.pd_normal: truth tensor")
@@ -1072,7 +1106,7 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path)
     # trials 0 and 2 of 3. Over all processes, Phase III runs once per
     # sampled trial. A child cannot report back through this process's
     # memory, so each call appends "<key> <pid> <thread id>" to a file.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 2)
     traced = runpy.run_path(str(ROOT / "bench" / "child.py"))["TRACED"]
     log = tmp_path / "calls.txt"
 
@@ -1115,7 +1149,7 @@ def test_noise_sweep_forks_its_workers_once(monkeypatch):
     # one child per further CPU, forked once for the whole sweep and not for
     # each of its (sigma, scheme) cells; none where os.sched_getaffinity is
     # missing, whatever os.cpu_count says
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 2)
     real_fork, forks = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
     reference = run_noise_sweep(FAST)
@@ -1130,7 +1164,7 @@ def test_a_child_failure_stops_the_sweep_before_the_callers_next_cell(monkeypatc
     # in its first cell fails the sweep, named by its cell, while the caller,
     # slowed in its first cell until the child has failed, still has cells
     # to run, and the sweep leaves no child behind
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 2)
     caller, cells, failed = os.getpid(), [], tmp_path / "failed"
     real = experiments.run_algorithm1
 
@@ -1155,9 +1189,9 @@ def test_a_child_failure_stops_the_sweep_before_the_callers_next_cell(monkeypatc
 
 
 def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
-    # a worker that raises in the third of the four cells fails the sweep
+    # a child that raises in the third of the four cells fails the sweep
     # with its error, named by its cell, and the sweep leaves no child behind
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 2)
     caller, seed_of = os.getpid(), {}
     real_statistics, real_estimate = estimator.trial_statistics, estimator.mmse_estimate
 
@@ -1168,15 +1202,193 @@ def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
     def failing(*args):
         _, spacing, i_sigma, _ = seed_of["now"]
         if os.getpid() != caller and (i_sigma, spacing) == (1, 1):
-            raise ZeroReferenceError("worker failed mid-sweep")
+            raise ZeroReferenceError("child failed mid-sweep")
         return real_estimate(*args)
 
     monkeypatch.setattr(estimator, "trial_statistics", statistics)
     monkeypatch.setattr(estimator, "mmse_estimate", failing)
     with pytest.raises(ZeroReferenceError,
-                       match=r"^sigma=0\.0001, spacing=1: worker failed mid-sweep$") as raised:
+                       match=r"^sigma=0\.0001, spacing=1: child failed mid-sweep$") as raised:
         run_noise_sweep(FAST)
-    assert "in failing" in str(raised.value.__cause__)      # the worker's own frames
+    assert "in failing" in str(raised.value.__cause__)      # the child's own frames
+
+
+def test_a_child_error_reaches_the_caller_named_by_its_cell(monkeypatch):
+    # all-zero pilots make the Gram matrices singular at sigma = 0. Only the
+    # last trial of the first cell gets them, in the last of four processes;
+    # the error, named by its cell, surfaces in the caller, no child outlives
+    # the sweep, and the next sweep runs
+    _cpus(monkeypatch, 4)
+    _zero_pilots(monkeypatch, (_seed(1, 0, 7),))
+    with pytest.raises(SingularSystemError, match="^sigma=0.0, spacing=1: "):
+        run_noise_sweep(SWEEP)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    _zero_pilots(monkeypatch, ())
+    assert len(run_noise_sweep(SWEEP)) == 4
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_trial_error_keeps_its_cause_in_either_process(cpus, monkeypatch, tmp_path):
+    # pickling drops an exception's __cause__ and traceback, so a child also
+    # sends its formatted traceback, which the caller raises as the cause: the
+    # formatted exception names numpy's "Singular matrix" wherever the
+    # singular trial ran. With two CPUs the second of two trials is the
+    # child's
+    log = tmp_path / "zeroed.txt"
+    log.touch()
+    _cpus(monkeypatch, cpus)
+    _zero_pilots(monkeypatch, (_seed(1, 0, 1),), log)
+    with pytest.raises(SingularSystemError) as raised:
+        run_noise_sweep(replace(SWEEP, trials=2))
+    assert "Singular matrix" in "".join(traceback.format_exception(raised.value))
+    zeroed_in = {int(pid) for pid in log.read_text().split()}
+    assert (zeroed_in == {os.getpid()}) == (cpus == 1) and len(zeroed_in) == 1
+
+
+@pytest.mark.parametrize("bad_seeds", [(0,), (1,), (7,), (0, 1)])
+def test_a_failed_sweep_leaves_no_child(bad_seeds, monkeypatch):
+    # a singular trial of the second cell, the caller's first (0), the
+    # child's first (1), the child's last (7) or the first of both
+    # processes, fails the sweep, and no child outlives it
+    _cpus(monkeypatch, 2)
+    _zero_pilots(monkeypatch, [_seed(2, 0, trial) for trial in bad_seeds])
+    with pytest.raises(SingularSystemError, match="^sigma=0.0, spacing=2: "):
+        run_noise_sweep(SWEEP)
+
+
+def test_an_interrupted_sweep_kills_its_child(monkeypatch, tmp_path):
+    # an interrupt in the caller, here in its first recovery, kills the
+    # child in the trial it is solving; a child left to finish would make
+    # 200 solves (100 trials in each of two cells) at 10 ms each before the
+    # sweep raised
+    log = tmp_path / "solves.txt"
+    log.touch()
+    caller = os.getpid()
+
+    def slow_in_child(*args):
+        if os.getpid() != caller:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            time.sleep(0.01)
+        return mmse_estimate(*args)
+
+    def interrupt(*args):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return interpolate_full(*args)
+
+    monkeypatch.setattr(estimator, "mmse_estimate", slow_in_child)
+    monkeypatch.setattr(estimator, "interpolate_full", interrupt)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        run_noise_sweep(replace(SWEEP, trials=200, sigmas=(1e-4,)))
+    assert len(log.read_text().split()) < 20
+
+
+def test_a_fork_that_fails_partway_kills_its_child_and_closes_every_pipe(monkeypatch):
+    # with three CPUs the sweep forks two children: the first fork succeeds
+    # and the second raises. The sweep raises that error, the first child is
+    # killed and reaped (the autouse no_child_left checks it), and every pipe
+    # end the sweep opened is closed, the failed fork's two as well
+    _cpus(monkeypatch, 3)
+    real_fork, real_pipe = os.fork, os.pipe
+    forks, opened = [], []
+    refused = BlockingIOError(errno.EAGAIN, "fork refused")
+
+    def fork():
+        if forks:
+            raise refused
+        forks.append(os.getpid())
+        return real_fork()
+
+    def pipe():
+        fds = real_pipe()
+        opened.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", pipe)
+    with pytest.raises(BlockingIOError) as raised:
+        run_noise_sweep(SWEEP)
+    assert raised.value is refused and len(forks) == 1 and len(opened) == 4
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+@pytest.mark.parametrize("spacing", [1, 2])
+def test_a_child_that_dies_unreported_fails_the_sweep(spacing, monkeypatch):
+    # a child that exits without its reply loses the rows of its trials; the
+    # sweep must raise, naming the exit status, and never read those trials
+    # as an NMSE of 0 (-300 dB in the CSV). The child dies in its first trial
+    # of the first cell with this spacing
+    caller, seed_of = os.getpid(), {}
+
+    def statistics(h_blocks, seed, *args):
+        seed_of["now"] = seed
+        return trial_statistics(h_blocks, seed, *args)
+
+    def dying(*args):
+        if os.getpid() != caller and seed_of["now"][1] == spacing:
+            os._exit(3)
+        return mmse_estimate(*args)
+
+    monkeypatch.setattr(estimator, "trial_statistics", statistics)
+    monkeypatch.setattr(estimator, "mmse_estimate", dying)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(OirsVlcError, match="exited with status 3"):
+        run_noise_sweep(SWEEP)
+
+
+def test_a_child_meets_the_memory_bounds_of_a_call(monkeypatch, tmp_path):
+    # the bounds that a `run_algorithm1` call meets in the calling process
+    # (test_estimator's test_truth_build_and_dense_pass_memory_stays_bounded),
+    # met by the forked child of a sweep of that scene (a dense and a
+    # spacing-3 cell), which solves 1 of 2 or 8 of 16 trials per cell.
+    # tracemalloc runs before the sweep forks and keeps running in the child;
+    # the child resets its peak at its first `nmse` (one per trial, after its
+    # solve), dropping the caller's truth build, and logs the peak after
+    # each, to a file, since its memory is not this process's
+    _cpus(monkeypatch, 2)
+    config = replace(ExperimentConfig(), grid_rows=48, grid_cols=48, grid_pitch=0.025,
+                     grid_element_size=0.0125, sigmas=(1e-3,), spacings=(3,),
+                     led_positions=((1.8, 2.0, 3.0), (2.0, 2.0, 3.0), (2.2, 2.0, 3.0)),
+                     pd_positions=((1.6, 2.0, 0.0), (2.0, 2.0, 0.0), (2.4, 2.0, 0.0)))
+    log = tmp_path / "peaks.txt"
+    log.touch()
+    caller, reset = os.getpid(), set()
+    real_nmse = estimator.nmse
+
+    def logged_nmse(*args):
+        if os.getpid() not in reset:
+            reset.add(os.getpid())
+            tracemalloc.reset_peak()
+        value = real_nmse(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {peak}\n")
+        return value
+
+    monkeypatch.setattr(estimator, "nmse", logged_nmse)
+    run_noise_sweep(replace(config, trials=2))                   # warm caches
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for trials in (2, 16):
+            log.write_text("")
+            run_noise_sweep(replace(config, trials=trials))
+            by_pid = {}
+            for line in log.read_text().splitlines():
+                pid, peak = map(int, line.split())
+                if pid != caller:
+                    by_pid[pid] = max(by_pid.get(pid, 0), peak)
+            assert len(by_pid) == 1                    # one child, which solved a trial
+            peaks[trials] = by_pid.popitem()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[2] < 2e6                              # the child's one trial
+    assert peaks[16] < 3e6 and abs(peaks[16] - peaks[2]) < 0.5e6
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
