@@ -172,9 +172,8 @@ def coherence_length_1d(A, B, xi_c):
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Direction-resolved coherence lengths and their minimum."""
+    """Direction-resolved coherence lengths and their minimum, `d_c`."""
 
-    d_c: float
     argmin_direction: np.ndarray
     xi_c: float
     coeffs: TaylorCoeffs
@@ -187,10 +186,10 @@ class CoherenceReport:
         if profile.ndim != 2 or profile.shape[1] != 2 or not len(profile):
             raise ValueError("per_direction_lengths must be a non-empty (N, 2) array")
         object.__setattr__(self, "per_direction_lengths", profile)
-        best = profile[:, 1].min()
-        if self.d_c != best and not (math.isfinite(best)
-                                     and abs(self.d_c - best) <= 1e-12 * max(1.0, abs(best))):
-            raise ValueError("d_c must equal the minimum per-direction length")
+
+    @property
+    def d_c(self) -> float:
+        return float(self.per_direction_lengths[:, 1].min())
 
 
 def coherence_profile(coeffs: TaylorCoeffs, plane_axes, xi_c: float, angles):
@@ -240,4 +239,4 @@ def coherence_distance(scene: SceneConfig, xi_c: float,
         profile = np.vstack([profile, [(best_angle, best_len)]])
     direction = math.cos(best_angle) * u + math.sin(best_angle) * v
     assert abs(direction @ scene.grid.normal) <= 1e-9, "argmin direction left the surface plane"
-    return CoherenceReport(float(best_len), direction, xi_c, coeffs, profile)
+    return CoherenceReport(direction, xi_c, coeffs, profile)

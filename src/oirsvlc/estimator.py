@@ -2,15 +2,16 @@
 
 Phase I tiles the reflecting grid into spacing x spacing subarrays and aligns
 one element per (LED, PD) pair inside each tile, so same-pair samples form a
-regular lattice with pitch `spacing` elements. Phase II activates the tiles
+regular lattice with pitch `spacing` elements, `SubarrayLayout.lattice`,
+which Phase III interpolates from too. Phase II activates the tiles
 one time block at a time and ridge-estimates each block's effective channel
 from its pilot observations. Phase III recovers every element's gain for
 every pair by separable interpolation over the sample lattice: natural cubic
 spline with 4 or more samples along an axis, piecewise linear (the end
 pieces extrapolating) with 2 or 3, constant with 1. Each is linear in the
 samples, so with cached cardinal-spline operators R (Nr, rows, q_v) and
-C (Nt, cols, q_h), built on row and column indices once per
-`SubarrayLayout`, and S[nr, nt] the sample grid of pair (nr, nt), all fields
+C (Nt, cols, q_h), built on its row and column indices once per layout,
+and S[nr, nt] the sample grid of pair (nr, nt), all fields
 are one batched product R[:, None] @ S @ C^T.
 
 spacing = 1 with more than one LED or PD is the dense baseline: no spatial
@@ -83,11 +84,11 @@ class SubarrayLayout:
     def n_blocks(self) -> int:
         return self.q_v * self.q_h
 
-    def sample_row_indices(self, nr: int) -> np.ndarray:
-        return nr + self.spacing * np.arange(self.q_v)
-
-    def sample_col_indices(self, nt: int) -> np.ndarray:
-        return nt + self.spacing * np.arange(self.q_h)
+    def lattice(self):
+        """Sample rows (q_v, Nr) and columns (q_h, Nt): subarray (qv, qh)
+        samples pair (nr, nt) at grid row rows[qv, nr], column cols[qh, nt]."""
+        return (self.spacing * np.arange(self.q_v)[:, None] + np.arange(self.n_pds),
+                self.spacing * np.arange(self.q_h)[:, None] + np.arange(self.n_leds))
 
 
 def _schedule_shape(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
@@ -116,10 +117,9 @@ def block_schedule(grid: OirsGrid, n_leds: int, n_pds: int, spacing: int):
     if layout is None:
         assignment = (np.arange(n)[:, None] + np.arange(n_leds * n_pds)) % n
         return assignment.reshape(n, n_leds, n_pds).transpose(0, 2, 1), None
-    qv, qh = np.divmod(np.arange(n), layout.q_h)
-    rows = qv[:, None, None] * spacing + np.arange(n_pds)[:, None]
-    cols = qh[:, None, None] * spacing + np.arange(n_leds)
-    return rows * grid.cols + cols, layout
+    rows, cols = layout.lattice()
+    index = rows[:, None, :, None] * grid.cols + cols[:, None, :]       # (q_v, q_h, Nr, Nt)
+    return index.reshape(n, n_pds, n_leds), layout
 
 
 def mmse_estimate(gram: np.ndarray, cross: np.ndarray, sigma: float) -> np.ndarray:
@@ -207,15 +207,14 @@ def spline_weights(sample_pos, target_pos) -> np.ndarray:
 def recovery_operators(layout: SubarrayLayout):
     """Phase-III operators of a layout: R (Nr, rows, q_v) and C (Nt, cols, q_h).
 
-    R[nr] maps the sample rows of PD offset nr to every grid row and C[nt]
-    the sample columns of LED offset nt to every grid column. Built on row
-    and column indices: the weights do not change under the affine map to
-    plane coordinates. Cached per layout and read-only.
+    R[nr] maps the lattice's sample rows of PD offset nr to every grid row
+    and C[nt] its sample columns of LED offset nt to every grid column.
+    Built on row and column indices: the weights do not change under the
+    affine map to plane coordinates. Cached per layout and read-only.
     """
-    r = np.stack([spline_weights(layout.sample_row_indices(nr), np.arange(layout.rows))
-                  for nr in range(layout.n_pds)])
-    c = np.stack([spline_weights(layout.sample_col_indices(nt), np.arange(layout.cols))
-                  for nt in range(layout.n_leds)])
+    rows, cols = layout.lattice()
+    r = np.stack([spline_weights(x, np.arange(layout.rows)) for x in rows.T])
+    c = np.stack([spline_weights(x, np.arange(layout.cols)) for x in cols.T])
     r.flags.writeable = False
     c.flags.writeable = False
     return r, c

@@ -144,6 +144,8 @@ def test_build_csi_tensor_single_link():
         tensor[0, 0, 0] = 1.0
     with pytest.raises(TypeError):            # an order is an int; none is truncated
         build_csi_tensor(scene, 2.5)
+    with pytest.raises(ValueError, match="^quadrature order must be >= 1$"):
+        build_csi_tensor(scene, 0)
 
 
 def test_build_csi_tensor_fov_zero_row():

@@ -159,6 +159,8 @@ def test_config_rejects_unknown_and_invalid_keys():
         loads("sweep.trials = 0")
     with pytest.raises(ConfigError, match="pilots.slots"):
         loads("pilots.slots = abc")
+    with pytest.raises(ConfigError, match=r"^scene\.grid\.pitch_m: not a number: 'abc'$"):
+        loads("scene.grid.pitch_m = abc")
     with pytest.raises(ConfigError, match="duplicate"):
         loads("seed = 1\nseed = 2")
     with pytest.raises(ConfigError, match="key = value"):
@@ -731,11 +733,6 @@ def test_run_fig4_point_curve_unimodal():
     assert 0 < peak < len(point) - 1
     assert np.all(np.diff(point[: peak + 1]) >= 0)
     assert np.all(np.diff(point[peak:]) <= 0)
-
-
-def test_run_coherence_reports_study_value():
-    report = run_coherence(ExperimentConfig())
-    assert report.d_c == pytest.approx(0.4631576655, abs=1e-9)
 
 
 def test_run_overhead_report_values():

@@ -106,6 +106,9 @@ def test_grid_rejects_bad_frames():
         OirsGrid(center=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0.6, 0.8, 0),
                  rows=2, cols=2, element_size=0.1,
                  element_pitch=0.1)
+    with pytest.raises(ValueError, match=r"^expected a 3-vector, got shape \(2,\)$"):
+        OirsGrid(center=(0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
+                 rows=2, cols=2, element_size=0.1, element_pitch=0.1)
 
 
 def test_grid_rejects_bad_scalars():
