@@ -9,6 +9,7 @@ which is created before the run starts.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -76,6 +77,10 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """A process entry point: it leaves the collector frozen, so no later
+    collection, exit's included, walks the import graph. A program that calls
+    it and keeps running may call `gc.unfreeze()`."""
+    gc.freeze()
     parser = argparse.ArgumentParser(
         prog="oirsvlc",
         description="Reflected-channel coherence analysis and spatial-sampling "

@@ -1,6 +1,15 @@
+import gc
 import os
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_heap():
+    """`cli.main` freezes the collector, as a process entry point may; a test
+    that calls it in this process leaves the heap collectable for the next."""
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(autouse=True)

@@ -1142,7 +1142,7 @@ def test_bench_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path)
     assert len(calls["estimator.interpolate_full"]) == config.trials * sampled
 
 
-def test_noise_sweep_forks_its_workers_once(monkeypatch):
+def test_noise_sweep_forks_its_children_once(monkeypatch):
     # one child per further CPU, forked once for the whole sweep and not for
     # each of its (sigma, scheme) cells; none where os.sched_getaffinity is
     # missing, whatever os.cpu_count says
@@ -1185,7 +1185,7 @@ def test_a_child_failure_stops_the_sweep_before_the_callers_next_cell(monkeypatc
     assert 1 <= len(cells) < len(FAST.sigmas) * (len(FAST.spacings) + 1)
 
 
-def test_worker_error_mid_sweep_fails_the_sweep(monkeypatch):
+def test_a_child_error_mid_sweep_fails_the_sweep(monkeypatch):
     # a child that raises in the third of the four cells fails the sweep
     # with its error, named by its cell, and the sweep leaves no child behind
     _cpus(monkeypatch, 2)
@@ -1402,6 +1402,19 @@ def test_cli_import_loads_no_scipy(tmp_path):
          "'logging', '_hashlib', 'numpy.random', 'numpy.polynomial', 'mmap'))))"],
         env=_src_env(), capture_output=True, text=True, check=True).stdout
     assert out.strip().splitlines()[-1] == "[]"
+
+
+def test_cli_freezes_its_import_graph(tmp_path):
+    # main freezes the collector first, so every object alive after the
+    # import is out of every later collection, exit's included. The list of
+    # them is held, so none dies before main and the count is a lower bound
+    out = subprocess.run(
+        [sys.executable, "-c", "import gc, oirsvlc.cli; "
+         "imported = gc.get_objects(); "
+         f"oirsvlc.cli.main(['overhead', '--out', {str(tmp_path)!r}]); "
+         "print(gc.get_freeze_count() >= len(imported))"],
+        env=_src_env(), capture_output=True, text=True, check=True).stdout
+    assert out.strip().splitlines()[-1] == "True"
 
 
 def test_cli_noise_sweep_loads_no_openssl(tmp_path):
